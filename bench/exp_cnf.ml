@@ -46,11 +46,6 @@ type cell = {
   (* None when the inprocessed arm is disabled (--no-inprocess) *)
   status_inp : string option;
   time_inp : float option;
-  (* None when no --portfolio/--cdcl-* flags were given.  The bench arm
-     forces deterministic mode, so the cell is reproducible and the
-     baseline statuses stay comparable at any --jobs width. *)
-  status_pf : string option;
-  time_pf : float option;
 }
 
 let status (r : Sat_attack.result) =
@@ -68,7 +63,7 @@ let frozen_vars (m : Miter.t) =
     [ m.Miter.inputs; m.Miter.keys_a; m.Miter.keys_b;
       m.Miter.outputs_a; m.Miter.outputs_b ]
 
-let cell ~timeout ~max_conflicts ~inp_enabled ~inp_every ~portfolio ~name
+let cell ~timeout ~max_conflicts ~inp_enabled ~inp_every ~name
     ~plr_n ~plr_count ~seed circuit =
   let rng = Random.State.make [| seed; plr_n; plr_count |] in
   let configs = List.init plr_count (fun _ -> Fulllock.default_config ~n:plr_n) in
@@ -100,15 +95,6 @@ let cell ~timeout ~max_conflicts ~inp_enabled ~inp_every ~portfolio ~name
              ~inprocess:true ~inprocess_every:inp_every locked)
       else None
     in
-    let r_pf =
-      match portfolio with
-      | None -> None
-      | Some spec ->
-        Some
-          (Cycsat.run ~timeout ~max_conflicts ~preprocess:true
-             ~portfolio:{ spec with Fl_sat.Portfolio.deterministic = true }
-             locked)
-    in
     let r_pre = Cycsat.run ~timeout ~max_conflicts ~preprocess:true locked in
     let r_ref = Cycsat.run ~timeout ~max_conflicts ~preprocess:false locked in
     Some
@@ -132,14 +118,10 @@ let cell ~timeout ~max_conflicts ~inp_enabled ~inp_every ~portfolio ~name
         time_ref = r_ref.Sat_attack.wall_time;
         status_inp = Option.map status r_inp;
         time_inp = Option.map (fun r -> r.Sat_attack.wall_time) r_inp;
-        status_pf = Option.map status r_pf;
-        time_pf = Option.map (fun r -> r.Sat_attack.wall_time) r_pf;
       }
 
-let run ?(inprocess = { Fl_cli.enabled = None; every = None }) ?portfolio
-    ~deep ~pool () =
+let run ?(inprocess = { Fl_cli.enabled = None; every = None }) ~deep ~pool () =
   let inp_enabled = inprocess.Fl_cli.enabled <> Some false in
-  let pf_enabled = portfolio <> None in
   let inp_every = Option.value inprocess.Fl_cli.every ~default:4 in
   let max_conflicts = if deep then 400_000 else 80_000 in
   let timeout = if deep then 1200.0 else 240.0 in
@@ -159,7 +141,7 @@ let run ?(inprocess = { Fl_cli.enabled = None; every = None }) ?portfolio
     Fl_par.map_list pool
       (fun (name, plr_n, plr_count) ->
         let c = Bench_suite.load_scaled name ~scale in
-        cell ~timeout ~max_conflicts ~inp_enabled ~inp_every ~portfolio ~name
+        cell ~timeout ~max_conflicts ~inp_enabled ~inp_every ~name
           ~plr_n ~plr_count ~seed:(Hashtbl.hash name) c)
       tasks
     |> List.map Fl_par.get
@@ -174,11 +156,9 @@ let run ?(inprocess = { Fl_cli.enabled = None; every = None }) ?portfolio
           Printf.sprintf "%.1f%%" c.reduction_pct;
           string_of_int c.xor_rows;
           Option.value c.status_inp ~default:"-";
-          Option.value c.status_pf ~default:"-";
           c.status_pre;
           c.status_ref;
           (match c.time_inp with Some t -> Tables.seconds t | None -> "-");
-          (match c.time_pf with Some t -> Tables.seconds t | None -> "-");
           Tables.seconds c.time_pre;
           Tables.seconds c.time_ref;
           (if c.time_ref > 0.0 then Printf.sprintf "%.2f" (c.time_pre /. c.time_ref)
@@ -197,8 +177,8 @@ let run ?(inprocess = { Fl_cli.enabled = None; every = None }) ?portfolio
           miter clause reduction, recovered XOR rows, and CycSAT time — \
           inprocessed vs preprocessed vs reference"
          scale (max_conflicts / 1000))
-    [ "cell"; "clauses"; "red"; "xor"; "inp"; "pf"; "pre"; "ref"; "t_inp";
-      "t_pf"; "t_pre"; "t_ref"; "r_pre"; "r_inp" ]
+    [ "cell"; "clauses"; "red"; "xor"; "inp"; "pre"; "ref"; "t_inp"; "t_pre";
+      "t_ref"; "r_pre"; "r_inp" ]
     rows;
   (* A budget flip is one path breaking (with a verified key — that is what
      "broken" means) while the other exhausts its conflict/iteration budget:
@@ -212,8 +192,7 @@ let run ?(inprocess = { Fl_cli.enabled = None; every = None }) ?portfolio
   (* Status lists per cell: two or three arms, compared pairwise. *)
   let arms c =
     c.status_pre :: c.status_ref
-    :: ((match c.status_inp with Some s -> [ s ] | None -> [])
-        @ (match c.status_pf with Some s -> [ s ] | None -> []))
+    :: (match c.status_inp with Some s -> [ s ] | None -> [])
   in
   let rec pairs = function
     | [] -> []
@@ -258,7 +237,6 @@ let run ?(inprocess = { Fl_cli.enabled = None; every = None }) ?portfolio
   in
   let min_ratio, geomean = ratio_stats (fun c -> Some c.time_pre) in
   let min_ratio_inp, geomean_inp = ratio_stats (fun c -> c.time_inp) in
-  let min_ratio_pf, geomean_pf = ratio_stats (fun c -> c.time_pf) in
   let min_xor_rows =
     List.fold_left (fun acc c -> min acc c.xor_rows) max_int cells
   in
@@ -273,13 +251,6 @@ let run ?(inprocess = { Fl_cli.enabled = None; every = None }) ?portfolio
     Report.add_float "solve_ratio_inp_geomean" geomean_inp;
     Report.add_int "min_xor_rows"
       (if cells = [] then 0 else min_xor_rows)
-  end;
-  (* Informational, never gated: the baseline gate ignores numeric
-     members present only in the current report, so a portfolio-armed
-     run still gates cleanly against a portfolio-less baseline. *)
-  if pf_enabled then begin
-    Report.add_float "min_solve_ratio_pf" min_ratio_pf;
-    Report.add_float "solve_ratio_pf_geomean" geomean_pf
   end;
   Report.add_int "cells" (List.length cells);
   Report.add_section "clause_reduction_pct"
@@ -305,21 +276,6 @@ let run ?(inprocess = { Fl_cli.enabled = None; every = None }) ?portfolio
              | _ -> Fl_obs.String "-" ))
          cells)
   end;
-  if pf_enabled then begin
-    Report.add_section "status_pf"
-      (List.map
-         (fun c ->
-           c.label, Fl_obs.String (Option.value c.status_pf ~default:"-"))
-         cells);
-    Report.add_section "solve_ratio_pf"
-      (List.map
-         (fun c ->
-           ( c.label,
-             match c.time_pf with
-             | Some t when c.time_ref > 0.0 -> Fl_obs.Float (t /. c.time_ref)
-             | _ -> Fl_obs.String "-" ))
-         cells)
-  end;
   Report.add_section "solve_ratio"
     (List.map
        (fun c ->
@@ -336,13 +292,8 @@ let run ?(inprocess = { Fl_cli.enabled = None; every = None }) ?portfolio
     (List.length cells) budget_flips
     (if budget_flips = 1 then "" else "s")
     max_reduction min_ratio geomean
-    ((if inp_enabled then
-        Printf.sprintf "; inprocessed min %.2f, geomean %.2f, min xor rows %d"
-          min_ratio_inp geomean_inp
-          (if cells = [] then 0 else min_xor_rows)
-      else "")
-    ^
-    if pf_enabled then
-      Printf.sprintf "; portfolio(det) min %.2f, geomean %.2f" min_ratio_pf
-        geomean_pf
-    else "")
+    (if inp_enabled then
+       Printf.sprintf "; inprocessed min %.2f, geomean %.2f, min xor rows %d"
+         min_ratio_inp geomean_inp
+         (if cells = [] then 0 else min_xor_rows)
+     else "")

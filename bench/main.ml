@@ -4,8 +4,6 @@
    Usage:  main.exe [experiment ...] [--deep] [--trace FILE] [--jobs N]
                     [--baseline FILE] [--tolerance X]
                     [--inprocess|--no-inprocess] [--inprocess-every N]
-                    [--portfolio N] [--portfolio-det] [--seed N]
-                    [--cube-depth D] [--cdcl-* ...]
            main.exe all            (default; every experiment, scaled budget)
            main.exe micro          (Bechamel micro-benchmarks)
 
@@ -27,14 +25,14 @@
    Fl_cli.Baseline.gate: statuses must match and watched metrics must stay
    within --tolerance (default 1.25); a regression exits 1. *)
 
-let experiments ~deep ~pool ~inprocess ~portfolio =
+let experiments ~deep ~pool ~inprocess =
   [
     "fig1", (fun () -> Exp_fig1.run ~deep ());
     "table1", (fun () -> Exp_table1.run ());
     "table2", (fun () -> Exp_table2.run ~deep ());
     "table3", (fun () -> Exp_table3.run ~deep ());
     "table4", (fun () -> Exp_table4.run ~deep ~pool ());
-    "cnf", (fun () -> Exp_cnf.run ~inprocess ?portfolio ~deep ~pool ());
+    "cnf", (fun () -> Exp_cnf.run ~inprocess ~deep ~pool ());
     "table5", (fun () -> Exp_table5.run ~deep ~pool ());
     "fig5", (fun () -> Exp_fig5.run ());
     "fig7", (fun () -> Exp_fig7.run ~deep ~pool ());
@@ -57,7 +55,6 @@ let () =
   let baseline, args = Fl_cli.take_opt "--baseline" args in
   let tolerance_arg, args = Fl_cli.take_opt "--tolerance" args in
   let inprocess, args = Fl_cli.take_inprocess args in
-  let portfolio, args = Fl_cli.take_solver args in
   let deep, selected = Fl_cli.take_flag "--deep" args in
   (* Anything still dash-prefixed is a flag we don't know; reject it instead
      of treating it as an (unknown) experiment name. *)
@@ -71,9 +68,7 @@ let () =
          Printf.eprintf
            "unknown flag %s; available: --deep, --trace FILE, --jobs N, \
             --baseline FILE, --tolerance X, --inprocess, --no-inprocess, \
-            --inprocess-every N, --portfolio N, --portfolio-det, --seed N, \
-            --cube-depth D, --cdcl-var-decay F, --cdcl-restart-base N, \
-            --cdcl-phase P, --cdcl-random-freq F\n"
+            --inprocess-every N\n"
            flag)
        unknown;
      exit 2);
@@ -97,7 +92,7 @@ let () =
      atomic add per conflict) is noise next to a solve. *)
   Fl_obs.set_deep true;
   let pool = Fl_par.create ~name:"bench" ~jobs () in
-  let table = experiments ~deep ~pool ~inprocess ~portfolio in
+  let table = experiments ~deep ~pool ~inprocess in
   (* Reject unknown names up front so `main.exe tabel4 fig7` fails fast
      instead of running fig7 first and erroring an hour in. *)
   (match

@@ -21,21 +21,14 @@ let () =
   let use_dpll, args = Fl_cli.take_flag "--dpll" args in
   let show_stats, args = Fl_cli.take_flag "--stats" args in
   let inp, args = Fl_cli.take_inprocess args in
-  let spec, args = Fl_cli.take_solver args in
   let path =
     match args with
     | [ p ] when String.length p > 0 && p.[0] <> '-' -> p
     | _ ->
       prerr_endline
-        "usage: flsat problem.cnf [--budget-seconds S] [--dpll] [--inprocess] [--stats] [--trace FILE]\n\
-        \       [--portfolio N] [--portfolio-det] [--seed N] [--cube-depth D] [--cdcl-* ...]";
-      prerr_endline Fl_cli.solver_usage;
+        "usage: flsat problem.cnf [--budget-seconds S] [--dpll] [--inprocess] [--stats] [--trace FILE]";
       exit 2
   in
-  if use_dpll && spec <> None then begin
-    prerr_endline "--dpll and the --portfolio/--cdcl-* group are mutually exclusive";
-    exit 2
-  end;
   let budget = ref (-1.0) in
   (match budget_arg with
    | None -> ()
@@ -107,14 +100,7 @@ let () =
       if !budget > 0.0 then Fl_sat.Cdcl.budget_seconds !budget
       else Fl_sat.Cdcl.no_budget
     in
-    (* Backend-generic solve path: plain CDCL by default, a Portfolio
-       (racing / cubing / deterministic) when solver flags were given. *)
-    let (module B : Fl_sat.Solver_intf.S) =
-      match spec with
-      | None -> Fl_sat.Solver_intf.cdcl
-      | Some spec -> Fl_sat.Portfolio.backend spec
-    in
-    let s = Fl_sat.Solver_intf.load (module B) solve_formula in
+    let s = Fl_sat.Cdcl.of_formula solve_formula in
     let stats_fields (d : Fl_sat.Cdcl.stats) =
       [
         "decisions", Fl_obs.Int d.Fl_sat.Cdcl.decisions;
@@ -127,11 +113,11 @@ let () =
       ]
     in
     if Fl_obs.enabled () then
-      B.set_progress s ~every:1024 (fun delta ->
+      Fl_sat.Cdcl.set_progress s ~every:1024 (fun delta ->
           Fl_obs.emit "cdcl.progress" ~fields:(stats_fields delta));
     let t0 = Unix.gettimeofday () in
-    let outcome = Fl_obs.with_span "flsat.solve" (fun () -> B.solve ~budget s) in
-    let stats = B.stats s in
+    let outcome = Fl_obs.with_span "flsat.solve" (fun () -> Fl_sat.Cdcl.solve ~budget s) in
+    let stats = Fl_sat.Cdcl.stats s in
     if Fl_obs.enabled () then
       Fl_obs.emit "cdcl.solve"
         ~fields:
@@ -152,7 +138,7 @@ let () =
     match outcome with
     | Fl_sat.Cdcl.Sat ->
       let m =
-        let m = B.model s in
+        let m = Fl_sat.Cdcl.model s in
         match ip with
         | Some ip -> Fl_sat.Inprocess.reconstruct ip m
         | None -> m

@@ -120,9 +120,7 @@ let summary path =
   in
   Printf.printf "%-32s %10s\n" "event" "count";
   List.iter (fun (name, c) -> Printf.printf "%-32s %10d\n" name c) rows;
-  (* Parallel execution: par.batch.done aggregated per pool, and the
-     portfolio races (winner configurations, cancellations, clause
-     exchange) grouped alongside. *)
+  (* Parallel execution: par.batch.done aggregated per pool. *)
   let batches = List.filter (fun e -> e.Obs.name = "par.batch.done") events in
   if batches <> [] then begin
     let pools : (string, int * int * int * int * float * float) Hashtbl.t =
@@ -149,44 +147,6 @@ let summary path =
            Printf.printf "%-16s %8d %8d %7d %9d %10.3f %10.3f %8.2f\n" pool b
              t f c ts ws
              (if ws > 0.0 then ts /. ws else 0.0))
-  end;
-  let races =
-    List.filter (fun e -> e.Obs.name = "portfolio.race.done") events
-  in
-  if races <> [] then begin
-    let outcomes : (string, int) Hashtbl.t = Hashtbl.create 4 in
-    let winners : (int, int) Hashtbl.t = Hashtbl.create 8 in
-    let bump tbl k =
-      Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k))
-    in
-    let cancelled = ref 0 and exported = ref 0 and imported = ref 0 in
-    let cubed = ref 0 in
-    List.iter
-      (fun e ->
-        bump outcomes (Option.value ~default:"?" (field_str "outcome" e));
-        (match field_int "winner_config" e with
-         | Some w when w >= 0 -> bump winners w
-         | _ -> ());
-        let gi n = Option.value ~default:0 (field_int n e) in
-        cancelled := !cancelled + gi "cancelled";
-        exported := !exported + gi "shared_exported";
-        imported := !imported + gi "shared_imported";
-        if gi "cubes" > 0 then incr cubed)
-      races;
-    let hist tbl pp =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-      |> List.sort compare
-      |> List.map (fun (k, v) -> Printf.sprintf "%s:%d" (pp k) v)
-      |> String.concat " "
-    in
-    Printf.printf
-      "\nportfolio: %d races (%d cubed), outcomes %s\n\
-      \           winner configs %s\n\
-      \           %d members cancelled, %d learnts exported, %d imported\n"
-      (List.length races) !cubed
-      (hist outcomes Fun.id)
-      (hist winners string_of_int)
-      !cancelled !exported !imported
   end;
   (* Wall breakdown: where the top-level spans spent the trace. *)
   let p = profile_of_events events in

@@ -55,9 +55,19 @@ let write_key key path =
 
 let read_key path =
   let ic = open_in path in
-  let line = input_line ic in
+  let line = try input_line ic with End_of_file -> "" in
   close_in ic;
   key_of_string line
+
+(* A key file whose width must match [circuit]'s key inputs. *)
+let read_key_for circuit path =
+  let key = read_key path in
+  if Array.length key <> Circuit.num_keys circuit then begin
+    Printf.eprintf "key has %d bits, circuit expects %d\n" (Array.length key)
+      (Circuit.num_keys circuit);
+    exit 1
+  end;
+  key
 
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
@@ -198,12 +208,7 @@ let optimize_cmd =
 let activate_cmd =
   let run input key_path out sweep =
     let c = read_circuit input in
-    let key = read_key key_path in
-    if Array.length key <> Circuit.num_keys c then begin
-      Printf.eprintf "key has %d bits, circuit expects %d\n" (Array.length key)
-        (Circuit.num_keys c);
-      exit 1
-    end;
+    let key = read_key_for c key_path in
     let activated = Fl_netlist.Opt.hardwire_keys c key in
     let final =
       if sweep then begin
@@ -241,7 +246,7 @@ let equiv_cmd =
     let b = read_circuit b_path in
     let keys_a =
       match keys_a_path with
-      | Some p -> read_key p
+      | Some p -> read_key_for a p
       | None -> [||]
     in
     match Fl_sat.Equiv.check ~keys_a a b with
@@ -269,14 +274,7 @@ let equiv_cmd =
 
 let read_optional_key path_opt circuit =
   match path_opt with
-  | Some p ->
-    let key = read_key p in
-    if Array.length key <> Circuit.num_keys circuit then begin
-      Printf.eprintf "key has %d bits, circuit expects %d\n" (Array.length key)
-        (Circuit.num_keys circuit);
-      exit 1
-    end;
-    key
+  | Some p -> read_key_for circuit p
   | None ->
     if Circuit.num_keys circuit > 0 then begin
       Printf.eprintf "circuit has key inputs; pass --key\n";
@@ -335,15 +333,12 @@ let testgen_cmd =
 
 (* ---------- verify ---------- *)
 
-let bundle ~locked_path ~oracle_path ~key =
-  let locked = read_circuit locked_path in
-  let oracle = read_circuit oracle_path in
-  { Locked.locked; oracle; correct_key = key; scheme = "cli" }
-
 let verify_cmd =
   let run locked_path oracle_path key_path =
-    let key = read_key key_path in
-    let l = bundle ~locked_path ~oracle_path ~key in
+    let locked = read_circuit locked_path in
+    let oracle = read_circuit oracle_path in
+    let key = read_key_for locked key_path in
+    let l = { Locked.locked; oracle; correct_key = key; scheme = "cli" } in
     if Locked.verify l then print_endline "key is functionally correct"
     else begin
       print_endline "key is WRONG";
@@ -361,20 +356,13 @@ let verify_cmd =
 
 let attack_cmd =
   let run kind locked_path oracle_path timeout key_out trace stats inp_on
-      inp_off inp_every pf_jobs pf_det seed cube_depth cdcl_var_decay
-      cdcl_restart_base cdcl_phase cdcl_random_freq =
+      inp_off inp_every =
     (match trace with None -> () | Some file -> Fl_cli.install_trace file);
     (* Same validation (and exit-2 behaviour) as the getopt-style
        binaries: --inprocess/--no-inprocess are mutually exclusive. *)
     let inp = Fl_cli.check_inprocess ~on:inp_on ~off:inp_off ~every:inp_every in
     let inprocess = inp.Fl_cli.enabled in
     let inprocess_every = inp.Fl_cli.every in
-    let portfolio =
-      Fl_cli.check_solver ?portfolio:pf_jobs ~det:pf_det ?seed ?cube_depth
-        ?var_decay:cdcl_var_decay ?restart_base:cdcl_restart_base
-        ?phase:(Option.map Fl_cli.parse_phase cdcl_phase)
-        ?random_freq:cdcl_random_freq ()
-    in
     if stats then begin
       (* Deep telemetry so the snapshot includes the cdcl.* histograms. *)
       Fl_obs.set_deep true;
@@ -397,10 +385,10 @@ let attack_cmd =
        let result =
          if kind = "sat" then
            Fl_attacks.Sat_attack.run ~timeout ~progress ?inprocess
-             ?inprocess_every ?portfolio l
+             ?inprocess_every l
          else
            Fl_attacks.Cycsat.run ~timeout ~progress ?inprocess
-             ?inprocess_every ?portfolio l
+             ?inprocess_every l
        in
        prerr_newline ();
        Format.printf "%a@." Fl_attacks.Sat_attack.pp_result result;
@@ -468,210 +456,10 @@ let attack_cmd =
     Arg.(value & opt (some int) None & info [ "inprocess-every" ] ~docv:"N"
            ~doc:"Inprocessing period in DIP iterations (default 8).")
   in
-  let pf_jobs =
-    Arg.(value & opt (some int) None & info [ "portfolio" ] ~docv:"N"
-           ~doc:"Front the miter solver with a portfolio of $(docv) diverse \
-                 CDCL members raced across domains; the first decisive \
-                 member wins and the losers are cancelled (SAT/CycSAT \
-                 attacks only).")
-  in
-  let pf_det =
-    Arg.(value & flag & info [ "portfolio-det" ]
-           ~doc:"Deterministic portfolio: one member (picked by --seed), \
-                 no domains — bit-for-bit reproducible.")
-  in
-  let seed =
-    Arg.(value & opt (some int) None & info [ "seed" ] ~docv:"N"
-           ~doc:"Solver seed: diversifies portfolio members and picks the \
-                 deterministic member.")
-  in
-  let cube_depth =
-    Arg.(value & opt (some int) None & info [ "cube-depth" ] ~docv:"D"
-           ~doc:"Cube-and-conquer: split each miter solve into 2^$(docv) \
-                 cubes over the highest-fanout key variables.")
-  in
-  let cdcl_var_decay =
-    Arg.(value & opt (some float) None & info [ "cdcl-var-decay" ] ~docv:"F"
-           ~doc:"VSIDS activity decay in (0,1), default 0.95.")
-  in
-  let cdcl_restart_base =
-    Arg.(value & opt (some int) None & info [ "cdcl-restart-base" ] ~docv:"N"
-           ~doc:"Luby restart unit in conflicts, default 64.")
-  in
-  let cdcl_phase =
-    Arg.(value & opt (some string) None & info [ "cdcl-phase" ] ~docv:"P"
-           ~doc:"Saved-phase default: false, true or random.")
-  in
-  let cdcl_random_freq =
-    Arg.(value & opt (some float) None & info [ "cdcl-random-freq" ] ~docv:"F"
-           ~doc:"Fraction of random decisions in [0,1], default 0.")
-  in
   Cmd.v
     (Cmd.info "attack" ~doc:"Attack a locked netlist with oracle access")
     Term.(const run $ kind $ locked $ oracle $ timeout $ key_out $ trace
-          $ stats $ inp_on $ inp_off $ inp_every $ pf_jobs $ pf_det $ seed
-          $ cube_depth $ cdcl_var_decay $ cdcl_restart_base $ cdcl_phase
-          $ cdcl_random_freq)
-
-(* ---------- serve / client ---------- *)
-
-let socket_arg =
-  Arg.(required & opt (some string) None
-       & info [ "socket" ] ~docv:"PATH" ~doc:"Unix-domain socket path.")
-
-let serve_cmd =
-  let run socket jobs max_timeout max_conflicts trace stats =
-    (match trace with None -> () | Some file -> Fl_cli.install_trace file);
-    if stats then Fl_cli.stats_on_exit ();
-    if jobs < 1 then begin
-      Printf.eprintf "--jobs needs a positive integer, got %d\n" jobs;
-      exit 2
-    end;
-    let cfg =
-      { (Fl_serve.Server.default_config ~socket) with
-        Fl_serve.Server.jobs; max_timeout; max_conflicts }
-    in
-    Printf.eprintf "fulllock serve: listening on %s (%d jobs)\n%!" socket jobs;
-    match Fl_serve.Server.run cfg with
-    | () -> prerr_endline "fulllock serve: stopped"
-    | exception Unix.Unix_error (e, fn, arg) ->
-      Printf.eprintf "cannot serve on %s: %s (%s %s)\n" socket
-        (Unix.error_message e) fn arg;
-      exit 1
-  in
-  let jobs =
-    Arg.(value & opt int 1
-         & info [ "jobs" ] ~docv:"N"
-             ~doc:"Worker pool width (default 1: requests run one at a time \
-                   on the scheduler).")
-  in
-  let max_timeout =
-    Arg.(value & opt float 300.0
-         & info [ "max-timeout" ] ~docv:"SECONDS"
-             ~doc:"Per-request wall-budget cap and default.")
-  in
-  let max_conflicts =
-    Arg.(value & opt int 2_000_000
-         & info [ "max-conflicts" ] ~docv:"N"
-             ~doc:"Per-request solver-conflict cap and default.")
-  in
-  let trace =
-    Arg.(value & opt (some string) None
-         & info [ "trace" ] ~docv:"FILE"
-             ~doc:"Append the daemon's structured JSONL events to $(docv).")
-  in
-  let stats =
-    Arg.(value & flag
-         & info [ "stats" ] ~doc:"Print the full metric snapshot on exit.")
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:"Run the attack-as-a-service daemon on a Unix socket")
-    Term.(const run $ socket_arg $ jobs $ max_timeout $ max_conflicts
-          $ trace $ stats)
-
-let client_cmd =
-  let run socket op kind scheme plr cyclic key_bits seed circuit locked oracle
-      timeout max_conflicts events quiet =
-    let events_mode =
-      match Fl_serve.Protocol.events_mode_of_string events with
-      | Ok m -> m
-      | Error msg -> Printf.eprintf "%s\n" msg; exit 2
-    in
-    let slurp_opt = Option.map Fl_cli.slurp in
-    let req =
-      { Fl_serve.Protocol.id = Printf.sprintf "cli-%d" (Unix.getpid ());
-        op; kind; scheme; plr; cyclic; key_bits; seed;
-        circuit = slurp_opt circuit;
-        locked = slurp_opt locked;
-        oracle = slurp_opt oracle;
-        timeout; max_conflicts;
-        events = events_mode }
-    in
-    let c =
-      try Fl_serve.Client.connect socket
-      with Unix.Unix_error (e, _, _) ->
-        Printf.eprintf "cannot connect to %s: %s\n" socket
-          (Unix.error_message e);
-        exit 1
-    in
-    let on_event e =
-      if not quiet then
-        Printf.eprintf "%s\n%!" (Fl_obs.Json.to_string e)
-    in
-    let outcome = Fl_serve.Client.request ~on_event c req in
-    Fl_serve.Client.close c;
-    match outcome with
-    | Ok json ->
-      print_endline (Fl_obs.Json.encode json)
-    | Error msg ->
-      Printf.eprintf "error: %s\n" msg;
-      exit 1
-  in
-  let op =
-    Arg.(required & pos 0 (some string) None
-         & info [] ~docv:"OP"
-             ~doc:"Request op: lock, attack, analyze, status or shutdown.")
-  in
-  let kind =
-    Arg.(value & opt string "sat"
-         & info [ "kind" ] ~doc:"Attack kind: sat, cycsat or appsat.")
-  in
-  let scheme =
-    Arg.(value & opt string "full-lock" & info [ "scheme" ] ~doc:"Lock scheme.")
-  in
-  let plr =
-    Arg.(value & opt string "1x8"
-         & info [ "plr" ] ~doc:"Full-Lock PLR block sizes.")
-  in
-  let cyclic =
-    Arg.(value & flag & info [ "cyclic" ] ~doc:"Full-Lock cyclic insertion.")
-  in
-  let key_bits =
-    Arg.(value & opt int 16 & info [ "key-bits" ] ~doc:"Key width.")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Lock RNG seed.") in
-  let circuit =
-    Arg.(value & opt (some string) None
-         & info [ "circuit" ] ~docv:"FILE"
-             ~doc:"Host circuit .bench for lock/analyze ($(b,-) = stdin).")
-  in
-  let locked =
-    Arg.(value & opt (some string) None
-         & info [ "locked" ] ~docv:"FILE"
-             ~doc:"Locked circuit .bench for attack ($(b,-) = stdin).")
-  in
-  let oracle =
-    Arg.(value & opt (some string) None
-         & info [ "oracle" ] ~docv:"FILE"
-             ~doc:"Oracle .bench for attack/analyze ($(b,-) = stdin).")
-  in
-  let timeout =
-    Arg.(value & opt (some float) None
-         & info [ "timeout" ] ~docv:"SECONDS"
-             ~doc:"Requested wall budget (the server clamps to its cap).")
-  in
-  let max_conflicts =
-    Arg.(value & opt (some int) None
-         & info [ "max-conflicts" ] ~docv:"N"
-             ~doc:"Requested solver-conflict budget.")
-  in
-  let events =
-    Arg.(value & opt string "attack"
-         & info [ "events" ] ~docv:"MODE"
-             ~doc:"Streamed telemetry: none, attack or all.")
-  in
-  let quiet =
-    Arg.(value & flag
-         & info [ "quiet-events" ]
-             ~doc:"Consume event frames silently instead of echoing them \
-                   to stderr.")
-  in
-  Cmd.v
-    (Cmd.info "client" ~doc:"Send one request to a running fulllock daemon")
-    Term.(const run $ socket_arg $ op $ kind $ scheme $ plr $ cyclic
-          $ key_bits $ seed $ circuit $ locked $ oracle $ timeout
-          $ max_conflicts $ events $ quiet)
+          $ stats $ inp_on $ inp_off $ inp_every)
 
 let () =
   let doc = "Full-Lock logic locking toolbox (DAC'19 reproduction)" in
@@ -681,4 +469,4 @@ let () =
        (Cmd.group info
           [ generate_cmd; suite_cmd; stats_cmd; lock_cmd; verify_cmd; attack_cmd;
             optimize_cmd; activate_cmd; export_cmd; equiv_cmd; coverage_cmd;
-            testgen_cmd; serve_cmd; client_cmd ]))
+            testgen_cmd ]))

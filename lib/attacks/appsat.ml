@@ -57,12 +57,12 @@ let estimate_error locked rng ~samples key =
   done;
   float_of_int !wrong_count /. float_of_int samples, !wrong
 
-let run ?base ?(timeout = 60.0) ?(max_iterations = max_int)
+let run ?(timeout = 60.0) ?(max_iterations = max_int)
     ?(settle_every = 4) ?(samples = 64) ?(error_threshold = 0.01) ?(seed = 0)
     locked =
   Fl_obs.with_span "attack.appsat" @@ fun () ->
   let deadline = Unix.gettimeofday () +. timeout in
-  let session = Session.create ?base ~label:"appsat" ~deadline locked in
+  let session = Session.create ~label:"appsat" ~deadline locked in
   let rng = Random.State.make [| seed; 0xa99 |] in
   let queries = ref 0 in
   let finish ?key ?(error = 1.0) ~exact () =

@@ -17,14 +17,11 @@ type result = {
   wall_time : float;
 }
 
-(** [run ?base ?timeout ?max_iterations ?settle_every ?samples
+(** [run ?timeout ?max_iterations ?settle_every ?samples
     ?error_threshold ?seed locked] — defaults: settle every 4 DIP
     iterations, 64 random samples per estimate, accept below 1% estimated
-    error.  [base] is a prepared {!Session.Base} snapshot (prepared
-    without an extra key constraint — AppSAT shares the plain SAT-attack
-    base) to skip rebuilding the miter. *)
+    error. *)
 val run :
-  ?base:Session.Base.t ->
   ?timeout:float ->
   ?max_iterations:int ->
   ?settle_every:int ->

@@ -139,18 +139,9 @@ let no_cycle_condition c =
           Formula.add_clause formula [ -r y ])
       heads
 
-let run ?base ?timeout ?max_conflicts ?max_iterations ?progress ?preprocess
-    ?inprocess ?inprocess_every ?inprocess_min_conflicts ?portfolio locked =
-  match base with
-  | Some _ ->
-    (* A prepared base already carries the NC emitter it was built with
-       (Session re-applies it to the key-recovery formula); recomputing
-       the cycle analysis here would waste the cache hit. *)
-    Sat_attack.run ?base ?timeout ?max_conflicts ?max_iterations ?progress
-      ~label:"cycsat" ?inprocess ?inprocess_every ?inprocess_min_conflicts
-      ?portfolio locked
-  | None ->
-    let emitter = no_cycle_condition locked.Fl_locking.Locked.locked in
-    Sat_attack.run ?timeout ?max_conflicts ?max_iterations ?progress
-      ~extra_key_constraint:emitter ~label:"cycsat" ?preprocess ?inprocess
-      ?inprocess_every ?inprocess_min_conflicts ?portfolio locked
+let run ?timeout ?max_conflicts ?max_iterations ?progress ?preprocess
+    ?inprocess ?inprocess_every ?inprocess_min_conflicts locked =
+  let emitter = no_cycle_condition locked.Fl_locking.Locked.locked in
+  Sat_attack.run ?timeout ?max_conflicts ?max_iterations ?progress
+    ~extra_key_constraint:emitter ~label:"cycsat" ?preprocess ?inprocess
+    ?inprocess_every ?inprocess_min_conflicts locked

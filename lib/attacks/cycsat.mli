@@ -20,15 +20,10 @@ val no_cycle_condition :
     circuits — then {!run} degenerates to the plain SAT attack). *)
 val num_feedback_edges : Fl_netlist.Circuit.t -> int
 
-(** [run ?base ?timeout ?max_conflicts ?max_iterations ?progress
-    ?preprocess ?inprocess ?inprocess_every ?inprocess_min_conflicts
-    locked] — CycSAT attack; parameters as in {!Sat_attack.run}.  [base]
-    must have been prepared with {!no_cycle_condition} as its extra key
-    constraint; when given, the cycle analysis is not recomputed (the
-    base carries the emitter) and [preprocess] is superseded by the
-    base's setting. *)
+(** [run ?timeout ?max_conflicts ?max_iterations ?progress ?preprocess
+    ?inprocess ?inprocess_every ?inprocess_min_conflicts locked] — CycSAT
+    attack; parameters as in {!Sat_attack.run}. *)
 val run :
-  ?base:Session.Base.t ->
   ?timeout:float ->
   ?max_conflicts:int ->
   ?max_iterations:int ->
@@ -37,6 +32,5 @@ val run :
   ?inprocess:bool ->
   ?inprocess_every:int ->
   ?inprocess_min_conflicts:int ->
-  ?portfolio:Fl_sat.Portfolio.spec ->
   Fl_locking.Locked.t ->
   Sat_attack.result

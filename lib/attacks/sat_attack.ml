@@ -21,16 +21,15 @@ type result = {
 
 type progress = int -> float -> unit
 
-let run ?base ?(timeout = 60.0) ?max_conflicts ?(max_iterations = max_int)
+let run ?(timeout = 60.0) ?max_conflicts ?(max_iterations = max_int)
     ?(progress = fun _ _ -> ()) ?extra_key_constraint ?(label = "sat")
-    ?preprocess ?inprocess ?inprocess_every ?inprocess_min_conflicts ?portfolio
+    ?preprocess ?inprocess ?inprocess_every ?inprocess_min_conflicts
     locked =
   Fl_obs.with_span ("attack." ^ label) @@ fun () ->
   let deadline = Unix.gettimeofday () +. timeout in
   let session =
-    Session.create ?base ?extra_key_constraint ~label ?max_conflicts
-      ?preprocess ?inprocess ?inprocess_every ?inprocess_min_conflicts
-      ?portfolio ~deadline locked
+    Session.create ?extra_key_constraint ~label ?max_conflicts ?preprocess
+      ?inprocess ?inprocess_every ?inprocess_min_conflicts ~deadline locked
   in
   let finish status dips =
     let key_is_correct =

@@ -47,15 +47,8 @@ type progress = int -> float -> unit
     [inprocess_min_conflicts] (default off / 8 / 2048) are forwarded
     too: between-iterations {!Fl_sat.Inprocess} simplification of the
     growing attack formula with a solver rebuild every N DIP iterations,
-    conflict-gated as described in {!Session.create}.  [base] starts the
-    session from a prepared {!Session.Base} snapshot (see there): the
-    miter and its preprocessing are reused instead of rebuilt, and
-    [extra_key_constraint] / [preprocess] are superseded by what the base
-    captured.  [portfolio] fronts the miter solver with a
-    {!Fl_sat.Portfolio} backend (racing / cube-and-conquer / deterministic
-    — see {!Session.create}). *)
+    conflict-gated as described in {!Session.create}. *)
 val run :
-  ?base:Session.Base.t ->
   ?timeout:float ->
   ?max_conflicts:int ->
   ?max_iterations:int ->
@@ -66,7 +59,6 @@ val run :
   ?inprocess:bool ->
   ?inprocess_every:int ->
   ?inprocess_min_conflicts:int ->
-  ?portfolio:Fl_sat.Portfolio.spec ->
   Fl_locking.Locked.t ->
   result
 

@@ -4,8 +4,6 @@ module Formula = Fl_cnf.Formula
 module Tseytin = Fl_cnf.Tseytin
 module Miter = Fl_cnf.Miter
 module Cdcl = Fl_sat.Cdcl
-module Solver_intf = Fl_sat.Solver_intf
-module Portfolio = Fl_sat.Portfolio
 module Preprocess = Fl_sat.Preprocess
 module Inprocess = Fl_sat.Inprocess
 module Locked = Fl_locking.Locked
@@ -15,58 +13,25 @@ module Locked = Fl_locking.Locked
 let c_dip_screened = Fl_obs.Counter.make "session.dip.screened"
 let c_dip_solver = Fl_obs.Counter.make "session.dip.solver"
 let c_screen_passes = Fl_obs.Counter.make "session.screen.passes"
-let c_base_prepared = Fl_obs.Counter.make "session.base.prepared"
-let c_base_reused = Fl_obs.Counter.make "session.base.reused"
 
 (* A formula paired with an incremental solver: [sync] feeds the solver only
    the clauses appended since the last call, so the DIP loop stays linear in
-   the number of iterations instead of rebuilding quadratically.  The solver
-   backend is existentially packed ({!Solver_intf.S}), so a session can run
-   on any backend while the attack loops stay first-order code. *)
-type 's tracked_s = {
-  solver : 's;
-  backend : (module Solver_intf.S with type t = 's);
+   the number of iterations instead of rebuilding quadratically. *)
+type tracked = {
+  solver : Cdcl.t;
   formula : Formula.t;
   mutable loaded : int;  (* clauses already in the solver *)
 }
 
-type tracked = Tracked : 's tracked_s -> tracked
+let tracked_of formula = { solver = Cdcl.create (); formula; loaded = 0 }
 
-let tracked_of (backend : (module Solver_intf.S)) formula =
-  let (module B) = backend in
-  Tracked
-    {
-      solver = B.create ();
-      backend = (module B : Solver_intf.S with type t = B.t);
-      formula;
-      loaded = 0;
-    }
-
-let sync = function
-  | Tracked tr ->
-    let (module B) = tr.backend in
-    B.ensure_vars tr.solver (Formula.num_vars tr.formula);
-    let clauses = Formula.clauses tr.formula in
-    for i = tr.loaded to Array.length clauses - 1 do
-      B.add_clause_a tr.solver clauses.(i)
-    done;
-    tr.loaded <- Array.length clauses
-
-let tracked_stats = function
-  | Tracked tr ->
-    let (module B) = tr.backend in
-    B.stats tr.solver
-
-let tracked_solve t ~budget =
-  match t with
-  | Tracked tr ->
-    let (module B) = tr.backend in
-    B.solve ~budget tr.solver
-
-let tracked_model = function
-  | Tracked tr ->
-    let (module B) = tr.backend in
-    B.model tr.solver
+let sync tr =
+  Cdcl.ensure_vars tr.solver (Formula.num_vars tr.formula);
+  let clauses = Formula.clauses tr.formula in
+  for i = tr.loaded to Array.length clauses - 1 do
+    Cdcl.add_clause_a tr.solver clauses.(i)
+  done;
+  tr.loaded <- Array.length clauses
 
 type t = {
   locked : Locked.t;
@@ -77,12 +42,6 @@ type t = {
   mutable miter_tracked : tracked;
   key_tracked : tracked;
   key_vars : int array;
-  backend : (module Solver_intf.S);
-  miter_backend : (module Solver_intf.S);
-      (* what the miter solver is rebuilt from after inprocessing: the
-         portfolio backend when one was requested, [backend] otherwise
-         (the key solver always runs on the plain backend — its solves
-         are many and cheap, so racing them would only burn domains) *)
   (* Between-iterations inprocessing: period in DIP iterations (None =
      disabled), the iteration count at the last run, the composed
      model-reconstruction chain (reduced-formula model -> original-miter
@@ -140,16 +99,14 @@ let stats_fields (d : Cdcl.stats) =
    before the iteration record lands. *)
 let progress_conflict_period = 2048
 
-let arm_progress label role = function
-  | Tracked tr ->
-    let (module B) = tr.backend in
-    B.set_progress tr.solver ~every:progress_conflict_period (fun delta ->
-        if Fl_obs.enabled () then
-          Fl_obs.emit "cdcl.progress"
-            ~fields:
-              (("attack", Fl_obs.String label)
-               :: ("solver", Fl_obs.String role)
-               :: stats_fields delta))
+let arm_progress label role tr =
+  Cdcl.set_progress tr.solver ~every:progress_conflict_period (fun delta ->
+      if Fl_obs.enabled () then
+        Fl_obs.emit "cdcl.progress"
+          ~fields:
+            (("attack", Fl_obs.String label)
+             :: ("solver", Fl_obs.String role)
+             :: stats_fields delta))
 
 (* The preprocessing frozen set: every variable later clauses may mention.
    DIP constraints instantiate fresh circuit copies (fresh variables only)
@@ -161,144 +118,35 @@ let frozen_vars (m : Miter.t) =
     [ m.Miter.inputs; m.Miter.keys_a; m.Miter.keys_b;
       m.Miter.outputs_a; m.Miter.outputs_b ]
 
-(* A prepared base: the locked circuit's miter with any extra key
-   constraint asserted and the one-shot preprocessing already run, frozen
-   into an immutable snapshot that any number of sessions can start from.
-   Sessions mutate their miter formula (observation constraints append,
-   inprocessing replaces it), so [create] hands each one a private
-   {!Formula.copy} of the base formula — Tseytin encoding and SatELite
-   never re-run.  [Preprocess.t] reconstruction is a pure replay of the
-   elimination stack, safe to share across sessions and domains; the
-   formula copy is the only per-session cost. *)
-module Base = struct
-  type t = {
-    b_circuit : Circuit.t;
-    b_miter : Miter.t;  (* formula is the reduced base; never mutated *)
-    b_pre : Preprocess.t option;
-    b_extra : (Formula.t -> int array -> unit) option;
-  }
-
-  let prepare ?extra_key_constraint ?(label = "base") ?(preprocess = true)
-      circuit =
-    let miter0 =
-      Fl_obs.with_span "session.build_miter" (fun () -> Miter.build circuit)
-    in
-    (match extra_key_constraint with
-     | Some add ->
-       add miter0.Miter.formula miter0.Miter.keys_a;
-       add miter0.Miter.formula miter0.Miter.keys_b
-     | None -> ());
-    (* See [create]: an Unsat preprocessing verdict would mean the miter
-       itself is contradictory — fall back to the unpreprocessed base. *)
-    let pre, miter =
-      if not preprocess then (None, miter0)
-      else begin
-        let p =
-          Fl_obs.with_span "session.preprocess" (fun () ->
-              Preprocess.run ~label ~frozen:(frozen_vars miter0)
-                miter0.Miter.formula)
-        in
-        if Preprocess.is_unsat p then (None, miter0)
-        else (Some p, { miter0 with Miter.formula = Preprocess.formula p })
-      end
-    in
-    Fl_obs.Counter.incr c_base_prepared;
-    { b_circuit = circuit; b_miter = miter; b_pre = pre;
-      b_extra = extra_key_constraint }
-
-  let circuit b = b.b_circuit
-  let clause_var_ratio b = Formula.ratio b.b_miter.Miter.formula
-  let preprocess_stats b = Option.map Preprocess.stats b.b_pre
-end
-
-(* Cube-variable ranking for the portfolio's cube-and-conquer mode: key
-   inputs ordered by the size of their transitive fanout cone (BFS over
-   the view's fanout lists — the keys whose influence reaches the most
-   downstream logic split the search space most evenly), mapped to their
-   CNF variables in the miter's A key copy. *)
-let ranked_key_vars view circuit (miter : Miter.t) =
-  let fanouts = View.fanouts view in
-  let n = Array.length fanouts in
-  let reach_of node =
-    let seen = Array.make n false in
-    let q = Queue.create () in
-    seen.(node) <- true;
-    Queue.add node q;
-    let count = ref 0 in
-    while not (Queue.is_empty q) do
-      let u = Queue.pop q in
-      Array.iter
-        (fun w ->
-          if not seen.(w) then begin
-            seen.(w) <- true;
-            incr count;
-            Queue.add w q
-          end)
-        fanouts.(u)
-    done;
-    !count
-  in
-  let ranked =
-    Array.mapi (fun i node -> i, reach_of node) circuit.Circuit.keys
-  in
-  Array.sort
-    (fun (ia, ra) (ib, rb) ->
-      match compare rb ra with 0 -> compare ia ib | c -> c)
-    ranked;
-  Array.map (fun (i, _) -> miter.Miter.keys_a.(i)) ranked
-
-let create ?base ?extra_key_constraint ?(label = "sat") ?max_conflicts
+let create ?extra_key_constraint ?(label = "sat") ?max_conflicts
     ?(preprocess = true) ?(inprocess = false) ?(inprocess_every = 8)
-    ?(inprocess_min_conflicts = 2048) ?(backend = Solver_intf.cdcl) ?portfolio
-    ~deadline locked =
+    ?(inprocess_min_conflicts = 2048) ~deadline locked =
   let circuit = locked.Locked.locked in
-  (* With a prepared base, the miter (extra constraint included) and the
-     preprocessing verdict come from the snapshot; the session's private
-     formula is a copy so observation constraints and inprocessing never
-     touch the shared base.  The [extra_key_constraint] and [preprocess]
-     arguments are superseded by what the base was prepared with. *)
-  let extra_key_constraint =
-    match base with
-    | Some b -> b.Base.b_extra
-    | None -> extra_key_constraint
+  let miter0 =
+    Fl_obs.with_span "session.build_miter" (fun () -> Miter.build circuit)
   in
+  (match extra_key_constraint with
+   | Some add ->
+     add miter0.Miter.formula miter0.Miter.keys_a;
+     add miter0.Miter.formula miter0.Miter.keys_b
+   | None -> ());
+  (* Preprocess the base miter (including any extra key constraint, which
+     the simplifier may exploit) with the interface variables frozen.  The
+     key-recovery formula is not preprocessed: it grows by whole circuit
+     copies per observation, so a one-shot pass would be stale after the
+     first iteration.  An Unsat verdict here would mean the miter itself is
+     contradictory — defensively fall back to the unpreprocessed path. *)
   let pre, miter =
-    match base with
-    | Some b ->
-      if not (b.Base.b_circuit == circuit) then
-        invalid_arg
-          "Fl_attacks.Session.create: base was prepared for a different \
-           circuit";
-      Fl_obs.Counter.incr c_base_reused;
-      ( b.Base.b_pre,
-        { b.Base.b_miter with
-          Miter.formula = Formula.copy b.Base.b_miter.Miter.formula } )
-    | None ->
-      let miter0 =
-        Fl_obs.with_span "session.build_miter" (fun () -> Miter.build circuit)
+    if not preprocess then (None, miter0)
+    else begin
+      let p =
+        Fl_obs.with_span "session.preprocess" (fun () ->
+            Preprocess.run ~label ~frozen:(frozen_vars miter0)
+              miter0.Miter.formula)
       in
-      (match extra_key_constraint with
-       | Some add ->
-         add miter0.Miter.formula miter0.Miter.keys_a;
-         add miter0.Miter.formula miter0.Miter.keys_b
-       | None -> ());
-      (* Preprocess the base miter (including any extra key constraint,
-         which the simplifier may exploit) with the interface variables
-         frozen.  The key-recovery formula is not preprocessed: it grows by
-         whole circuit copies per observation, so a one-shot pass would be
-         stale after the first iteration.  An Unsat verdict here would mean
-         the miter itself is contradictory — defensively fall back to the
-         unpreprocessed path. *)
-      if not preprocess then (None, miter0)
-      else begin
-        let p =
-          Fl_obs.with_span "session.preprocess" (fun () ->
-              Preprocess.run ~label ~frozen:(frozen_vars miter0)
-                miter0.Miter.formula)
-        in
-        if Preprocess.is_unsat p then (None, miter0)
-        else (Some p, { miter0 with Miter.formula = Preprocess.formula p })
-      end
+      if Preprocess.is_unsat p then (None, miter0)
+      else (Some p, { miter0 with Miter.formula = Preprocess.formula p })
+    end
   in
   let key_formula = Formula.create () in
   let key_vars = Formula.fresh_vars key_formula (Circuit.num_keys circuit) in
@@ -306,24 +154,8 @@ let create ?base ?extra_key_constraint ?(label = "sat") ?max_conflicts
    | Some add -> add key_formula key_vars
    | None -> ());
   let view = View.of_circuit circuit in
-  (* The portfolio (when requested) fronts the miter solver only; an
-     empty cube_vars is filled with the fanout-ranked key variables so
-     cube-and-conquer splits where the paper's CLN reconverges most. *)
-  let miter_backend =
-    match portfolio with
-    | None -> backend
-    | Some spec ->
-      let spec =
-        if
-          spec.Portfolio.cube_depth > 0
-          && Array.length spec.Portfolio.cube_vars = 0
-        then { spec with Portfolio.cube_vars = ranked_key_vars view circuit miter }
-        else spec
-      in
-      Portfolio.backend spec
-  in
-  let miter_tracked = tracked_of miter_backend miter.Miter.formula in
-  let key_tracked = tracked_of backend key_formula in
+  let miter_tracked = tracked_of miter.Miter.formula in
+  let key_tracked = tracked_of key_formula in
   arm_progress label "miter" miter_tracked;
   arm_progress label "key" key_tracked;
   {
@@ -333,8 +165,6 @@ let create ?base ?extra_key_constraint ?(label = "sat") ?max_conflicts
     miter_tracked;
     key_tracked;
     key_vars;
-    backend;
-    miter_backend;
     inprocess_every =
       (if inprocess then Some (max 1 inprocess_every) else None);
     inprocess_period = max 1 inprocess_every;
@@ -570,17 +400,12 @@ let maybe_inprocess s =
       s.inprocess_log <- st :: s.inprocess_log;
       if not (Inprocess.is_unsat ip) then begin
         let reduced = Inprocess.formula ip in
-        let nt = tracked_of s.miter_backend reduced in
+        let nt = tracked_of reduced in
         sync nt;
-        (match nt, s.miter_tracked with
-         | Tracked ntr, Tracked otr ->
-           let (module NB) = ntr.backend in
-           let (module OB) = otr.backend in
-           OB.iter_learnts otr.solver (fun c ->
-               match Inprocess.map_clause ip c with
-               | Some c' when Array.length c' > 0 ->
-                 NB.add_clause_a ntr.solver c'
-               | _ -> ()));
+        Cdcl.iter_learnts s.miter_tracked.solver (fun c ->
+            match Inprocess.map_clause ip c with
+            | Some c' when Array.length c' > 0 -> Cdcl.add_clause_a nt.solver c'
+            | _ -> ());
         arm_progress s.label "miter" nt;
         s.miter <- { s.miter with Miter.formula = reduced };
         s.miter_tracked <- nt;
@@ -591,7 +416,7 @@ let maybe_inprocess s =
 
 (* One miter solve; shared by the screening and reference paths.
    [record_models] feeds the model's two key vectors into the screening
-   pool.  When the miter was preprocessed, the backend's model (of the
+   pool.  When the miter was preprocessed, the solver's model (of the
    reduced formula) is first extended to a model of the original formula —
    interface variables are frozen so their values pass through unchanged,
    but reconstruction keeps the extraction honest about which formula the
@@ -599,12 +424,13 @@ let maybe_inprocess s =
 let solve_dip s ~record_models =
   maybe_inprocess s;
   sync s.miter_tracked;
-  let before = tracked_stats s.miter_tracked in
+  let solver = s.miter_tracked.solver in
+  let before = Cdcl.stats solver in
   let outcome =
     Fl_obs.with_span "session.solve_dip" (fun () ->
-        tracked_solve s.miter_tracked ~budget:(budget s))
+        Cdcl.solve ~budget:(budget s) solver)
   in
-  let delta = Cdcl.sub_stats (tracked_stats s.miter_tracked) before in
+  let delta = Cdcl.sub_stats (Cdcl.stats solver) before in
   s.stats <- Cdcl.add_stats s.stats delta;
   match outcome with
   | Cdcl.Unknown ->
@@ -616,7 +442,7 @@ let solve_dip s ~record_models =
   | Cdcl.Sat ->
     s.iteration_count <- s.iteration_count + 1;
     Fl_obs.Counter.incr c_dip_solver;
-    let model = s.recon (tracked_model s.miter_tracked) in
+    let model = s.recon (Cdcl.model solver) in
     let value v = model.(v) in
     let dip = Array.map value s.miter.Miter.inputs in
     if record_models then begin
@@ -644,9 +470,7 @@ let constrain_io s ~inputs ~outputs =
   Fl_obs.with_span "session.observe" @@ fun () ->
   let circuit = s.locked.Locked.locked in
   Miter.add_io_constraint s.miter circuit ~inputs ~outputs;
-  let key_formula =
-    match s.key_tracked with Tracked tr -> tr.formula
-  in
+  let key_formula = s.key_tracked.formula in
   let enc = Tseytin.encode ~share_keys:s.key_vars key_formula circuit in
   Tseytin.assert_vector key_formula enc.Tseytin.input_vars inputs;
   Tseytin.assert_vector key_formula enc.Tseytin.output_vars outputs;
@@ -663,10 +487,10 @@ let candidate_key s =
   sync s.key_tracked;
   match
     Fl_obs.with_span "session.key_solve" (fun () ->
-        tracked_solve s.key_tracked ~budget:(budget s))
+        Cdcl.solve ~budget:(budget s) s.key_tracked.solver)
   with
   | Cdcl.Sat ->
-    let model = tracked_model s.key_tracked in
+    let model = Cdcl.model s.key_tracked.solver in
     `Key (Array.map (fun v -> model.(v)) s.key_vars)
   | Cdcl.Unsat -> `None
   | Cdcl.Unknown -> `Timeout

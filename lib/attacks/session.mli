@@ -5,53 +5,15 @@
 
 type t
 
-(** {1 Prepared bases}
-
-    The expensive, observation-independent part of a session — building
-    the miter (Tseytin encoding of two circuit copies), asserting any
-    extra key constraint, and the one-shot SatELite-style preprocessing —
-    depends only on the locked circuit.  A {!Base.t} freezes that work
-    into an immutable snapshot: any number of sessions (concurrently, on
-    any domain) can then be created from it, each receiving a private
-    copy of the reduced formula, so attacking the same circuit twice
-    never re-runs Tseytin + preprocessing.  This is the unit the
-    [Fl_serve] content-addressed cache stores. *)
-module Base : sig
-  type t
-
-  (** [prepare ?extra_key_constraint ?label ?preprocess circuit] builds
-      and preprocesses the base miter of [circuit] once.  The arguments
-      mean what they mean on {!Session.create}; they are captured in the
-      snapshot, so sessions created from this base inherit them
-      (CycSAT's no-cycle emitter prepared here is re-applied to each
-      session's key-recovery formula).  Counted on
-      [session.base.prepared]. *)
-  val prepare :
-    ?extra_key_constraint:(Fl_cnf.Formula.t -> int array -> unit) ->
-    ?label:string ->
-    ?preprocess:bool ->
-    Fl_netlist.Circuit.t ->
-    t
-
-  (** The circuit the base was prepared for.  {!Session.create} requires
-      the session's locked circuit to be {e physically} this one. *)
-  val circuit : t -> Fl_netlist.Circuit.t
-
-  (** Clauses-to-variables ratio of the (reduced) base formula. *)
-  val clause_var_ratio : t -> float
-
-  (** As {!Session.preprocess_stats}, for the base's one-shot pass. *)
-  val preprocess_stats : t -> Fl_sat.Preprocess.stats option
-end
-
-(** [create ?base ?extra_key_constraint ?label ?max_conflicts ?preprocess
-    ?backend ~deadline locked] builds the miter and the key-recovery
-    formula; [extra_key_constraint] is asserted over both miter key copies
-    and the recovery keys.  [deadline] is an absolute Unix time.
-    [max_conflicts] additionally caps the total solver conflicts the
-    session may spend — a machine-load-independent budget, so sweeps run
-    under {!Fl_par} reach the same outcome at any [--jobs] width (the wall
-    deadline is contention-sensitive).  [label] (default ["sat"]) names the
+(** [create ?extra_key_constraint ?label ?max_conflicts ?preprocess
+    ?inprocess ?inprocess_every ?inprocess_min_conflicts ~deadline locked]
+    builds the miter and the key-recovery formula; [extra_key_constraint]
+    is asserted over both miter key copies and the recovery keys.
+    [deadline] is an absolute Unix time.  [max_conflicts] additionally
+    caps the total solver conflicts the session may spend — a
+    machine-load-independent budget, so sweeps run under {!Fl_par} reach
+    the same outcome at any [--jobs] width (the wall deadline is
+    contention-sensitive).  [label] (default ["sat"]) names the
     attack in every {!Fl_obs} record the session emits.
 
     [preprocess] (default [true]) runs {!Fl_sat.Preprocess} once over the
@@ -80,33 +42,8 @@ end
     rebuild they cannot amortise.  Both gates depend on solver state
     only — the schedule is machine-independent.
     With [~inprocess:false] the solve path is bit-identical to the
-    non-inprocessed session.
-
-    [backend] (default {!Fl_sat.Solver_intf.cdcl}) selects the incremental
-    SAT backend both session solvers run on.
-
-    [portfolio] fronts the {e miter} solver with a
-    {!Fl_sat.Portfolio} backend built from the given spec (the
-    key-recovery solver stays on [backend]: its solves are many and
-    cheap, the miter solves dominate).  When the spec asks for cubing
-    ([cube_depth > 0]) but gives no [cube_vars], the session fills them
-    with the miter's first-copy key variables ranked by transitive
-    fanout cone size ({!Fl_netlist.View}), so the cube split happens on
-    the keys that influence the most circuit — the variables most likely
-    to partition the search space evenly.
-
-    [base] starts the session from a prepared {!Base.t} snapshot instead
-    of building the miter: the session gets a private {!Fl_cnf.Formula}
-    copy of the base's reduced formula, the base's preprocessing layer
-    for model reconstruction, and the base's extra key constraint
-    (re-applied to this session's fresh key-recovery formula).  The
-    [extra_key_constraint] and [preprocess] arguments are ignored in
-    favour of what the base captured.  The locked circuit must be
-    physically [Base.circuit base] (the miter encodes exactly that
-    node numbering) or [create] raises [Invalid_argument].  Counted on
-    [session.base.reused]. *)
+    non-inprocessed session. *)
 val create :
-  ?base:Base.t ->
   ?extra_key_constraint:(Fl_cnf.Formula.t -> int array -> unit) ->
   ?label:string ->
   ?max_conflicts:int ->
@@ -114,8 +51,6 @@ val create :
   ?inprocess:bool ->
   ?inprocess_every:int ->
   ?inprocess_min_conflicts:int ->
-  ?backend:(module Fl_sat.Solver_intf.S) ->
-  ?portfolio:Fl_sat.Portfolio.spec ->
   deadline:float ->
   Fl_locking.Locked.t ->
   t

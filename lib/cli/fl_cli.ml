@@ -62,170 +62,6 @@ let take_inprocess args =
   let every = Option.map parse_inprocess_every every in
   check_inprocess ~on ~off ~every, args
 
-(* --portfolio / --seed / --cdcl-* solver flag group, shared by flsat,
-   fulllock and the bench harness.  All-defaults folds to [None] so the
-   plain sequential Cdcl path stays untouched; any flag present builds a
-   Portfolio spec (a 1-worker deterministic portfolio is exactly a
-   configured Cdcl, so --cdcl-* knobs work without --portfolio). *)
-
-let parse_pos_int flag s =
-  match int_of_string_opt s with
-  | Some n when n >= 1 -> n
-  | _ ->
-    Printf.eprintf "%s needs a positive integer, got %S\n" flag s;
-    exit 2
-
-let parse_int flag s =
-  match int_of_string_opt s with
-  | Some n -> n
-  | None ->
-    Printf.eprintf "%s needs an integer, got %S\n" flag s;
-    exit 2
-
-let parse_unit_float flag s =
-  match float_of_string_opt s with
-  | Some f when f >= 0.0 && f <= 1.0 -> f
-  | _ ->
-    Printf.eprintf "%s needs a float in [0,1], got %S\n" flag s;
-    exit 2
-
-let parse_phase s =
-  match String.lowercase_ascii s with
-  | "false" | "0" -> `False
-  | "true" | "1" -> `True
-  | "random" -> `Random
-  | _ ->
-    Printf.eprintf "--cdcl-phase needs false|true|random, got %S\n" s;
-    exit 2
-
-let check_solver ?portfolio ?(det = false) ?seed ?cube_depth ?var_decay
-    ?restart_base ?phase ?random_freq () =
-  (match portfolio with
-   | Some n when n < 1 ->
-     Printf.eprintf "--portfolio needs a positive integer, got %d\n" n;
-     exit 2
-   | _ -> ());
-  (match cube_depth with
-   | Some d when d < 0 || d > 16 ->
-     Printf.eprintf "--cube-depth needs an integer in [0,16], got %d\n" d;
-     exit 2
-   | _ -> ());
-  (match var_decay with
-   | Some f when not (f > 0.0 && f < 1.0) ->
-     Printf.eprintf "--cdcl-var-decay needs a float in (0,1), got %g\n" f;
-     exit 2
-   | _ -> ());
-  (match restart_base with
-   | Some n when n < 1 ->
-     Printf.eprintf "--cdcl-restart-base needs a positive integer, got %d\n" n;
-     exit 2
-   | _ -> ());
-  (match random_freq with
-   | Some f when not (f >= 0.0 && f <= 1.0) ->
-     Printf.eprintf "--cdcl-random-freq needs a float in [0,1], got %g\n" f;
-     exit 2
-   | _ -> ());
-  if
-    portfolio = None && not det && seed = None && cube_depth = None
-    && var_decay = None && restart_base = None && phase = None
-    && random_freq = None
-  then None
-  else begin
-    let base = Fl_sat.Cdcl.default_config in
-    let base =
-      {
-        base with
-        Fl_sat.Cdcl.seed = Option.value seed ~default:base.Fl_sat.Cdcl.seed;
-        var_decay =
-          Option.value var_decay ~default:base.Fl_sat.Cdcl.var_decay;
-        restart_base =
-          Option.value restart_base ~default:base.Fl_sat.Cdcl.restart_base;
-        phase_default =
-          Option.value phase ~default:base.Fl_sat.Cdcl.phase_default;
-        random_var_freq =
-          Option.value random_freq
-            ~default:base.Fl_sat.Cdcl.random_var_freq;
-      }
-    in
-    let workers = Option.value portfolio ~default:1 in
-    Some
-      {
-        Fl_sat.Portfolio.default_spec with
-        Fl_sat.Portfolio.workers;
-        seed = Option.value seed ~default:0;
-        (* A 1-wide portfolio has nothing to race: keep it on the
-           deterministic inline path. *)
-        deterministic = det || workers = 1;
-        cube_depth = Option.value cube_depth ~default:0;
-        base_config = base;
-      }
-  end
-
-let take_solver args =
-  let portfolio, args = take_opt "--portfolio" args in
-  let det, args = take_flag "--portfolio-det" args in
-  let seed, args = take_opt "--seed" args in
-  let cube_depth, args = take_opt "--cube-depth" args in
-  let var_decay, args = take_opt "--cdcl-var-decay" args in
-  let restart_base, args = take_opt "--cdcl-restart-base" args in
-  let phase, args = take_opt "--cdcl-phase" args in
-  let random_freq, args = take_opt "--cdcl-random-freq" args in
-  let p name f = Option.map (f name) in
-  ( check_solver
-      ?portfolio:(p "--portfolio" parse_pos_int portfolio)
-      ~det
-      ?seed:(p "--seed" parse_int seed)
-      ?cube_depth:(p "--cube-depth" parse_int cube_depth)
-      ?var_decay:
-        (Option.map
-           (fun s ->
-             match float_of_string_opt s with
-             | Some f -> f
-             | None ->
-               Printf.eprintf "--cdcl-var-decay needs a float, got %S\n" s;
-               exit 2)
-           var_decay)
-      ?restart_base:(p "--cdcl-restart-base" parse_pos_int restart_base)
-      ?phase:(Option.map parse_phase phase)
-      ?random_freq:(p "--cdcl-random-freq" parse_unit_float random_freq)
-      (),
-    args )
-
-(* The usage-string fragment for the group, so the three binaries stay
-   in sync. *)
-let solver_usage =
-  "  --portfolio N           race N diverse CDCL members per miter solve\n\
-  \  --portfolio-det         deterministic portfolio (fixed member, no domains)\n\
-  \  --seed N                solver seed (diversification / det member pick)\n\
-  \  --cube-depth D          cube-and-conquer on 2^D high-fanout key vars\n\
-  \  --cdcl-var-decay F      VSIDS activity decay, in (0,1)  [0.95]\n\
-  \  --cdcl-restart-base N   Luby restart unit, conflicts    [64]\n\
-  \  --cdcl-phase P          saved-phase default: false|true|random\n\
-  \  --cdcl-random-freq F    random decision fraction, in [0,1]  [0]"
-
-(* Whole-file slurp with the conventional "-" = stdin spelling, shared
-   by the daemon client (bench payloads travel inline over the socket)
-   and fltrace. *)
-let slurp path =
-  let read_channel ic =
-    let buf = Buffer.create 65536 in
-    (try
-       while true do
-         Buffer.add_channel buf ic 65536
-       done
-     with End_of_file -> ());
-    Buffer.contents buf
-  in
-  if path = "-" then read_channel stdin
-  else
-    match open_in_bin path with
-    | exception Sys_error msg ->
-      Printf.eprintf "cannot read %s: %s\n" path msg;
-      exit 2
-    | ic ->
-      Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
-          read_channel ic)
-
 let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
 
 let parse_jobs s =

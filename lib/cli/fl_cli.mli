@@ -32,41 +32,6 @@ val check_inprocess : on:bool -> off:bool -> every:int option -> inprocess
     otherwise. *)
 val parse_inprocess_every : string -> int
 
-(** [take_solver args] strips the shared solver flag group —
-    [--portfolio N], [--portfolio-det], [--seed N], [--cube-depth D],
-    [--cdcl-var-decay F], [--cdcl-restart-base N],
-    [--cdcl-phase false|true|random], [--cdcl-random-freq F] — and folds
-    it to a {!Fl_sat.Portfolio.spec}: [None] when no flag was given (the
-    plain sequential path), otherwise a spec with [workers] from
-    [--portfolio] (default 1, which forces deterministic mode — a 1-wide
-    portfolio has nothing to race) and the [--cdcl-*] values as the base
-    configuration.  Exits 2 on out-of-range values. *)
-val take_solver : string list -> Fl_sat.Portfolio.spec option * string list
-
-(** [check_solver] builds the same spec from pre-parsed values (the
-    Cmdliner path), with the same validation / exit-2 behaviour. *)
-val check_solver :
-  ?portfolio:int ->
-  ?det:bool ->
-  ?seed:int ->
-  ?cube_depth:int ->
-  ?var_decay:float ->
-  ?restart_base:int ->
-  ?phase:[ `False | `True | `Random ] ->
-  ?random_freq:float ->
-  unit ->
-  Fl_sat.Portfolio.spec option
-
-(** [parse_phase s] parses a [--cdcl-phase] value; exits 2 otherwise. *)
-val parse_phase : string -> [ `False | `True | `Random ]
-
-(** Usage-string fragment describing the solver flag group. *)
-val solver_usage : string
-
-(** [slurp path] reads the whole file as raw bytes; ["-"] reads stdin to
-    EOF.  Exits 2 when the file cannot be opened. *)
-val slurp : string -> string
-
 (** Pool width default: [recommended_domain_count () - 1], at least 1. *)
 val default_jobs : unit -> int
 

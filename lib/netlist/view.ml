@@ -17,8 +17,6 @@ let c_scc_hit = Fl_obs.Counter.make "view.memo.scc.hit"
 let c_scc_miss = Fl_obs.Counter.make "view.memo.scc.miss"
 let c_coi_hit = Fl_obs.Counter.make "view.memo.coi.hit"
 let c_coi_miss = Fl_obs.Counter.make "view.memo.coi.miss"
-let c_shash_hit = Fl_obs.Counter.make "view.memo.shash.hit"
-let c_shash_miss = Fl_obs.Counter.make "view.memo.shash.miss"
 
 type word = { defined : int; value : int }
 
@@ -58,7 +56,6 @@ type t = {
   mutable fanouts_memo : int array array option;
   mutable levels_memo : int array option option;
   mutable scc_memo : int array option;
-  mutable shash_memo : int64 option;
   coi_memo : (int, bool array) Hashtbl.t;  (* node id -> transitive fanin *)
 }
 
@@ -121,7 +118,6 @@ let build c =
     fanouts_memo = None;
     levels_memo = None;
     scc_memo = None;
-    shash_memo = None;
     coi_memo = Hashtbl.create 8;
   }
 
@@ -220,114 +216,6 @@ let cone_of_influence v id =
     let cone = Circuit.transitive_fanin v.circuit id in
     Hashtbl.add v.coi_memo id cone;
     cone
-
-(* ------------------------------------------------------------------ *)
-(* Structural hash                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* A canonical 64-bit digest of the circuit's structure, invariant under
-   node renaming and reordering: names never enter the hash, and every
-   node's digest is a function of its gate kind (plus primary-input /
-   key-bit position for the interface nodes, constant value, LUT table)
-   and its fanins' digests in fanin order — so any topological relabeling
-   of the same DAG hashes identically.  Acyclic circuits get one exact
-   pass in topological order (each node sees final fanin digests, so the
-   digest encodes the whole cone).  Cyclic circuits fall back to bounded
-   Weisfeiler–Leman refinement: [cyclic_rounds] simultaneous update
-   sweeps, which is likewise order-invariant and separates any two nodes
-   whose neighbourhoods differ within that radius.  The final digest
-   folds the interface shape, the output drivers in port order (port
-   names ignored) and the order-invariant sum of all node digests, so
-   logic outside the output cones still counts.
-
-   Mixing is splitmix64: multiply-xor-shift finalization keeps avalanche
-   strong enough that the 64-bit digests behave like random keys for the
-   serving layer's content-addressed cache (which additionally probes for
-   collisions before trusting a hit). *)
-
-let mix64 z =
-  let open Int64 in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
-  let z = mul (logxor z (shift_right_logical z 27)) 0x94d049bb133111ebL in
-  logxor z (shift_right_logical z 31)
-
-let h_combine h x = mix64 (Int64.add (Int64.mul h 0x9e3779b97f4a7c15L) x)
-let h_int h i = h_combine h (Int64.of_int i)
-
-let cyclic_rounds = 96
-
-let node_seed c pos id =
-  let h0 = 0x243f6a8885a308d3L in
-  match (Circuit.node c id).Circuit.kind with
-  | Gate.Input -> h_int (h_int h0 1) pos.(id)
-  | Gate.Key_input -> h_int (h_int h0 2) pos.(id)
-  | Gate.Const b -> h_int (h_int h0 3) (if b then 1 else 0)
-  | Gate.Buf -> h_int h0 4
-  | Gate.Not -> h_int h0 5
-  | Gate.And -> h_int h0 6
-  | Gate.Nand -> h_int h0 7
-  | Gate.Or -> h_int h0 8
-  | Gate.Nor -> h_int h0 9
-  | Gate.Xor -> h_int h0 10
-  | Gate.Xnor -> h_int h0 11
-  | Gate.Mux -> h_int h0 12
-  | Gate.Lut tt ->
-    Array.fold_left
-      (fun h b -> h_int h (if b then 1 else 0))
-      (h_int (h_int h0 13) (Array.length tt))
-      tt
-
-let compute_structural_hash v =
-  let c = v.circuit in
-  let n = Circuit.num_nodes c in
-  (* Interface nodes are tagged by position, not name: input 0 of any
-     circuit seeds identically, so isomorphic circuits with permuted ids
-     but matching PI/key orders collide (by design). *)
-  let pos = Array.make n 0 in
-  Array.iteri (fun i id -> pos.(id) <- i) c.Circuit.inputs;
-  Array.iteri (fun i id -> pos.(id) <- i) c.Circuit.keys;
-  let seed = Array.init n (node_seed c pos) in
-  let hash = Array.copy seed in
-  let fold_node src id =
-    let h = ref seed.(id) in
-    for k = v.fanin_off.(id) to v.fanin_off.(id + 1) - 1 do
-      h := h_combine !h src.(v.fanin_flat.(k))
-    done;
-    !h
-  in
-  (match v.topo with
-   | Some order -> Array.iter (fun id -> hash.(id) <- fold_node hash id) order
-   | None ->
-     let cur = ref (Array.copy seed) in
-     let nxt = ref (Array.make n 0L) in
-     for _ = 1 to min n cyclic_rounds do
-       for id = 0 to n - 1 do
-         !nxt.(id) <- fold_node !cur id
-       done;
-       let t = !cur in
-       cur := !nxt;
-       nxt := t
-     done;
-     Array.blit !cur 0 hash 0 n);
-  let h = ref 0x452821e638d01377L in
-  h := h_int !h (Circuit.num_inputs c);
-  h := h_int !h (Circuit.num_keys c);
-  h := h_int !h (Circuit.num_outputs c);
-  Array.iter (fun (_, id) -> h := h_combine !h hash.(id)) c.Circuit.outputs;
-  h_combine !h (Array.fold_left Int64.add 0L hash)
-
-let structural_hash v =
-  match v.shash_memo with
-  | Some h ->
-    Fl_obs.Counter.incr c_shash_hit;
-    h
-  | None ->
-    Fl_obs.Counter.incr c_shash_miss;
-    let h = compute_structural_hash v in
-    v.shash_memo <- Some h;
-    h
-
-let structural_hash_hex v = Printf.sprintf "%016Lx" (structural_hash v)
 
 (* ------------------------------------------------------------------ *)
 (* Compiled evaluation                                                 *)

@@ -75,33 +75,6 @@ val scc : t -> int array
     [view.cache.hit], [view.evals], [view.fixpoint_sweeps]). *)
 val cone_of_influence : t -> int -> bool array
 
-(** {1 Structural hash}
-
-    A canonical 64-bit digest of the circuit {e structure}: invariant
-    under node renaming and node-id permutation (names never enter the
-    hash; every node digest depends only on its gate kind — plus
-    primary-input / key-bit position for interface nodes, constant value
-    and LUT truth table — and its fanins' digests in fanin order), but
-    sensitive to the interface shape, output port order and any gate or
-    wiring change.  Two structurally isomorphic circuits whose input,
-    key and output orders match hash identically; this is the cache key
-    of the [Fl_serve] content-addressed miter cache.
-
-    Acyclic circuits are digested exactly in one topological pass.
-    Cyclic circuits use bounded Weisfeiler–Leman refinement (96
-    simultaneous sweeps), still order-invariant, with the usual WL
-    caveat that structures differing only beyond that radius may
-    collide.  As with any 64-bit content hash, collisions of genuinely
-    different circuits are possible in principle — equality of hashes is
-    strong evidence, not proof, of isomorphism (the serve cache probes
-    candidate hits with random simulation vectors before trusting
-    them).  Memoized per view; hit/miss on [view.memo.shash.*]. *)
-
-val structural_hash : t -> int64
-
-(** [structural_hash_hex v] is the digest as 16 lowercase hex digits. *)
-val structural_hash_hex : t -> string
-
 (** {1 Compiled evaluation}
 
     Acyclic circuits run the instruction array once in topological order;

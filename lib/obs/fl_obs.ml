@@ -278,7 +278,7 @@ module Json = struct
 
   (* Generic encoder — the inverse of [parse].  [to_string] above stays
      the dedicated flat-event fast path; this one serializes arbitrary
-     trees (the serving layer's request/response frames). *)
+     trees. *)
   let rec add_json buf = function
     | Jnull -> Buffer.add_string buf "null"
     | Jbool b -> Buffer.add_string buf (if b then "true" else "false")
@@ -308,12 +308,6 @@ module Json = struct
     let buf = Buffer.create 128 in
     add_json buf j;
     Buffer.contents buf
-
-  let of_value = function
-    | Int i -> Jint i
-    | Float f -> Jfloat f
-    | String s -> Jstring s
-    | Bool b -> Jbool b
 
   let member k = function Jobj ms -> List.assoc_opt k ms | _ -> None
 
@@ -382,56 +376,17 @@ let with_sink s f =
   let id = add_sink s in
   Fun.protect ~finally:(fun () -> remove_sink id) f
 
-(* Scoped sinks: installed on the calling domain only, for the extent of
-   one callback.  The serving layer uses one per request, so concurrent
-   attacks on worker domains each stream their own telemetry without
-   seeing each other's events.  The list lives in DLS; a global count
-   keeps the nothing-installed fast path at two atomic loads (the DLS
-   lookup only happens once some domain has a scope open).  Delivery is
-   domain-local state, so it runs OUTSIDE the global sink mutex — scoped
-   sinks on different domains never serialize against each other.  Two
-   sys-threads sharing one domain share the scope list; the finalizer
-   removes by physical identity so interleaved scopes unwind safely, but
-   emissions from the sibling thread during the scope will also reach the
-   scoped sink (don't share a domain between independently-emitting
-   threads). *)
-let scoped_count = Atomic.make 0
-
-let scoped_key : sink list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let scoped_here () =
-  if Atomic.get scoped_count = 0 then [] else !(Domain.DLS.get scoped_key)
-
-let with_scoped_sink s f =
-  let cell = Domain.DLS.get scoped_key in
-  cell := s :: !cell;
-  Atomic.incr scoped_count;
-  Fun.protect
-    ~finally:(fun () ->
-      Atomic.decr scoped_count;
-      let rec drop = function
-        | [] -> []
-        | x :: rest -> if x == s then rest else x :: drop rest
-      in
-      cell := drop !cell)
-    f
-
-let enabled () = Atomic.get sinks <> [] || scoped_here () <> []
+let enabled () = Atomic.get sinks <> []
 
 let emit ?(fields = []) name =
-  match (Atomic.get sinks, scoped_here ()) with
-  | [], [] -> ()
-  | installed, scoped ->
+  match Atomic.get sinks with
+  | [] -> ()
+  | installed ->
     let e = { ts = Unix.gettimeofday (); name; fields } in
-    (match installed with
-     | [] -> ()
-     | _ ->
-       Mutex.lock sink_mutex;
-       Fun.protect
-         ~finally:(fun () -> Mutex.unlock sink_mutex)
-         (fun () -> List.iter (fun (_, s) -> s e) installed));
-    List.iter (fun s -> s e) scoped
+    Mutex.lock sink_mutex;
+    Fun.protect
+      ~finally:(fun () -> Mutex.unlock sink_mutex)
+      (fun () -> List.iter (fun (_, s) -> s e) installed)
 
 (* Deep profiling switch: histograms in solver/pool hot paths guard on
    this instead of [enabled], so a bench run can populate distributions

@@ -3,11 +3,11 @@
 
     The whole stack (solver, attacks, view layer, benches) reports through
     this module.  The design contract is {e zero overhead when no sink is
-    installed}: {!emit} and {!with_span} reduce to two atomic loads and a
-    branch when neither a global nor a scoped sink exists, and callers are
-    expected to guard field-list construction with {!enabled}.  Counters, gauges and histograms are striped atomic
-    cells — an increment is one uncontended atomic add whether or not
-    anything is observing.
+    installed}: {!emit} and {!with_span} reduce to an atomic load and a
+    branch when no sink exists, and callers are expected to guard
+    field-list construction with {!enabled}.  Counters, gauges and
+    histograms are striped atomic cells — an increment is one uncontended
+    atomic add whether or not anything is observing.
 
     The module is domain-safe (the [Fl_par] sweeps run attacks on worker
     domains): counter and histogram increments stripe by domain id and
@@ -49,23 +49,8 @@ val remove_sink : sink_id -> unit
 (** [with_sink s f] installs [s] for the duration of [f] (exception-safe). *)
 val with_sink : sink -> (unit -> 'a) -> 'a
 
-(** [with_scoped_sink s f] installs [s] {e on the calling domain only} for
-    the duration of [f] (exception-safe, nestable).  Events emitted by
-    code running under [f] — on that domain — reach [s] in addition to the
-    global sinks; events from other domains do not.  Delivery to scoped
-    sinks is domain-local and bypasses the global serialization lock, so
-    scopes on different domains never contend.  This is the per-request
-    telemetry mechanism of the serving layer: each request's attack runs
-    under a scope whose sink forwards frames to the requesting client.
-
-    Caveat: sys-threads sharing a domain share the scope (the scope list
-    is domain-local, not thread-local); do not run two independently
-    emitting threads on one domain inside scopes. *)
-val with_scoped_sink : sink -> (unit -> 'a) -> 'a
-
-(** [enabled ()] is [true] iff at least one sink — global, or scoped on
-    the calling domain — is installed.  Guard any non-trivial field
-    construction with this. *)
+(** [enabled ()] is [true] iff at least one sink is installed.  Guard any
+    non-trivial field construction with this. *)
 val enabled : unit -> bool
 
 (** [jsonl_sink oc] writes one JSON object per event per line to [oc]
@@ -193,12 +178,8 @@ module Json : sig
   (** [encode j] is the compact single-line JSON encoding of an arbitrary
       tree — the inverse of {!parse} (numeric spellings follow
       {!to_string}'s float rules).  {!to_string} remains the dedicated
-      fast path for flat event lines; [encode] is for whole documents
-      (the [Fl_serve] protocol frames). *)
+      fast path for flat event lines; [encode] is for whole documents. *)
   val encode : t -> string
-
-  (** [of_value v] lifts an event field value into the tree. *)
-  val of_value : value -> t
 
   (** [value_to_string v] is the JSON encoding of one scalar (for builders
       of larger JSON documents, e.g. the bench reports). *)

@@ -1,25 +1,18 @@
 (* Fixed-size domain pool over a mutex/condition work queue.
 
    The moving parts are deliberately few: one queue of erased [unit -> unit]
-   jobs (each job owns either its slot of a batch's result array — which is
-   what makes batch result ordering deterministic — or the handle it
-   settles), and three conditions: "queue gained work" for the workers,
-   "batch drained" for batch submitters, "a handle settled" for streaming
-   waiters.  Retry, soft-timeout marking, cancellation and the Fl_obs
-   events all live in the per-task wrappers, so the inline jobs=1 path and
-   the worker path run the exact same code.
+   jobs (each job owns its slot of a batch's result array — which is what
+   makes batch result ordering deterministic), and two conditions: "queue
+   gained work" for the workers and "batch drained" for the submitter.
+   Retry, soft-timeout marking, cancellation and the Fl_obs events all
+   live in the per-task wrapper, so the inline jobs=1 path and the worker
+   path run the exact same code.
 
-   Two submission styles share the queue:
-   - [run]/[map]: one batch at a time, results by index (the original API);
-   - [submit]/[await]/[await_any]/[cancel]: streaming — tasks are
-     submitted individually, consumed as they settle, and cooperatively
-     cancellable (the task polls the [should_stop] thunk it is given).
-
-   Submitting to (or awaiting) a pool from inside one of its own tasks
-   would deadlock — every worker could end up waiting on work only a
-   worker can run — so it fails fast with Invalid_argument: worker
-   domains register their ids at spawn, and the jobs=1 inline path marks
-   the submitting domain for the duration of the task. *)
+   Submitting to a pool from inside one of its own tasks would deadlock —
+   every worker could end up waiting on work only a worker can run — so
+   it fails fast with Invalid_argument: worker domains register their ids
+   at spawn, and the jobs=1 inline path marks the submitting domain for
+   the duration of the task. *)
 
 type 'a outcome =
   | Done of 'a
@@ -56,7 +49,6 @@ type t = {
   mutex : Mutex.t;
   has_work : Condition.t;
   batch_done : Condition.t;
-  settled : Condition.t;  (* broadcast whenever any streamed handle settles *)
   queue : (unit -> unit) Queue.t;
   mutable outstanding : int;  (* jobs of the current batch not yet finished *)
   mutable in_batch : bool;
@@ -64,15 +56,7 @@ type t = {
   mutable workers : unit Domain.t list;
   mutable worker_ids : int list;  (* registered at spawn, for the re-entrancy guard *)
   mutable inline_domain : int;  (* domain running a jobs=1 inline task, -1 if none *)
-  mutable next_id : int;  (* streamed-submission counter (event task index) *)
   mutable last : batch_stats;
-}
-
-type 'a handle = {
-  h_pool : t;
-  h_id : int;
-  h_cancel : bool Atomic.t;
-  mutable h_outcome : 'a outcome option;  (* guarded by h_pool.mutex *)
 }
 
 let c_tasks = Fl_obs.Counter.make "par.tasks"
@@ -97,8 +81,7 @@ let locked p f =
 
 (* Workers block on [has_work]; a job is run outside the lock and the
    wrapper never raises.  Batch accounting (outstanding / batch_done)
-   lives inside the batch job wrapper, not here, so streamed jobs flow
-   through the same loop untouched. *)
+   lives inside the batch job wrapper, not here. *)
 let rec worker_loop p =
   Mutex.lock p.mutex;
   while Queue.is_empty p.queue && not p.stopped do
@@ -112,10 +95,9 @@ let rec worker_loop p =
     worker_loop p
   end
 
-(* Re-entrancy guard: submitting to / waiting on a pool from inside one
-   of its own tasks deadlocks (fl_par.mli used to merely document the
-   rule).  Worker ids are read under the pool mutex; a worker is
-   necessarily registered before it runs any task. *)
+(* Re-entrancy guard: submitting to a pool from inside one of its own
+   tasks deadlocks.  Worker ids are read under the pool mutex; a worker
+   is necessarily registered before it runs any task. *)
 let guard p fn =
   let self = (Domain.self () :> int) in
   let inside =
@@ -135,7 +117,6 @@ let create ?(name = "pool") ~jobs () =
       mutex = Mutex.create ();
       has_work = Condition.create ();
       batch_done = Condition.create ();
-      settled = Condition.create ();
       queue = Queue.create ();
       outstanding = 0;
       in_batch = false;
@@ -143,7 +124,6 @@ let create ?(name = "pool") ~jobs () =
       workers = [];
       worker_ids = [];
       inline_domain = -1;
-      next_id = 0;
       last = zero_stats;
     }
   in
@@ -353,163 +333,6 @@ let run p ?timeout ?(retries = 0) fs =
           ];
     results
   end
-
-(* --- streaming submission --- *)
-
-(* Streaming cousin of [exec_task]: same cancellation / retry /
-   soft-timeout / event semantics, but it settles a handle (broadcast on
-   [settled]) instead of writing a batch slot, passes the task a
-   [should_stop] poll for cooperative cancellation, and a failure never
-   cancels other submissions.  Never raises. *)
-let exec_handle p ~timeout ~retries ~submitted h f =
-  Fl_obs.Counter.incr c_tasks;
-  if Fl_obs.deep_enabled () then
-    Fl_obs.Hist.record_time h_queue_wait (Unix.gettimeofday () -. submitted);
-  let settle outcome =
-    locked p (fun () ->
-        h.h_outcome <- Some outcome;
-        Condition.broadcast p.settled)
-  in
-  if Atomic.get h.h_cancel then begin
-    Fl_obs.Counter.incr c_cancelled;
-    if Fl_obs.enabled () then
-      Fl_obs.emit "par.task.cancelled" ~fields:(task_fields p h.h_id);
-    settle Cancelled
-  end
-  else begin
-    if Fl_obs.enabled () then
-      Fl_obs.emit "par.task.start" ~fields:(task_fields p h.h_id);
-    let should_stop () = Atomic.get h.h_cancel in
-    let t0 = Unix.gettimeofday () in
-    let rec attempt k =
-      match f should_stop with
-      | v -> Ok (v, k)
-      | exception e ->
-        if k <= retries then begin
-          Fl_obs.Counter.incr c_retries;
-          attempt (k + 1)
-        end
-        else Error (Printexc.to_string e, k)
-    in
-    let verdict = attempt 1 in
-    let elapsed = Unix.gettimeofday () -. t0 in
-    match verdict with
-    | Ok (v, attempts) ->
-      let late = match timeout with Some s -> elapsed > s | None -> false in
-      if late then begin
-        Fl_obs.Counter.incr c_timeouts;
-        if Fl_obs.enabled () then
-          Fl_obs.emit "par.task.timeout"
-            ~fields:
-              (task_fields p h.h_id
-              @ [
-                  "elapsed_s", Fl_obs.Float elapsed;
-                  "timeout_s", Fl_obs.Float (Option.value ~default:0.0 timeout);
-                  "attempts", Fl_obs.Int attempts;
-                ]);
-        settle (Late (v, elapsed))
-      end
-      else begin
-        if Fl_obs.enabled () then
-          Fl_obs.emit "par.task.done"
-            ~fields:
-              (task_fields p h.h_id
-              @ [
-                  "elapsed_s", Fl_obs.Float elapsed;
-                  "attempts", Fl_obs.Int attempts;
-                ]);
-        settle (Done v)
-      end
-    | Error (msg, attempts) ->
-      Fl_obs.Counter.incr c_failures;
-      if Fl_obs.enabled () then
-        Fl_obs.emit "par.task.error"
-          ~fields:
-            (task_fields p h.h_id
-            @ [
-                "error", Fl_obs.String msg;
-                "attempts", Fl_obs.Int attempts;
-                "elapsed_s", Fl_obs.Float elapsed;
-              ]);
-      settle (Failed (msg, attempts))
-  end
-
-let submit p ?timeout ?(retries = 0) f =
-  if retries < 0 then invalid_arg "Fl_par.submit: retries must be >= 0";
-  guard p "Fl_par.submit";
-  let t0 = Unix.gettimeofday () in
-  let h =
-    locked p (fun () ->
-        if p.stopped then failwith "Fl_par.submit: pool is shut down";
-        let id = p.next_id in
-        p.next_id <- id + 1;
-        let h =
-          { h_pool = p; h_id = id; h_cancel = Atomic.make false; h_outcome = None }
-        in
-        if p.jobs > 1 then begin
-          Queue.push
-            (fun () -> exec_handle p ~timeout ~retries ~submitted:t0 h f)
-            p.queue;
-          Condition.signal p.has_work
-        end;
-        h)
-  in
-  if p.jobs = 1 then begin
-    (* Inline, synchronously at submission — sequential semantics: the
-       handle is already settled when [submit] returns. *)
-    p.inline_domain <- (Domain.self () :> int);
-    Fun.protect
-      ~finally:(fun () -> p.inline_domain <- -1)
-      (fun () -> exec_handle p ~timeout ~retries ~submitted:t0 h f)
-  end;
-  h
-
-let cancel h = Atomic.set h.h_cancel true
-let poll h = locked h.h_pool (fun () -> h.h_outcome)
-
-let await h =
-  let p = h.h_pool in
-  guard p "Fl_par.await";
-  locked p (fun () ->
-      let rec wait () =
-        match h.h_outcome with
-        | Some o -> o
-        | None ->
-          Condition.wait p.settled p.mutex;
-          wait ()
-      in
-      wait ())
-
-let await_any hs =
-  match hs with
-  | [] -> invalid_arg "Fl_par.await_any: empty handle list"
-  | h0 :: rest ->
-    let p = h0.h_pool in
-    List.iter
-      (fun h ->
-        if h.h_pool != p then
-          invalid_arg "Fl_par.await_any: handles from different pools")
-      rest;
-    guard p "Fl_par.await_any";
-    locked p (fun () ->
-        let first_settled () =
-          let rec find i = function
-            | [] -> None
-            | h :: tl -> (
-              match h.h_outcome with
-              | Some o -> Some (i, o)
-              | None -> find (i + 1) tl)
-          in
-          find 0 hs
-        in
-        let rec wait () =
-          match first_settled () with
-          | Some r -> r
-          | None ->
-            Condition.wait p.settled p.mutex;
-            wait ()
-        in
-        wait ())
 
 let map p ?timeout ?retries f xs =
   run p ?timeout ?retries (Array.map (fun x () -> f x) xs)

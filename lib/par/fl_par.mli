@@ -26,20 +26,11 @@
     counters are striped per domain, so worker-side increments always
     merge into the global snapshot.
 
-    Streaming submission: {!submit} enqueues one task and returns a
-    {!type:handle} immediately; {!await} / {!await_any} consume results as
-    they land, and {!cancel} requests cooperative cancellation — a task
-    that has not started reports [Cancelled], a running task sees its
-    [should_stop] poll flip to [true] and is expected to wind down (its
-    produced value is kept).  A portfolio races solvers this way: submit
-    N, [await_any], cancel the losers.
-
     Tasks must be self-contained: build circuits and views {e inside} the
     task (views are domain-local) and do not touch shared mutable state.
-    Submitting to — or awaiting — a pool from inside one of its own tasks
-    would deadlock; every such call ({!run}, {!submit}, {!await},
-    {!await_any}) raises [Invalid_argument] instead (the queue is not
-    re-entrant). *)
+    Submitting to a pool from inside one of its own tasks would deadlock;
+    {!run} (and so {!map} / {!map_reduce}) raises [Invalid_argument]
+    instead (the queue is not re-entrant). *)
 
 type t
 (** A pool of worker domains.  Values of this type are not themselves
@@ -101,44 +92,7 @@ val map_reduce :
   t -> ?timeout:float -> ?retries:int -> map:('a -> 'b) ->
   reduce:('acc -> 'b -> 'acc) -> init:'acc -> 'a list -> 'acc
 
-(** A streamed task in flight (or settled).  Handles are cheap and
-    single-pool; they may be awaited from any domain that is not a worker
-    of the pool, and awaited more than once. *)
-type 'a handle
-
-(** [submit p f] enqueues the single task [f] and returns immediately
-    (jobs >= 2); on a [jobs = 1] pool the task runs inline before
-    [submit] returns — sequential semantics, deterministic.  [f] receives
-    a [should_stop] thunk that flips to [true] after {!cancel}; a
-    cooperative task polls it and winds down early (e.g. a SAT solver
-    returning [Unknown]).  [timeout] / [retries] behave as in {!run}.  A
-    failed streamed task never cancels other submissions.
-    @raise Invalid_argument from inside a task of the same pool.
-    @raise Failure when the pool is shut down. *)
-val submit :
-  t -> ?timeout:float -> ?retries:int -> ((unit -> bool) -> 'a) -> 'a handle
-
-(** [await h] blocks until [h] settles and returns its outcome.
-    @raise Invalid_argument from inside a task of the same pool. *)
-val await : 'a handle -> 'a outcome
-
-(** [await_any hs] blocks until at least one handle has settled and
-    returns the position (in [hs]) and outcome of the first settled one
-    found.  Handles already settled return immediately.
-    @raise Invalid_argument on an empty list, on handles from different
-    pools, or from inside a task of the same pool. *)
-val await_any : 'a handle list -> int * 'a outcome
-
-(** [cancel h] requests cancellation: a task not yet started settles as
-    [Cancelled]; a running task sees its [should_stop] poll return
-    [true].  Idempotent, never blocks. *)
-val cancel : 'a handle -> unit
-
-(** [poll h] is [h]'s outcome if it has settled, without blocking. *)
-val poll : 'a handle -> 'a outcome option
-
-(** Accounting of the most recent finished batch (zeros before any;
-    streamed tasks are not included). *)
+(** Accounting of the most recent finished batch (zeros before any). *)
 val last_stats : t -> batch_stats
 
 (** [value o] is the task's value, late or not. *)

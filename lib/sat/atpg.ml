@@ -45,48 +45,30 @@ type report = {
   unknown : int;
 }
 
-module type S = sig
-  val generate :
-    ?budget:Cdcl.budget ->
-    Circuit.t ->
-    keys:bool array ->
-    node:int ->
-    stuck_at:bool ->
-    outcome
+let generate ?(budget = Cdcl.no_budget) c ~keys ~node ~stuck_at =
+  if not (Circuit.is_acyclic c) then
+    invalid_arg "Atpg.generate: cyclic circuit";
+  if Array.length keys <> Circuit.num_keys c then
+    invalid_arg "Atpg.generate: key length mismatch";
+  let faulty = inject_fault c ~node ~stuck_at in
+  let f = Formula.create () in
+  let good = Tseytin.encode f c in
+  let bad = Tseytin.encode ~share_inputs:good.Tseytin.input_vars f faulty in
+  Tseytin.assert_vector f good.Tseytin.key_vars keys;
+  Tseytin.assert_vector f bad.Tseytin.key_vars keys;
+  let pairs =
+    Array.to_list
+      (Array.map2 (fun a b -> a, b) good.Tseytin.output_vars bad.Tseytin.output_vars)
+  in
+  ignore (Tseytin.assert_any_differs f pairs);
+  let solver = Cdcl.of_formula f in
+  match Cdcl.solve ~budget solver with
+  | Cdcl.Sat ->
+    Test (Array.map (fun v -> Cdcl.value solver v) good.Tseytin.input_vars)
+  | Cdcl.Unsat -> Untestable
+  | Cdcl.Unknown -> Unknown
 
-  val cover :
-    ?budget_per_fault:float ->
-    Circuit.t ->
-    keys:bool array ->
-    faults:(int * bool) list ->
-    report
-end
-
-module Make (Solver : Solver_intf.S) = struct
-  let generate ?(budget = Cdcl.no_budget) c ~keys ~node ~stuck_at =
-    if not (Circuit.is_acyclic c) then
-      invalid_arg "Atpg.generate: cyclic circuit";
-    if Array.length keys <> Circuit.num_keys c then
-      invalid_arg "Atpg.generate: key length mismatch";
-    let faulty = inject_fault c ~node ~stuck_at in
-    let f = Formula.create () in
-    let good = Tseytin.encode f c in
-    let bad = Tseytin.encode ~share_inputs:good.Tseytin.input_vars f faulty in
-    Tseytin.assert_vector f good.Tseytin.key_vars keys;
-    Tseytin.assert_vector f bad.Tseytin.key_vars keys;
-    let pairs =
-      Array.to_list
-        (Array.map2 (fun a b -> a, b) good.Tseytin.output_vars bad.Tseytin.output_vars)
-    in
-    ignore (Tseytin.assert_any_differs f pairs);
-    let solver = Solver_intf.load (module Solver) f in
-    match Solver.solve ~budget solver with
-    | Cdcl.Sat ->
-      Test (Array.map (fun v -> Solver.value solver v) good.Tseytin.input_vars)
-    | Cdcl.Unsat -> Untestable
-    | Cdcl.Unknown -> Unknown
-
-  let cover ?(budget_per_fault = 5.0) c ~keys ~faults =
+let cover ?(budget_per_fault = 5.0) c ~keys ~faults =
   let packed_keys = Array.map (fun b -> if b then -1 else 0) keys in
   let tests = ref [] in
   let testable = ref 0 and untestable = ref 0 and unknown = ref 0 in
@@ -126,11 +108,8 @@ module Make (Solver : Solver_intf.S) = struct
           stale := true
         | Untestable -> incr untestable
         | Unknown -> incr unknown)
-      faults;
-    { tests = !tests; testable = !testable; untestable = !untestable; unknown = !unknown }
-end
-
-include Make (Solver_intf.Cdcl_backend)
+    faults;
+  { tests = !tests; testable = !testable; untestable = !untestable; unknown = !unknown }
 
 let pp_report fmt r =
   Format.fprintf fmt "%d testable (%d vectors), %d proved untestable, %d unknown"

@@ -22,33 +22,25 @@ type report = {
   unknown : int;
 }
 
-module type S = sig
-  (** [generate ?budget c ~keys fault] — a test for [fault = (node,
-      stuck_at)].
-      @raise Invalid_argument on cyclic circuits or a key-length mismatch. *)
-  val generate :
-    ?budget:Cdcl.budget ->
-    Fl_netlist.Circuit.t ->
-    keys:bool array ->
-    node:int ->
-    stuck_at:bool ->
-    outcome
+(** [generate ?budget c ~keys fault] — a test for [fault = (node,
+    stuck_at)].
+    @raise Invalid_argument on cyclic circuits or a key-length mismatch. *)
+val generate :
+  ?budget:Cdcl.budget ->
+  Fl_netlist.Circuit.t ->
+  keys:bool array ->
+  node:int ->
+  stuck_at:bool ->
+  outcome
 
-  (** [cover ?budget c ~keys ~faults] runs [generate] for each (node,
-      stuck-at) pair, fault-simulating accumulated vectors first so easy
-      faults don't all pay a SAT call. *)
-  val cover :
-    ?budget_per_fault:float ->
-    Fl_netlist.Circuit.t ->
-    keys:bool array ->
-    faults:(int * bool) list ->
-    report
-end
-
-(** ATPG over any {!Solver_intf.S} backend. *)
-module Make (_ : Solver_intf.S) : S
-
-(** The default instance, decided by {!Cdcl}. *)
-include S
+(** [cover ?budget c ~keys ~faults] runs [generate] for each (node,
+    stuck-at) pair, fault-simulating accumulated vectors first so easy
+    faults don't all pay a SAT call. *)
+val cover :
+  ?budget_per_fault:float ->
+  Fl_netlist.Circuit.t ->
+  keys:bool array ->
+  faults:(int * bool) list ->
+  report
 
 val pp_report : Format.formatter -> report -> unit

@@ -66,7 +66,7 @@ let sub_stats a b =
 (* Deep distribution telemetry (DESIGN.md §4f): learnt-clause quality and
    search-shape histograms, recorded in the conflict path only when
    [Fl_obs.set_deep] is on — the off cost is one atomic load and branch
-   per conflict.  Striped atomics, so portfolio/sweep domains merge. *)
+   per conflict.  Striped atomics, so sweep domains merge. *)
 let h_lbd = Fl_obs.Hist.make "cdcl.lbd"
 let h_learnt_len = Fl_obs.Hist.make "cdcl.learnt_len"
 let h_conflict_level = Fl_obs.Hist.make "cdcl.conflict_level"
@@ -78,11 +78,10 @@ let no_budget = { max_conflicts = -1; deadline = -1.0 }
 let budget_conflicts n = { no_budget with max_conflicts = n }
 let budget_seconds s = { no_budget with deadline = Unix.gettimeofday () +. s }
 
-(* Search-heuristic configuration — the knobs a portfolio diversifies
-   over.  [default_config] reproduces the historical hard-coded
-   constants, so a solver created with it behaves bit-for-bit like one
-   created before the knobs existed (the determinism tests rely on
-   this). *)
+(* Search-heuristic configuration.  [default_config] reproduces the
+   historical hard-coded constants, so a solver created with it behaves
+   bit-for-bit like one created before the knobs existed (the
+   determinism tests rely on this). *)
 type config = {
   var_decay : float;  (* VSIDS activity decay, (0, 1] *)
   clause_decay : float;  (* learnt-clause activity decay, (0, 1] *)
@@ -213,9 +212,6 @@ end
 type t = {
   cfg : config;
   rng : Random.State.t;  (* drawn from only when the config asks for it *)
-  (* cooperative cancellation: polled on the budget-check path; a [true]
-     return makes the current solve come back [Unknown] *)
-  mutable interrupt : unit -> bool;
   mutable nvars : int;
   mutable ok : bool;  (* false once a top-level contradiction is derived *)
   arena : Arena.t;  (* every clause, problem + learnt, packed flat *)
@@ -269,15 +265,12 @@ type t = {
   mutable progress_cb : stats -> unit;
 }
 
-let no_interrupt () = false
-
 let create ?(config = default_config) () =
   check_config config;
   let activity = ref (Array.make 8 0.0) in
   {
     cfg = config;
     rng = Random.State.make [| config.seed; 0x466c6b |];
-    interrupt = no_interrupt;
     nvars = 0;
     ok = true;
     arena = Arena.create ();
@@ -740,8 +733,8 @@ let luby s i =
 let out_of_budget budget s start_check =
   (budget.max_conflicts >= 0 && s.n_conflicts - start_check >= budget.max_conflicts)
   || (s.n_conflicts land 255 = 0
-      && (s.interrupt ()
-          || (budget.deadline >= 0.0 && Unix.gettimeofday () > budget.deadline)))
+      && budget.deadline >= 0.0
+      && Unix.gettimeofday () > budget.deadline)
 
 (* Drop the less active half of the learnt clauses and compact the arena.
    Called only at decision level 0: level-0 reasons are never dereferenced
@@ -908,10 +901,9 @@ let search s assumptions budget conflict_budget start_conflicts =
             end
           in
           let v =
-            (* Occasional random decisions (portfolio diversification):
-               the picked variable stays in the heap, where a later pop
-               skips it while assigned — exactly like any other
-               out-of-date heap entry. *)
+            (* Occasional random decisions: the picked variable stays
+               in the heap, where a later pop skips it while assigned —
+               exactly like any other out-of-date heap entry. *)
             if
               s.cfg.random_var_freq > 0.0
               && s.nvars > 0
@@ -980,7 +972,7 @@ let model s =
   | None -> invalid_arg "Cdcl.model: no model (last solve was not Sat)"
   | Some m -> Array.init (Bytes.length m + 1) (fun i -> i > 0 && Bytes.get m (i - 1) = '\001')
 
-(* Learnt-clause export (portfolio clause sharing, inprocessing): every
+(* Learnt-clause export (inprocessing replay): every
    live learnt clause, in DIMACS literals.  The callback must not touch
    the solver. *)
 let iter_learnts s f =
@@ -996,13 +988,6 @@ let reduce_now s =
   if s.ok then reduce_db s
 
 let config s = s.cfg
-
-(* Cooperative cancellation (portfolio racing): [f] is polled on the
-   budget-check path — every 256 conflicts — so a stop request lands
-   within a bounded amount of extra search.  A pending interrupt makes
-   [solve] return [Unknown]; the solver stays fully usable. *)
-let set_interrupt s f = s.interrupt <- f
-let clear_interrupt s = s.interrupt <- no_interrupt
 
 let set_progress s ~every cb =
   if every <= 0 then invalid_arg "Cdcl.set_progress: every must be positive";

@@ -50,10 +50,10 @@ val no_budget : budget
 val budget_conflicts : int -> budget
 val budget_seconds : float -> budget
 
-(** Search-heuristic configuration — the knobs a portfolio diversifies
-    over.  {!default_config} reproduces the solver's historical
-    hard-coded constants bit-for-bit, so a default-configured solver is
-    indistinguishable from one created before the knobs existed. *)
+(** Search-heuristic configuration.  {!default_config} reproduces the
+    solver's historical hard-coded constants bit-for-bit, so a
+    default-configured solver is indistinguishable from one created
+    before the knobs existed. *)
 type config = {
   var_decay : float;  (** VSIDS activity decay, in (0, 1]; default 0.95 *)
   clause_decay : float;
@@ -79,16 +79,6 @@ val create : ?config:config -> unit -> t
 
 (** The configuration the solver was created with. *)
 val config : t -> config
-
-(** [set_interrupt s f] arms a cooperative cancellation hook: [f] is
-    polled on the budget-check path (every 256 conflicts), and a [true]
-    return makes the in-flight {!solve} come back [Unknown].  The solver
-    stays fully usable afterwards.  One hook per solver; re-arming
-    replaces it, {!clear_interrupt} disarms.  [f] runs on the solving
-    domain and must not touch the solver. *)
-val set_interrupt : t -> (unit -> bool) -> unit
-
-val clear_interrupt : t -> unit
 
 (** [of_formula f] loads every clause of [f] into a fresh solver. *)
 val of_formula : Fl_cnf.Formula.t -> t
@@ -130,8 +120,8 @@ val num_learnts : t -> int
 val arena_words : t -> int
 
 (** [iter_learnts s f] calls [f] on every live learnt clause, as a fresh
-    array of DIMACS literals — the export hook for portfolio clause
-    sharing.  [f] must not modify the solver. *)
+    array of DIMACS literals — the export hook inprocessing replays
+    learnts through.  [f] must not modify the solver. *)
 val iter_learnts : t -> (int array -> unit) -> unit
 
 (** [reduce_now s] backtracks to level 0 and forces one learnt-database

@@ -13,34 +13,26 @@ type verdict =
       (** concrete counterexample *)
   | Unknown  (** solver budget exhausted *)
 
-module type S = sig
-  (** [check ?budget ?keys_a ?keys_b a b] compares circuit [a] under key
-      [keys_a] with circuit [b] under [keys_b] ([ [||] ] by default).
-      @raise Invalid_argument when input/output counts differ, a circuit is
-      cyclic, or a key length mismatches. *)
-  val check :
-    ?budget:Cdcl.budget ->
-    ?keys_a:bool array ->
-    ?keys_b:bool array ->
-    Fl_netlist.Circuit.t ->
-    Fl_netlist.Circuit.t ->
-    verdict
+(** [check ?budget ?keys_a ?keys_b a b] compares circuit [a] under key
+    [keys_a] with circuit [b] under [keys_b] ([ [||] ] by default).
+    @raise Invalid_argument when input/output counts differ, a circuit is
+    cyclic, or a key length mismatches. *)
+val check :
+  ?budget:Cdcl.budget ->
+  ?keys_a:bool array ->
+  ?keys_b:bool array ->
+  Fl_netlist.Circuit.t ->
+  Fl_netlist.Circuit.t ->
+  verdict
 
-  (** [check_key ?budget ~locked ~oracle key] — formal version of
-      {!Fl_locking.Locked.key_matches}: proves the key correct instead of
-      sampling vectors (acyclic locked netlists only). *)
-  val check_key :
-    ?budget:Cdcl.budget ->
-    locked:Fl_netlist.Circuit.t ->
-    oracle:Fl_netlist.Circuit.t ->
-    bool array ->
-    verdict
-end
-
-(** Equivalence checking over any {!Solver_intf.S} backend. *)
-module Make (_ : Solver_intf.S) : S
-
-(** The default instance, decided by {!Cdcl}. *)
-include S
+(** [check_key ?budget ~locked ~oracle key] — formal version of
+    {!Fl_locking.Locked.key_matches}: proves the key correct instead of
+    sampling vectors (acyclic locked netlists only). *)
+val check_key :
+  ?budget:Cdcl.budget ->
+  locked:Fl_netlist.Circuit.t ->
+  oracle:Fl_netlist.Circuit.t ->
+  bool array ->
+  verdict
 
 val pp_verdict : Format.formatter -> verdict -> unit

@@ -9,7 +9,7 @@
    own reasoning (subsumption/BVE fixpoints, probing, SCC collapsing,
    XOR/Gauss) on top of it.
 
-   Like {!Solver_intf}, the record is exposed directly — the clients live
+   The record is exposed directly — the clients live
    in this library and need structural access to clauses and occurrence
    lists. *)
 

@@ -8,7 +8,7 @@
     two passes layer their own reasoning (subsumption/BVE fixpoints,
     probing, SCC collapsing, XOR/Gauss) on top.
 
-    Like {!Solver_intf}, the record is exposed directly — the clients
+    The record is exposed directly — the clients
     live in this library and need structural access to clauses and
     occurrence lists.  The internal reasoning steps (subsumption checks,
     resolution, single-variable elimination) are sealed behind the

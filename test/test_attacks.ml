@@ -597,102 +597,6 @@ let test_session_preprocess_reduces () =
   check bool_t "flag disables preprocessing" true
     (Session.preprocess_stats s_off = None)
 
-(* ------------------------------------------------------------------ *)
-(* Portfolio-fronted attacks                                           *)
-(* ------------------------------------------------------------------ *)
-
-module Portfolio = Fl_sat.Portfolio
-module Obs = Fl_obs
-module Cdcl = Fl_sat.Cdcl
-
-(* Run an attack while capturing its attack.* records; returns the result
-   and the sum of the per-record solver-stats deltas. *)
-let run_recorded ?portfolio l =
-  let sum = ref Cdcl.zero_stats in
-  let field_int name e =
-    match List.assoc_opt name e.Obs.fields with
-    | Some (Obs.Int i) -> i
-    | _ -> 0
-  in
-  let sink e =
-    match e.Obs.name with
-    | "attack.iteration" | "attack.exhausted" | "attack.timeout" ->
-      sum :=
-        Cdcl.add_stats !sum
-          {
-            Cdcl.decisions = field_int "decisions" e;
-            propagations = field_int "propagations" e;
-            conflicts = field_int "conflicts" e;
-            restarts = field_int "restarts" e;
-            learned_clauses = field_int "learned_clauses" e;
-            learned_literals = field_int "learned_literals" e;
-            reductions = field_int "reductions" e;
-            max_decision_level = field_int "max_decision_level" e;
-          }
-    | _ -> ()
-  in
-  let r =
-    Obs.with_sink sink (fun () -> Sat_attack.run ~timeout:60.0 ?portfolio l)
-  in
-  r, !sum
-
-let prop_portfolio_det_matches_reference =
-  (* A deterministic portfolio with seed 0 fronts the miter with the base
-     Cdcl configuration and spawns no domains: the attack must reproduce
-     the sequential reference bit-for-bit — status, DIP sequence and
-     accumulated solver stats — and the per-iteration records' deltas must
-     still sum to the final solver stats (the attack-record invariant,
-     which holds because Portfolio.stats is the member-wise sum and so
-     stays monotone across solves). *)
-  qcheck_case ~count:6 "det portfolio = sequential reference"
-    (QCheck2.Gen.int_bound 1000)
-    (fun seed ->
-      let c = host ~seed:(seed + 53) () in
-      let rng = Random.State.make [| seed |] in
-      let l = Fl_locking.Rll.lock rng ~key_bits:6 c in
-      let spec =
-        { Portfolio.default_spec with
-          Portfolio.workers = 4; seed = 0; deterministic = true }
-      in
-      let r_ref, sum_ref = run_recorded l in
-      let r_pf, sum_pf = run_recorded ~portfolio:spec l in
-      let same_status =
-        match r_ref.Sat_attack.status, r_pf.Sat_attack.status with
-        | Sat_attack.Broken a, Sat_attack.Broken b -> a = b
-        | a, b -> a = b
-      in
-      same_status
-      && r_ref.Sat_attack.dips = r_pf.Sat_attack.dips
-      && r_ref.Sat_attack.iterations = r_pf.Sat_attack.iterations
-      && r_ref.Sat_attack.solver = r_pf.Sat_attack.solver
-      && sum_ref = r_ref.Sat_attack.solver
-      && sum_pf = r_pf.Sat_attack.solver)
-
-let prop_portfolio_race_sound =
-  (* A real 2-worker race is not bit-reproducible, but it must agree with
-     the reference on the attack outcome: same breakable instances, and
-     the recovered key functionally correct. *)
-  qcheck_case ~count:6 "raced portfolio attack sound"
-    (QCheck2.Gen.int_bound 1000)
-    (fun seed ->
-      let c = host ~seed:(seed + 67) () in
-      let rng = Random.State.make [| seed |] in
-      let l = Fl_locking.Rll.lock rng ~key_bits:6 c in
-      let spec = { Portfolio.default_spec with Portfolio.workers = 2 } in
-      let r = Sat_attack.run ~timeout:60.0 ~portfolio:spec l in
-      broken_correct r)
-
-let test_portfolio_cube_attack () =
-  (* cube_depth > 0 with no cube_vars: the session must fill them from the
-     fanout ranking and the cubed attack must still break the lock. *)
-  let rng = Random.State.make [| 91 |] in
-  let l = Fulllock.lock_one rng ~policy:`Acyclic ~n:4 (host ~gates:80 ()) in
-  let spec =
-    { Portfolio.default_spec with Portfolio.workers = 2; cube_depth = 2 }
-  in
-  let r = Sat_attack.run ~timeout:60.0 ~portfolio:spec l in
-  check bool_t "cubed attack broke the lock" true (broken_correct r)
-
 let () =
   Alcotest.run "attacks"
     [
@@ -768,11 +672,4 @@ let () =
         ] );
       ( "properties",
         [ prop_sat_attack_recovers_function; prop_cycsat_sound_on_cyclic_fulllock ] );
-      ( "portfolio",
-        [
-          prop_portfolio_det_matches_reference;
-          prop_portfolio_race_sound;
-          Alcotest.test_case "cube attack, auto-ranked vars" `Quick
-            test_portfolio_cube_attack;
-        ] );
     ]

@@ -192,126 +192,28 @@ let test_counters_merge_across_domains () =
   let after = Obs.Counter.value (Obs.Counter.make "par.tasks") in
   check int_t "worker increments merged" 11 (after - before)
 
-(* ------------------------------------------------------------------ *)
-(* Streaming submission                                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_submit_await () =
-  Par.with_pool ~jobs:3 (fun p ->
-      let hs = List.init 10 (fun i -> Par.submit p (fun _ -> i * i)) in
-      let out = List.map Par.await hs in
-      check (Alcotest.list int_t) "streamed values by handle"
-        (List.init 10 (fun i -> i * i))
-        (List.filter_map Par.value out))
-
-let test_submit_inline_jobs1 () =
-  (* A jobs = 1 pool runs the task inline before submit returns. *)
-  Par.with_pool ~jobs:1 (fun p ->
-      let ran = ref false in
-      let h =
-        Par.submit p (fun _ ->
-            ran := true;
-            7)
-      in
-      check bool_t "ran inline" true !ran;
-      check bool_t "settled before await" true (Par.poll h <> None);
-      match Par.await h with
-      | Par.Done 7 -> ()
-      | _ -> Alcotest.fail "expected Done 7")
-
-let test_await_any_and_cancel () =
-  Par.with_pool ~jobs:2 (fun p ->
-      (* The slow task never finishes on its own; await_any must come back
-         with the fast one, and cancel must wind the slow one down
-         cooperatively (its produced value is kept). *)
-      let slow stop =
-        let rec wait () =
-          if stop () then "cancelled"
-          else begin
-            Unix.sleepf 0.002;
-            wait ()
-          end
-        in
-        wait ()
-      in
-      let fast _ =
-        Unix.sleepf 0.01;
-        "fast"
-      in
-      let hs = [ Par.submit p slow; Par.submit p fast ] in
-      let i, o = Par.await_any hs in
-      check int_t "fast settled first" 1 i;
-      (match o with
-       | Par.Done "fast" -> ()
-       | _ -> Alcotest.fail "expected Done fast");
-      List.iter Par.cancel hs;
-      match Par.await (List.hd hs) with
-      | Par.Done "cancelled" -> ()
-      | Par.Cancelled -> ()
-      | _ -> Alcotest.fail "slow task should wind down after cancel")
-
-let test_cancel_before_start () =
-  Par.with_pool ~jobs:2 (fun p ->
-      (* Both workers are pinned on blockers, so the third submission is
-         still queued when it is cancelled: it must settle Cancelled, never
-         run. *)
-      let release = Atomic.make false in
-      let blocker _ =
-        while not (Atomic.get release) do
-          Unix.sleepf 0.002
-        done;
-        0
-      in
-      let b1 = Par.submit p blocker in
-      let b2 = Par.submit p blocker in
-      let h = Par.submit p (fun _ -> 1) in
-      Par.cancel h;
-      Atomic.set release true;
-      (match Par.await h with
-       | Par.Cancelled -> ()
-       | Par.Done _ -> Alcotest.fail "queued task ran despite cancel"
-       | _ -> Alcotest.fail "unexpected outcome");
-      ignore (Par.await b1);
-      ignore (Par.await b2))
-
-let test_nested_submission_rejected () =
-  (* The documented deadlock is now a fail-fast error: calling back into
-     the pool from one of its own tasks raises Invalid_argument — on the
+let test_nested_run_rejected () =
+  (* The documented deadlock is a fail-fast error: calling back into the
+     pool from one of its own tasks raises Invalid_argument — on the
      jobs = 1 inline path and from a worker domain alike. *)
-  Par.with_pool ~jobs:1 (fun p ->
-      let h =
-        Par.submit p (fun _ ->
-            match Par.run p [| (fun () -> 0) |] with
-            | _ -> "no-raise"
-            | exception Invalid_argument _ -> "raised")
-      in
-      match Par.await h with
-      | Par.Done "raised" -> ()
-      | _ -> Alcotest.fail "inline nested run must raise Invalid_argument");
-  Par.with_pool ~jobs:2 (fun p ->
-      let h =
-        Par.submit p (fun _ ->
-            match Par.submit p (fun _ -> 0) with
-            | _ -> "no-raise"
-            | exception Invalid_argument _ -> "raised")
-      in
-      match Par.await h with
-      | Par.Done "raised" -> ()
-      | _ -> Alcotest.fail "worker nested submit must raise Invalid_argument")
-
-let test_streaming_alongside_batches () =
-  (* Streamed handles and batch runs share the pool without corrupting
-     each other's accounting. *)
-  Par.with_pool ~jobs:2 (fun p ->
-      let h = Par.submit p (fun _ -> 41) in
-      let out = Par.run p (Array.init 5 (fun i () -> i)) in
-      check (Alcotest.list int_t) "batch intact" [ 0; 1; 2; 3; 4 ]
-        (values out);
-      (match Par.await h with
-       | Par.Done 41 -> ()
-       | _ -> Alcotest.fail "streamed task intact");
-      check int_t "batch stats count batch tasks only" 5
-        (Par.last_stats p).Par.tasks)
+  List.iter
+    (fun jobs ->
+      Par.with_pool ~jobs (fun p ->
+          let out =
+            Par.run p
+              [|
+                (fun () ->
+                  match Par.run p [| (fun () -> 0) |] with
+                  | _ -> "no-raise"
+                  | exception Invalid_argument _ -> "raised");
+              |]
+          in
+          match out.(0) with
+          | Par.Done "raised" -> ()
+          | _ ->
+            Alcotest.failf "jobs=%d: nested run must raise Invalid_argument"
+              jobs))
+    [ 1; 2 ]
 
 let () =
   Alcotest.run "fl_par"
@@ -334,6 +236,8 @@ let () =
         [
           Alcotest.test_case "pool reuse" `Quick test_pool_reuse_across_batches;
           Alcotest.test_case "empty batch" `Quick test_empty_batch;
+          Alcotest.test_case "nested run rejected" `Quick
+            test_nested_run_rejected;
           map_reduce_matches_sequential;
         ] );
       ( "observability",
@@ -341,18 +245,5 @@ let () =
           Alcotest.test_case "par events" `Quick test_par_events;
           Alcotest.test_case "counters merge" `Quick
             test_counters_merge_across_domains;
-        ] );
-      ( "streaming",
-        [
-          Alcotest.test_case "submit/await" `Quick test_submit_await;
-          Alcotest.test_case "jobs=1 inline" `Quick test_submit_inline_jobs1;
-          Alcotest.test_case "await_any + cancel" `Quick
-            test_await_any_and_cancel;
-          Alcotest.test_case "cancel before start" `Quick
-            test_cancel_before_start;
-          Alcotest.test_case "nested submission rejected" `Quick
-            test_nested_submission_rejected;
-          Alcotest.test_case "streams alongside batches" `Quick
-            test_streaming_alongside_batches;
         ] );
     ]

@@ -774,145 +774,6 @@ let prop_cdcl_circuit_reference =
       | Cdcl.Unsat, None, Dpll.Unsat -> true
       | _ -> false)
 
-(* ------------------------------------------------------------------ *)
-(* Portfolio                                                           *)
-(* ------------------------------------------------------------------ *)
-
-module Portfolio = Fl_sat.Portfolio
-
-let portfolio_of_formula spec f =
-  let t = Portfolio.create spec in
-  Portfolio.ensure_vars t (Formula.num_vars f);
-  Formula.iter_clauses f (Portfolio.add_clause_a t);
-  t
-
-let prop_portfolio_matches_brute =
-  (* Racing three diverse members across domains must still decide every
-     instance like brute force, and any Sat model must check out. *)
-  qcheck_case ~count:60 "portfolio race = brute force" random_formula_gen
-    (fun params ->
-      let f = make_formula params in
-      let spec = { Portfolio.default_spec with Portfolio.workers = 3 } in
-      let t = portfolio_of_formula spec f in
-      match Portfolio.solve t with
-      | Cdcl.Sat -> brute_sat f && model_satisfies f (Portfolio.model t)
-      | Cdcl.Unsat -> not (brute_sat f)
-      | Cdcl.Unknown -> false)
-
-let prop_portfolio_det_reproducible =
-  (* Deterministic mode spawns no domains and must be bit-for-bit
-     reproducible: two runs of the same spec agree on outcome, model and
-     every stats field.  With [seed mod workers = 0] the single member
-     runs the base configuration, so the run also equals the plain
-     sequential Cdcl reference exactly. *)
-  qcheck_case ~count:60 "deterministic portfolio reproducible"
-    QCheck2.Gen.(pair random_formula_gen (int_bound 5))
-    (fun (params, seed) ->
-      let f = make_formula params in
-      let spec =
-        { Portfolio.default_spec with
-          Portfolio.workers = 3; seed; deterministic = true }
-      in
-      let run () =
-        let t = portfolio_of_formula spec f in
-        let o = Portfolio.solve t in
-        let m = match o with Cdcl.Sat -> Some (Portfolio.model t) | _ -> None in
-        o, m, Portfolio.stats t
-      in
-      let o1, m1, s1 = run () in
-      let o2, m2, s2 = run () in
-      let reproducible = o1 = o2 && m1 = m2 && s1 = s2 in
-      let matches_reference =
-        if seed mod 3 <> 0 then true
-        else begin
-          let rc, rm, rs = Cdcl.solve_formula f in
-          o1 = rc && m1 = rm && s1 = rs
-        end
-      in
-      reproducible && matches_reference)
-
-let prop_portfolio_cube_matches_brute =
-  (* Cube-and-conquer: 2^2 sign cubes over variables 1 and 2; any Sat cube
-     decides Sat, all-Unsat decides Unsat.  Must agree with brute force. *)
-  qcheck_case ~count:60 "cube-and-conquer = brute force" random_formula_gen
-    (fun params ->
-      let f = make_formula params in
-      let spec =
-        { Portfolio.default_spec with
-          Portfolio.workers = 2; cube_depth = 2; cube_vars = [| 1; 2 |] }
-      in
-      let t = portfolio_of_formula spec f in
-      match Portfolio.solve t with
-      | Cdcl.Sat -> brute_sat f && model_satisfies f (Portfolio.model t)
-      | Cdcl.Unsat -> not (brute_sat f)
-      | Cdcl.Unknown -> false)
-
-let prop_portfolio_incremental_sharing_sound =
-  (* The learnt-clause exchange imports across members at the solve
-     boundary; an incremental session (solve, add the rest of the
-     clauses, solve again) must stay correct afterwards — shared learnts
-     are consequences of the common database, never of assumptions. *)
-  qcheck_case ~count:40 "clause sharing keeps incremental solves sound"
-    random_formula_gen
-    (fun params ->
-      let f = make_formula params in
-      let clauses = Formula.clauses f in
-      let half = Array.length clauses / 2 in
-      let spec = { Portfolio.default_spec with Portfolio.workers = 3 } in
-      let t = Portfolio.create spec in
-      Portfolio.ensure_vars t (Formula.num_vars f);
-      Array.iteri
-        (fun i c -> if i < half then Portfolio.add_clause_a t c)
-        clauses;
-      (* First race under an assumption: learnts get exchanged here. *)
-      ignore (Portfolio.solve ~assumptions:[ 1 ] t);
-      Array.iteri
-        (fun i c -> if i >= half then Portfolio.add_clause_a t c)
-        clauses;
-      match Portfolio.solve t with
-      | Cdcl.Sat -> brute_sat f && model_satisfies f (Portfolio.model t)
-      | Cdcl.Unsat -> not (brute_sat f)
-      | Cdcl.Unknown -> false)
-
-let test_portfolio_member_configs_diverse () =
-  let spec = { Portfolio.default_spec with Portfolio.workers = 6; seed = 7 } in
-  let c0 = Portfolio.member_config spec 0 in
-  check bool_t "member 0 is the base config" true
-    (c0 = spec.Portfolio.base_config);
-  (* every non-base member differs from the base in seed at least *)
-  for i = 1 to 5 do
-    let ci = Portfolio.member_config spec i in
-    check bool_t "diversified" true (ci <> c0)
-  done
-
-let test_portfolio_backend_conforms () =
-  (* The first-class backend must slot into Solver_intf consumers. *)
-  let spec = { Portfolio.default_spec with Portfolio.workers = 2 } in
-  let (module B : Fl_sat.Solver_intf.S) = Portfolio.backend spec in
-  let f = Formula.create () in
-  ignore (Formula.fresh_vars f 3);
-  Formula.add_clause f [ 1; 2 ];
-  Formula.add_clause f [ -1; 2 ];
-  Formula.add_clause f [ -2; 3 ];
-  let s = Fl_sat.Solver_intf.load (module B) f in
-  (match B.solve s with
-   | Cdcl.Sat -> check bool_t "2 then 3" true (B.value s 2 && B.value s 3)
-   | _ -> Alcotest.fail "expected Sat");
-  check int_t "vars" 3 (B.num_vars s)
-
-let test_portfolio_spec_validation () =
-  let bad spec =
-    match Portfolio.create spec with
-    | exception Invalid_argument _ -> true
-    | _ -> false
-  in
-  check bool_t "workers >= 1" true
-    (bad { Portfolio.default_spec with Portfolio.workers = 0 });
-  check bool_t "cube_depth bounded" true
-    (bad { Portfolio.default_spec with Portfolio.cube_depth = 17 });
-  check bool_t "share_cap >= 0" true
-    (bad { Portfolio.default_spec with Portfolio.share_cap = -1 })
-
 let () =
   Alcotest.run "sat"
     [
@@ -981,18 +842,5 @@ let () =
           prop_cdcl_dpll_agree;
           prop_cdcl_assumption_consistency;
           prop_cdcl_circuit_reference;
-        ] );
-      ( "portfolio",
-        [
-          prop_portfolio_matches_brute;
-          prop_portfolio_det_reproducible;
-          prop_portfolio_cube_matches_brute;
-          prop_portfolio_incremental_sharing_sound;
-          Alcotest.test_case "member configs diverse" `Quick
-            test_portfolio_member_configs_diverse;
-          Alcotest.test_case "backend conforms" `Quick
-            test_portfolio_backend_conforms;
-          Alcotest.test_case "spec validation" `Quick
-            test_portfolio_spec_validation;
         ] );
     ]

@@ -328,131 +328,46 @@ let test_agree_on_probes_counts_unresolved () =
     (View.agree_on_probes v ~keys_a:[||] v ~keys_b:[||])
 
 (* ------------------------------------------------------------------ *)
-(* Structural hash                                                     *)
+(* Topological order and logic levels                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Rebuild [c] with every wire and port renamed and all non-input nodes
-   declared in a random order.  Positional structure — PI / key / output
-   order and fanin order — is preserved; that is exactly the isomorphism
-   View.structural_hash certifies. *)
-let shuffled_renamed_copy rng c =
-  let n = Circuit.num_nodes c in
-  let b = Circuit.Builder.create ~name:"shuffled" () in
-  let map = Array.make n (-1) in
-  Array.iteri
-    (fun i id ->
-      map.(id) <- Circuit.Builder.input ~name:(Printf.sprintf "sp%d" i) b)
-    c.Circuit.inputs;
-  Array.iteri
-    (fun i id ->
-      map.(id) <- Circuit.Builder.key_input ~name:(Printf.sprintf "sk%d" i) b)
-    c.Circuit.keys;
-  let rest = ref [] in
-  for id = n - 1 downto 0 do
-    if map.(id) < 0 then rest := id :: !rest
-  done;
-  let rest = Array.of_list !rest in
-  for i = Array.length rest - 1 downto 1 do
-    let j = Random.State.int rng (i + 1) in
-    let tmp = rest.(i) in
-    rest.(i) <- rest.(j);
-    rest.(j) <- tmp
-  done;
-  Array.iteri
-    (fun i id ->
-      map.(id) <-
-        Circuit.Builder.declare ~name:(Printf.sprintf "sg%d" i) b
-          (Circuit.node c id).Circuit.kind)
-    rest;
-  Array.iter
-    (fun id ->
-      Circuit.Builder.set_fanins b map.(id)
-        (Array.map (fun f -> map.(f)) (Circuit.node c id).Circuit.fanins))
-    rest;
-  Array.iteri
-    (fun i (_, id) ->
-      Circuit.Builder.output b (Printf.sprintf "so%d" i) map.(id))
-    c.Circuit.outputs;
-  Circuit.of_builder b
-
-let prop_structural_hash_invariant =
-  let gen = QCheck2.Gen.(pair (int_bound 10_000) (int_bound 10_000)) in
-  qcheck_case ~count:40 "structural hash: rename/permute invariant" gen
-    (fun (seed, shuffle_seed) ->
+let prop_topo_and_levels =
+  (* On an acyclic circuit the cached order is a permutation of the node
+     ids with every fanin placed before its node, and each level is one
+     more than the deepest fanin (sources sit at 0).  A cyclic circuit has
+     neither order nor levels nor depth. *)
+  let gen = QCheck2.Gen.int_bound 10_000 in
+  qcheck_case "levels follow topo order" gen (fun seed ->
       let c =
         if seed land 1 = 0 then acyclic_of ~seed else random_cyclic ~seed
       in
-      let rng = Random.State.make [| shuffle_seed; 0x5a5 |] in
-      let copy = shuffled_renamed_copy rng c in
-      let h = View.structural_hash (View.of_circuit c) in
-      let h' = View.structural_hash (View.of_circuit copy) in
-      if h <> h' then
-        QCheck2.Test.fail_reportf
-          "hash not invariant: %016Lx vs %016Lx (seed %d)" h h' seed;
-      true)
-
-let prop_structural_hash_sensitive =
-  (* Negating every output is the smallest functional change that keeps
-     all counts identical; the hash must move. *)
-  let gen = QCheck2.Gen.int_bound 10_000 in
-  qcheck_case ~count:40 "structural hash: negation changes it" gen
-    (fun seed ->
-      let c = acyclic_of ~seed in
-      let b = Circuit.Builder.create ~name:"negated" () in
-      let map = Circuit.copy_nodes_into b c in
-      Array.iter
-        (fun (port, id) ->
-          let n = Circuit.Builder.add b Gate.Not [| map.(id) |] in
-          Circuit.Builder.output b port n)
-        c.Circuit.outputs;
-      let negated = Circuit.of_builder b in
-      View.structural_hash (View.of_circuit c)
-      <> View.structural_hash (View.of_circuit negated))
-
-let test_structural_hash_collision_free () =
-  (* Every bundled benchmark plus a locked variant of each must hash
-     distinctly — the serve cache keys prepared miters by this value. *)
-  let tbl = Hashtbl.create 64 in
-  let add label c =
-    let h = View.structural_hash_hex (View.of_circuit c) in
-    (match Hashtbl.find_opt tbl h with
-     | Some other ->
-       Alcotest.failf "collision: %s and %s both hash to %s" other label h
-     | None -> ());
-    Hashtbl.add tbl h label
-  in
-  add "c17" (Bench_suite.c17 ());
-  List.iter
-    (fun name ->
-      let c = Bench_suite.load_scaled name ~scale:16 in
-      add name c;
-      let rng = Random.State.make [| 7; Hashtbl.hash name |] in
-      let locked = Fl_locking.Rll.lock rng ~key_bits:8 c in
-      add (name ^ "+rll") locked.Fl_locking.Locked.locked;
-      let rng = Random.State.make [| 11; Hashtbl.hash name |] in
-      let muxed = Fl_locking.Mux_lock.lock rng ~key_bits:8 c in
-      add (name ^ "+mux") muxed.Fl_locking.Locked.locked)
-    Bench_suite.names;
-  check bool_t "hashes recorded" true (Hashtbl.length tbl > 12)
-
-let test_structural_hash_memoized () =
-  let c = Bench_suite.c17 () in
-  let v = View.of_circuit c in
-  let h1 = View.structural_hash v in
-  let reg = Fl_obs.Registry.default in
-  let before =
-    match List.assoc_opt "view.memo.shash.hit" (Fl_obs.snapshot ~registry:reg ()) with
-    | Some (Fl_obs.Int n) -> n
-    | _ -> 0
-  in
-  let h2 = View.structural_hash v in
-  let after =
-    match List.assoc_opt "view.memo.shash.hit" (Fl_obs.snapshot ~registry:reg ()) with
-    | Some (Fl_obs.Int n) -> n
-    | _ -> 0
-  in
-  check bool_t "same hash" true (h1 = h2);
-  check bool_t "second call hit the memo" true (after = before + 1)
+      let v = View.of_circuit c in
+      let n = Circuit.num_nodes c in
+      match View.topo_order v, View.levels v with
+      | None, None ->
+        (not (View.is_acyclic v)) && View.depth v = None
+        && Circuit.depth c = None
+      | Some order, Some lv ->
+        let pos = Array.make n (-1) in
+        Array.iteri (fun i id -> pos.(id) <- i) order;
+        let ordered = ref (Array.length order = n) in
+        let levelled = ref true in
+        for id = 0 to n - 1 do
+          let fanins = (Circuit.node c id).Circuit.fanins in
+          if pos.(id) < 0 then ordered := false;
+          Array.iter (fun f -> if pos.(f) >= pos.(id) then ordered := false) fanins;
+          let expected =
+            if Array.length fanins = 0 then 0
+            else 1 + Array.fold_left (fun acc f -> max acc lv.(f)) 0 fanins
+          in
+          if lv.(id) <> expected then levelled := false
+        done;
+        if not !ordered then
+          QCheck2.Test.fail_reportf "fanin after its node (seed %d)" seed;
+        if not !levelled then
+          QCheck2.Test.fail_reportf "level not 1 + max fanin (seed %d)" seed;
+        View.is_acyclic v && View.depth v = Circuit.depth c
+      | _ -> QCheck2.Test.fail_reportf "order and levels disagree (seed %d)" seed)
 
 let () =
   Alcotest.run "view"
@@ -483,12 +398,5 @@ let () =
           Alcotest.test_case "unresolved probes" `Quick
             test_agree_on_probes_counts_unresolved;
         ] );
-      ( "structural hash",
-        [
-          prop_structural_hash_invariant;
-          prop_structural_hash_sensitive;
-          Alcotest.test_case "collision-free over suite" `Quick
-            test_structural_hash_collision_free;
-          Alcotest.test_case "memoized" `Quick test_structural_hash_memoized;
-        ] );
+      ("topo and levels", [ prop_topo_and_levels ]);
     ]
