@@ -51,10 +51,12 @@ let num_literals f = f.literal_count
 
 let clauses f = Array.sub f.store 0 f.clause_count
 
-let iter_clauses f k =
-  for i = 0 to f.clause_count - 1 do
+let iter_clauses_from f i k =
+  for i = max 0 i to f.clause_count - 1 do
     k f.store.(i)
   done
+
+let iter_clauses f k = iter_clauses_from f 0 k
 
 let ratio f = if f.vars = 0 then 0.0 else float_of_int f.clause_count /. float_of_int f.vars
 

@@ -43,6 +43,11 @@ val clauses : t -> lit array array
 
 val iter_clauses : t -> (lit array -> unit) -> unit
 
+(** [iter_clauses_from f i k] applies [k] to the clauses with insertion
+    index [i] and later, without copying the store: incremental consumers
+    feed a solver only what was appended since their last visit. *)
+val iter_clauses_from : t -> int -> (lit array -> unit) -> unit
+
 (** Clauses-to-variables ratio — the paper's SAT-hardness metric (§3). *)
 val ratio : t -> float
 

@@ -477,7 +477,7 @@ let add_internal s lits =
      done);
     if not !sat then begin
       let kept = Array.sub lits 0 !w in
-      Array.sort compare kept;
+      Array.sort Int.compare kept;
       (* Deduplicate in place; adjacent [2v, 2v+1] is a tautology. *)
       let m = Array.length kept in
       let w = ref 0 in
