@@ -669,6 +669,45 @@ let prop_inprocess_map_clause =
         | _ -> false
       end)
 
+let prop_reconstruct_keeps_frozen =
+  (* The attack session reads the DIP and the key witnesses straight from
+     the solver's values of the frozen interface variables, skipping model
+     reconstruction.  That is sound only if neither reconstruction chain
+     ever rewrites a frozen variable, whatever the assignment it extends:
+     checked on random locked-circuit miters (one observation appended, as
+     inprocessing sees them) and random assignments. *)
+  qcheck_case ~count:40 "reconstruct keeps frozen values"
+    QCheck2.Gen.(pair (int_bound 1_000_000) bool)
+    (fun (seed, sarlock) ->
+      let c =
+        Fl_netlist.Generator.random ~seed ~name:"m"
+          { Fl_netlist.Generator.num_inputs = 5; num_outputs = 2;
+            num_gates = 25; max_fanin = 3; and_bias = 0.7 }
+      in
+      let rng = Random.State.make [| seed |] in
+      let l =
+        if sarlock then Fl_locking.Sarlock.lock rng ~key_bits:4 c
+        else Fl_locking.Rll.lock rng ~key_bits:4 c
+      in
+      let locked = l.Fl_locking.Locked.locked in
+      let m = Fl_cnf.Miter.build locked in
+      let inputs = Array.init 5 (fun _ -> Random.State.bool rng) in
+      Fl_cnf.Miter.add_io_constraint m locked ~inputs
+        ~outputs:(Fl_locking.Locked.query_oracle l inputs);
+      let f = m.Fl_cnf.Miter.formula in
+      let frozen =
+        Array.concat
+          Fl_cnf.Miter.[ m.inputs; m.keys_a; m.keys_b; m.outputs_a; m.outputs_b ]
+      in
+      let model =
+        Array.init (Formula.num_vars f + 1) (fun _ -> Random.State.bool rng)
+      in
+      let keeps full = Array.for_all (fun v -> full.(v) = model.(v)) frozen in
+      let p = Preprocess.run ~frozen f in
+      let ip = Inprocess.run ~frozen f in
+      (Preprocess.is_unsat p || keeps (Preprocess.reconstruct p model))
+      && (Inprocess.is_unsat ip || keeps (Inprocess.reconstruct ip model)))
+
 (* ------------------------------------------------------------------ *)
 (* Random k-SAT + cross-checking                                       *)
 (* ------------------------------------------------------------------ *)
@@ -829,6 +868,7 @@ let () =
           prop_inprocess_xor;
           prop_inprocess_all;
           prop_inprocess_map_clause;
+          prop_reconstruct_keeps_frozen;
         ] );
       ( "random_sat",
         [
