@@ -4,6 +4,9 @@
    fltrace spans FILE     aggregated span profile (calls, total, self)
    fltrace flame FILE     folded stacks for flamegraph.pl
    fltrace attack FILE    DIP trajectory table from attack.* records
+                          (clauses/vars/ratio are those of the miter the
+                          solver sees: each observation is its folded key
+                          cone, not a full circuit copy)
 
    Every command tolerates truncated or interleaved traces: unparsable
    lines are skipped (and counted), span.end events with no open span are

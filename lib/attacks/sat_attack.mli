@@ -23,7 +23,11 @@ type result = {
   wall_time : float;
   key_is_correct : bool;  (** functional check of the recovered key *)
   solver : Fl_sat.Cdcl.stats;  (** accumulated over all iterations *)
-  clause_var_ratio : float;  (** of the final attack formula (Fig. 7) *)
+  clause_var_ratio : float;
+      (** of the final attack formula (Fig. 7), as the solver sees it: each
+          observation enters as its folded key cone
+          ({!Fl_cnf.Tseytin.encode_observation}), not as a full circuit
+          copy *)
   dips : bool array list;  (** the tested DIPs, most recent first *)
 }
 

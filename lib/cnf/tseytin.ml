@@ -10,18 +10,18 @@ type encoding = {
 }
 
 (* Binary XOR: the 4 clauses of Table 1. *)
-let encode_xor2 f ~out a b =
-  Formula.add_clause f [ -a; -b; -out ];
-  Formula.add_clause f [ a; b; -out ];
-  Formula.add_clause f [ a; -b; out ];
-  Formula.add_clause f [ -a; b; out ]
+let encode_xor2 emit ~out a b =
+  emit [| -a; -b; -out |];
+  emit [| a; b; -out |];
+  emit [| a; -b; out |];
+  emit [| -a; b; out |]
 
 (* n-ary XOR via a balanced pairwise tree of fresh variables; the final
    stage optionally complements for XNOR.  Same n-1 XOR2 stages (and thus
    clause count and shapes) as a linear chain, but log instead of linear
    depth, so unit propagation across a wide XOR resolves in O(log n)
    implication steps. *)
-let encode_xor_chain f ~out ~negated fanins =
+let encode_xor_chain emit f ~out ~negated fanins =
   let n = Array.length fanins in
   assert (n >= 2);
   let rec reduce layer =
@@ -31,7 +31,7 @@ let encode_xor_chain f ~out ~negated fanins =
       let next = Array.make ((m + 1) / 2) 0 in
       for i = 0 to (m / 2) - 1 do
         let t = Formula.fresh_var f in
-        encode_xor2 f ~out:t layer.(2 * i) layer.(2 * i + 1);
+        encode_xor2 emit ~out:t layer.(2 * i) layer.(2 * i + 1);
         next.(i) <- t
       done;
       if m land 1 = 1 then next.(((m + 1) / 2) - 1) <- layer.(m - 1);
@@ -39,67 +39,60 @@ let encode_xor_chain f ~out ~negated fanins =
     end
   in
   let pair = reduce fanins in
-  let a = pair.(0) and b = pair.(1) in
-  if negated then begin
-    (* out = XNOR(a, b) *)
-    Formula.add_clause f [ -a; -b; out ];
-    Formula.add_clause f [ a; b; out ];
-    Formula.add_clause f [ a; -b; -out ];
-    Formula.add_clause f [ -a; b; -out ]
-  end
-  else encode_xor2 f ~out a b
+  encode_xor2 emit ~out:(if negated then -out else out) pair.(0) pair.(1)
 
-let encode_gate f kind ~out ~fanins =
+(* Gate clauses go through [emit], so the full circuit copy
+   ([Formula.add_clause_a]) and the folded observation copy ([fold_emit]
+   below) share this one table of Table 1's clause shapes. *)
+let encode_gate ?emit f kind ~out ~fanins =
+  let emit = match emit with Some e -> e | None -> Formula.add_clause_a f in
   let n = Array.length fanins in
   if not (Gate.valid_fanin_count kind n) then
     invalid_arg "Tseytin.encode_gate: fanin count mismatch";
   match kind with
   | Gate.Input | Gate.Key_input ->
     invalid_arg "Tseytin.encode_gate: inputs are free variables"
-  | Gate.Const b -> Formula.add_clause f [ (if b then out else -out) ]
+  | Gate.Const b -> emit [| (if b then out else -out) |]
   | Gate.Buf ->
-    Formula.add_clause f [ fanins.(0); -out ];
-    Formula.add_clause f [ -fanins.(0); out ]
+    emit [| fanins.(0); -out |];
+    emit [| -fanins.(0); out |]
   | Gate.Not ->
-    Formula.add_clause f [ -fanins.(0); -out ];
-    Formula.add_clause f [ fanins.(0); out ]
+    emit [| -fanins.(0); -out |];
+    emit [| fanins.(0); out |]
   | Gate.And ->
     (* (¬A1 ∨ … ∨ ¬An ∨ C) ∧ ∧i (Ai ∨ ¬C) *)
-    Formula.add_clause_a f
-      (Array.append (Array.map (fun a -> -a) fanins) [| out |]);
-    Array.iter (fun a -> Formula.add_clause f [ a; -out ]) fanins
+    emit (Array.append (Array.map (fun a -> -a) fanins) [| out |]);
+    Array.iter (fun a -> emit [| a; -out |]) fanins
   | Gate.Nand ->
-    Formula.add_clause_a f
-      (Array.append (Array.map (fun a -> -a) fanins) [| -out |]);
-    Array.iter (fun a -> Formula.add_clause f [ a; out ]) fanins
+    emit (Array.append (Array.map (fun a -> -a) fanins) [| -out |]);
+    Array.iter (fun a -> emit [| a; out |]) fanins
   | Gate.Or ->
-    Formula.add_clause_a f (Array.append fanins [| -out |]);
-    Array.iter (fun a -> Formula.add_clause f [ -a; out ]) fanins
+    emit (Array.append fanins [| -out |]);
+    Array.iter (fun a -> emit [| -a; out |]) fanins
   | Gate.Nor ->
-    Formula.add_clause_a f (Array.append fanins [| out |]);
-    Array.iter (fun a -> Formula.add_clause f [ -a; -out ]) fanins
-  | Gate.Xor -> encode_xor_chain f ~out ~negated:false fanins
-  | Gate.Xnor -> encode_xor_chain f ~out ~negated:true fanins
+    emit (Array.append fanins [| out |]);
+    Array.iter (fun a -> emit [| -a; -out |]) fanins
+  | Gate.Xor -> encode_xor_chain emit f ~out ~negated:false fanins
+  | Gate.Xnor -> encode_xor_chain emit f ~out ~negated:true fanins
   | Gate.Mux ->
     (* C = A·¬S + B·S with fanins [S; A; B] — Table 1's four clauses. *)
     let s = fanins.(0) and a = fanins.(1) and b = fanins.(2) in
-    Formula.add_clause f [ s; -a; out ];
-    Formula.add_clause f [ s; a; -out ];
-    Formula.add_clause f [ -s; -b; out ];
-    Formula.add_clause f [ -s; b; -out ]
+    emit [| s; -a; out |];
+    emit [| s; a; -out |];
+    emit [| -s; -b; out |];
+    emit [| -s; b; -out |]
   | Gate.Lut tt ->
     (* One clause per table row: (row holds) -> out = tt(row). *)
-    let rows = Array.length tt in
-    for row = 0 to rows - 1 do
-      let body =
-        Array.to_list
-          (Array.mapi
-             (fun j a -> if row land (1 lsl j) <> 0 then -a else a)
-             fanins)
-      in
-      let head = if tt.(row) then out else -out in
-      Formula.add_clause f (body @ [ head ])
-    done
+    Array.iteri
+      (fun row set ->
+        let clause =
+          Array.init (n + 1) (fun j ->
+              if j = n then if set then out else -out
+              else if row land (1 lsl j) <> 0 then -fanins.(j)
+              else fanins.(j))
+        in
+        emit clause)
+      tt
 
 let encode ?share_inputs ?share_keys f c =
   let n = Circuit.num_nodes c in
@@ -148,7 +141,7 @@ let assert_equal f a b =
 
 let xor_out f a b =
   let x = Formula.fresh_var f in
-  encode_xor2 f ~out:x a b;
+  encode_xor2 (Formula.add_clause_a f) ~out:x a b;
   x
 
 let assert_any_differs f pairs =
@@ -162,3 +155,111 @@ let assert_vector f vars bits =
   if Array.length vars <> Array.length bits then
     invalid_arg "Tseytin.assert_vector: length mismatch";
   Array.iteri (fun i v -> assert_lit f (if bits.(i) then v else -v)) vars
+
+(* ------------------------------------------------------------------ *)
+(* Observation copies, folded to the key cone                          *)
+(* ------------------------------------------------------------------ *)
+
+(* A node the evaluator settled stands as a constant literal: [lit_true]
+   or its negation.  No variable has this number, and only [fold_emit]
+   sees it: a false constant drops out of its clause, a true one satisfies
+   (and so skips) the clause.  Every gate clause also mentions the gate's
+   own, unsettled, output, so no clause folds to empty. *)
+let lit_true = max_int
+
+let filter_lits keep lits = Array.of_seq (Seq.filter keep (Array.to_seq lits))
+
+let fold_emit f clause =
+  if not (Array.exists (fun l -> l = lit_true) clause) then
+    Formula.add_clause_a f
+      (if Array.exists (fun l -> l = -lit_true) clause then
+         filter_lits (fun l -> l <> -lit_true) clause
+       else clause)
+
+(* The gate an unsettled node still computes once its settled fanins are
+   folded in: neutral constants leave AND/OR/XOR (an XOR absorbs true ones
+   as a complement), and a gate left with one live fanin is a BUF or a NOT.
+   A settled fanin that decides the gate cannot occur here: the evaluator
+   would have settled the node too. *)
+let fold_gate kind fanins =
+  let live = filter_lits (fun l -> abs l <> lit_true) fanins in
+  let unary negated = if negated then Gate.Not else Gate.Buf in
+  match kind with
+  | Gate.And | Gate.Nand | Gate.Or | Gate.Nor when Array.length live = 1 ->
+    unary (kind = Gate.Nand || kind = Gate.Nor), live
+  | Gate.And | Gate.Nand | Gate.Or | Gate.Nor -> kind, live
+  | Gate.Xor | Gate.Xnor ->
+    let negated =
+      Array.fold_left
+        (fun acc l -> acc <> (l = lit_true))
+        (kind = Gate.Xnor) fanins
+    in
+    if Array.length live = 1 then unary negated, live
+    else (if negated then Gate.Xnor else Gate.Xor), live
+  | Gate.Mux ->
+    let s = fanins.(0) and a = fanins.(1) and b = fanins.(2) in
+    if s = lit_true then Gate.Buf, [| b |]
+    else if s = -lit_true then Gate.Buf, [| a |]
+    else if abs a = lit_true && abs b = lit_true then
+      unary (a = lit_true), [| s |]
+    else kind, fanins
+  | _ -> kind, fanins
+
+let encode_observation f c ~values ~share_keys ~outputs =
+  let n = Circuit.num_nodes c in
+  if Array.length values <> n then
+    invalid_arg "Tseytin.encode_observation: values length mismatch";
+  if Array.length share_keys <> Circuit.num_keys c then
+    invalid_arg "Tseytin.encode_observation: shared keys length mismatch";
+  if Array.length outputs <> Circuit.num_outputs c then
+    invalid_arg "Tseytin.encode_observation: outputs length mismatch";
+  (* Settled nodes hold a constant, keys their shared variable, and the
+     unsettled gates 0 until they get a literal below. *)
+  let lit =
+    Array.map
+      (function View.V0 -> -lit_true | View.V1 -> lit_true | View.VX -> 0)
+      values
+  in
+  Array.iteri (fun i id -> lit.(id) <- share_keys.(i)) c.Circuit.keys;
+  let folded id =
+    let nd = Circuit.node c id in
+    fold_gate nd.Circuit.kind
+      (Array.map (fun fid -> lit.(fid)) nd.Circuit.fanins)
+  in
+  let emit = fold_emit f in
+  (match View.topo_order (View.of_circuit c) with
+   | Some order ->
+     Array.iter
+       (fun id ->
+         if lit.(id) = 0 then
+           match folded id with
+           | Gate.Buf, [| a |] -> lit.(id) <- a
+           | Gate.Not, [| a |] -> lit.(id) <- -a
+           | kind, fanins ->
+             let out = Formula.fresh_var f in
+             lit.(id) <- out;
+             encode_gate ~emit f kind ~out ~fanins)
+       order
+   | None ->
+     (* On a cycle an alias could chase itself (a BUF loop), so every
+        unsettled node gets its own variable before any clause is emitted,
+        and clauses go out in id order as in [encode]. *)
+     let gates = List.filter (fun id -> lit.(id) = 0) (List.init n Fun.id) in
+     List.iter (fun id -> lit.(id) <- Formula.fresh_var f) gates;
+     List.iter
+       (fun id ->
+         let kind, fanins = folded id in
+         encode_gate ~emit f kind ~out:lit.(id) ~fanins)
+       gates);
+  Array.iteri
+    (fun i (_, id) ->
+      let l = if outputs.(i) then lit.(id) else -lit.(id) in
+      if l = -lit_true then begin
+        (* A settled output contradicts the observation: no key explains
+           it, so the copy is unsatisfiable. *)
+        let v = Formula.fresh_var f in
+        assert_lit f v;
+        assert_lit f (-v)
+      end
+      else if l <> lit_true then assert_lit f l)
+    c.Circuit.outputs

@@ -12,11 +12,16 @@ type encoding = {
   output_vars : int array;  (** output order *)
 }
 
-(** [encode_gate f kind ~out ~fanins] appends the clauses forcing variable
-    [out] to equal [kind(fanins)].
+(** [encode_gate ?emit f kind ~out ~fanins] emits the clauses forcing
+    variable [out] to equal [kind(fanins)]; fanins may be negative
+    literals.  [emit] receives each clause (default: append it to [f]); [f]
+    also supplies the fresh variables of n-ary XOR chains.  The full copy
+    and the folded observation copy share this one table.
     @raise Invalid_argument for [Input]/[Key_input] or a fanin-count
     mismatch. *)
-val encode_gate : Formula.t -> Fl_netlist.Gate.t -> out:int -> fanins:int array -> unit
+val encode_gate :
+  ?emit:(Formula.lit array -> unit) ->
+  Formula.t -> Fl_netlist.Gate.t -> out:int -> fanins:int array -> unit
 
 (** [encode f c] encodes circuit [c] into [f] with fresh variables.
 
@@ -43,3 +48,29 @@ val assert_lit : Formula.t -> Formula.lit -> unit
 
 (** [assert_vector f vars bits] pins each variable to the corresponding bit. *)
 val assert_vector : Formula.t -> int array -> bool array -> unit
+
+(** [encode_observation f c ~values ~share_keys ~outputs] constrains the
+    key variables [share_keys] to keys under which [c] maps one input
+    vector to [outputs], encoding only the circuit's key cone under that
+    vector.  [values] is {!Fl_netlist.View.eval_under_inputs} of [c] on the
+    input vector.  A settled node gets no variable and no clause: its value
+    folds into the gates it feeds.  On acyclic circuits a gate left with
+    one live fanin (BUF, NOT, single-live AND/OR/XOR families, MUX with a
+    settled select or settled unequal data) aliases that fanin's literal;
+    every other unsettled gate gets a fresh variable and its Table 1
+    clauses minus the settled literals.  A key-dependent output gets a unit
+    clause; a settled output that contradicts [outputs] adds a
+    contradiction.
+
+    The set of keys consistent with the observation is the one a full copy
+    with pinned inputs and outputs gives ({!encode} + {!assert_vector}):
+    the dropped variables are functions of the inputs.  Clauses mention
+    only [share_keys] and fresh variables.
+    @raise Invalid_argument on a length mismatch. *)
+val encode_observation :
+  Formula.t ->
+  Fl_netlist.Circuit.t ->
+  values:Fl_netlist.View.tristate array ->
+  share_keys:int array ->
+  outputs:bool array ->
+  unit

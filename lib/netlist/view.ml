@@ -374,26 +374,34 @@ let run_packed v ~inputs ~keys =
     c.Circuit.keys;
   run v
 
+let load_bools v ids bits =
+  Array.iteri
+    (fun i id ->
+      v.defined.(id) <- all_ones;
+      v.value.(id) <- (if bits.(i) then all_ones else 0))
+    ids
+
 let run_bools v ~inputs ~keys =
   check_widths v ~inputs:(Array.length inputs) ~keys:(Array.length keys);
   reset v;
-  let c = v.circuit in
-  Array.iteri
-    (fun i id ->
-      v.defined.(id) <- all_ones;
-      v.value.(id) <- (if inputs.(i) then all_ones else 0))
-    c.Circuit.inputs;
-  Array.iteri
-    (fun i id ->
-      v.defined.(id) <- all_ones;
-      v.value.(id) <- (if keys.(i) then all_ones else 0))
-    c.Circuit.keys;
+  load_bools v v.circuit.Circuit.inputs inputs;
+  load_bools v v.circuit.Circuit.keys keys;
   run v
 
 let tristate_of v id =
   if v.defined.(id) land 1 = 0 then VX
   else if v.value.(id) land 1 = 1 then V1
   else V0
+
+(* Key inputs stay undefined, so a node settles exactly when the inputs
+   alone force it under every key (least fixpoint on cyclic circuits). *)
+let eval_under_inputs v ~inputs =
+  let c = v.circuit in
+  check_widths v ~inputs:(Array.length inputs) ~keys:(Circuit.num_keys c);
+  reset v;
+  load_bools v c.Circuit.inputs inputs;
+  run v;
+  Array.init (Circuit.num_nodes c) (tristate_of v)
 
 let eval_tristate v ~inputs ~keys =
   run_bools v ~inputs ~keys;

@@ -95,6 +95,16 @@ val eval_tristate : t -> inputs:bool array -> keys:bool array -> tristate array
 val eval_node_values :
   t -> inputs:bool array -> keys:bool array -> tristate array
 
+(** [eval_under_inputs v ~inputs] — every node's value with the primary
+    inputs fixed and every key input left at X, id-indexed (freshly
+    allocated).  A node is [V0]/[V1] when the inputs alone determine it,
+    whatever the key; on cyclic circuits the monotone sweeps give the least
+    fixpoint.  Each such value is implied by the node's Tseytin clauses
+    with the inputs pinned, which is what lets the Tseytin encoding of an
+    oracle observation fold it away.
+    @raise Invalid_argument on an input width mismatch. *)
+val eval_under_inputs : t -> inputs:bool array -> tristate array
+
 (** [eval_words v ~inputs ~keys] — bitsliced evaluation of {!lanes} input
     vectors at once; input/key words are treated as fully defined. *)
 val eval_words : t -> inputs:int array -> keys:int array -> word array

@@ -151,21 +151,39 @@ let test_cycsat_breaks_cyclic_lock () =
 let test_sat_on_sfll_needs_many_iterations () =
   (* SFLL-HD with h=0 degenerates to SARLock's point function: one key per
      DIP, so iterations approach the key-space size.  Larger h trades
-     resilience for corruption (checked: fewer iterations than h=0). *)
-  let rng = Random.State.make [| 32 |] in
-  let c = host ~inputs:6 () in
-  let l0 = Fl_locking.Sfll.lock rng ~key_bits:5 ~h:0 c in
-  let r0 = Sat_attack.run ~timeout:120.0 l0 in
-  check bool_t "h=0 broken" true (broken_correct r0);
+     resilience for corruption (checked: fewer iterations than h=0).  The
+     claim is about the distribution, not one search path — the DIP equal
+     to the protected pattern removes every wrong key at once, and when it
+     comes up depends on the encoding — so it is checked on the median of
+     a fixed sweep of instances (the first is host seed 201, lock seed
+     32). *)
+  let sweep = 24 in
+  let median xs =
+    let a = Array.of_list xs in
+    Array.sort Int.compare a;
+    a.(Array.length a / 2)
+  in
+  let runs =
+    List.init sweep (fun s ->
+        let rng = Random.State.make [| 32 + s |] in
+        let c = host ~seed:(201 + s) ~inputs:6 () in
+        let l0 = Fl_locking.Sfll.lock rng ~key_bits:5 ~h:0 c in
+        let l1 = Fl_locking.Sfll.lock rng ~key_bits:5 ~h:1 c in
+        Sat_attack.run ~timeout:120.0 l0, Sat_attack.run ~timeout:120.0 l1)
+  in
+  List.iteri
+    (fun s (r0, r1) ->
+      check bool_t (Printf.sprintf "instance %d: h=0 broken" s) true
+        (broken_correct r0);
+      check bool_t (Printf.sprintf "instance %d: h=1 broken" s) true
+        (broken_correct r1))
+    runs;
+  let m0 = median (List.map (fun (r0, _) -> r0.Sat_attack.iterations) runs)
+  and m1 = median (List.map (fun (_, r1) -> r1.Sat_attack.iterations) runs) in
+  check bool_t (Printf.sprintf "h=0 median DIPs (%d) >= 8" m0) true (m0 >= 8);
   check bool_t
-    (Printf.sprintf "h=0 many DIPs (%d)" r0.Sat_attack.iterations)
-    true
-    (r0.Sat_attack.iterations >= 8);
-  let l1 = Fl_locking.Sfll.lock rng ~key_bits:5 ~h:1 c in
-  let r1 = Sat_attack.run ~timeout:120.0 l1 in
-  check bool_t "h=1 broken" true (broken_correct r1);
-  check bool_t "h=1 needs fewer DIPs than h=0" true
-    (r1.Sat_attack.iterations <= r0.Sat_attack.iterations)
+    (Printf.sprintf "h=1 median DIPs (%d) <= h=0 median (%d)" m1 m0)
+    true (m1 <= m0)
 
 let test_appsat_approximates_sfll () =
   let rng = Random.State.make [| 33 |] in

@@ -292,6 +292,69 @@ let prop_encoding_matches_sim =
           enc.Tseytin.output_vars expected
       | _ -> false)
 
+let prop_observation_folding =
+  (* The folded observation copy (key cone only, settled nodes constant)
+     must admit exactly the keys the full copy with pinned inputs and
+     outputs admits, and never be larger.  Random small hosts under every
+     scheme family the attacks meet, acyclic and cyclic; outputs are the
+     oracle's (consistent keys exist) or random (often none do). *)
+  let gen =
+    QCheck2.Gen.(
+      quad (int_bound 1_000_000) (int_bound 4) (int_bound 0xffff) bool)
+  in
+  qcheck_case ~count:150 "folded observation = full copy" gen
+    (fun (seed, scheme, stim, oracle_outputs) ->
+      let c =
+        Generator.random ~seed ~name:"h"
+          { Generator.num_inputs = 6; num_outputs = 3; num_gates = 40;
+            max_fanin = 3; and_bias = 0.7 }
+      in
+      let rng = Random.State.make [| seed |] in
+      match
+        match scheme with
+        | 0 -> Fl_locking.Rll.lock rng ~key_bits:5 c
+        | 1 -> Fl_locking.Sarlock.lock rng ~key_bits:4 c
+        | 2 -> Fl_core.Fulllock.lock_one rng ~n:4 c
+        | 3 -> Fl_core.Fulllock.lock_one rng ~policy:`Cyclic ~n:4 c
+        | _ -> Fl_locking.Cyclic_lock.lock rng ~cycles:2 c
+      with
+      | exception Invalid_argument _ -> QCheck2.assume_fail ()
+      | l ->
+        let locked = l.Fl_locking.Locked.locked in
+        let inputs = Array.init 6 (fun i -> stim land (1 lsl i) <> 0) in
+        let key =
+          Array.init (Circuit.num_keys locked) (fun _ -> Random.State.bool rng)
+        in
+        let outputs =
+          if oracle_outputs then Fl_locking.Locked.query_oracle l inputs
+          else Array.init 3 (fun _ -> Random.State.bool rng)
+        in
+        let copy encode_copy =
+          let f = Formula.create () in
+          let keys = Formula.fresh_vars f (Array.length key) in
+          encode_copy f keys;
+          let clauses = Formula.num_clauses f in
+          Tseytin.assert_vector f keys key;
+          let sat, _, _ = Fl_sat.Cdcl.solve_formula f in
+          sat = Fl_sat.Cdcl.Sat, clauses
+        in
+        let full_sat, full_clauses =
+          copy (fun f keys ->
+              let enc = Tseytin.encode ~share_keys:keys f locked in
+              Tseytin.assert_vector f enc.Tseytin.input_vars inputs;
+              Tseytin.assert_vector f enc.Tseytin.output_vars outputs)
+        in
+        let folded_sat, folded_clauses =
+          copy (fun f keys ->
+              let values =
+                Fl_netlist.View.eval_under_inputs
+                  (Fl_netlist.View.of_circuit locked) ~inputs
+              in
+              Tseytin.encode_observation f locked ~values ~share_keys:keys
+                ~outputs)
+        in
+        full_sat = folded_sat && folded_clauses <= full_clauses)
+
 let () =
   Alcotest.run "cnf"
     [
@@ -318,5 +381,5 @@ let () =
           Alcotest.test_case "requires keys" `Quick test_miter_requires_keys;
           Alcotest.test_case "ratio positive" `Quick test_ratio_positive;
         ] );
-      "properties", [ prop_encoding_matches_sim ];
+      "properties", [ prop_encoding_matches_sim; prop_observation_folding ];
     ]
