@@ -85,29 +85,57 @@ exception Dimacs_error of string
 
 let of_dimacs text =
   let f = create () in
-  let current = ref [] in
-  let handle_token token =
+  let fail lineno fmt =
+    Printf.ksprintf
+      (fun m -> raise (Dimacs_error (Printf.sprintf "line %d: %s" lineno m)))
+      fmt
+  in
+  let words line =
+    String.split_on_char ' ' line
+    |> List.concat_map (String.split_on_char '\t')
+    |> List.filter (fun tok -> tok <> "")
+  in
+  (* [max_var] is the header's variable count, once a header is read. *)
+  let max_var = ref None in
+  let current = ref [] and last_line = ref 0 in
+  let header lineno line =
+    if !max_var <> None then fail lineno "second problem line %S" line;
+    if !current <> [] || num_clauses f > 0 then
+      fail lineno "problem line %S after clauses" line;
+    let count s =
+      match int_of_string_opt s with Some n when n >= 0 -> Some n | _ -> None
+    in
+    match words line with
+    | [ "p"; "cnf"; v; c ] when count v <> None && count c <> None ->
+      max_var := count v
+    | _ -> fail lineno "bad problem line %S (expected p cnf VARS CLAUSES)" line
+  in
+  let handle_token lineno token =
+    last_line := lineno;
     match int_of_string_opt token with
-    | None -> raise (Dimacs_error (Printf.sprintf "bad literal %S" token))
+    | None -> fail lineno "bad literal %S" token
     | Some 0 ->
       (match !current with
-       | [] -> raise (Dimacs_error "empty clause in input")
+       | [] -> fail lineno "empty clause in input"
        | lits ->
          List.iter (fun l -> reserve f (abs l)) lits;
          add_clause f (List.rev lits);
          current := [])
-    | Some l -> current := l :: !current
+    | Some l ->
+      (match !max_var with
+       | Some n when abs l > n ->
+         fail lineno "literal %d out of range (the header declares %d variables)" l n
+       | _ -> ());
+      current := l :: !current
   in
   String.split_on_char '\n' text
-  |> List.iter (fun line ->
+  |> List.iteri (fun i line ->
+         let lineno = i + 1 in
          let line = String.trim line in
-         if line = "" || line.[0] = 'c' || line.[0] = 'p' || line.[0] = '%' then ()
-         else
-           String.split_on_char ' ' line
-           |> List.concat_map (String.split_on_char '\t')
-           |> List.filter (fun tok -> tok <> "")
-           |> List.iter handle_token);
-  if !current <> [] then raise (Dimacs_error "trailing clause without terminating 0");
+         if line = "" || line.[0] = 'c' || line.[0] = '%' then ()
+         else if line.[0] = 'p' then header lineno line
+         else List.iter (handle_token lineno) (words line));
+  if !current <> [] then fail !last_line "trailing clause without terminating 0";
   f
 
 let pp_stats fmt f =

@@ -60,8 +60,11 @@ val write_dimacs : t -> string -> unit
 
 exception Dimacs_error of string
 
-(** Parses a DIMACS [cnf] problem; tolerates missing/incorrect header
-    counts. *)
+(** Parses a DIMACS [cnf] problem.  The [p cnf VARS CLAUSES] line is
+    optional; when present it must come before the clauses, have that
+    shape, and bound every literal's variable by [VARS] (the clause count
+    is not checked).  @raise Dimacs_error with a message starting
+    ["line N: "] on malformed input. *)
 val of_dimacs : string -> t
 
 val pp_stats : Format.formatter -> t -> unit

@@ -82,42 +82,47 @@ let parse_line lineno raw =
         Some (L_gate (lhs, kind, args))
 
 let parse_string ?(name = "bench") text =
-  let decls =
-    String.split_on_char '\n' text
-    |> List.mapi (fun i raw -> i + 1, raw)
-    |> List.filter_map (fun (i, raw) -> parse_line i raw)
-  in
+  (* (line number, declaration), in file order. *)
+  let decls = ref [] in
+  List.iteri
+    (fun i raw ->
+      match parse_line (i + 1) raw with
+      | Some decl -> decls := (i + 1, decl) :: !decls
+      | None -> ())
+    (String.split_on_char '\n' text);
+  let decls = List.rev !decls in
   let b = Circuit.Builder.create ~name () in
   let ids = Hashtbl.create 64 in
   (* Pass 1: declare every named node so forward references and cycles
-     resolve. *)
-  let declare wire kind =
+     resolve.  A redefinition is reported at its own line. *)
+  let declare lineno wire kind =
     if Hashtbl.mem ids wire then
-      fail 0 "wire %S defined more than once" wire
+      fail lineno "wire %S defined more than once" wire
     else Hashtbl.add ids wire (Circuit.Builder.declare ~name:wire b kind)
   in
   List.iter
-    (fun decl ->
+    (fun (lineno, decl) ->
       match decl with
-      | L_input wire -> declare wire Gate.Input
-      | L_key_input wire -> declare wire Gate.Key_input
+      | L_input wire -> declare lineno wire Gate.Input
+      | L_key_input wire -> declare lineno wire Gate.Key_input
       | L_output _ -> ()
-      | L_gate (wire, kind, _) -> declare wire kind)
+      | L_gate (wire, kind, _) -> declare lineno wire kind)
     decls;
-  let lookup wire =
+  let lookup lineno wire =
     match Hashtbl.find_opt ids wire with
     | Some id -> id
-    | None -> fail 0 "wire %S is used but never defined" wire
+    | None -> fail lineno "wire %S is used but never defined" wire
   in
-  (* Pass 2: wire fanins and outputs in file order. *)
+  (* Pass 2: wire fanins and outputs in file order, so an undefined wire
+     is reported at the line of its first use. *)
   List.iter
-    (fun decl ->
+    (fun (lineno, decl) ->
       match decl with
       | L_input _ | L_key_input _ -> ()
-      | L_output wire -> Circuit.Builder.output b wire (lookup wire)
+      | L_output wire -> Circuit.Builder.output b wire (lookup lineno wire)
       | L_gate (wire, _, args) ->
-        Circuit.Builder.set_fanins b (lookup wire)
-          (Array.of_list (List.map lookup args)))
+        Circuit.Builder.set_fanins b (lookup lineno wire)
+          (Array.of_list (List.map (lookup lineno) args)))
     decls;
   Circuit.of_builder b
 

@@ -13,6 +13,7 @@ let c_subsumed = Fl_obs.Counter.make "preprocess.clauses_subsumed"
 let c_strengthened = Fl_obs.Counter.make "preprocess.literals_strengthened"
 let c_resolvents = Fl_obs.Counter.make "preprocess.resolvents_added"
 let c_clauses_removed = Fl_obs.Counter.make "preprocess.clauses_removed"
+let c_elim_attempts = Fl_obs.Counter.make "preprocess.elim_attempts"
 
 type stats = {
   vars_before : int;
@@ -27,6 +28,8 @@ type stats = {
   strengthened : int;
   eliminated : int;
   resolvents : int;
+  sweeps : int;
+  elim_attempts : int;
   wall_s : float;
 }
 
@@ -71,6 +74,8 @@ let run ?(growth = 0) ?(max_occ = 40) ?(label = "preprocess") ~frozen f =
       strengthened = db.Simp_db.n_str;
       eliminated = db.Simp_db.n_elim;
       resolvents = db.Simp_db.n_res;
+      sweeps = !rounds;
+      elim_attempts = db.Simp_db.n_attempts;
       wall_s = Unix.gettimeofday () -. t0;
     }
   in
@@ -78,6 +83,7 @@ let run ?(growth = 0) ?(max_occ = 40) ?(label = "preprocess") ~frozen f =
   Fl_obs.Counter.add c_subsumed st.subsumed;
   Fl_obs.Counter.add c_strengthened st.strengthened;
   Fl_obs.Counter.add c_resolvents st.resolvents;
+  Fl_obs.Counter.add c_elim_attempts st.elim_attempts;
   Fl_obs.Counter.add c_clauses_removed
     (max 0 (st.clauses_before - st.clauses_after));
   if Fl_obs.enabled () then
@@ -93,6 +99,8 @@ let run ?(growth = 0) ?(max_occ = 40) ?(label = "preprocess") ~frozen f =
           "subsumed", Fl_obs.Int st.subsumed;
           "strengthened", Fl_obs.Int st.strengthened;
           "resolvents", Fl_obs.Int st.resolvents;
+          "sweeps", Fl_obs.Int st.sweeps;
+          "elim_attempts", Fl_obs.Int st.elim_attempts;
           "unsat", Fl_obs.Bool db.Simp_db.unsat;
           "wall_s", Fl_obs.Float st.wall_s;
         ];
@@ -101,11 +109,13 @@ let run ?(growth = 0) ?(max_occ = 40) ?(label = "preprocess") ~frozen f =
 let formula t = t.reduced
 let is_unsat (t : t) = t.unsat
 let stats t = t.st
+let elim_stack t = t.stack
 let reconstruct t model = Simp_db.reconstruct_stack t.stack model
 
 let pp_stats fmt st =
   Format.fprintf fmt
-    "%d->%d vars, %d->%d clauses, %d->%d literals (%d eliminated, %d subsumed, %d strengthened, %d resolvents, %d taut, %d dup) in %.3fs"
+    "%d->%d vars, %d->%d clauses, %d->%d literals (%d eliminated, %d subsumed, %d strengthened, %d resolvents, %d taut, %d dup; %d sweeps, %d elimination attempts) in %.3fs"
     st.vars_before st.vars_after st.clauses_before st.clauses_after
     st.literals_before st.literals_after st.eliminated st.subsumed
-    st.strengthened st.resolvents st.tautologies st.duplicates st.wall_s
+    st.strengthened st.resolvents st.tautologies st.duplicates st.sweeps
+    st.elim_attempts st.wall_s

@@ -36,6 +36,10 @@ type stats = {
   strengthened : int;  (** literals removed by self-subsuming resolution *)
   eliminated : int;  (** variables eliminated *)
   resolvents : int;  (** clauses added by elimination *)
+  sweeps : int;  (** elimination sweeps run (at most 12) *)
+  elim_attempts : int;
+      (** variables whose elimination was tried: only those touched since
+          their previous try, so well below [vars x sweeps] *)
   wall_s : float;
 }
 
@@ -45,7 +49,8 @@ type stats = {
     occurrences (quadratic-resolvent guard).  [frozen] lists variable
     numbers that must survive.  When an {!Fl_obs} sink is installed a
     ["preprocess.done"] event is emitted, labelled [label] (default
-    ["preprocess"]); the ["preprocess.*"] counters tick regardless. *)
+    ["preprocess"]); the ["preprocess.*"] counters (including
+    ["preprocess.elim_attempts"]) tick regardless. *)
 val run :
   ?growth:int -> ?max_occ:int -> ?label:string -> frozen:int array ->
   Fl_cnf.Formula.t -> t
@@ -59,6 +64,10 @@ val formula : t -> Fl_cnf.Formula.t
 val is_unsat : t -> bool
 
 val stats : t -> stats
+
+(** The elimination stack: each eliminated variable with the clauses
+    removed at its elimination, most recent first. *)
+val elim_stack : t -> (int * int array list) list
 
 (** [reconstruct t model] extends [model] — indexed by variable with slot 0
     unused, the {!Cdcl.model} convention, satisfying {!formula}[ t] (and

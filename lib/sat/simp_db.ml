@@ -103,6 +103,7 @@ type t = {
   queue : int Queue.t;  (* subsumption work list *)
   mutable queued : Bytes.t;  (* clause idx -> queued flag *)
   elim_set : Bytes.t;  (* var-1 -> '\001' when eliminated *)
+  dirty : Bytes.t;  (* var-1 -> '\001' when touched since its last BVE try *)
   mutable elim_stack : (int * int array list) list;
   mutable unsat : bool;
   (* counters *)
@@ -112,6 +113,7 @@ type t = {
   mutable n_str : int;
   mutable n_elim : int;
   mutable n_res : int;
+  mutable n_attempts : int;
 }
 
 let alive db ci = db.cl.(ci) <> [||]
@@ -124,8 +126,15 @@ let enqueue_clause db ci =
     Queue.add ci db.queue
   end
 
+(* Mark every variable of [lits] as touched: its clause set changed, so a
+   failed elimination attempt on it may now succeed.  [append], [kill] and
+   [strengthen] are the only clause mutations, and each calls this. *)
+let touch db lits =
+  Array.iter (fun l -> Bytes.set db.dirty (abs l - 1) '\001') lits
+
 let kill db ci =
   if alive db ci then begin
+    touch db db.cl.(ci);
     db.cl.(ci) <- [||];
     db.sg.(ci) <- 0
   end
@@ -155,6 +164,7 @@ let append db lits =
     db.sg.(ci) <- signature lits;
     db.n <- ci + 1;
     Array.iter (fun l -> Vec.push db.occ.(lidx l) ci) lits;
+    touch db lits;
     enqueue_clause db ci;
     ci
   end
@@ -163,6 +173,7 @@ let append db lits =
    occurrence entry for [l] goes stale; the others stay valid. *)
 let strengthen db ci l =
   let old = db.cl.(ci) in
+  touch db old;
   let lits = Array.make (Array.length old - 1) 0 in
   let w = ref 0 in
   Array.iter
@@ -236,10 +247,29 @@ let drain_subsumption db =
     if alive db ci then backward_subsume db ci
   done
 
-(* Resolvent of [a] (containing v) and [b] (containing -v) on variable [v];
-   [None] when tautological. *)
+(* Merge walk over canonical [a] (containing v) and [b] (containing -v):
+   whether their resolvent on [v] is a tautology.  Allocates nothing. *)
+let tautological v a b =
+  let la = Array.length a and lb = Array.length b in
+  let rec go i j =
+    if i = la || j = lb then false
+    else begin
+      let x = a.(i) and y = b.(j) in
+      let vx = abs x and vy = abs y in
+      if vx < vy then go (i + 1) j
+      else if vx > vy then go i (j + 1)
+      else if x = y || vx = v then go (i + 1) (j + 1)
+      else true
+    end
+  in
+  go 0 0
+
+(* Resolvent of canonical [a] (containing v) and [b] (containing -v) on
+   [v], which must not be tautological.  Both clauses are sorted by
+   variable, so the merge is already canonical: no sort needed. *)
 let resolve v a b =
-  let lits = Array.make (Array.length a + Array.length b - 2) 0 in
+  let la = Array.length a and lb = Array.length b in
+  let lits = Array.make (la + lb - 2) 0 in
   let w = ref 0 in
   let take l =
     if abs l <> v then begin
@@ -247,9 +277,41 @@ let resolve v a b =
       incr w
     end
   in
-  Array.iter take a;
-  Array.iter take b;
-  canonical (if !w = Array.length lits then lits else Array.sub lits 0 !w)
+  let i = ref 0 and j = ref 0 in
+  while !i < la || !j < lb do
+    if !j = lb || (!i < la && abs a.(!i) < abs b.(!j)) then begin
+      take a.(!i);
+      incr i
+    end
+    else if !i = la || abs a.(!i) > abs b.(!j) then begin
+      take b.(!j);
+      incr j
+    end
+    else begin
+      (* Shared variable: [v] itself, or the same literal in both. *)
+      take a.(!i);
+      incr i;
+      incr j
+    end
+  done;
+  if !w = Array.length lits then lits else Array.sub lits 0 !w
+
+(* Non-tautological resolvents of [pos] x [neg] on [v], counted until the
+   count passes [budget]. *)
+let count_resolvents db v ~budget pos neg =
+  let rec over_neg a acc = function
+    | [] -> acc
+    | ni :: rest ->
+      if acc > budget then acc
+      else
+        over_neg a (if tautological v a db.cl.(ni) then acc else acc + 1) rest
+  in
+  let rec over_pos acc = function
+    | [] -> acc
+    | pi :: rest ->
+      if acc > budget then acc else over_pos (over_neg db.cl.(pi) acc neg) rest
+  in
+  over_pos 0 pos
 
 (* Record [v] as eliminated with the clauses removed at its elimination —
    the snapshots {!reconstruct_stack} replays. *)
@@ -258,9 +320,13 @@ let push_elim db v saved =
   Bytes.set db.elim_set (v - 1) '\001'
 
 (* Bounded variable elimination of [v]: worthwhile when the surviving
-   resolvents do not outnumber the removed clauses by more than [growth]. *)
+   resolvents do not outnumber the removed clauses by more than [growth].
+   The outcome depends only on the live clauses containing [v] or [-v]
+   and on the frozen/eliminated flags, which is what lets
+   {!elimination_sweep} skip untouched variables. *)
 let try_eliminate db ~growth ~max_occ v =
   if not (frozen db v || eliminated db v || db.unsat) then begin
+    db.n_attempts <- db.n_attempts + 1;
     let pos = occurrences db v and neg = occurrences db (-v) in
     let np = List.length pos and nn = List.length neg in
     if
@@ -269,47 +335,55 @@ let try_eliminate db ~growth ~max_occ v =
       && np * nn <= max_occ * max_occ
     then begin
       let budget = np + nn + growth in
-      let resolvents = ref [] in
-      let count = ref 0 in
-      (try
-         List.iter
-           (fun pi ->
-             List.iter
-               (fun ni ->
-                 match resolve v db.cl.(pi) db.cl.(ni) with
-                 | None -> ()
-                 | Some r ->
-                   incr count;
-                   if !count > budget then raise Exit;
-                   resolvents := r :: !resolvents)
-               neg)
-           pos;
-         (* Accepted: snapshot and remove the clauses of v, add the
-            resolvents.  The snapshots drive model reconstruction. *)
-         let saved = List.map (fun ci -> Array.copy db.cl.(ci)) (pos @ neg) in
-         List.iter (kill db) pos;
-         List.iter (kill db) neg;
-         push_elim db v saved;
-         db.n_elim <- db.n_elim + 1;
-         List.iter
-           (fun r ->
-             db.n_res <- db.n_res + 1;
-             ignore (append db r))
-           !resolvents
-       with Exit -> ())
+      if count_resolvents db v ~budget pos neg <= budget then begin
+        (* Accepted: build the resolvents (pos-major, then reversed, the
+           order they are appended in), snapshot and remove the clauses of
+           v, add the resolvents.  The snapshots drive model
+           reconstruction. *)
+        let resolvents = ref [] in
+        List.iter
+          (fun pi ->
+            let a = db.cl.(pi) in
+            List.iter
+              (fun ni ->
+                let b = db.cl.(ni) in
+                if not (tautological v a b) then
+                  resolvents := resolve v a b :: !resolvents)
+              neg)
+          pos;
+        let saved = List.map (fun ci -> Array.copy db.cl.(ci)) (pos @ neg) in
+        List.iter (kill db) pos;
+        List.iter (kill db) neg;
+        push_elim db v saved;
+        db.n_elim <- db.n_elim + 1;
+        List.iter
+          (fun r ->
+            db.n_res <- db.n_res + 1;
+            ignore (append db r))
+          !resolvents
+      end
     end
   end
 
-(* One elimination sweep over all variables, cheapest first, draining the
-   subsumption queue after each (resolvents re-arm it).  Returns how many
-   variables the sweep eliminated. *)
+(* One elimination sweep, cheapest variable first, draining the
+   subsumption queue after each (resolvents re-arm it).  Only variables
+   touched since their last attempt are tried: an untouched variable's
+   live clauses are the ones its last attempt saw, so trying it again
+   would fail again.  Its occurrence lists also hold no stale entries
+   (those come only from [kill] and [strengthen], which touch), so
+   skipping it leaves every [occ_count], and with it the sort order, as a
+   full sweep would.  Returns how many variables the sweep eliminated. *)
 let elimination_sweep db ~growth ~max_occ =
   let before = db.n_elim in
+  let key = Array.init db.nvars (fun i -> occ_count db (i + 1)) in
   let order = Array.init db.nvars (fun i -> i + 1) in
-  Array.sort (fun a b -> compare (occ_count db a) (occ_count db b)) order;
+  Array.sort (fun a b -> Int.compare key.(a - 1) key.(b - 1)) order;
   Array.iter
     (fun v ->
-      try_eliminate db ~growth ~max_occ v;
+      if Bytes.get db.dirty (v - 1) = '\001' then begin
+        Bytes.set db.dirty (v - 1) '\000';
+        try_eliminate db ~growth ~max_occ v
+      end;
       drain_subsumption db)
     order;
   db.n_elim - before
@@ -354,6 +428,7 @@ let create ~frozen f =
       queue = Queue.create ();
       queued = Bytes.make (max 64 (Formula.num_clauses f)) '\000';
       elim_set = Bytes.make (max 1 nvars) '\000';
+      dirty = Bytes.make (max 1 nvars) '\001';
       elim_stack = [];
       unsat = false;
       n_taut = 0;
@@ -362,6 +437,7 @@ let create ~frozen f =
       n_str = 0;
       n_elim = 0;
       n_res = 0;
+      n_attempts = 0;
     }
   in
   let seen = Hashtbl.create (Formula.num_clauses f) in

@@ -46,6 +46,10 @@ type t = {
   queue : int Queue.t;  (** subsumption work list *)
   mutable queued : Bytes.t;  (** clause idx -> queued flag *)
   elim_set : Bytes.t;  (** var-1 -> ['\001'] when eliminated *)
+  dirty : Bytes.t;
+      (** var-1 -> ['\001'] when the variable's clauses changed since its
+          last elimination attempt; set by {!append}, {!kill} and
+          {!strengthen}, cleared by {!elimination_sweep} *)
   mutable elim_stack : (int * int array list) list;
   mutable unsat : bool;
   (* counters *)
@@ -55,6 +59,7 @@ type t = {
   mutable n_str : int;
   mutable n_elim : int;
   mutable n_res : int;
+  mutable n_attempts : int;  (** elimination attempts that read occurrences *)
 }
 
 (** [create ~frozen f] loads [f]: canonicalizes every clause, drops
@@ -67,17 +72,19 @@ val alive : t -> int -> bool
 val frozen : t -> int -> bool
 val eliminated : t -> int -> bool
 
-(** [kill db ci] retires clause slot [ci] (idempotent). *)
+(** [kill db ci] retires clause slot [ci] (idempotent), marking its
+    variables dirty. *)
 val kill : t -> int -> unit
 
 (** [append db lits] appends a {e canonical} clause, indexes its
-    occurrences and queues it for subsumption.  An empty clause flips
-    [unsat] and returns [-1]; otherwise the new clause index. *)
+    occurrences, marks its variables dirty and queues it for subsumption.
+    An empty clause flips [unsat] and returns [-1]; otherwise the new
+    clause index. *)
 val append : t -> int array -> int
 
 (** [strengthen db ci l] removes literal [l] from clause [ci]
-    (self-subsuming resolution); the stale occurrence entry is left for
-    lazy compaction. *)
+    (self-subsuming resolution), marking the clause's variables dirty; the
+    stale occurrence entry is left for lazy compaction. *)
 val strengthen : t -> int -> int -> unit
 
 (** [occurrences db l] is the live clause indices currently containing
@@ -95,8 +102,10 @@ val drain_subsumption : t -> unit
 
 (** [elimination_sweep db ~growth ~max_occ] — one bounded-variable-
     elimination sweep over all variables, cheapest first, draining the
-    subsumption queue after each.  Returns how many variables the sweep
-    eliminated. *)
+    subsumption queue after each.  Only [dirty] variables are attempted;
+    since every clause change goes through {!append}, {!kill} or
+    {!strengthen}, the result equals a sweep that attempts every
+    variable.  Returns how many variables the sweep eliminated. *)
 val elimination_sweep : t -> growth:int -> max_occ:int -> int
 
 (** Number of distinct variables occurring in any (even dead) clause

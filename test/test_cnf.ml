@@ -78,14 +78,28 @@ let test_dimacs_roundtrip () =
     (Formula.clauses f = Formula.clauses f2)
 
 let test_dimacs_errors () =
-  (try
-     ignore (Formula.of_dimacs "1 x 0\n");
-     Alcotest.fail "expected error"
-   with Formula.Dimacs_error _ -> ());
-  try
-    ignore (Formula.of_dimacs "1 2 3\n");
-    Alcotest.fail "expected trailing-clause error"
-  with Formula.Dimacs_error _ -> ()
+  (* Every error names the line it was found on. *)
+  let fails_at text line =
+    match Formula.of_dimacs text with
+    | _ -> Alcotest.failf "accepted %S" text
+    | exception Formula.Dimacs_error msg ->
+      let prefix = Printf.sprintf "line %d: " line in
+      check bool_t msg true (String.starts_with ~prefix msg)
+  in
+  fails_at "1 x 0\n" 1;
+  fails_at "c comment\n1 2 3\n" 2;
+  fails_at "p cnf 2 1\n\n0\n" 3;
+  fails_at "p cnf 2\n1 0\n" 1;
+  fails_at "p dnf 2 1\n1 0\n" 1;
+  fails_at "p cnf 2 1\n1 3 0\n" 2;
+  fails_at "p cnf 2 1\n1 -3 0\n" 2;
+  fails_at "p cnf 2 1\np cnf 2 1\n1 0\n" 2;
+  fails_at "1 0\np cnf 2 1\n" 2;
+  (* Headerless input stays legal, and the clause count is not checked. *)
+  check int_t "headerless" 2
+    (Formula.num_clauses (Formula.of_dimacs "1 -2 0\n2 0\n"));
+  check int_t "count not checked" 1
+    (Formula.num_clauses (Formula.of_dimacs "p cnf 2 5\n1 -2 0\n"))
 
 (* ------------------------------------------------------------------ *)
 (* Tseytin gate encodings: each gate's CNF must have exactly the models

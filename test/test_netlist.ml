@@ -300,17 +300,21 @@ let test_bench_lut_roundtrip () =
     (Sim.equivalent_exhaustive c c2 ~keys_a:[||] ~keys_b:[||])
 
 let test_bench_parse_errors () =
+  (* Each error carries the line it was found on: an undefined wire its
+     first use, a redefinition its second definition. *)
   List.iter
-    (fun text ->
-      try
-        ignore (Bench_io.parse_string text);
-        Alcotest.failf "expected parse error for %S" text
-      with Bench_io.Parse_error _ -> ())
+    (fun (text, line) ->
+      match Bench_io.parse_string text with
+      | _ -> Alcotest.failf "expected parse error for %S" text
+      | exception Bench_io.Parse_error (l, _) -> check int_t text line l)
     [
-      "y = FROB(a)\n";
-      "INPUT(a)\nOUTPUT(y)\ny = AND(a, undefined_wire)\n";
-      "INPUT(a)\nOUTPUT(y)\ny = AND(a\n";
-      "garbage line\n";
+      "y = FROB(a)\n", 1;
+      "INPUT(a)\nOUTPUT(y)\ny = AND(a, undefined_wire)\n", 3;
+      "INPUT(a)\nOUTPUT(q)\ny = AND(a, q)\n", 2;
+      "INPUT(a)\nOUTPUT(y)\ny = AND(a\n", 3;
+      "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n\ny = BUF(a)\n", 5;
+      "INPUT(a)\nINPUT(a)\n", 2;
+      "garbage line\n", 1;
     ]
 
 (* ------------------------------------------------------------------ *)

@@ -5,6 +5,7 @@ module Cdcl = Fl_sat.Cdcl
 module Dpll = Fl_sat.Dpll
 module Preprocess = Fl_sat.Preprocess
 module Inprocess = Fl_sat.Inprocess
+module Simp_db = Fl_sat.Simp_db
 module Random_sat = Fl_sat.Random_sat
 module Arena = Fl_sat.Arena
 module Lit = Fl_sat.Lit
@@ -482,6 +483,115 @@ let prop_preprocess_incremental =
       | (Cdcl.Unsat, _, _), (Cdcl.Unsat, _, _) -> true
       | _ -> false)
 
+(* What [Preprocess.run] runs, with every variable marked dirty before
+   each sweep: a sweep that attempts every variable, the reference for
+   the touched-only sweep. *)
+let full_sweep_preprocess ~frozen f =
+  let db = Simp_db.create ~frozen f in
+  Simp_db.drain_subsumption db;
+  let progress = ref true and sweeps = ref 0 in
+  while !progress && (not db.Simp_db.unsat) && !sweeps < 12 do
+    incr sweeps;
+    Bytes.fill db.Simp_db.dirty 0 (Bytes.length db.Simp_db.dirty) '\001';
+    progress := Simp_db.elimination_sweep db ~growth:0 ~max_occ:40 > 0
+  done;
+  db, !sweeps
+
+let touched_only_matches_full_sweep ~frozen f =
+  let p = Preprocess.run ~frozen f in
+  let db, sweeps = full_sweep_preprocess ~frozen f in
+  let st = Preprocess.stats p in
+  let counters =
+    Simp_db.[ db.n_taut; db.n_dup; db.n_sub; db.n_str; db.n_elim; db.n_res ]
+  in
+  let stack = db.Simp_db.elim_stack and unsat = db.Simp_db.unsat in
+  Preprocess.is_unsat p = unsat
+  && st.Preprocess.sweeps = sweeps
+  && st.Preprocess.elim_attempts <= db.Simp_db.n_attempts
+  && Preprocess.
+       [ st.tautologies; st.duplicates; st.subsumed; st.strengthened;
+         st.eliminated; st.resolvents ]
+     = counters
+  && Preprocess.elim_stack p = stack
+  && (unsat
+     || Formula.clauses (Preprocess.formula p)
+        = Formula.clauses (Simp_db.extract db))
+
+let test_pre_retries_touched () =
+  (* Variable 1 (w) fails its first elimination attempt: 2 positive and 3
+     negative clauses give 6 resolvents against a budget of 5.  Eliminating
+     2 (x) then adds the resolvent [3;4], and subsumption takes one
+     negative clause off w — by a kill in the first formula, by a
+     strengthening chain ([3;4] strengthens [-3;4;1] to [4;1], which
+     strengthens [4;-1;5] to [4;5]) in the second.  Either way w becomes
+     eliminable (4 resolvents, budget 4), so the second sweep must try it
+     again.  Everything but 1 and 2 is frozen. *)
+  let x_clauses =
+    [ [ 2; 3 ]; [ -2; 4 ]; [ -2; 12 ]; [ -2; 13 ]; [ -2; 14 ]; [ -2; 15 ] ]
+  in
+  let w_negs = [ [ -1; 8; 9 ]; [ -1; 10; 11 ] ] in
+  let by_kill =
+    [ [ 1; 6; 7 ]; [ 1; 16; 17 ]; [ 3; 4; -1 ] ] @ w_negs @ x_clauses
+  in
+  let by_strengthen =
+    [ [ -3; 4; 1 ]; [ 1; 6; 7 ]; [ 4; -1; 5 ] ] @ w_negs @ x_clauses
+  in
+  List.iter
+    (fun (name, clauses) ->
+      let f = formula_of 17 clauses in
+      let frozen = Array.init 15 (fun i -> i + 3) in
+      check bool_t (name ^ ": = full sweep") true
+        (touched_only_matches_full_sweep ~frozen f);
+      let p = Preprocess.run ~frozen f in
+      check bool_t (name ^ ": w eliminated") true
+        (List.mem_assoc 1 (Preprocess.elim_stack p)))
+    [ "kill", by_kill; "strengthen", by_strengthen ]
+
+let prop_touched_only_elimination =
+  (* Skipping untouched variables must not change a single clause: random
+     3-CNFs with random frozen sets, then Tseytin miters of small RLL and
+     Full-Lock locks frozen at the attack interface, as [Session] runs
+     them. *)
+  qcheck_case ~count:300 "touched-only elimination = full sweep (3-CNF)"
+    QCheck2.Gen.(
+      pair
+        (triple (int_range 8 40) (int_range 150 500) (int_bound 1_000_000))
+        (int_bound 1_000_000))
+    (fun (((num_vars, _, _) as params), seed) ->
+      let f = make_formula params in
+      let rng = Random.State.make [| seed |] in
+      let p_frozen = Random.State.int rng 4 in
+      let frozen =
+        List.init num_vars (fun i -> i + 1)
+        |> List.filter (fun _ -> Random.State.int rng 4 < p_frozen)
+        |> Array.of_list
+      in
+      touched_only_matches_full_sweep ~frozen f)
+
+let prop_touched_only_elimination_miters =
+  qcheck_case ~count:100 "touched-only elimination = full sweep (miters)"
+    QCheck2.Gen.(pair (int_bound 1_000_000) bool)
+    (fun (seed, fulllock) ->
+      let c =
+        Fl_netlist.Generator.random ~seed ~name:"m"
+          { Fl_netlist.Generator.num_inputs = 6; num_outputs = 3;
+            num_gates = 40; max_fanin = 3; and_bias = 0.7 }
+      in
+      let rng = Random.State.make [| seed |] in
+      let l =
+        (* A host too small for the PLR's independent wires is skipped. *)
+        try
+          if fulllock then Fl_core.Fulllock.lock_one rng ~n:4 c
+          else Fl_locking.Rll.lock rng ~key_bits:6 c
+        with Invalid_argument _ -> QCheck2.assume_fail ()
+      in
+      let m = Fl_cnf.Miter.build l.Fl_locking.Locked.locked in
+      let frozen =
+        Array.concat
+          Fl_cnf.Miter.[ m.inputs; m.keys_a; m.keys_b; m.outputs_a; m.outputs_b ]
+      in
+      touched_only_matches_full_sweep ~frozen m.Fl_cnf.Miter.formula)
+
 (* ------------------------------------------------------------------ *)
 (* Inprocessing                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -856,6 +966,10 @@ let () =
           Alcotest.test_case "unsat" `Quick test_pre_unsat;
           prop_preprocess_preserves_sat;
           prop_preprocess_incremental;
+          Alcotest.test_case "re-tries touched variables" `Quick
+            test_pre_retries_touched;
+          prop_touched_only_elimination;
+          prop_touched_only_elimination_miters;
         ] );
       ( "inprocess",
         [
