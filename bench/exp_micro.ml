@@ -5,7 +5,7 @@ open Bechamel
 open Toolkit
 
 module Generator = Fl_netlist.Generator
-module Sim = Fl_netlist.Sim
+module View = Fl_netlist.View
 module Bench_suite = Fl_netlist.Bench_suite
 module Formula = Fl_cnf.Formula
 module Tseytin = Fl_cnf.Tseytin
@@ -68,9 +68,10 @@ let substrate_kernels =
             ignore (Tseytin.encode f c))));
     (let c = Bench_suite.load_scaled "c1355" ~scale:2 in
      let rng = Random.State.make [| 8 |] in
-     let inputs = Sim.random_vector rng (Fl_netlist.Circuit.num_inputs c) in
+     let inputs = View.random_vector rng (Fl_netlist.Circuit.num_inputs c) in
      Test.make ~name:"substrate: simulation (c1355/2)"
-       (Staged.stage (fun () -> ignore (Sim.eval c ~inputs ~keys:[||]))));
+       (Staged.stage (fun () ->
+            ignore (View.eval (View.of_circuit c) ~inputs ~keys:[||]))));
     Test.make ~name:"substrate: cln build n=64"
       (Staged.stage (fun () -> ignore (Cln.standalone (Cln.default_spec ~n:64))));
     (let profile =
@@ -95,10 +96,9 @@ let sim_throughput () =
   let name = "c432" in
   let c = Bench_suite.load name in
   let rng = Random.State.make [| 0x51b |] in
-  let inputs = Sim.random_vector rng (Fl_netlist.Circuit.num_inputs c) in
+  let inputs = View.random_vector rng (Fl_netlist.Circuit.num_inputs c) in
   let packed_inputs =
-    Fl_netlist.Sim_word.random_words rng
-      ~width:(Fl_netlist.Circuit.num_inputs c)
+    View.random_words rng ~width:(Fl_netlist.Circuit.num_inputs c)
   in
   (* Time [f] for at least [budget] seconds and return calls/second. *)
   let rate ?(budget = 0.4) f =
@@ -113,24 +113,28 @@ let sim_throughput () =
     float_of_int !calls /. elapsed ()
   in
   let uncached =
-    rate (fun () -> ignore (Sim.eval_reference c ~inputs ~keys:[||]))
+    rate (fun () -> ignore (View.eval_reference c ~inputs ~keys:[||]))
   in
-  let cached = rate (fun () -> ignore (Sim.eval c ~inputs ~keys:[||])) in
+  let cached =
+    rate (fun () -> ignore (View.eval (View.of_circuit c) ~inputs ~keys:[||]))
+  in
   let word_passes =
     rate (fun () ->
-        ignore (Fl_netlist.Sim_word.eval c ~inputs:packed_inputs ~keys:[||]))
+        ignore
+          (View.eval_packed (View.of_circuit c) ~inputs:packed_inputs
+             ~keys:[||]))
   in
   (* Cold path: a physically fresh circuit forces a full view build on its
      first evaluation. *)
   let fresh = Array.init 24 (fun _ -> Bench_suite.load name) in
   let t0 = Unix.gettimeofday () in
   Array.iter
-    (fun c -> ignore (Sim.eval c ~inputs ~keys:[||]))
+    (fun c -> ignore (View.eval (View.of_circuit c) ~inputs ~keys:[||]))
     fresh;
   let cold_first_eval_us =
     (Unix.gettimeofday () -. t0) *. 1e6 /. float_of_int (Array.length fresh)
   in
-  let lanes = Fl_netlist.Sim_word.lanes in
+  let lanes = View.lanes in
   let speedup = cached /. uncached in
   (* BENCH_sim.json is written by the harness via Report; these keys are
      the stable schema tracked across PRs. *)

@@ -284,6 +284,10 @@ let read_optional_key path_opt circuit =
 
 let coverage_cmd =
   let run path key_path count seed =
+    if count < 0 then begin
+      Printf.eprintf "--vectors needs a non-negative integer, got %d\n" count;
+      exit 2
+    end;
     let c = read_circuit path in
     let keys = read_optional_key key_path c in
     let cov = Fl_netlist.Faults.random_coverage c ~keys ~count ~seed in
@@ -299,6 +303,10 @@ let coverage_cmd =
 
 let testgen_cmd =
   let run path key_path out budget =
+    if not (budget > 0.0) then begin
+      Printf.eprintf "--budget needs a positive number of seconds, got %g\n" budget;
+      exit 2
+    end;
     let c = read_circuit path in
     if not (Circuit.is_acyclic c) then begin
       Printf.eprintf "ATPG needs an acyclic netlist (activate the key first)\n";

@@ -11,7 +11,7 @@ module Bench_suite = Fl_netlist.Bench_suite
 module Locked = Fl_locking.Locked
 module Fulllock = Fl_core.Fulllock
 module Ppa = Fl_ppa.Ppa
-module Sim = Fl_netlist.Sim
+module View = Fl_netlist.View
 
 let out_dir = Filename.concat (Filename.get_temp_dir_name ()) "fulllock-flow"
 
@@ -50,23 +50,24 @@ let () =
   (* Activation check: reload what the foundry would get, program the key,
      compare against the golden model on random vectors. *)
   let fabricated = Bench_io.parse_file locked_path in
-  let rng = Random.State.make [| 5 |] in
-  let vectors = List.init 200 (fun _ -> Sim.random_vector rng (Circuit.num_inputs ip)) in
+  let fab_view = View.of_circuit fabricated and ip_view = View.of_circuit ip in
   let activated_ok =
-    Sim.equal_on_vectors fabricated ip ~keys_a:locked.Locked.correct_key ~keys_b:[||]
-      ~vectors
+    View.agree_on_probes ~vectors:200 ~seed:5 fab_view
+      ~keys_a:locked.Locked.correct_key ip_view ~keys_b:[||]
   in
   Printf.printf "post-fab activation check (200 vectors): %s\n"
     (if activated_ok then "PASS" else "FAIL");
 
   (* And what an overproduced, unactivated chip would do: *)
   let zero_key = Array.make (Locked.num_key_bits locked) false in
+  let rng = Random.State.make [| 5 |] in
+  let vectors = List.init 200 (fun _ -> View.random_vector rng (Circuit.num_inputs ip)) in
   let corrupted =
     List.exists
       (fun inputs ->
-        match Sim.eval fabricated ~inputs ~keys:zero_key with
-        | out -> out <> Sim.eval ip ~inputs ~keys:[||]
-        | exception Sim.Unresolved _ -> true)
+        match View.eval fab_view ~inputs ~keys:zero_key with
+        | out -> out <> View.eval ip_view ~inputs ~keys:[||]
+        | exception View.Unresolved _ -> true)
       vectors
   in
   Printf.printf "unactivated chip misbehaves: %b (that is the point)\n" corrupted

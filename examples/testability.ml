@@ -58,7 +58,7 @@ let () =
   let all_vectors =
     r.Atpg.tests
     @ List.init random_tests (fun i ->
-          Fl_netlist.Sim.random_vector (Random.State.make [| 1; i |])
+          Fl_netlist.View.random_vector (Random.State.make [| 1; i |])
             (Circuit.num_inputs lc))
   in
   ignore all_vectors;

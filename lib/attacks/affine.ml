@@ -1,5 +1,5 @@
 module Circuit = Fl_netlist.Circuit
-module Sim = Fl_netlist.Sim
+module View = Fl_netlist.View
 module Locked = Fl_locking.Locked
 
 type fit = {
@@ -33,7 +33,7 @@ let fit_function ?(samples = 128) ?(seed = 5) ~arity f =
   let rng = Random.State.make [| seed |] in
   let counterexamples = ref 0 in
   for _ = 1 to samples do
-    let x = Sim.random_vector rng arity in
+    let x = View.random_vector rng arity in
     if f x <> apply candidate x then incr counterexamples
   done;
   { candidate with is_affine = !counterexamples = 0; counterexamples = !counterexamples }

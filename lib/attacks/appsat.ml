@@ -1,5 +1,4 @@
 module Circuit = Fl_netlist.Circuit
-module Sim_word = Fl_netlist.Sim_word
 module View = Fl_netlist.View
 module Locked = Fl_locking.Locked
 
@@ -27,7 +26,7 @@ let estimate_error locked rng ~samples key =
   while !remaining > 0 do
     let used = min View.lanes !remaining in
     remaining := !remaining - used;
-    let inputs = Sim_word.random_words rng ~width:n in
+    let inputs = View.random_words rng ~width:n in
     let reference = View.eval_words oracle_v ~inputs ~keys:[||] in
     let out = View.eval_words locked_v ~inputs ~keys:packed_key in
     let bad = ref 0 in

@@ -253,12 +253,6 @@ let emit_record s name ?dip ?(screened = false) delta =
 let max_pool_keys = 6
 let screen_passes_per_call = 4
 
-(* 63 random bits; [Random.State.bits] yields 30 per call. *)
-let random_word rng =
-  Random.State.bits rng
-  lor (Random.State.bits rng lsl 30)
-  lor (Random.State.bits rng lsl 60)
-
 (* A pool key stays only while the locked circuit under it settles to the
    observed oracle outputs — i.e. while it remains a witness consistent
    with the whole observation set. *)
@@ -294,13 +288,13 @@ let screen_dip s =
           match s.last_observed with
           | Some base when remaining mod 2 = 0 ->
             Array.init n (fun j ->
+                (* Three words ANDed: each lane flips with probability 1/8. *)
                 let noise =
-                  random_word s.screen_rng
-                  land random_word s.screen_rng
-                  land random_word s.screen_rng
+                  Array.fold_left ( land ) (-1)
+                    (View.random_words s.screen_rng ~width:3)
                 in
                 (if base.(j) then -1 else 0) lxor noise)
-          | _ -> Array.init n (fun _ -> random_word s.screen_rng)
+          | _ -> View.random_words s.screen_rng ~width:n
         in
         let words =
           List.map

@@ -168,7 +168,7 @@ let route_verified ?(probes = 4) spec ?inverted perm =
     in
     let rng = Random.State.make [| 0xc14; n |] in
     for _ = 1 to probes do
-      let inputs = Fl_netlist.Sim_word.random_words rng ~width:n in
+      let inputs = View.random_words rng ~width:n in
       let out = View.eval_packed view ~inputs ~keys:packed_key in
       Array.iteri
         (fun j w ->

@@ -1,5 +1,4 @@
 module Circuit = Fl_netlist.Circuit
-module Sim = Fl_netlist.Sim
 module View = Fl_netlist.View
 
 type t = {
@@ -34,7 +33,7 @@ let output_corruption ?(trials = 16) ?(vectors = 64) t rng =
     let key = Array.init nk (fun _ -> Random.State.bool rng) in
     if key <> t.correct_key then
       for _ = 1 to vectors do
-        let inputs = Sim.random_vector rng n in
+        let inputs = View.random_vector rng n in
         let reference = query_oracle t inputs in
         let fraction =
           match eval_locked t ~key ~inputs with
@@ -42,7 +41,7 @@ let output_corruption ?(trials = 16) ?(vectors = 64) t rng =
             let diff = ref 0 in
             Array.iteri (fun i v -> if v <> reference.(i) then incr diff) outputs;
             float_of_int !diff /. float_of_int (Array.length reference)
-          | exception Sim.Unresolved _ -> 1.0
+          | exception View.Unresolved _ -> 1.0
         in
         total := !total +. fraction;
         incr samples
@@ -61,22 +60,24 @@ let output_corruption_fast ?(trials = 16) ?(batches = 2) t rng =
   for _ = 1 to trials do
     let key = Array.init nk (fun _ -> Random.State.bool rng) in
     if key <> t.correct_key then begin
-      let packed_key = Array.map (fun b -> if b then -1 else 0) key in
+      let packed_key = View.broadcast key in
       for _ = 1 to batches do
-        let inputs = Fl_netlist.Sim_word.random_words rng ~width:n in
-        let reference = Fl_netlist.Sim_word.eval t.oracle ~inputs ~keys:[||] in
-        let out = Fl_netlist.Sim_word.eval_tristate t.locked ~inputs ~keys:packed_key in
+        let inputs = View.random_words rng ~width:n in
+        let reference =
+          View.eval_packed (View.of_circuit t.oracle) ~inputs ~keys:[||]
+        in
+        let out =
+          View.eval_words (View.of_circuit t.locked) ~inputs ~keys:packed_key
+        in
         Array.iteri
-          (fun i w ->
+          (fun i (w : View.word) ->
             (* A lane is corrupted when it differs from the oracle or never
                settles (undefined). *)
             let bad =
-              lnot w.Fl_netlist.Sim_word.defined
-              lor ((w.Fl_netlist.Sim_word.value lxor reference.(i))
-                   land w.Fl_netlist.Sim_word.defined)
+              lnot w.defined lor ((w.value lxor reference.(i)) land w.defined)
             in
             corrupted := !corrupted + popcount bad;
-            total := !total + Fl_netlist.Sim_word.lanes)
+            total := !total + View.lanes)
           out
       done
     end

@@ -15,7 +15,7 @@ type t = {
 val query_oracle : t -> bool array -> bool array
 
 (** [eval_locked t ~key ~inputs] evaluates the locked netlist; cyclic locked
-    circuits that do not settle under [key] raise {!Fl_netlist.Sim.Unresolved}. *)
+    circuits that do not settle under [key] raise {!Fl_netlist.View.Unresolved}. *)
 val eval_locked : t -> key:bool array -> inputs:bool array -> bool array
 
 (** [verify t] checks that the locked circuit under [correct_key] matches
@@ -36,7 +36,7 @@ val output_corruption :
   ?trials:int -> ?vectors:int -> t -> Random.State.t -> float
 
 (** [output_corruption_fast t rng] — like {!output_corruption} but using
-    the 63-lane word-level simulator ({!Fl_netlist.Sim_word}); [batches]
+    the 63-lane word evaluator ({!Fl_netlist.View.eval_words}); [batches]
     packed batches of 63 vectors per wrong key (default 2). *)
 val output_corruption_fast :
   ?trials:int -> ?batches:int -> t -> Random.State.t -> float

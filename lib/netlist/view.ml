@@ -59,7 +59,6 @@ type t = {
   coi_memo : (int, bool array) Hashtbl.t;  (* node id -> transitive fanin *)
 }
 
-let circuit v = v.circuit
 let topo_order v = v.topo
 let is_acyclic v = v.topo <> None
 
@@ -323,8 +322,7 @@ let step v id =
   end;
   fresh
 
-let check_widths v ~inputs ~keys =
-  let c = v.circuit in
+let check_widths c ~inputs ~keys =
   if inputs <> Circuit.num_inputs c then
     invalid_arg
       (Printf.sprintf "View: expected %d inputs, got %d" (Circuit.num_inputs c)
@@ -359,7 +357,7 @@ let run v =
     Fl_obs.Counter.add c_fixpoint_sweeps !sweeps
 
 let run_packed v ~inputs ~keys =
-  check_widths v ~inputs:(Array.length inputs) ~keys:(Array.length keys);
+  check_widths v.circuit ~inputs:(Array.length inputs) ~keys:(Array.length keys);
   reset v;
   let c = v.circuit in
   Array.iteri
@@ -382,7 +380,7 @@ let load_bools v ids bits =
     ids
 
 let run_bools v ~inputs ~keys =
-  check_widths v ~inputs:(Array.length inputs) ~keys:(Array.length keys);
+  check_widths v.circuit ~inputs:(Array.length inputs) ~keys:(Array.length keys);
   reset v;
   load_bools v v.circuit.Circuit.inputs inputs;
   load_bools v v.circuit.Circuit.keys keys;
@@ -397,7 +395,7 @@ let tristate_of v id =
    alone force it under every key (least fixpoint on cyclic circuits). *)
 let eval_under_inputs v ~inputs =
   let c = v.circuit in
-  check_widths v ~inputs:(Array.length inputs) ~keys:(Circuit.num_keys c);
+  check_widths c ~inputs:(Array.length inputs) ~keys:(Circuit.num_keys c);
   reset v;
   load_bools v c.Circuit.inputs inputs;
   run v;
@@ -414,10 +412,6 @@ let eval v ~inputs ~keys =
       if v.defined.(id) land 1 = 0 then raise (Unresolved port)
       else v.value.(id) land 1 = 1)
     v.circuit.Circuit.outputs
-
-let eval_node_values v ~inputs ~keys =
-  run_bools v ~inputs ~keys;
-  Array.init (Circuit.num_nodes v.circuit) (tristate_of v)
 
 let eval_words v ~inputs ~keys =
   run_packed v ~inputs ~keys;
@@ -436,7 +430,7 @@ let eval_packed v ~inputs ~keys =
 let broadcast bits = Array.map (fun b -> if b then all_ones else 0) bits
 
 (* ------------------------------------------------------------------ *)
-(* Key-correctness probing                                             *)
+(* Random stimuli                                                      *)
 (* ------------------------------------------------------------------ *)
 
 let random_word rng =
@@ -444,6 +438,27 @@ let random_word rng =
   Random.State.bits rng
   lor (Random.State.bits rng lsl 30)
   lor (Random.State.bits rng lsl 60)
+
+let random_words rng ~width = Array.init width (fun _ -> random_word rng)
+let random_vector rng width = Array.init width (fun _ -> Random.State.bool rng)
+
+let pack vectors =
+  match vectors with
+  | [] -> invalid_arg "View.pack: no vectors"
+  | first :: _ ->
+    let width = Array.length first in
+    if List.length vectors > lanes then invalid_arg "View.pack: too many vectors";
+    let words = Array.make width 0 in
+    List.iteri
+      (fun lane v ->
+        if Array.length v <> width then invalid_arg "View.pack: ragged vectors";
+        Array.iteri (fun j b -> if b then words.(j) <- words.(j) lor (1 lsl lane)) v)
+      vectors;
+    words
+
+(* ------------------------------------------------------------------ *)
+(* Key-correctness probing                                             *)
+(* ------------------------------------------------------------------ *)
 
 (* Outputs of the two views (already evaluated) agree on every lane of
    [mask]; an undefined lane on either side is a disagreement. *)
@@ -508,3 +523,85 @@ let agree_on_probes ?(exhaustive_limit = 10) ?(vectors = 256) ?(seed = 7) va
     in
     go vectors
   end
+
+(* ------------------------------------------------------------------ *)
+(* Uncached reference evaluator                                        *)
+(* ------------------------------------------------------------------ *)
+
+let tri_of_bool b = if b then V1 else V0
+
+(* Three-valued gate evaluation.  MUX with a known select ignores the
+   unselected (possibly X) branch -- this is what lets a correct key open a
+   structural cycle. *)
+let eval_gate_tri kind (args : tristate array) =
+  let exception X in
+  let bool_of = function V0 -> false | V1 -> true | VX -> raise X in
+  match kind with
+  | Gate.Mux ->
+    (match args.(0) with
+     | V0 -> args.(1)
+     | V1 -> args.(2)
+     | VX ->
+       (* X select: output known only when both branches agree. *)
+       if args.(1) = args.(2) && args.(1) <> VX then args.(1) else VX)
+  | Gate.And | Gate.Nand ->
+    let neg = kind = Gate.Nand in
+    if Array.exists (fun v -> v = V0) args then tri_of_bool neg
+    else if Array.exists (fun v -> v = VX) args then VX
+    else tri_of_bool (not neg)
+  | Gate.Or | Gate.Nor ->
+    let neg = kind = Gate.Nor in
+    if Array.exists (fun v -> v = V1) args then tri_of_bool (not neg)
+    else if Array.exists (fun v -> v = VX) args then VX
+    else tri_of_bool neg
+  | Gate.Input | Gate.Key_input | Gate.Const _ | Gate.Buf | Gate.Not | Gate.Xor
+  | Gate.Xnor | Gate.Lut _ -> (
+    (* Kinds whose output is X as soon as any input is X. *)
+    try tri_of_bool (Gate.eval kind (Array.map bool_of args))
+    with X -> VX)
+
+let node_values c ~inputs ~keys =
+  check_widths c ~inputs:(Array.length inputs) ~keys:(Array.length keys);
+  let n = Circuit.num_nodes c in
+  let values = Array.make n VX in
+  Array.iteri (fun i id -> values.(id) <- tri_of_bool inputs.(i)) c.Circuit.inputs;
+  Array.iteri (fun i id -> values.(id) <- tri_of_bool keys.(i)) c.Circuit.keys;
+  let eval_node id =
+    let nd = Circuit.node c id in
+    match nd.Circuit.kind with
+    | Gate.Input | Gate.Key_input -> values.(id)
+    | Gate.Const b -> tri_of_bool b
+    | kind -> eval_gate_tri kind (Array.map (fun f -> values.(f)) nd.Circuit.fanins)
+  in
+  (match Circuit.compute_topological_order c with
+   | Some order -> Array.iter (fun id -> values.(id) <- eval_node id) order
+   | None ->
+     (* Values move monotonically from X to 0/1, so at most [n] sweeps
+        settle. *)
+     let changed = ref true in
+     let sweeps = ref 0 in
+     while !changed && !sweeps <= n do
+       changed := false;
+       incr sweeps;
+       for id = 0 to n - 1 do
+         if values.(id) = VX then begin
+           let v = eval_node id in
+           if v <> VX then begin
+             values.(id) <- v;
+             changed := true
+           end
+         end
+       done
+     done);
+  values
+
+let eval_tristate_reference c ~inputs ~keys =
+  let values = node_values c ~inputs ~keys in
+  Array.map (fun (_, id) -> values.(id)) c.Circuit.outputs
+
+let eval_reference c ~inputs ~keys =
+  Array.map2
+    (fun (port, _) v ->
+      match v with V0 -> false | V1 -> true | VX -> raise (Unresolved port))
+    c.Circuit.outputs
+    (eval_tristate_reference c ~inputs ~keys)

@@ -12,8 +12,10 @@
     ephemeron-keyed, so views die with their circuits, and {e domain-local}:
     each domain builds and caches its own view of a circuit, because the
     scratch arrays below are single-threaded state.  [Fl_par] sweep tasks
-    therefore get an isolated view per worker domain for free.  [Sim] and
-    [Sim_word] are thin wrappers over this module and share one backend.
+    therefore get an isolated view per worker domain for free.  This is the
+    one circuit evaluator: every oracle query, key check, corruption
+    estimate and fault simulation runs on it.  {!eval_reference} is the
+    uncached baseline it is tested and benchmarked against.
 
     Views are not re-entrant: the scratch value arrays are reused by every
     evaluation, so do not evaluate the same view from within an evaluation
@@ -22,18 +24,16 @@
 
 type t
 
-(** Three-valued logic value (the canonical definition; [Sim.tristate] is a
-    re-export). *)
+(** Three-valued logic value. *)
 type tristate = V0 | V1 | VX
 
 exception Unresolved of string
 (** Raised by the strict evaluators when a combinational cycle leaves an
-    output at X.  [Sim.Unresolved] is a re-export of this exception. *)
+    output at X. *)
 
 type word = { defined : int; value : int }
 (** Per-wire lane bundle of the bitsliced evaluator; bit [i] of [value] is
-    meaningful only when bit [i] of [defined] is set.  [Sim_word.word] is a
-    re-export. *)
+    meaningful only when bit [i] of [defined] is set. *)
 
 (** Number of parallel lanes of the word evaluator (= [Sys.int_size]). *)
 val lanes : int
@@ -41,8 +41,6 @@ val lanes : int
 (** [of_circuit c] is the cached view of [c], building (and memoizing) it on
     first use. *)
 val of_circuit : Circuit.t -> t
-
-val circuit : t -> Circuit.t
 
 (** {1 Cached structural analyses} *)
 
@@ -90,11 +88,6 @@ val eval : t -> inputs:bool array -> keys:bool array -> bool array
 (** [eval_tristate v ~inputs ~keys] never raises on unsettled cycles. *)
 val eval_tristate : t -> inputs:bool array -> keys:bool array -> tristate array
 
-(** [eval_node_values v ~inputs ~keys] — settled value of every node,
-    id-indexed (freshly allocated). *)
-val eval_node_values :
-  t -> inputs:bool array -> keys:bool array -> tristate array
-
 (** [eval_under_inputs v ~inputs] — every node's value with the primary
     inputs fixed and every key input left at X, id-indexed (freshly
     allocated).  A node is [V0]/[V1] when the inputs alone determine it,
@@ -118,6 +111,20 @@ val eval_packed : t -> inputs:int array -> keys:int array -> int array
     inputs. *)
 val broadcast : bool array -> int array
 
+(** {1 Random stimuli} *)
+
+(** [random_words rng ~width] draws [width] uniformly random packed words
+    ({!lanes} random bits each). *)
+val random_words : Random.State.t -> width:int -> int array
+
+(** [random_vector rng width] draws a uniform bit vector. *)
+val random_vector : Random.State.t -> int -> bool array
+
+(** [pack vectors] turns up to {!lanes} scalar vectors (all of equal width)
+    into packed input words; lane [i] is vector [i], unused lanes are 0.
+    @raise Invalid_argument on an empty, oversized or ragged list. *)
+val pack : bool array list -> int array
+
 (** {1 Key-correctness probing}
 
     The shared "do two circuits agree" helper used by key verification
@@ -140,3 +147,21 @@ val agree_on_probes :
   t ->
   keys_b:bool array ->
   bool
+
+(** {1 Uncached reference evaluator}
+
+    The interpretive walk (a fresh topological sort and one gate evaluation
+    per node on every call) that the compiled evaluator replaced.  It is
+    the uncached baseline for the differential tests and [bench sim]; no
+    other code calls it. *)
+
+(** [eval_reference c ~inputs ~keys] — as {!eval}, without a view.
+    @raise Invalid_argument on input/key width mismatch.
+    @raise Unresolved when a combinational cycle does not settle. *)
+val eval_reference :
+  Circuit.t -> inputs:bool array -> keys:bool array -> bool array
+
+(** [eval_tristate_reference c ~inputs ~keys] — as {!eval_tristate},
+    without a view. *)
+val eval_tristate_reference :
+  Circuit.t -> inputs:bool array -> keys:bool array -> tristate array

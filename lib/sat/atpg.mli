@@ -2,8 +2,8 @@
     faults.
 
     A fault's test miter instantiates the good and the faulty netlist on
-    shared primary inputs (the faulty copy replaces the fault site with a
-    constant) and asks a SAT backend for an input that makes some output
+    shared primary inputs (the faulty copy is {!Fl_netlist.Faults.inject},
+    the same netlist fault simulation evaluates) and asks a SAT backend for an input that makes some output
     differ.  UNSAT is a {e proof} that the fault is untestable (redundant
     logic — locked netlists contain plenty around deselected MUX paths).
 

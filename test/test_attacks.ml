@@ -2,7 +2,7 @@
    SPS, affine — against every locking scheme. *)
 
 module Circuit = Fl_netlist.Circuit
-module Sim = Fl_netlist.Sim
+module View = Fl_netlist.View
 module Generator = Fl_netlist.Generator
 module Gate = Fl_netlist.Gate
 module Locked = Fl_locking.Locked
@@ -411,7 +411,7 @@ let test_affine_apply_matches () =
   let rng = Random.State.make [| 24 |] in
   let l = Fulllock.standalone_cln_lock (Cln.blocking_spec ~n:8) rng in
   let fit = Affine.attack_oracle l in
-  let x = Sim.random_vector (Random.State.make [| 3 |]) 8 in
+  let x = View.random_vector (Random.State.make [| 3 |]) 8 in
   check (Alcotest.array bool_t) "fit reproduces oracle"
     (Locked.query_oracle l x) (Affine.apply fit x)
 

@@ -3,7 +3,7 @@
 
 module Gate = Fl_netlist.Gate
 module Circuit = Fl_netlist.Circuit
-module Sim = Fl_netlist.Sim
+module View = Fl_netlist.View
 module Generator = Fl_netlist.Generator
 module Bench_suite = Fl_netlist.Bench_suite
 module Locked = Fl_locking.Locked
@@ -75,8 +75,8 @@ let test_of_circuit_matches_sim () =
   let m = Bdd.create ~num_vars:5 () in
   let outs = Bdd.of_circuit m c ~keys:[||] in
   for v = 0 to 31 do
-    let inputs = Sim.vector_of_int ~width:5 v in
-    let expected = Sim.eval c ~inputs ~keys:[||] in
+    let inputs = Test_support.vector_of_int ~width:5 v in
+    let expected = View.eval (View.of_circuit c) ~inputs ~keys:[||] in
     Array.iteri
       (fun i out ->
         check bool_t (Printf.sprintf "v=%d out=%d" v i) expected.(i)
@@ -145,7 +145,7 @@ let test_exact_vs_sampled_corruption () =
   let srng = Random.State.make [| 9 |] in
   let diff = ref 0 in
   for _ = 1 to samples do
-    let inputs = Sim.random_vector srng n in
+    let inputs = View.random_vector srng n in
     let a = Locked.eval_locked locked ~key:wrong ~inputs in
     let b = Locked.query_oracle locked inputs in
     Array.iteri (fun i v -> if v <> b.(i) then incr diff) a
@@ -189,7 +189,7 @@ let prop_bdd_matches_sim =
       let m = Bdd.create ~num_vars:7 () in
       let outs = Bdd.of_circuit m c ~keys:[||] in
       let inputs = Array.init 7 (fun i -> stim land (1 lsl i) <> 0) in
-      let expected = Sim.eval c ~inputs ~keys:[||] in
+      let expected = View.eval (View.of_circuit c) ~inputs ~keys:[||] in
       Array.for_all2 (fun e out -> e = Bdd.eval m out inputs) expected outs)
 
 let prop_sat_count_matches_enumeration =
@@ -205,8 +205,8 @@ let prop_sat_count_matches_enumeration =
       let counted = Bdd.sat_count m outs.(0) in
       let enumerated = ref 0 in
       for v = 0 to 63 do
-        let inputs = Sim.vector_of_int ~width:6 v in
-        if (Sim.eval c ~inputs ~keys:[||]).(0) then incr enumerated
+        let inputs = Test_support.vector_of_int ~width:6 v in
+        if (View.eval (View.of_circuit c) ~inputs ~keys:[||]).(0) then incr enumerated
       done;
       counted = float_of_int !enumerated)
 

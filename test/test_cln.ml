@@ -2,7 +2,7 @@
    permutation coverage (blocking vs non-blocking), routing. *)
 
 module Circuit = Fl_netlist.Circuit
-module Sim = Fl_netlist.Sim
+module View = Fl_netlist.View
 module Topology = Fl_cln.Topology
 module Switch_box = Fl_cln.Switch_box
 module Cln = Fl_cln.Cln
@@ -170,8 +170,8 @@ let test_build_decode_agree () =
       for _ = 1 to 25 do
         let key = Array.init nk (fun _ -> Random.State.bool rng) in
         let action = Cln.decode spec ~key in
-        let inputs = Sim.random_vector rng spec.Cln.n in
-        let from_circuit = Sim.eval c ~inputs ~keys:key in
+        let inputs = View.random_vector rng spec.Cln.n in
+        let from_circuit = View.eval (View.of_circuit c) ~inputs ~keys:key in
         let from_decode = Cln.apply_action action inputs in
         check (Alcotest.array bool_t)
           (Format.asprintf "%a" Cln.pp_spec spec)
@@ -416,8 +416,8 @@ let prop_build_decode_agree =
       let rng = Random.State.make [| seed |] in
       let c = Cln.standalone spec in
       let key = Array.init (Cln.num_key_bits spec) (fun _ -> Random.State.bool rng) in
-      let inputs = Sim.random_vector rng n in
-      let circuit_out = Sim.eval c ~inputs ~keys:key in
+      let inputs = View.random_vector rng n in
+      let circuit_out = View.eval (View.of_circuit c) ~inputs ~keys:key in
       let decode_out = Cln.apply_action (Cln.decode spec ~key) inputs in
       circuit_out = decode_out)
 

@@ -2,7 +2,7 @@
 
 module Gate = Fl_netlist.Gate
 module Circuit = Fl_netlist.Circuit
-module Sim = Fl_netlist.Sim
+module View = Fl_netlist.View
 module Generator = Fl_netlist.Generator
 module Formula = Fl_cnf.Formula
 module Tseytin = Fl_cnf.Tseytin
@@ -189,7 +189,7 @@ let check_circuit_encoding c vectors =
       let f = Formula.create () in
       let enc = Tseytin.encode f c in
       Tseytin.assert_vector f enc.Tseytin.input_vars inputs;
-      let expected = Sim.eval c ~inputs ~keys:[||] in
+      let expected = View.eval (View.of_circuit c) ~inputs ~keys:[||] in
       (* Assert the expected outputs: satisfiable. *)
       let f_good = Formula.copy f in
       Tseytin.assert_vector f_good enc.Tseytin.output_vars expected;
@@ -204,7 +204,7 @@ let check_circuit_encoding c vectors =
 
 let test_c17_encoding () =
   let c = Fl_netlist.Bench_suite.c17 () in
-  let vectors = List.init 8 (fun v -> Sim.vector_of_int ~width:5 (v * 4 mod 32)) in
+  let vectors = List.init 8 (fun v -> Test_support.vector_of_int ~width:5 (v * 4 mod 32)) in
   check_circuit_encoding c vectors
 
 let test_random_circuit_encoding () =
@@ -214,7 +214,7 @@ let test_random_circuit_encoding () =
   let c = Generator.random ~seed:11 ~name:"enc" profile in
   (* Brute force limit: formula has ~num_nodes vars, keep below 20. *)
   if Circuit.num_nodes c + 4 <= 20 then
-    check_circuit_encoding c (List.init 4 (fun v -> Sim.vector_of_int ~width:6 (v * 13 mod 64)))
+    check_circuit_encoding c (List.init 4 (fun v -> Test_support.vector_of_int ~width:6 (v * 13 mod 64)))
   else begin
     (* Large circuit: only shape checks. *)
     let f = Formula.create () in
@@ -300,7 +300,7 @@ let prop_encoding_matches_sim =
       Tseytin.assert_vector f enc.Tseytin.input_vars inputs;
       match Fl_sat.Cdcl.solve_formula f with
       | Fl_sat.Cdcl.Sat, Some model, _ ->
-        let expected = Sim.eval c ~inputs ~keys:[||] in
+        let expected = View.eval (View.of_circuit c) ~inputs ~keys:[||] in
         Array.for_all2
           (fun v e -> model.(v) = e)
           enc.Tseytin.output_vars expected

@@ -1,7 +1,6 @@
 (* Tests for Fl_locking (baseline schemes) and Fl_core (Full-Lock). *)
 
 module Circuit = Fl_netlist.Circuit
-module Sim = Fl_netlist.Sim
 module Generator = Fl_netlist.Generator
 module Bench_suite = Fl_netlist.Bench_suite
 module Locked = Fl_locking.Locked

@@ -2,7 +2,7 @@
 
 module Gate = Fl_netlist.Gate
 module Circuit = Fl_netlist.Circuit
-module Sim = Fl_netlist.Sim
+module View = Fl_netlist.View
 module Bench_io = Fl_netlist.Bench_io
 module Generator = Fl_netlist.Generator
 module Bench_suite = Fl_netlist.Bench_suite
@@ -180,7 +180,7 @@ let test_copy_into () =
   check int_t "same node count" (Circuit.num_nodes c) (Circuit.num_nodes c2);
   check int_t "map length" (Circuit.num_nodes c) (Array.length map);
   check bool_t "equivalent" true
-    (Sim.equivalent_exhaustive c c2 ~keys_a:[||] ~keys_b:[||])
+    (Test_support.equivalent c c2)
 
 (* ------------------------------------------------------------------ *)
 (* Simulation                                                          *)
@@ -189,7 +189,7 @@ let test_copy_into () =
 let test_sim_simple () =
   let c = simple_circuit () in
   let expect a b cin =
-    let lhs = Sim.eval c ~inputs:[| a; b; cin |] ~keys:[||] in
+    let lhs = View.eval (View.of_circuit c) ~inputs:[| a; b; cin |] ~keys:[||] in
     check (Alcotest.array bool_t)
       (Printf.sprintf "%b%b%b" a b cin)
       [| (a && b) <> cin |]
@@ -200,9 +200,9 @@ let test_sim_simple () =
     [ false, false, false; true, true, false; true, true, true; false, true, true ]
 
 let test_sim_vector_helpers () =
-  let v = Sim.vector_of_int ~width:4 0b1011 in
+  let v = Test_support.vector_of_int ~width:4 0b1011 in
   check (Alcotest.array bool_t) "vector lsb-first" [| true; true; false; true |] v;
-  check int_t "roundtrip" 0b1011 (Sim.int_of_vector v)
+  check int_t "roundtrip" 0b1011 (Test_support.int_of_vector v)
 
 let test_sim_cyclic_opened_by_mux () =
   (* m1 = MUX(k, x, m2); m2 = MUX(k, m1, x); structural cycle m1 <-> m2.
@@ -217,7 +217,7 @@ let test_sim_cyclic_opened_by_mux () =
   let c = Circuit.of_builder b in
   List.iter
     (fun (kv, xv) ->
-      let out = Sim.eval c ~inputs:[| xv |] ~keys:[| kv |] in
+      let out = View.eval (View.of_circuit c) ~inputs:[| xv |] ~keys:[| kv |] in
       check bool_t (Printf.sprintf "k=%b x=%b" kv xv) xv out.(0))
     [ false, false; false, true; true, false; true, true ]
 
@@ -229,16 +229,16 @@ let test_sim_cyclic_unresolved () =
   Circuit.Builder.set_fanins b inv [| inv |];
   Circuit.Builder.output b "y" inv;
   let c = Circuit.of_builder b in
-  let tri = Sim.eval_tristate c ~inputs:[| false |] ~keys:[||] in
-  check bool_t "X output" true (tri.(0) = Sim.VX);
+  let tri = View.eval_tristate (View.of_circuit c) ~inputs:[| false |] ~keys:[||] in
+  check bool_t "X output" true (tri.(0) = View.VX);
   (try
-     ignore (Sim.eval c ~inputs:[| false |] ~keys:[||]);
+     ignore (View.eval (View.of_circuit c) ~inputs:[| false |] ~keys:[||]);
      Alcotest.fail "expected Unresolved"
-   with Sim.Unresolved _ -> ())
+   with View.Unresolved _ -> ())
 
 let test_sim_settles () =
   let c = simple_circuit () in
-  check bool_t "acyclic settles" true (Sim.settles c ~keys:[||])
+  check bool_t "acyclic settles" true (Test_support.settles c ~keys:[||])
 
 (* ------------------------------------------------------------------ *)
 (* Bench I/O                                                           *)
@@ -266,8 +266,8 @@ let c17_reference inputs =
 let test_c17_functional () =
   let c = Bench_suite.c17 () in
   for v = 0 to 31 do
-    let inputs = Sim.vector_of_int ~width:5 v in
-    let got = Sim.eval c ~inputs ~keys:[||] in
+    let inputs = Test_support.vector_of_int ~width:5 v in
+    let got = View.eval (View.of_circuit c) ~inputs ~keys:[||] in
     check (Alcotest.array bool_t) (Printf.sprintf "v=%d" v) (c17_reference inputs) got
   done
 
@@ -276,7 +276,7 @@ let test_bench_roundtrip () =
   let text = Bench_io.to_string c in
   let c2 = Bench_io.parse_string text in
   check bool_t "roundtrip equivalent" true
-    (Sim.equivalent_exhaustive c c2 ~keys_a:[||] ~keys_b:[||])
+    (Test_support.equivalent c c2)
 
 let test_bench_keyinput_convention () =
   let text =
@@ -285,19 +285,19 @@ let test_bench_keyinput_convention () =
   let c = Bench_io.parse_string text in
   check int_t "one PI" 1 (Circuit.num_inputs c);
   check int_t "one key" 1 (Circuit.num_keys c);
-  let out = Sim.eval c ~inputs:[| true |] ~keys:[| true |] in
+  let out = View.eval (View.of_circuit c) ~inputs:[| true |] ~keys:[| true |] in
   check bool_t "xor" false out.(0)
 
 let test_bench_lut_roundtrip () =
   let text = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = LUT 0x8 (a, b)\n" in
   let c = Bench_io.parse_string text in
-  let out = Sim.eval c ~inputs:[| true; true |] ~keys:[||] in
+  let out = View.eval (View.of_circuit c) ~inputs:[| true; true |] ~keys:[||] in
   check bool_t "lut 0x8 = and" true out.(0);
-  let out0 = Sim.eval c ~inputs:[| true; false |] ~keys:[||] in
+  let out0 = View.eval (View.of_circuit c) ~inputs:[| true; false |] ~keys:[||] in
   check bool_t "lut 0x8 = and (10)" false out0.(0);
   let c2 = Bench_io.parse_string (Bench_io.to_string c) in
   check bool_t "lut roundtrip" true
-    (Sim.equivalent_exhaustive c c2 ~keys_a:[||] ~keys_b:[||])
+    (Test_support.equivalent c c2)
 
 let test_bench_parse_errors () =
   (* Each error carries the line it was found on: an undefined wire its
@@ -377,14 +377,6 @@ let test_suite_load_full_counts () =
 (* Miscellaneous exports                                               *)
 (* ------------------------------------------------------------------ *)
 
-let test_dot_export () =
-  let c = Bench_suite.c17 () in
-  let dot = Fl_netlist.Dot.to_string c in
-  check bool_t "digraph" true (String.length dot > 0 && String.sub dot 0 7 = "digraph");
-  (* every node and every output port appears *)
-  check bool_t "has edges" true
-    (String.split_on_char '\n' dot |> List.exists (fun l -> String.length l > 4 && String.sub l 2 1 = "n"))
-
 let test_const_bench_roundtrip () =
   let b = Circuit.Builder.create ~name:"consts" () in
   let x = Circuit.Builder.input ~name:"x" b in
@@ -394,7 +386,7 @@ let test_const_bench_roundtrip () =
   let c = Circuit.of_builder b in
   let c2 = Bench_io.parse_string (Bench_io.to_string c) in
   check bool_t "const roundtrip" true
-    (Sim.equivalent_exhaustive c c2 ~keys_a:[||] ~keys_b:[||])
+    (Test_support.equivalent c c2)
 
 let test_pp_stats_smoke () =
   let c = Bench_suite.c17 () in
@@ -477,10 +469,10 @@ let prop_sim_tristate_agrees =
       let c = Generator.random ~seed ~name:"p" Generator.default_profile in
       let n = Circuit.num_inputs c in
       let inputs = Array.init n (fun i -> stim land (1 lsl (i mod 24)) <> 0) in
-      let bools = Sim.eval c ~inputs ~keys:[||] in
-      let tris = Sim.eval_tristate c ~inputs ~keys:[||] in
+      let bools = View.eval (View.of_circuit c) ~inputs ~keys:[||] in
+      let tris = View.eval_tristate (View.of_circuit c) ~inputs ~keys:[||] in
       Array.for_all2
-        (fun b t -> match t with Sim.V0 -> not b | Sim.V1 -> b | Sim.VX -> false)
+        (fun b t -> match t with View.V0 -> not b | View.V1 -> b | View.VX -> false)
         bools tris)
 
 let prop_parser_total =
@@ -501,7 +493,7 @@ let prop_bench_roundtrip =
       let c2 = Bench_io.parse_string (Bench_io.to_string c) in
       let n = Circuit.num_inputs c in
       let inputs = Array.init n (fun i -> stim land (1 lsl (i mod 24)) <> 0) in
-      Sim.eval c ~inputs ~keys:[||] = Sim.eval c2 ~inputs ~keys:[||])
+      View.eval (View.of_circuit c) ~inputs ~keys:[||] = View.eval (View.of_circuit c2) ~inputs ~keys:[||])
 
 let () =
   Alcotest.run "netlist"
@@ -555,7 +547,6 @@ let () =
         ] );
       ( "misc",
         [
-          Alcotest.test_case "dot export" `Quick test_dot_export;
           Alcotest.test_case "const roundtrip" `Quick test_const_bench_roundtrip;
           Alcotest.test_case "pp_stats" `Quick test_pp_stats_smoke;
           Alcotest.test_case "kind histogram" `Quick test_kind_histogram;

@@ -1,10 +1,10 @@
 (* Tests for the tooling layer: Opt (netlist clean-up + key hardwiring),
-   Equiv (SAT equivalence), Sim_word (bit-parallel simulation), Verilog I/O. *)
+   Equiv (SAT equivalence), the word-parallel View evaluator, stuck-at fault
+   simulation (Faults) cross-checked against SAT ATPG (Atpg), Verilog I/O. *)
 
 module Gate = Fl_netlist.Gate
 module Circuit = Fl_netlist.Circuit
-module Sim = Fl_netlist.Sim
-module Sim_word = Fl_netlist.Sim_word
+module View = Fl_netlist.View
 module Opt = Fl_netlist.Opt
 module Verilog = Fl_netlist.Verilog
 module Generator = Fl_netlist.Generator
@@ -33,7 +33,7 @@ let test_opt_preserves_function () =
   let optimized, _ = Opt.run c in
   Circuit.validate optimized;
   check bool_t "equivalent" true
-    (Sim.equivalent_exhaustive c optimized ~keys_a:[||] ~keys_b:[||])
+    (Test_support.equivalent c optimized)
 
 let test_opt_folds_constants () =
   (* y = (a AND 0) OR (b AND 1) must fold to y = b. *)
@@ -51,7 +51,7 @@ let test_opt_folds_constants () =
   check int_t "no gates left" 0 (Circuit.num_gates optimized);
   check bool_t "constants folded" true (stats.Opt.constants_folded >= 1);
   check bool_t "function kept" true
-    (Sim.equivalent_exhaustive c optimized ~keys_a:[||] ~keys_b:[||])
+    (Test_support.equivalent c optimized)
 
 let test_opt_collapses_buffers () =
   let b = Circuit.Builder.create ~name:"bufs" () in
@@ -76,7 +76,7 @@ let test_opt_simplifies_xor_pairs () =
   let optimized, _ = Opt.run c in
   check int_t "gone" 0 (Circuit.num_gates optimized);
   check bool_t "function kept" true
-    (Sim.equivalent_exhaustive c optimized ~keys_a:[||] ~keys_b:[||])
+    (Test_support.equivalent c optimized)
 
 let test_opt_mux_rules () =
   (* Mux(s, x, x) = x and Mux(s, 0, 1) = s. *)
@@ -93,7 +93,7 @@ let test_opt_mux_rules () =
   let optimized, _ = Opt.run c in
   check int_t "all muxes gone" 0 (Circuit.num_gates optimized);
   check bool_t "function kept" true
-    (Sim.equivalent_exhaustive c optimized ~keys_a:[||] ~keys_b:[||])
+    (Test_support.equivalent c optimized)
 
 let test_opt_structural_hashing () =
   (* Two identical AND gates collapse into one. *)
@@ -110,7 +110,7 @@ let test_opt_structural_hashing () =
   (* XOR(g, g) = 0 -> whole circuit folds to a constant. *)
   check int_t "all gates folded" 0 (Circuit.num_gates optimized);
   check bool_t "function kept" true
-    (Sim.equivalent_exhaustive c optimized ~keys_a:[||] ~keys_b:[||])
+    (Test_support.equivalent c optimized)
 
 let test_hardwire_recovers_oracle () =
   (* Activating a Full-Lock'd netlist with the correct key and sweeping must
@@ -122,7 +122,7 @@ let test_hardwire_recovers_oracle () =
   check int_t "no keys left" 0 (Circuit.num_keys activated);
   let swept, stats = Opt.run activated in
   check bool_t "equivalent to oracle" true
-    (Sim.equivalent_exhaustive swept c ~keys_a:[||] ~keys_b:[||]);
+    (Test_support.equivalent swept c);
   check bool_t "lock mostly folded away" true
     (Circuit.num_gates swept < Circuit.num_gates locked.Locked.locked);
   check bool_t "did real work" true
@@ -137,7 +137,7 @@ let test_hardwire_wrong_key_differs () =
   let wrong = Array.map not locked.Locked.correct_key in
   let activated, _ = Opt.run (Opt.hardwire_keys locked.Locked.locked wrong) in
   check bool_t "differs from oracle" false
-    (Sim.equivalent_exhaustive activated c ~keys_a:[||] ~keys_b:[||])
+    (Test_support.equivalent activated c)
 
 (* ------------------------------------------------------------------ *)
 (* Equiv                                                               *)
@@ -162,8 +162,8 @@ let test_equiv_finds_difference () =
   match Equiv.check c mutated with
   | Equiv.Different { inputs; outputs_a; outputs_b } ->
     check bool_t "counterexample is real" true
-      (Sim.eval c ~inputs ~keys:[||] = outputs_a
-       && Sim.eval mutated ~inputs ~keys:[||] = outputs_b
+      (View.eval (View.of_circuit c) ~inputs ~keys:[||] = outputs_a
+       && View.eval (View.of_circuit mutated) ~inputs ~keys:[||] = outputs_b
        && outputs_a <> outputs_b)
   | Equiv.Equivalent | Equiv.Unknown -> Alcotest.fail "expected Different"
 
@@ -211,21 +211,21 @@ let test_equiv_rejects_cyclic () =
      with Invalid_argument _ -> ())
 
 (* ------------------------------------------------------------------ *)
-(* Sim_word                                                            *)
+(* Word-parallel evaluation                                           *)
 (* ------------------------------------------------------------------ *)
 
 let test_word_matches_scalar () =
   let c = host () in
   let rng = Random.State.make [| 6 |] in
   let vectors =
-    List.init Sim_word.lanes (fun _ -> Sim.random_vector rng (Circuit.num_inputs c))
+    List.init View.lanes (fun _ -> View.random_vector rng (Circuit.num_inputs c))
   in
-  let packed = Sim_word.pack vectors in
-  let word_out = Sim_word.eval c ~inputs:packed ~keys:[||] in
-  let unpacked = Sim_word.unpack ~lanes_used:(List.length vectors) word_out in
+  let packed = View.pack vectors in
+  let word_out = View.eval_packed (View.of_circuit c) ~inputs:packed ~keys:[||] in
+  let unpacked = Test_support.unpack ~lanes_used:(List.length vectors) word_out in
   List.iteri
     (fun lane v ->
-      let expected = Sim.eval c ~inputs:v ~keys:[||] in
+      let expected = View.eval (View.of_circuit c) ~inputs:v ~keys:[||] in
       check (Alcotest.array bool_t)
         (Printf.sprintf "lane %d" lane)
         expected (List.nth unpacked lane))
@@ -243,14 +243,14 @@ let test_word_cyclic_matches_scalar () =
   in
   let lc = locked.Locked.locked in
   let key = locked.Locked.correct_key in
-  let vectors = List.init 16 (fun _ -> Sim.random_vector rng (Circuit.num_inputs lc)) in
-  let packed = Sim_word.pack vectors in
+  let vectors = List.init 16 (fun _ -> View.random_vector rng (Circuit.num_inputs lc)) in
+  let packed = View.pack vectors in
   let packed_keys = Array.map (fun b -> if b then -1 else 0) key in
-  let word_out = Sim_word.eval lc ~inputs:packed ~keys:packed_keys in
-  let unpacked = Sim_word.unpack ~lanes_used:16 word_out in
+  let word_out = View.eval_packed (View.of_circuit lc) ~inputs:packed ~keys:packed_keys in
+  let unpacked = Test_support.unpack ~lanes_used:16 word_out in
   List.iteri
     (fun lane v ->
-      let expected = Sim.eval lc ~inputs:v ~keys:key in
+      let expected = View.eval (View.of_circuit lc) ~inputs:v ~keys:key in
       check (Alcotest.array bool_t)
         (Printf.sprintf "cyclic lane %d" lane)
         expected (List.nth unpacked lane))
@@ -265,16 +265,16 @@ let test_word_unresolved () =
   Circuit.Builder.output b "y" inv;
   let c = Circuit.of_builder b in
   (try
-     ignore (Sim_word.eval c ~inputs:[| 0 |] ~keys:[||]);
+     ignore (View.eval_packed (View.of_circuit c) ~inputs:[| 0 |] ~keys:[||]);
      Alcotest.fail "expected Unresolved"
-   with Sim.Unresolved _ -> ());
-  let tri = Sim_word.eval_tristate c ~inputs:[| 0 |] ~keys:[||] in
-  check int_t "all lanes undefined" 0 tri.(0).Sim_word.defined
+   with View.Unresolved _ -> ());
+  let tri = View.eval_words (View.of_circuit c) ~inputs:[| 0 |] ~keys:[||] in
+  check int_t "all lanes undefined" 0 tri.(0).View.defined
 
 let test_word_count_diff () =
-  check int_t "no diff" 0 (Sim_word.count_diff_lanes [| 5; 3 |] [| 5; 3 |]);
-  check int_t "two lanes" 2 (Sim_word.count_diff_lanes [| 0b101 |] [| 0b000 |]);
-  check int_t "across words" 2 (Sim_word.count_diff_lanes [| 1; 2 |] [| 0; 0 |])
+  check int_t "no diff" 0 (Test_support.count_diff_lanes [| 5; 3 |] [| 5; 3 |]);
+  check int_t "two lanes" 2 (Test_support.count_diff_lanes [| 0b101 |] [| 0b000 |]);
+  check int_t "across words" 2 (Test_support.count_diff_lanes [| 1; 2 |] [| 0; 0 |])
 
 (* ------------------------------------------------------------------ *)
 (* Faults                                                              *)
@@ -294,7 +294,7 @@ let test_faults_xor_detects_everything () =
   let g = Circuit.Builder.add b Gate.Xor [| a; b_in |] in
   Circuit.Builder.output b "y" g;
   let c = Circuit.of_builder b in
-  let vectors = List.init 4 (fun v -> Sim.vector_of_int ~width:2 v) in
+  let vectors = List.init 4 (fun v -> Test_support.vector_of_int ~width:2 v) in
   let cov = Faults.coverage c ~keys:[||] ~vectors in
   check int_t "all detected" cov.Faults.total cov.Faults.detected
 
@@ -308,7 +308,7 @@ let test_faults_undetectable_redundant () =
   let g_or = Circuit.Builder.add b Gate.Or [| a; g_and |] in
   Circuit.Builder.output b "y" g_or;
   let c = Circuit.of_builder b in
-  let vectors = List.init 4 (fun v -> Sim.vector_of_int ~width:2 v) in
+  let vectors = List.init 4 (fun v -> Test_support.vector_of_int ~width:2 v) in
   let cov = Faults.coverage c ~keys:[||] ~vectors in
   let gid = Option.get (Circuit.find_by_name c "g_and") in
   check bool_t "and s-a-0 undetectable" true
@@ -318,10 +318,23 @@ let test_faults_undetectable_redundant () =
 
 let test_faults_coverage_c17 () =
   let c = Bench_suite.c17 () in
-  let vectors = List.init 32 (fun v -> Sim.vector_of_int ~width:5 v) in
+  let vectors = List.init 32 (fun v -> Test_support.vector_of_int ~width:5 v) in
   let cov = Faults.coverage c ~keys:[||] ~vectors in
   (* c17 is fully testable: exhaustive vectors detect every fault. *)
   check int_t "full coverage" cov.Faults.total cov.Faults.detected
+
+let test_faults_short_batch () =
+  (* One vector fills one lane; the other lanes must not add vectors (such
+     as all-zero) that the test set does not hold. *)
+  let c = Bench_suite.c17 () in
+  let v = [| true; false; true; true; false |] in
+  let cov = Faults.coverage c ~keys:[||] ~vectors:[ v ] in
+  let expected =
+    List.filter
+      (fun f -> Faults.detects c ~keys:[||] ~inputs:(View.broadcast v) f)
+      (Faults.enumerate c)
+  in
+  check int_t "detected by the one vector" (List.length expected) cov.Faults.detected
 
 let test_faults_locking_reduces_testability () =
   (* The locked netlist contains MUX fabric where deselected paths are
@@ -333,7 +346,7 @@ let test_faults_locking_reduces_testability () =
   let lc = locked.Locked.locked in
   let vectors =
     List.init 128 (fun i ->
-        Sim.random_vector (Random.State.make [| i |]) (Circuit.num_inputs lc))
+        View.random_vector (Random.State.make [| i |]) (Circuit.num_inputs lc))
   in
   let orig_cov = Faults.coverage c ~keys:[||] ~vectors in
   let locked_cov = Faults.coverage lc ~keys:locked.Locked.correct_key ~vectors in
@@ -359,7 +372,7 @@ let test_atpg_generates_tests () =
       match Atpg.generate c ~keys:[||] ~node:fault.Faults.node
               ~stuck_at:fault.Faults.stuck_at with
       | Atpg.Test v ->
-        let packed = Sim_word.pack [ v ] in
+        let packed = View.pack [ v ] in
         check bool_t "vector detects its fault" true
           (Faults.detects c ~keys:[||] ~inputs:packed fault)
       | Atpg.Untestable -> Alcotest.fail "c17 fault reported untestable"
@@ -422,7 +435,7 @@ let test_verilog_roundtrip_simple () =
   let text = Verilog.to_string c in
   let c2 = Verilog.parse_string text in
   check bool_t "roundtrip equivalent" true
-    (Sim.equivalent_exhaustive c c2 ~keys_a:[||] ~keys_b:[||])
+    (Test_support.equivalent c c2)
 
 let test_verilog_roundtrip_locked () =
   (* Locked netlists have MUXes, XOR inverters, constants and key inputs —
@@ -433,11 +446,8 @@ let test_verilog_roundtrip_locked () =
   let lc = locked.Locked.locked in
   let c2 = Verilog.parse_string (Verilog.to_string lc) in
   check int_t "keys preserved" (Circuit.num_keys lc) (Circuit.num_keys c2);
-  let key = locked.Locked.correct_key in
-  let rng2 = Random.State.make [| 9 |] in
-  let vectors = List.init 64 (fun _ -> Sim.random_vector rng2 (Circuit.num_inputs lc)) in
   check bool_t "roundtrip equivalent" true
-    (Sim.equal_on_vectors lc c2 ~keys_a:key ~keys_b:key ~vectors)
+    (Test_support.equivalent ~keys:locked.Locked.correct_key lc c2)
 
 let test_verilog_parses_handwritten () =
   let text =
@@ -456,8 +466,8 @@ let test_verilog_parses_handwritten () =
   check int_t "outputs" 2 (Circuit.num_outputs c);
   (* Full adder truth check. *)
   for v = 0 to 7 do
-    let inputs = Sim.vector_of_int ~width:3 v in
-    let out = Sim.eval c ~inputs ~keys:[||] in
+    let inputs = Test_support.vector_of_int ~width:3 v in
+    let out = View.eval (View.of_circuit c) ~inputs ~keys:[||] in
     let a = inputs.(0) and b = inputs.(1) and cin = inputs.(2) in
     let sum = a <> b <> cin in
     let cout = (a && b) || ((a <> b) && cin) in
@@ -472,9 +482,9 @@ let test_verilog_mux_ternary () =
   let c = Verilog.parse_string text in
   (* s=1 -> a *)
   check (Alcotest.array bool_t) "s=1" [| true |]
-    (Sim.eval c ~inputs:[| true; true; false |] ~keys:[||]);
+    (View.eval (View.of_circuit c) ~inputs:[| true; true; false |] ~keys:[||]);
   check (Alcotest.array bool_t) "s=0" [| false |]
-    (Sim.eval c ~inputs:[| false; true; false |] ~keys:[||])
+    (View.eval (View.of_circuit c) ~inputs:[| false; true; false |] ~keys:[||])
 
 let test_verilog_keyinput_convention () =
   let text =
@@ -519,11 +529,11 @@ let prop_word_sim_matches =
   qcheck_case "word sim = scalar sim" gen (fun (seed, vseed) ->
       let c = host ~seed () in
       let rng = Random.State.make [| vseed |] in
-      let vectors = List.init 8 (fun _ -> Sim.random_vector rng (Circuit.num_inputs c)) in
-      let out = Sim_word.eval c ~inputs:(Sim_word.pack vectors) ~keys:[||] in
-      let unpacked = Sim_word.unpack ~lanes_used:8 out in
+      let vectors = List.init 8 (fun _ -> View.random_vector rng (Circuit.num_inputs c)) in
+      let out = View.eval_packed (View.of_circuit c) ~inputs:(View.pack vectors) ~keys:[||] in
+      let unpacked = Test_support.unpack ~lanes_used:8 out in
       List.for_all2
-        (fun v got -> Sim.eval c ~inputs:v ~keys:[||] = got)
+        (fun v got -> View.eval (View.of_circuit c) ~inputs:v ~keys:[||] = got)
         vectors unpacked)
 
 let prop_verilog_roundtrip =
@@ -553,6 +563,78 @@ let prop_hardwire_correct_key =
         Opt.run (Opt.hardwire_keys locked.Locked.locked locked.Locked.correct_key)
       in
       Equiv.check activated c = Equiv.Equivalent)
+
+(* The SAT engine (Atpg) and the simulation engine (Faults) share one fault
+   model, Faults.inject; these properties check that they agree. *)
+
+let some_faults rng c k =
+  let faults = Array.of_list (Faults.enumerate c) in
+  List.init k (fun _ -> faults.(Random.State.int rng (Array.length faults)))
+
+let prop_atpg_agrees_with_fault_sim =
+  let gen = QCheck2.Gen.int_bound 5000 in
+  qcheck_case ~count:30 "atpg verdicts = fault sim" gen (fun seed ->
+      let c =
+        Generator.random ~seed ~name:"atpg-prop"
+          { Generator.num_inputs = 2 + (seed mod 7); num_outputs = 1 + (seed mod 3);
+            num_gates = 10 + (seed mod 40); max_fanin = 2 + (seed mod 3);
+            and_bias = 0.7 }
+      in
+      let n = Circuit.num_inputs c in
+      let exhaustive =
+        Faults.batches (List.init (1 lsl n) (Test_support.vector_of_int ~width:n))
+      in
+      List.for_all
+        (fun fault ->
+          match
+            Atpg.generate c ~keys:[||] ~node:fault.Faults.node
+              ~stuck_at:fault.Faults.stuck_at
+          with
+          | Atpg.Test v ->
+            Faults.detects c ~keys:[||] ~inputs:(View.broadcast v) fault
+          | Atpg.Untestable ->
+            not
+              (List.exists
+                 (fun inputs -> Faults.detects c ~keys:[||] ~inputs fault)
+                 exhaustive)
+          | Atpg.Unknown -> QCheck2.Test.fail_report "unbudgeted ATPG gave up")
+        (some_faults (Random.State.make [| seed |]) c 6))
+
+let prop_cyclic_fault_sim_matches_reference =
+  let gen = QCheck2.Gen.int_bound 5000 in
+  qcheck_case ~count:15 "cyclic fault sim = reference" gen (fun seed ->
+      let c = host ~seed ~gates:(50 + (seed mod 40)) () in
+      let rec cyclic_lock s =
+        let l =
+          Fulllock.lock_one (Random.State.make [| seed; s |]) ~policy:`Cyclic ~n:4 c
+        in
+        if Circuit.is_acyclic l.Locked.locked then cyclic_lock (s + 1) else l
+      in
+      let locked = cyclic_lock 0 in
+      let lc = locked.Locked.locked and keys = locked.Locked.correct_key in
+      let rng = Random.State.make [| seed; 1 |] in
+      let vectors =
+        List.init View.lanes (fun _ -> View.random_vector rng (Circuit.num_inputs lc))
+      in
+      (* Scalar verdict: some output settles in the good machine and differs
+         or stays X in the faulty one. *)
+      let reference faulty inputs =
+        let good = View.eval_tristate_reference lc ~inputs ~keys in
+        let bad = View.eval_tristate_reference faulty ~inputs ~keys in
+        Array.exists2 (fun g f -> g <> View.VX && f <> g) good bad
+      in
+      List.for_all
+        (fun fault ->
+          let faulty = Faults.inject lc fault in
+          let detects inputs =
+            Faults.detects lc ~keys:(View.broadcast keys) ~inputs fault
+          in
+          let lanes = List.map (reference faulty) vectors in
+          List.for_all2
+            (fun v expected -> detects (View.broadcast v) = expected)
+            vectors lanes
+          && detects (View.pack vectors) = List.mem true lanes)
+        (some_faults rng lc 4))
 
 let () =
   Alcotest.run "tools"
@@ -590,6 +672,7 @@ let () =
           Alcotest.test_case "redundant undetectable" `Quick test_faults_undetectable_redundant;
           Alcotest.test_case "c17 coverage" `Quick test_faults_coverage_c17;
           Alcotest.test_case "locking reduces testability" `Quick test_faults_locking_reduces_testability;
+          Alcotest.test_case "short batch" `Quick test_faults_short_batch;
         ] );
       ( "atpg",
         [
@@ -614,5 +697,7 @@ let () =
           prop_verilog_roundtrip;
           prop_verilog_parser_total;
           prop_hardwire_correct_key;
+          prop_atpg_agrees_with_fault_sim;
+          prop_cyclic_fault_sim_matches_reference;
         ] );
     ]

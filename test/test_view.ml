@@ -4,8 +4,6 @@
 
 module Gate = Fl_netlist.Gate
 module Circuit = Fl_netlist.Circuit
-module Sim = Fl_netlist.Sim
-module Sim_word = Fl_netlist.Sim_word
 module View = Fl_netlist.View
 module Generator = Fl_netlist.Generator
 module Bench_suite = Fl_netlist.Bench_suite
@@ -96,8 +94,8 @@ let random_cyclic ~seed =
   Circuit.of_builder b
 
 let random_stim rng c =
-  ( Sim.random_vector rng (Circuit.num_inputs c),
-    Sim.random_vector rng (Circuit.num_keys c) )
+  ( View.random_vector rng (Circuit.num_inputs c),
+    View.random_vector rng (Circuit.num_keys c) )
 
 (* ------------------------------------------------------------------ *)
 (* Compiled evaluator = reference simulator                            *)
@@ -109,9 +107,9 @@ let prop_acyclic_matches_reference =
       let c = acyclic_of ~seed in
       let rng = Random.State.make [| stim_seed |] in
       let inputs, keys = random_stim rng c in
-      Sim.eval c ~inputs ~keys = Sim.eval_reference c ~inputs ~keys
-      && Sim.eval_tristate c ~inputs ~keys
-         = Sim.eval_tristate_reference c ~inputs ~keys)
+      View.eval (View.of_circuit c) ~inputs ~keys = View.eval_reference c ~inputs ~keys
+      && View.eval_tristate (View.of_circuit c) ~inputs ~keys
+         = View.eval_tristate_reference c ~inputs ~keys)
 
 let prop_cyclic_matches_reference =
   let gen = QCheck2.Gen.(pair (int_bound 10_000) (int_bound 10_000)) in
@@ -120,18 +118,18 @@ let prop_cyclic_matches_reference =
       let c = random_cyclic ~seed in
       let rng = Random.State.make [| stim_seed |] in
       let inputs, keys = random_stim rng c in
-      let via_view = Sim.eval_tristate c ~inputs ~keys in
-      let reference = Sim.eval_tristate_reference c ~inputs ~keys in
+      let via_view = View.eval_tristate (View.of_circuit c) ~inputs ~keys in
+      let reference = View.eval_tristate_reference c ~inputs ~keys in
       let strict_agree =
-        match Sim.eval c ~inputs ~keys with
+        match View.eval (View.of_circuit c) ~inputs ~keys with
         | outputs -> (
-          match Sim.eval_reference c ~inputs ~keys with
+          match View.eval_reference c ~inputs ~keys with
           | ref_outputs -> outputs = ref_outputs
-          | exception Sim.Unresolved _ -> false)
-        | exception Sim.Unresolved _ -> (
-          match Sim.eval_reference c ~inputs ~keys with
+          | exception View.Unresolved _ -> false)
+        | exception View.Unresolved _ -> (
+          match View.eval_reference c ~inputs ~keys with
           | _ -> false
-          | exception Sim.Unresolved _ -> true)
+          | exception View.Unresolved _ -> true)
       in
       via_view = reference && strict_agree)
 
@@ -146,16 +144,16 @@ let prop_word_lane_zero_matches_scalar =
       let rng = Random.State.make [| stim_seed; 1 |] in
       let inputs, keys = random_stim rng c in
       let words =
-        Sim_word.eval_tristate c ~inputs:(View.broadcast inputs)
+        View.eval_words (View.of_circuit c) ~inputs:(View.broadcast inputs)
           ~keys:(View.broadcast keys)
       in
-      let scalar = Sim.eval_tristate_reference c ~inputs ~keys in
+      let scalar = View.eval_tristate_reference c ~inputs ~keys in
       Array.for_all2
         (fun w tri ->
           match tri with
-          | Sim.VX -> w.Sim_word.defined land 1 = 0
-          | Sim.V1 -> w.Sim_word.defined land 1 = 1 && w.Sim_word.value land 1 = 1
-          | Sim.V0 -> w.Sim_word.defined land 1 = 1 && w.Sim_word.value land 1 = 0)
+          | View.VX -> w.View.defined land 1 = 0
+          | View.V1 -> w.View.defined land 1 = 1 && w.View.value land 1 = 1
+          | View.V0 -> w.View.defined land 1 = 1 && w.View.value land 1 = 0)
         words scalar)
 
 let prop_word_lanes_match_scalar_sweep =
@@ -166,15 +164,15 @@ let prop_word_lanes_match_scalar_sweep =
     (fun (seed, stim_seed) ->
       let c = acyclic_of ~seed in
       let rng = Random.State.make [| stim_seed; 2 |] in
-      let inputs = Sim_word.random_words rng ~width:(Circuit.num_inputs c) in
-      let keys = Sim.random_vector rng (Circuit.num_keys c) in
-      let packed = Sim_word.eval c ~inputs ~keys:(View.broadcast keys) in
+      let inputs = View.random_words rng ~width:(Circuit.num_inputs c) in
+      let keys = View.random_vector rng (Circuit.num_keys c) in
+      let packed = View.eval_packed (View.of_circuit c) ~inputs ~keys:(View.broadcast keys) in
       let ok = ref true in
       for lane = 0 to 7 do
         let lane_inputs =
           Array.map (fun w -> w land (1 lsl lane) <> 0) inputs
         in
-        let expected = Sim.eval_reference c ~inputs:lane_inputs ~keys in
+        let expected = View.eval_reference c ~inputs:lane_inputs ~keys in
         Array.iteri
           (fun i w ->
             if w land (1 lsl lane) <> 0 <> expected.(i) then ok := false)
