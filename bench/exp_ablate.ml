@@ -24,7 +24,7 @@ let attack ~timeout locked =
   | Sat_attack.Timeout ->
     Printf.sprintf "%d*" r.Sat_attack.iterations, "TO",
     Printf.sprintf "%d" r.Sat_attack.solver.Fl_sat.Cdcl.conflicts
-  | Sat_attack.Iteration_limit | Sat_attack.No_key_found -> "-", "-", "-"
+  | Sat_attack.No_key_found -> "-", "-", "-"
 
 let spec_row ~timeout label spec =
   let rng = Random.State.make [| Hashtbl.hash label |] in

@@ -14,7 +14,7 @@
    paths must never *disagree on correctness*: a cell where one side
    returns a wrong key while the other breaks cleanly (or finds no key on
    a breakable instance) is a bug, and [statuses_match] in BENCH_cnf.json
-   watches exactly that.  A TO/iter-vs-broken flip is different: the
+   watches exactly that.  A TO-vs-broken flip is different: the
    budget is counted in solver conflicts over a *changed* formula, so a
    cell sitting right at the budget boundary may land on either side of
    it.  Those flips are legitimate, counted separately as [budget_flips]
@@ -39,13 +39,12 @@ type cell = {
   clauses_after : int;
   reduction_pct : float;
   xor_rows : int;  (* XOR constraints Inprocess recovers from the miter *)
+  status_inp : string;
   status_pre : string;
   status_ref : string;
+  time_inp : float;
   time_pre : float;
   time_ref : float;
-  (* None when the inprocessed arm is disabled (--no-inprocess) *)
-  status_inp : string option;
-  time_inp : float option;
 }
 
 let status (r : Sat_attack.result) =
@@ -54,17 +53,8 @@ let status (r : Sat_attack.result) =
   | Sat_attack.Broken _ -> "broken-wrong"
   | Sat_attack.Timeout -> "TO"
   | Sat_attack.No_key_found -> "no-key"
-  | Sat_attack.Iteration_limit -> "iter"
 
-(* Same frozen set Session uses: every variable the incremental attack
-   clauses may mention. *)
-let frozen_vars (m : Miter.t) =
-  Array.concat
-    [ m.Miter.inputs; m.Miter.keys_a; m.Miter.keys_b;
-      m.Miter.outputs_a; m.Miter.outputs_b ]
-
-let cell ~timeout ~max_conflicts ~inp_enabled ~inp_every ~name
-    ~plr_n ~plr_count ~seed circuit =
+let cell ~timeout ~max_conflicts ~name ~plr_n ~plr_count ~seed circuit =
   let rng = Random.State.make [| seed; plr_n; plr_count |] in
   let configs = List.init plr_count (fun _ -> Fulllock.default_config ~n:plr_n) in
   match Fulllock.lock rng ~policy:`Cyclic ~configs circuit with
@@ -72,28 +62,23 @@ let cell ~timeout ~max_conflicts ~inp_enabled ~inp_every ~name
   | locked ->
     let miter = Miter.build locked.Locked.locked in
     let p =
-      Preprocess.run ~label:name ~frozen:(frozen_vars miter)
+      Preprocess.run ~label:name ~frozen:(Miter.interface_vars miter)
         miter.Miter.formula
     in
     let st = Preprocess.stats p in
     (* Structural inprocessing yield on the raw miter (XOR patterns still
        intact): how many XOR rows the recovery pass finds per cell. *)
     let xor_rows =
-      if not inp_enabled then 0
-      else
-        let miter = Miter.build locked.Locked.locked in
-        let ip =
-          Inprocess.run ~label:name ~frozen:(frozen_vars miter)
-            miter.Miter.formula
-        in
-        (Inprocess.stats ip).Inprocess.xor_rows
+      let miter = Miter.build locked.Locked.locked in
+      let ip =
+        Inprocess.run ~label:name ~frozen:(Miter.interface_vars miter)
+          miter.Miter.formula
+      in
+      (Inprocess.stats ip).Inprocess.xor_rows
     in
     let r_inp =
-      if inp_enabled then
-        Some
-          (Cycsat.run ~timeout ~max_conflicts ~preprocess:true
-             ~inprocess:true ~inprocess_every:inp_every locked)
-      else None
+      Cycsat.run ~timeout ~max_conflicts ~preprocess:true ~inprocess:true
+        ~inprocess_every:4 locked
     in
     let r_pre = Cycsat.run ~timeout ~max_conflicts ~preprocess:true locked in
     let r_ref = Cycsat.run ~timeout ~max_conflicts ~preprocess:false locked in
@@ -112,17 +97,15 @@ let cell ~timeout ~max_conflicts ~inp_enabled ~inp_every ~name
                  -. float_of_int st.Preprocess.clauses_after
                     /. float_of_int st.Preprocess.clauses_before));
         xor_rows;
+        status_inp = status r_inp;
         status_pre = status r_pre;
         status_ref = status r_ref;
+        time_inp = r_inp.Sat_attack.wall_time;
         time_pre = r_pre.Sat_attack.wall_time;
         time_ref = r_ref.Sat_attack.wall_time;
-        status_inp = Option.map status r_inp;
-        time_inp = Option.map (fun r -> r.Sat_attack.wall_time) r_inp;
       }
 
-let run ?(inprocess = { Fl_cli.enabled = None; every = None }) ~deep ~pool () =
-  let inp_enabled = inprocess.Fl_cli.enabled <> Some false in
-  let inp_every = Option.value inprocess.Fl_cli.every ~default:4 in
+let run ~deep ~pool () =
   let max_conflicts = if deep then 400_000 else 80_000 in
   let timeout = if deep then 1200.0 else 240.0 in
   let scale = if deep then 2 else 4 in
@@ -141,8 +124,8 @@ let run ?(inprocess = { Fl_cli.enabled = None; every = None }) ~deep ~pool () =
     Fl_par.map_list pool
       (fun (name, plr_n, plr_count) ->
         let c = Bench_suite.load_scaled name ~scale in
-        cell ~timeout ~max_conflicts ~inp_enabled ~inp_every ~name
-          ~plr_n ~plr_count ~seed:(Hashtbl.hash name) c)
+        cell ~timeout ~max_conflicts ~name ~plr_n ~plr_count
+          ~seed:(Hashtbl.hash name) c)
       tasks
     |> List.map Fl_par.get
     |> List.filter_map (fun x -> x)
@@ -155,18 +138,16 @@ let run ?(inprocess = { Fl_cli.enabled = None; every = None }) ~deep ~pool () =
           Printf.sprintf "%d->%d" c.clauses_before c.clauses_after;
           Printf.sprintf "%.1f%%" c.reduction_pct;
           string_of_int c.xor_rows;
-          Option.value c.status_inp ~default:"-";
+          c.status_inp;
           c.status_pre;
           c.status_ref;
-          (match c.time_inp with Some t -> Tables.seconds t | None -> "-");
+          Tables.seconds c.time_inp;
           Tables.seconds c.time_pre;
           Tables.seconds c.time_ref;
           (if c.time_ref > 0.0 then Printf.sprintf "%.2f" (c.time_pre /. c.time_ref)
            else "-");
-          (match c.time_inp with
-           | Some t when c.time_ref > 0.0 ->
-             Printf.sprintf "%.2f" (t /. c.time_ref)
-           | _ -> "-");
+          (if c.time_ref > 0.0 then Printf.sprintf "%.2f" (c.time_inp /. c.time_ref)
+           else "-");
         ])
       cells
   in
@@ -181,19 +162,14 @@ let run ?(inprocess = { Fl_cli.enabled = None; every = None }) ~deep ~pool () =
       "t_ref"; "r_pre"; "r_inp" ]
     rows;
   (* A budget flip is one path breaking (with a verified key — that is what
-     "broken" means) while the other exhausts its conflict/iteration budget:
+     "broken" means) while the other exhausts its conflict budget:
      a boundary artifact, not a disagreement about the instance.  Anything
      else that differs — a wrong key on one side, no-key vs broken — is. *)
   let budget_flip a b =
-    match a, b with
-    | "broken", ("TO" | "iter") | ("TO" | "iter"), "broken" -> true
-    | _ -> false
+    match a, b with "broken", "TO" | "TO", "broken" -> true | _ -> false
   in
-  (* Status lists per cell: two or three arms, compared pairwise. *)
-  let arms c =
-    c.status_pre :: c.status_ref
-    :: (match c.status_inp with Some s -> [ s ] | None -> [])
-  in
+  (* Status list per cell, compared pairwise. *)
+  let arms c = [ c.status_pre; c.status_ref; c.status_inp ] in
   let rec pairs = function
     | [] -> []
     | x :: rest -> List.map (fun y -> x, y) rest @ pairs rest
@@ -220,9 +196,7 @@ let run ?(inprocess = { Fl_cli.enabled = None; every = None }) ~deep ~pool () =
     let ratios =
       List.filter_map
         (fun c ->
-          match sel c with
-          | Some t when c.time_ref > 0.0 -> Some (t /. c.time_ref)
-          | _ -> None)
+          if c.time_ref > 0.0 then Some (sel c /. c.time_ref) else None)
         cells
     in
     let min_ratio = List.fold_left min infinity ratios in
@@ -235,7 +209,7 @@ let run ?(inprocess = { Fl_cli.enabled = None; every = None }) ~deep ~pool () =
     in
     min_ratio, geomean
   in
-  let min_ratio, geomean = ratio_stats (fun c -> Some c.time_pre) in
+  let min_ratio, geomean = ratio_stats (fun c -> c.time_pre) in
   let min_ratio_inp, geomean_inp = ratio_stats (fun c -> c.time_inp) in
   let min_xor_rows =
     List.fold_left (fun acc c -> min acc c.xor_rows) max_int cells
@@ -246,12 +220,9 @@ let run ?(inprocess = { Fl_cli.enabled = None; every = None }) ~deep ~pool () =
   Report.add_float "max_clause_reduction_pct" max_reduction;
   Report.add_float "min_solve_ratio" min_ratio;
   Report.add_float "solve_ratio_geomean" geomean;
-  if inp_enabled then begin
-    Report.add_float "min_solve_ratio_inp" min_ratio_inp;
-    Report.add_float "solve_ratio_inp_geomean" geomean_inp;
-    Report.add_int "min_xor_rows"
-      (if cells = [] then 0 else min_xor_rows)
-  end;
+  Report.add_float "min_solve_ratio_inp" min_ratio_inp;
+  Report.add_float "solve_ratio_inp_geomean" geomean_inp;
+  Report.add_int "min_xor_rows" (if cells = [] then 0 else min_xor_rows);
   Report.add_int "cells" (List.length cells);
   Report.add_section "clause_reduction_pct"
     (List.map (fun c -> c.label, Fl_obs.Float c.reduction_pct) cells);
@@ -259,23 +230,17 @@ let run ?(inprocess = { Fl_cli.enabled = None; every = None }) ~deep ~pool () =
     (List.map (fun c -> c.label, Fl_obs.String c.status_pre) cells);
   Report.add_section "status_ref"
     (List.map (fun c -> c.label, Fl_obs.String c.status_ref) cells);
-  if inp_enabled then begin
-    Report.add_section "status_inp"
-      (List.map
-         (fun c ->
-           c.label, Fl_obs.String (Option.value c.status_inp ~default:"-"))
-         cells);
-    Report.add_section "xor_rows"
-      (List.map (fun c -> c.label, Fl_obs.Int c.xor_rows) cells);
-    Report.add_section "solve_ratio_inp"
-      (List.map
-         (fun c ->
-           ( c.label,
-             match c.time_inp with
-             | Some t when c.time_ref > 0.0 -> Fl_obs.Float (t /. c.time_ref)
-             | _ -> Fl_obs.String "-" ))
-         cells)
-  end;
+  Report.add_section "status_inp"
+    (List.map (fun c -> c.label, Fl_obs.String c.status_inp) cells);
+  Report.add_section "xor_rows"
+    (List.map (fun c -> c.label, Fl_obs.Int c.xor_rows) cells);
+  Report.add_section "solve_ratio_inp"
+    (List.map
+       (fun c ->
+         ( c.label,
+           if c.time_ref > 0.0 then Fl_obs.Float (c.time_inp /. c.time_ref)
+           else Fl_obs.String "-" ))
+       cells);
   Report.add_section "solve_ratio"
     (List.map
        (fun c ->
@@ -287,13 +252,10 @@ let run ?(inprocess = { Fl_cli.enabled = None; every = None }) ~deep ~pool () =
   Report.add_parallelism ~jobs:(Fl_par.jobs pool) (Fl_par.last_stats pool);
   Printf.printf
     "statuses %s across %d cells (%d budget-boundary flip%s); best clause \
-     reduction %.1f%%; solve-time ratio min %.2f, geomean %.2f%s\n"
+     reduction %.1f%%; solve-time ratio min %.2f, geomean %.2f; inprocessed \
+     min %.2f, geomean %.2f, min xor rows %d\n"
     (if statuses_match then "consistent" else "DISAGREE ON CORRECTNESS")
     (List.length cells) budget_flips
     (if budget_flips = 1 then "" else "s")
-    max_reduction min_ratio geomean
-    (if inp_enabled then
-       Printf.sprintf "; inprocessed min %.2f, geomean %.2f, min xor rows %d"
-         min_ratio_inp geomean_inp
-         (if cells = [] then 0 else min_xor_rows)
-     else "")
+    max_reduction min_ratio geomean min_ratio_inp geomean_inp
+    (if cells = [] then 0 else min_xor_rows)

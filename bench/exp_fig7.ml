@@ -118,7 +118,6 @@ let run ~deep ~pool () =
           (match result.Fl_attacks.Sat_attack.status with
            | Fl_attacks.Sat_attack.Broken _ -> "broken"
            | Fl_attacks.Sat_attack.Timeout -> "timeout"
-           | Fl_attacks.Sat_attack.Iteration_limit -> "iteration_limit"
            | Fl_attacks.Sat_attack.No_key_found -> "no_key_found") );
       "iterations", Fl_obs.Int result.Fl_attacks.Sat_attack.iterations;
       "wall_seconds", Fl_obs.Float result.Fl_attacks.Sat_attack.wall_time;

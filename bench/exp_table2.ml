@@ -30,7 +30,7 @@ let attack_row ~timeout spec seed =
       Tables.seconds r.Sat_attack.wall_time,
       per_iter )
   | Sat_attack.Timeout -> Printf.sprintf "%d*" r.Sat_attack.iterations, "TO", per_iter
-  | Sat_attack.Iteration_limit | Sat_attack.No_key_found -> "-", "-", per_iter
+  | Sat_attack.No_key_found -> "-", "-", per_iter
 
 let run ~deep () =
   let sizes = if deep then [ 4; 8; 16; 32; 64 ] else [ 4; 8; 16; 32 ] in

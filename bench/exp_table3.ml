@@ -15,7 +15,7 @@ let resilient ~timeout spec =
   let r = Sat_attack.run ~timeout locked in
   match r.Sat_attack.status with
   | Sat_attack.Timeout -> true
-  | Sat_attack.Broken _ | Sat_attack.Iteration_limit | Sat_attack.No_key_found -> false
+  | Sat_attack.Broken _ | Sat_attack.No_key_found -> false
 
 let log_spec ~n ~extra =
   { (Cln.default_spec ~n) with Cln.topology = Topology.Log_extra extra }

@@ -38,8 +38,7 @@ let attack_cell ~timeout ~max_conflicts circuit ~plr_n ~plr_count ~seed =
      | Sat_attack.Broken _ ->
        Tables.seconds r.Sat_attack.wall_time ^ " (wrong)", "broken-wrong"
      | Sat_attack.Timeout -> "TO", "TO"
-     | Sat_attack.No_key_found -> "no-key", "no-key"
-     | Sat_attack.Iteration_limit -> "iter", "iter")
+     | Sat_attack.No_key_found -> "no-key", "no-key")
 
 let run ~deep ~pool () =
   let max_conflicts = if deep then 400_000 else 80_000 in

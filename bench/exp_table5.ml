@@ -22,8 +22,7 @@ let resilient_full_lock ~timeout ~max_conflicts circuit ~sizes ~seed =
     let r = Cycsat.run ~timeout ~max_conflicts locked in
     (match r.Sat_attack.status with
      | Sat_attack.Timeout -> Some true
-     | Sat_attack.Broken _ | Sat_attack.No_key_found | Sat_attack.Iteration_limit ->
-       Some false)
+     | Sat_attack.Broken _ | Sat_attack.No_key_found -> Some false)
 
 (* Several crossbars = chain the pass; the oracle stays the original and the
    correct key is the concatenation (key order = key-input creation order,
@@ -54,9 +53,7 @@ let resilient_cross_lock ~timeout ~max_conflicts circuit ~n ~count ~seed =
        let r = Cycsat.run ~timeout ~max_conflicts locked in
        (match r.Sat_attack.status with
         | Sat_attack.Timeout -> Some true
-        | Sat_attack.Broken _ | Sat_attack.No_key_found
-        | Sat_attack.Iteration_limit ->
-          Some false))
+        | Sat_attack.Broken _ | Sat_attack.No_key_found -> Some false))
 
 let ladder ~deep =
   if deep then [ [ 8 ]; [ 8; 8 ]; [ 16 ]; [ 16; 8 ]; [ 16; 16 ]; [ 16; 16; 8 ] ]

@@ -3,7 +3,6 @@
 
    Usage:  main.exe [experiment ...] [--deep] [--trace FILE] [--jobs N]
                     [--baseline FILE] [--tolerance X]
-                    [--inprocess|--no-inprocess] [--inprocess-every N]
            main.exe all            (default; every experiment, scaled budget)
            main.exe micro          (Bechamel micro-benchmarks)
 
@@ -25,14 +24,14 @@
    Fl_cli.Baseline.gate: statuses must match and watched metrics must stay
    within --tolerance (default 1.25); a regression exits 1. *)
 
-let experiments ~deep ~pool ~inprocess =
+let experiments ~deep ~pool =
   [
     "fig1", (fun () -> Exp_fig1.run ~deep ());
     "table1", (fun () -> Exp_table1.run ());
     "table2", (fun () -> Exp_table2.run ~deep ());
     "table3", (fun () -> Exp_table3.run ~deep ());
     "table4", (fun () -> Exp_table4.run ~deep ~pool ());
-    "cnf", (fun () -> Exp_cnf.run ~inprocess ~deep ~pool ());
+    "cnf", (fun () -> Exp_cnf.run ~deep ~pool ());
     "table5", (fun () -> Exp_table5.run ~deep ~pool ());
     "fig5", (fun () -> Exp_fig5.run ());
     "fig7", (fun () -> Exp_fig7.run ~deep ~pool ());
@@ -54,7 +53,6 @@ let () =
   let jobs_arg, args = Fl_cli.take_opt "--jobs" args in
   let baseline, args = Fl_cli.take_opt "--baseline" args in
   let tolerance_arg, args = Fl_cli.take_opt "--tolerance" args in
-  let inprocess, args = Fl_cli.take_inprocess args in
   let deep, selected = Fl_cli.take_flag "--deep" args in
   (* Anything still dash-prefixed is a flag we don't know; reject it instead
      of treating it as an (unknown) experiment name. *)
@@ -67,8 +65,7 @@ let () =
        (fun flag ->
          Printf.eprintf
            "unknown flag %s; available: --deep, --trace FILE, --jobs N, \
-            --baseline FILE, --tolerance X, --inprocess, --no-inprocess, \
-            --inprocess-every N\n"
+            --baseline FILE, --tolerance X\n"
            flag)
        unknown;
      exit 2);
@@ -92,7 +89,7 @@ let () =
      atomic add per conflict) is noise next to a solve. *)
   Fl_obs.set_deep true;
   let pool = Fl_par.create ~name:"bench" ~jobs () in
-  let table = experiments ~deep ~pool ~inprocess in
+  let table = experiments ~deep ~pool in
   (* Reject unknown names up front so `main.exe tabel4 fig7` fails fast
      instead of running fig7 first and erroring an hour in. *)
   (match

@@ -20,7 +20,7 @@ let () =
   let trace, args = Fl_cli.take_opt "--trace" args in
   let use_dpll, args = Fl_cli.take_flag "--dpll" args in
   let show_stats, args = Fl_cli.take_flag "--stats" args in
-  let inp, args = Fl_cli.take_inprocess args in
+  let inprocess, args = Fl_cli.take_flag "--inprocess" args in
   let path =
     match args with
     | [ p ] when String.length p > 0 && p.[0] <> '-' -> p
@@ -29,15 +29,16 @@ let () =
         "usage: flsat problem.cnf [--budget-seconds S] [--dpll] [--inprocess] [--stats] [--trace FILE]";
       exit 2
   in
-  let budget = ref (-1.0) in
-  (match budget_arg with
-   | None -> ()
-   | Some v ->
-     (match float_of_string_opt v with
-      | Some s -> budget := s
-      | None ->
-        Printf.eprintf "--budget-seconds needs a number, got %S\n" v;
-        exit 2));
+  let budget_s =
+    match budget_arg with
+    | None -> None
+    | Some v ->
+      (match float_of_string_opt v with
+       | Some s when s > 0.0 && Float.is_finite s -> Some s
+       | _ ->
+         Printf.eprintf "--budget-seconds needs a positive finite number, got %S\n" v;
+         exit 2)
+  in
   let use_dpll = ref use_dpll and show_stats = ref show_stats in
   (match trace with None -> () | Some file -> Fl_cli.install_trace file);
   (* The histograms need the deep switch, not a sink: a --stats run should
@@ -60,7 +61,7 @@ let () =
      elimination reconstruction covers every variable.  An Unsat verdict
      decides the instance outright. *)
   let ip =
-    if inp.Fl_cli.enabled = Some true then
+    if inprocess then
       Some (Fl_sat.Inprocess.run ~label:"flsat" ~frozen:[||] formula)
     else None
   in
@@ -97,24 +98,14 @@ let () =
   end
   else begin
     let budget =
-      if !budget > 0.0 then Fl_sat.Cdcl.budget_seconds !budget
-      else Fl_sat.Cdcl.no_budget
+      match budget_s with
+      | Some s -> Fl_sat.Cdcl.budget_seconds s
+      | None -> Fl_sat.Cdcl.no_budget
     in
     let s = Fl_sat.Cdcl.of_formula solve_formula in
-    let stats_fields (d : Fl_sat.Cdcl.stats) =
-      [
-        "decisions", Fl_obs.Int d.Fl_sat.Cdcl.decisions;
-        "propagations", Fl_obs.Int d.Fl_sat.Cdcl.propagations;
-        "conflicts", Fl_obs.Int d.Fl_sat.Cdcl.conflicts;
-        "restarts", Fl_obs.Int d.Fl_sat.Cdcl.restarts;
-        "learned_clauses", Fl_obs.Int d.Fl_sat.Cdcl.learned_clauses;
-        "reductions", Fl_obs.Int d.Fl_sat.Cdcl.reductions;
-        "max_decision_level", Fl_obs.Int d.Fl_sat.Cdcl.max_decision_level;
-      ]
-    in
     if Fl_obs.enabled () then
       Fl_sat.Cdcl.set_progress s ~every:1024 (fun delta ->
-          Fl_obs.emit "cdcl.progress" ~fields:(stats_fields delta));
+          Fl_obs.emit "cdcl.progress" ~fields:(Fl_sat.Cdcl.stats_fields delta));
     let t0 = Unix.gettimeofday () in
     let outcome = Fl_obs.with_span "flsat.solve" (fun () -> Fl_sat.Cdcl.solve ~budget s) in
     let stats = Fl_sat.Cdcl.stats s in
@@ -130,7 +121,7 @@ let () =
            :: ("clauses", Fl_obs.Int (Fl_cnf.Formula.num_clauses solve_formula))
            :: ("vars", Fl_obs.Int (Fl_cnf.Formula.num_vars solve_formula))
            :: ("elapsed_s", Fl_obs.Float (Unix.gettimeofday () -. t0))
-           :: stats_fields stats);
+           :: Fl_sat.Cdcl.stats_fields stats);
     if !show_stats then begin
       Format.eprintf "c %a@." Fl_sat.Cdcl.pp_stats stats;
       Fl_cli.print_stats ()

@@ -363,14 +363,13 @@ let verify_cmd =
 (* ---------- attack ---------- *)
 
 let attack_cmd =
-  let run kind locked_path oracle_path timeout key_out trace stats inp_on
-      inp_off inp_every =
+  let run kind locked_path oracle_path timeout key_out trace stats inprocess =
+    if inprocess && List.mem kind [ "appsat"; "removal"; "bruteforce" ] then begin
+      Printf.eprintf "--inprocess applies to --kind sat and cycsat only, not %s\n"
+        kind;
+      exit 2
+    end;
     (match trace with None -> () | Some file -> Fl_cli.install_trace file);
-    (* Same validation (and exit-2 behaviour) as the getopt-style
-       binaries: --inprocess/--no-inprocess are mutually exclusive. *)
-    let inp = Fl_cli.check_inprocess ~on:inp_on ~off:inp_off ~every:inp_every in
-    let inprocess = inp.Fl_cli.enabled in
-    let inprocess_every = inp.Fl_cli.every in
     if stats then begin
       (* Deep telemetry so the snapshot includes the cdcl.* histograms. *)
       Fl_obs.set_deep true;
@@ -392,11 +391,8 @@ let attack_cmd =
      | "sat" | "cycsat" ->
        let result =
          if kind = "sat" then
-           Fl_attacks.Sat_attack.run ~timeout ~progress ?inprocess
-             ?inprocess_every l
-         else
-           Fl_attacks.Cycsat.run ~timeout ~progress ?inprocess
-             ?inprocess_every l
+           Fl_attacks.Sat_attack.run ~timeout ~progress ~inprocess l
+         else Fl_attacks.Cycsat.run ~timeout ~progress ~inprocess l
        in
        prerr_newline ();
        Format.printf "%a@." Fl_attacks.Sat_attack.pp_result result;
@@ -450,24 +446,16 @@ let attack_cmd =
            ~doc:"Print the full metric snapshot (counters, gauges, solver \
                  histograms) on exit.")
   in
-  let inp_on =
+  let inprocess =
     Arg.(value & flag & info [ "inprocess" ]
            ~doc:"Re-simplify the attack formula (probing, equivalent-literal \
-                 collapsing, XOR/Gauss) every N DIP iterations, rebuilding \
+                 collapsing, XOR/Gauss) every 8 DIP iterations, rebuilding \
                  the solver (SAT/CycSAT attacks only).")
-  in
-  let inp_off =
-    Arg.(value & flag & info [ "no-inprocess" ]
-           ~doc:"Force the between-iterations simplification off.")
-  in
-  let inp_every =
-    Arg.(value & opt (some int) None & info [ "inprocess-every" ] ~docv:"N"
-           ~doc:"Inprocessing period in DIP iterations (default 8).")
   in
   Cmd.v
     (Cmd.info "attack" ~doc:"Attack a locked netlist with oracle access")
     Term.(const run $ kind $ locked $ oracle $ timeout $ key_out $ trace
-          $ stats $ inp_on $ inp_off $ inp_every)
+          $ stats $ inprocess)
 
 let () =
   let doc = "Full-Lock logic locking toolbox (DAC'19 reproduction)" in

@@ -42,10 +42,10 @@ let sat_cell locked =
       r.Sat_attack.wall_time
   | Sat_attack.Broken _ -> "wrong key"
   | Sat_attack.Timeout -> "RESISTS"
-  | Sat_attack.Iteration_limit | Sat_attack.No_key_found -> "inconclusive"
+  | Sat_attack.No_key_found -> "inconclusive"
 
 let appsat_cell locked =
-  let r = Appsat.run ~timeout ~error_threshold:0.01 locked in
+  let r = Appsat.run ~timeout locked in
   match r.Appsat.key with
   | Some _ when r.Appsat.exact -> "exact key"
   | Some _ when r.Appsat.estimated_error <= 0.01 ->

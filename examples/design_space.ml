@@ -69,7 +69,7 @@ let () =
           | Sat_attack.Broken _ when r.Sat_attack.key_is_correct ->
             Printf.sprintf "broken in %.1fs" r.Sat_attack.wall_time
           | Sat_attack.Broken _ -> "broken (wrong key)"
-          | Sat_attack.Iteration_limit | Sat_attack.No_key_found -> "inconclusive"
+          | Sat_attack.No_key_found -> "inconclusive"
         in
         Printf.printf "%-22s | %8d | %8.2fx | %8.2fx | %8.2fx | %s\n%!" point.label
           (Locked.num_key_bits locked) area power delay security)

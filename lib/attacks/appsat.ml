@@ -11,11 +11,17 @@ type result = {
   wall_time : float;
 }
 
+(* Settle every [settle_every] DIP iterations on [samples] random
+   queries; accept at an estimated error of at most [error_threshold]. *)
+let settle_every = 4
+let samples = 64
+let error_threshold = 0.01
+
 (* Error rate of a key candidate on random inputs; also returns the
    disagreeing queries so they can reinforce the constraint set.  Probes run
    {!View.lanes} per word-sim pass; only disagreeing lanes are unpacked back
    into scalar (inputs, outputs) observations. *)
-let estimate_error locked rng ~samples key =
+let estimate_error locked rng key =
   let oracle_v = View.of_circuit locked.Locked.oracle in
   let locked_v = View.of_circuit locked.Locked.locked in
   let n = Circuit.num_inputs locked.Locked.oracle in
@@ -56,13 +62,11 @@ let estimate_error locked rng ~samples key =
   done;
   float_of_int !wrong_count /. float_of_int samples, !wrong
 
-let run ?(timeout = 60.0) ?(max_iterations = max_int)
-    ?(settle_every = 4) ?(samples = 64) ?(error_threshold = 0.01) ?(seed = 0)
-    locked =
+let run ?(timeout = 60.0) locked =
   Fl_obs.with_span "attack.appsat" @@ fun () ->
   let deadline = Unix.gettimeofday () +. timeout in
   let session = Session.create ~label:"appsat" ~deadline locked in
-  let rng = Random.State.make [| seed; 0xa99 |] in
+  let rng = Random.State.make [| 0; 0xa99 |] in
   let queries = ref 0 in
   let finish ?key ?(error = 1.0) ~exact () =
     {
@@ -77,7 +81,7 @@ let run ?(timeout = 60.0) ?(max_iterations = max_int)
   let try_settle () =
     match Session.candidate_key session with
     | `Key key ->
-      let error, disagreements = estimate_error locked rng ~samples key in
+      let error, disagreements = estimate_error locked rng key in
       queries := !queries + samples;
       if Fl_obs.enabled () then
         Fl_obs.emit "appsat.settle"
@@ -100,24 +104,17 @@ let run ?(timeout = 60.0) ?(max_iterations = max_int)
     | `None | `Timeout -> None
   in
   let rec loop () =
-    if Session.iterations session >= max_iterations then
-      match Session.candidate_key session with
-      | `Key key ->
-        let error, _ = estimate_error locked rng ~samples key in
-        finish ~key ~error ~exact:false ()
-      | `None | `Timeout -> finish ~exact:false ()
-    else
-      match Session.find_dip session with
-      | `Timeout -> finish ~exact:false ()
-      | `Exhausted ->
-        (match Session.candidate_key session with
-         | `Key key -> finish ~key ~error:0.0 ~exact:true ()
-         | `None | `Timeout -> finish ~exact:false ())
-      | `Dip dip ->
-        Session.observe session dip;
-        if Session.iterations session mod settle_every = 0 then
-          match try_settle () with Some r -> r | None -> loop ()
-        else loop ()
+    match Session.find_dip session with
+    | `Timeout -> finish ~exact:false ()
+    | `Exhausted ->
+      (match Session.candidate_key session with
+       | `Key key -> finish ~key ~error:0.0 ~exact:true ()
+       | `None | `Timeout -> finish ~exact:false ())
+    | `Dip dip ->
+      Session.observe session dip;
+      if Session.iterations session mod settle_every = 0 then
+        match try_settle () with Some r -> r | None -> loop ()
+      else loop ()
   in
   loop ()
 

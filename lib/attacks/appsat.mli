@@ -17,18 +17,9 @@ type result = {
   wall_time : float;
 }
 
-(** [run ?timeout ?max_iterations ?settle_every ?samples
-    ?error_threshold ?seed locked] — defaults: settle every 4 DIP
-    iterations, 64 random samples per estimate, accept below 1% estimated
-    error. *)
-val run :
-  ?timeout:float ->
-  ?max_iterations:int ->
-  ?settle_every:int ->
-  ?samples:int ->
-  ?error_threshold:float ->
-  ?seed:int ->
-  Fl_locking.Locked.t ->
-  result
+(** [run ?timeout locked] settles every 4 DIP iterations, estimates the
+    candidate key's error on 64 random inputs, and accepts it at an
+    estimated error of at most 1%. *)
+val run : ?timeout:float -> Fl_locking.Locked.t -> result
 
 val pp_result : Format.formatter -> result -> unit

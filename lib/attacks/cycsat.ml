@@ -139,9 +139,9 @@ let no_cycle_condition c =
           Formula.add_clause formula [ -r y ])
       heads
 
-let run ?timeout ?max_conflicts ?max_iterations ?progress ?preprocess
-    ?inprocess ?inprocess_every ?inprocess_min_conflicts locked =
+let run ?timeout ?max_conflicts ?progress ?preprocess ?inprocess
+    ?inprocess_every ?inprocess_min_conflicts locked =
   let emitter = no_cycle_condition locked.Fl_locking.Locked.locked in
-  Sat_attack.run ?timeout ?max_conflicts ?max_iterations ?progress
+  Sat_attack.run ?timeout ?max_conflicts ?progress
     ~extra_key_constraint:emitter ~label:"cycsat" ?preprocess ?inprocess
     ?inprocess_every ?inprocess_min_conflicts locked

@@ -20,13 +20,12 @@ val no_cycle_condition :
     circuits — then {!run} degenerates to the plain SAT attack). *)
 val num_feedback_edges : Fl_netlist.Circuit.t -> int
 
-(** [run ?timeout ?max_conflicts ?max_iterations ?progress ?preprocess
-    ?inprocess ?inprocess_every ?inprocess_min_conflicts locked] — CycSAT
-    attack; parameters as in {!Sat_attack.run}. *)
+(** [run ?timeout ?max_conflicts ?progress ?preprocess ?inprocess
+    ?inprocess_every ?inprocess_min_conflicts locked] — CycSAT attack;
+    parameters as in {!Sat_attack.run}. *)
 val run :
   ?timeout:float ->
   ?max_conflicts:int ->
-  ?max_iterations:int ->
   ?progress:Sat_attack.progress ->
   ?preprocess:bool ->
   ?inprocess:bool ->

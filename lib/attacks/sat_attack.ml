@@ -6,7 +6,6 @@ module Locked = Fl_locking.Locked
 type status =
   | Broken of bool array
   | Timeout
-  | Iteration_limit
   | No_key_found
 
 type result = {
@@ -21,8 +20,7 @@ type result = {
 
 type progress = int -> float -> unit
 
-let run ?(timeout = 60.0) ?max_conflicts ?(max_iterations = max_int)
-    ?(progress = fun _ _ -> ()) ?extra_key_constraint ?(label = "sat")
+let run ?(timeout = 60.0) ?max_conflicts ?(progress = fun _ _ -> ()) ?extra_key_constraint ?(label = "sat")
     ?preprocess ?inprocess ?inprocess_every ?inprocess_min_conflicts
     locked =
   Fl_obs.with_span ("attack." ^ label) @@ fun () ->
@@ -51,7 +49,7 @@ let run ?(timeout = 60.0) ?max_conflicts ?(max_iterations = max_int)
             ~oracle:locked.Locked.oracle key
           = Equiv.Equivalent
         else Locked.key_matches locked ~key
-      | Timeout | Iteration_limit | No_key_found -> false
+      | Timeout | No_key_found -> false
     in
     {
       status;
@@ -64,19 +62,17 @@ let run ?(timeout = 60.0) ?max_conflicts ?(max_iterations = max_int)
     }
   in
   let rec loop dips =
-    if Session.iterations session >= max_iterations then finish Iteration_limit dips
-    else
-      match Session.find_dip session with
-      | `Timeout -> finish Timeout dips
-      | `Dip dip ->
-        Session.observe session dip;
-        progress (Session.iterations session) (Session.elapsed session);
-        loop (dip :: dips)
-      | `Exhausted ->
-        (match Session.candidate_key session with
-         | `Key key -> finish (Broken key) dips
-         | `None -> finish No_key_found dips
-         | `Timeout -> finish Timeout dips)
+    match Session.find_dip session with
+    | `Timeout -> finish Timeout dips
+    | `Dip dip ->
+      Session.observe session dip;
+      progress (Session.iterations session) (Session.elapsed session);
+      loop (dip :: dips)
+    | `Exhausted ->
+      (match Session.candidate_key session with
+       | `Key key -> finish (Broken key) dips
+       | `None -> finish No_key_found dips
+       | `Timeout -> finish Timeout dips)
   in
   loop []
 
@@ -85,7 +81,6 @@ let pp_result fmt r =
     match r.status with
     | Broken _ -> if r.key_is_correct then "broken (key correct)" else "broken (KEY WRONG)"
     | Timeout -> "timeout"
-    | Iteration_limit -> "iteration limit"
     | No_key_found -> "no consistent key"
   in
   Format.fprintf fmt "%s after %d iterations, %.2fs, ratio %.2f (%a)" status

@@ -14,7 +14,6 @@
 type status =
   | Broken of bool array  (** recovered key *)
   | Timeout  (** budget exhausted — wall clock or conflict cap *)
-  | Iteration_limit
   | No_key_found  (** miter UNSAT but no consistent key (cyclic pathology) *)
 
 type result = {
@@ -34,8 +33,8 @@ type result = {
 (** Hook called after each iteration with (iteration, elapsed seconds). *)
 type progress = int -> float -> unit
 
-(** [run ?timeout ?max_conflicts ?max_iterations ?progress
-    ?extra_key_constraint ?label locked] runs the attack.
+(** [run ?timeout ?max_conflicts ?progress ?extra_key_constraint ?label
+    locked] runs the attack.
     [extra_key_constraint] (used by CycSAT) may add clauses over a
     key-variable vector into a formula; it is applied to both miter key
     copies and to the key-recovery formula.  [max_conflicts] caps the total
@@ -55,7 +54,6 @@ type progress = int -> float -> unit
 val run :
   ?timeout:float ->
   ?max_conflicts:int ->
-  ?max_iterations:int ->
   ?progress:progress ->
   ?extra_key_constraint:(Fl_cnf.Formula.t -> int array -> unit) ->
   ?label:string ->

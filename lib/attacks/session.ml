@@ -75,20 +75,6 @@ type t = {
   screen_rng : Random.State.t;
 }
 
-(* Fields of one solver-stat delta, shared by the per-iteration attack
-   records and the periodic cdcl.progress records. *)
-let stats_fields (d : Cdcl.stats) =
-  [
-    "decisions", Fl_obs.Int d.Cdcl.decisions;
-    "propagations", Fl_obs.Int d.Cdcl.propagations;
-    "conflicts", Fl_obs.Int d.Cdcl.conflicts;
-    "restarts", Fl_obs.Int d.Cdcl.restarts;
-    "learned_clauses", Fl_obs.Int d.Cdcl.learned_clauses;
-    "learned_literals", Fl_obs.Int d.Cdcl.learned_literals;
-    "reductions", Fl_obs.Int d.Cdcl.reductions;
-    "max_decision_level", Fl_obs.Int d.Cdcl.max_decision_level;
-  ]
-
 (* Every N conflicts each session solver reports its stat deltas, so
    long solver calls (the interesting ones) are visible from a trace even
    before the iteration record lands. *)
@@ -101,17 +87,7 @@ let arm_progress label role tr =
           ~fields:
             (("attack", Fl_obs.String label)
              :: ("solver", Fl_obs.String role)
-             :: stats_fields delta))
-
-(* The preprocessing frozen set: every variable later clauses may mention.
-   Observation constraints encode folded circuit copies over fresh
-   variables and the two key-variable copies; key-condition emitters
-   (CycSAT) touch the key copies.  The outputs are frozen too so callers
-   may constrain them directly. *)
-let frozen_vars (m : Miter.t) =
-  Array.concat
-    [ m.Miter.inputs; m.Miter.keys_a; m.Miter.keys_b;
-      m.Miter.outputs_a; m.Miter.outputs_b ]
+             :: Cdcl.stats_fields delta))
 
 let create ?extra_key_constraint ?(label = "sat") ?max_conflicts
     ?(preprocess = true) ?(inprocess = false) ?(inprocess_every = 8)
@@ -136,7 +112,7 @@ let create ?extra_key_constraint ?(label = "sat") ?max_conflicts
     else begin
       let p =
         Fl_obs.with_span "session.preprocess" (fun () ->
-            Preprocess.run ~label ~frozen:(frozen_vars miter0)
+            Preprocess.run ~label ~frozen:(Miter.interface_vars miter0)
               miter0.Miter.formula)
       in
       if Preprocess.is_unsat p then (None, miter0)
@@ -214,7 +190,7 @@ let emit_record s name ?dip ?(screened = false) delta =
       :: ("vars", Fl_obs.Int (Formula.num_vars f))
       :: ("clause_var_ratio", Fl_obs.Float (Formula.ratio f))
       :: ("elapsed_s", Fl_obs.Float (elapsed s))
-      :: stats_fields delta
+      :: Cdcl.stats_fields delta
     in
     let fields =
       if screened then fields @ [ "screened", Fl_obs.Bool true ] else fields
@@ -376,7 +352,7 @@ let maybe_inprocess s =
       let ip =
         Fl_obs.with_span "session.inprocess" (fun () ->
             Inprocess.run ~label:s.label ~scratch:s.scratch
-              ~frozen:(frozen_vars s.miter) s.miter.Miter.formula)
+              ~frozen:(Miter.interface_vars s.miter) s.miter.Miter.formula)
       in
       let st = Inprocess.stats ip in
       s.inprocess_period <-

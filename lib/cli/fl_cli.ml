@@ -28,40 +28,6 @@ let take_flag flag args =
   let present = List.mem flag args in
   present, List.filter (fun a -> a <> flag) args
 
-(* --inprocess / --no-inprocess / --inprocess-every N, shared by the
-   bench harness and both binaries.  [enabled = None] means the caller's
-   default applies (off for attacks, per-experiment for bench). *)
-type inprocess = { enabled : bool option; every : int option }
-
-let parse_inprocess_every s =
-  match int_of_string_opt s with
-  | Some n when n >= 1 -> n
-  | _ ->
-    Printf.eprintf "--inprocess-every needs a positive integer, got %S\n" s;
-    exit 2
-
-let check_inprocess ~on ~off ~every =
-  if on && off then begin
-    Printf.eprintf "--inprocess and --no-inprocess are mutually exclusive\n";
-    exit 2
-  end;
-  (match every with
-   | Some n when n < 1 ->
-     Printf.eprintf "--inprocess-every needs a positive integer, got %d\n" n;
-     exit 2
-   | _ -> ());
-  {
-    enabled = (if on then Some true else if off then Some false else None);
-    every;
-  }
-
-let take_inprocess args =
-  let every, args = take_opt "--inprocess-every" args in
-  let on, args = take_flag "--inprocess" args in
-  let off, args = take_flag "--no-inprocess" args in
-  let every = Option.map parse_inprocess_every every in
-  check_inprocess ~on ~off ~every, args
-
 let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
 
 let parse_jobs s =
@@ -98,9 +64,9 @@ module Baseline = struct
   let informational =
     [ "wall_seconds"; "task_seconds"; "speedup"; "jobs"; "cells" ]
 
-  let default_watch_lower =
-    [ "solve_ratio_geomean"; "solve_ratio_inp_geomean" ]
-  let default_watch_higher = [ "max_clause_reduction_pct" ]
+  (* Gated metrics, by direction. *)
+  let watch_lower = [ "solve_ratio_geomean"; "solve_ratio_inp_geomean" ]
+  let watch_higher = [ "max_clause_reduction_pct" ]
 
   let load path =
     let ic = open_in path in
@@ -148,8 +114,7 @@ module Baseline = struct
       (keys c);
     !matches, List.rev !fails
 
-  let gate ?(tolerance = 1.25) ?(watch_lower = default_watch_lower)
-      ?(watch_higher = default_watch_higher) ~baseline ~current () =
+  let gate ?(tolerance = 1.25) ~baseline ~current () =
     let b = load baseline and c = load current in
     let failures = ref [] in
     let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in

@@ -14,24 +14,6 @@ val take_opt : string -> string list -> string option * string list
     it. *)
 val take_flag : string -> string list -> bool * string list
 
-(** Parsed inprocessing flags: [enabled = None] when neither
-    [--inprocess] nor [--no-inprocess] was given (caller's default
-    applies); [every] from [--inprocess-every N]. *)
-type inprocess = { enabled : bool option; every : int option }
-
-(** [take_inprocess args] strips [--inprocess], [--no-inprocess] and
-    [--inprocess-every N] from [args].  Exits 2 when both polarity flags
-    are present or N is not a positive integer. *)
-val take_inprocess : string list -> inprocess * string list
-
-(** [check_inprocess ~on ~off ~every] validates pre-parsed flag values
-    (the Cmdliner path) with the same exit-2 behaviour. *)
-val check_inprocess : on:bool -> off:bool -> every:int option -> inprocess
-
-(** [parse_inprocess_every s] is [s] as a positive int; exits 2
-    otherwise. *)
-val parse_inprocess_every : string -> int
-
 (** Pool width default: [recommended_domain_count () - 1], at least 1. *)
 val default_jobs : unit -> int
 
@@ -42,7 +24,7 @@ val parse_jobs : string -> int
     to it, and closes it at exit. *)
 val install_trace : string -> unit
 
-(** [print_stats ()] prints the full default-registry snapshot (counters,
+(** [print_stats ()] prints the full metric snapshot (counters,
     gauges, histogram summaries) to stderr. *)
 val print_stats : unit -> unit
 
@@ -61,18 +43,16 @@ val stats_on_exit : unit -> unit
     - everything else (wall time, speedup, counters, histograms,
       per-cell numeric sections) is informational. *)
 module Baseline : sig
-  (** [gate ?tolerance ?watch_lower ?watch_higher ~baseline ~current ()]
-      loads both report files, prints a ratio table and a per-section
-      status summary to stdout, and returns the list of gate failures (if
-      any).  [tolerance] defaults to 1.25; [watch_lower] defaults to
-      [["solve_ratio_geomean"]], [watch_higher] to
-      [["max_clause_reduction_pct"]].
+  (** [gate ?tolerance ~baseline ~current ()] loads both report files,
+      prints a ratio table and a per-section status summary to stdout,
+      and returns the list of gate failures (if any).  [tolerance]
+      defaults to 1.25.  The watched lower-is-better metrics are
+      [solve_ratio_geomean] and [solve_ratio_inp_geomean]; the watched
+      higher-is-better one is [max_clause_reduction_pct].
       @raise Failure when either file is unreadable or not a JSON
       object. *)
   val gate :
     ?tolerance:float ->
-    ?watch_lower:string list ->
-    ?watch_higher:string list ->
     baseline:string ->
     current:string ->
     unit ->

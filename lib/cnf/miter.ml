@@ -43,4 +43,7 @@ let add_io_constraint m c ~inputs ~outputs =
   pin m.keys_a;
   pin m.keys_b
 
+let interface_vars m =
+  Array.concat [ m.inputs; m.keys_a; m.keys_b; m.outputs_a; m.outputs_b ]
+
 let clause_variable_ratio c = Formula.ratio (build c).formula

@@ -3,7 +3,7 @@ type tristate = V0 | V1 | VX
 exception Unresolved of string
 
 (* Observability: build/eval counters and per-memo hit/miss rates, all in
-   the default Fl_obs registry.  Counters are bare int cells, so the hot
+   the Fl_obs metric table.  Counters are bare int cells, so the hot
    paths pay one increment per *evaluation pass* (never per node). *)
 let c_builds = Fl_obs.Counter.make "view.builds"
 let c_cache_hits = Fl_obs.Counter.make "view.cache.hit"

@@ -7,10 +7,8 @@
 
    Domain-safety (the Fl_par sweeps run attacks on worker domains):
    counters and histograms stripe their cells by domain id, so concurrent
-   increments land on (mostly) distinct atomics and a read merges the
-   stripes — the "per-domain registries merged at join" design, with the
-   merge done on every read so nothing is lost if a domain is still
-   running.  Sink installation publishes through an [Atomic.t] and event
+   increments land on (mostly) distinct atomics and every read merges
+   the stripes, so nothing is lost if a domain is still running.  Sink installation publishes through an [Atomic.t] and event
    delivery is serialized by a mutex, keeping JSONL lines whole under
    parallel emission.  Span depth is domain-local state. *)
 
@@ -397,7 +395,7 @@ let set_deep b = Atomic.set deep b
 let deep_enabled () = Atomic.get deep
 
 (* ------------------------------------------------------------------ *)
-(* Registries, counters, gauges, histograms                            *)
+(* The metric table: counters, gauges, histograms                     *)
 (* ------------------------------------------------------------------ *)
 
 (* Counters are striped: each domain increments the atomic cell its id
@@ -412,53 +410,43 @@ let stripe_index () = (Domain.self () :> int) land (stripes - 1)
    bits, so 64 buckets cover the whole int range. *)
 let hist_buckets = 64
 
-(* The raw striped cell grid lives outside module [Hist] so the registry's
-   metric type can mention it before [Hist] (which needs [Json]) is
+(* The raw striped cell grid lives outside module [Hist] so the metric
+   table's type can mention it before [Hist] (which needs [Json]) is
    defined. *)
 type hist_cells = {
   hist_scale : float; (* display multiplier: value * scale = display units *)
   hist_grid : int Atomic.t array array; (* stripes x buckets *)
 }
 
-module Registry = struct
-  type metric =
-    | Mcounter of int Atomic.t array
-    | Mgauge of float Atomic.t
-    | Mhist of hist_cells
+(* The one metric table: every counter, gauge and histogram by name. *)
+type metric =
+  | Mcounter of int Atomic.t array
+  | Mgauge of float Atomic.t
+  | Mhist of hist_cells
 
-  type t = {
-    rname : string;
-    metrics : (string, metric) Hashtbl.t;
-    lock : Mutex.t;  (* guards [metrics]; creation/snapshot only *)
-  }
+let metrics : (string, metric) Hashtbl.t = Hashtbl.create 64
+let metrics_lock = Mutex.create () (* guards [metrics]; creation/snapshot only *)
 
-  let create rname =
-    { rname; metrics = Hashtbl.create 32; lock = Mutex.create () }
-
-  let default = create "fl"
-  let name r = r.rname
-
-  let locked r f =
-    Mutex.lock r.lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock r.lock) f
-end
+let with_metrics f =
+  Mutex.lock metrics_lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock metrics_lock) f
 
 module Counter = struct
   type t = int Atomic.t array
 
-  let make ?(registry = Registry.default) name =
-    Registry.locked registry (fun () ->
-        match Hashtbl.find_opt registry.Registry.metrics name with
-        | Some (Registry.Mcounter c) -> c
-        | Some (Registry.Mgauge _) ->
+  let make name =
+    with_metrics (fun () ->
+        match Hashtbl.find_opt metrics name with
+        | Some (Mcounter c) -> c
+        | Some (Mgauge _) ->
           invalid_arg
             (Printf.sprintf "Fl_obs.Counter.make: %S is a gauge" name)
-        | Some (Registry.Mhist _) ->
+        | Some (Mhist _) ->
           invalid_arg
             (Printf.sprintf "Fl_obs.Counter.make: %S is a histogram" name)
         | None ->
           let c = Array.init stripes (fun _ -> Atomic.make 0) in
-          Hashtbl.add registry.Registry.metrics name (Registry.Mcounter c);
+          Hashtbl.add metrics name (Mcounter c);
           c)
 
   let incr c = Atomic.incr c.(stripe_index ())
@@ -469,19 +457,19 @@ end
 module Gauge = struct
   type t = float Atomic.t
 
-  let make ?(registry = Registry.default) name =
-    Registry.locked registry (fun () ->
-        match Hashtbl.find_opt registry.Registry.metrics name with
-        | Some (Registry.Mgauge g) -> g
-        | Some (Registry.Mcounter _) ->
+  let make name =
+    with_metrics (fun () ->
+        match Hashtbl.find_opt metrics name with
+        | Some (Mgauge g) -> g
+        | Some (Mcounter _) ->
           invalid_arg
             (Printf.sprintf "Fl_obs.Gauge.make: %S is a counter" name)
-        | Some (Registry.Mhist _) ->
+        | Some (Mhist _) ->
           invalid_arg
             (Printf.sprintf "Fl_obs.Gauge.make: %S is a histogram" name)
         | None ->
           let g = Atomic.make 0.0 in
-          Hashtbl.add registry.Registry.metrics name (Registry.Mgauge g);
+          Hashtbl.add metrics name (Mgauge g);
           g)
 
   let set g v = Atomic.set g v
@@ -493,14 +481,14 @@ module Hist = struct
 
   type snap = { hname : string; hscale : float; hbuckets : int array }
 
-  let make ?(registry = Registry.default) ?(scale = 1.0) name =
-    Registry.locked registry (fun () ->
-        match Hashtbl.find_opt registry.Registry.metrics name with
-        | Some (Registry.Mhist h) -> h
-        | Some (Registry.Mcounter _) ->
+  let make ?(scale = 1.0) name =
+    with_metrics (fun () ->
+        match Hashtbl.find_opt metrics name with
+        | Some (Mhist h) -> h
+        | Some (Mcounter _) ->
           invalid_arg
             (Printf.sprintf "Fl_obs.Hist.make: %S is a counter" name)
-        | Some (Registry.Mgauge _) ->
+        | Some (Mgauge _) ->
           invalid_arg (Printf.sprintf "Fl_obs.Hist.make: %S is a gauge" name)
         | None ->
           let h =
@@ -511,7 +499,7 @@ module Hist = struct
                     Array.init hist_buckets (fun _ -> Atomic.make 0));
             }
           in
-          Hashtbl.add registry.Registry.metrics name (Registry.Mhist h);
+          Hashtbl.add metrics name (Mhist h);
           h)
 
   (* Significant-bit count by binary steps — a handful of shifts, no loop
@@ -608,17 +596,6 @@ module Hist = struct
     Array.iteri (fun i n -> if n > 0 then top := i) s.hbuckets;
     upper_bound s !top
 
-  let merge a b =
-    if a.hscale <> b.hscale then
-      invalid_arg
-        (Printf.sprintf "Fl_obs.Hist.merge: scales differ (%s vs %s)"
-           (Json.float_str a.hscale) (Json.float_str b.hscale));
-    {
-      hname = a.hname;
-      hscale = a.hscale;
-      hbuckets = Array.init hist_buckets (fun i -> a.hbuckets.(i) + b.hbuckets.(i));
-    }
-
   (* JSON rendering: summary statistics plus the sparse bucket array keyed
      by bucket index, so the exact distribution round-trips. *)
   let json s =
@@ -676,39 +653,39 @@ module Hist = struct
     { hname = name; hscale = scale; hbuckets = buckets }
 end
 
-let snapshot ?(registry = Registry.default) () =
-  Registry.locked registry (fun () ->
+let snapshot () =
+  with_metrics (fun () ->
       Hashtbl.fold
         (fun name m acc ->
           match m with
-          | Registry.Mcounter c -> (name, Int (Counter.value c)) :: acc
-          | Registry.Mgauge g -> (name, Float (Atomic.get g)) :: acc
-          | Registry.Mhist _ -> acc (* see hist_snapshot *))
-        registry.Registry.metrics [])
+          | Mcounter c -> (name, Int (Counter.value c)) :: acc
+          | Mgauge g -> (name, Float (Atomic.get g)) :: acc
+          | Mhist _ -> acc (* see hist_snapshot *))
+        metrics [])
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let hist_snapshot ?(registry = Registry.default) () =
-  Registry.locked registry (fun () ->
+let hist_snapshot () =
+  with_metrics (fun () ->
       Hashtbl.fold
         (fun name m acc ->
           match m with
-          | Registry.Mhist h -> Hist.read_cells name h :: acc
-          | Registry.Mcounter _ | Registry.Mgauge _ -> acc)
-        registry.Registry.metrics [])
+          | Mhist h -> Hist.read_cells name h :: acc
+          | Mcounter _ | Mgauge _ -> acc)
+        metrics [])
   |> List.sort (fun a b -> compare a.Hist.hname b.Hist.hname)
 
-let reset_metrics ?(registry = Registry.default) () =
-  Registry.locked registry (fun () ->
+let reset_metrics () =
+  with_metrics (fun () ->
       Hashtbl.iter
         (fun _ m ->
           match m with
-          | Registry.Mcounter c -> Array.iter (fun cell -> Atomic.set cell 0) c
-          | Registry.Mgauge g -> Atomic.set g 0.0
-          | Registry.Mhist h ->
+          | Mcounter c -> Array.iter (fun cell -> Atomic.set cell 0) c
+          | Mgauge g -> Atomic.set g 0.0
+          | Mhist h ->
             Array.iter
               (fun row -> Array.iter (fun cell -> Atomic.set cell 0) row)
               h.hist_grid)
-        registry.Registry.metrics)
+        metrics)
 
 let pp_snapshot fmt () =
   List.iter
@@ -876,23 +853,6 @@ module Profile = struct
 
   let sink p : sink = fun e -> add_event p e
 
-  let of_jsonl_file path =
-    let p = create () in
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        try
-          while true do
-            let line = input_line ic in
-            if String.trim line <> "" then
-              match Json.of_string line with
-              | e -> add_event p e
-              | exception Json.Parse_error _ -> ()
-          done
-        with End_of_file -> ());
-    p
-
   type tree = {
     tname : string;
     calls : int;
@@ -944,26 +904,3 @@ end
 let jsonl_sink oc e =
   output_string oc (Json.to_string e);
   output_char oc '\n'
-
-let console_sink ?(oc = stderr) () e =
-  let tm = Unix.localtime e.ts in
-  let ms = int_of_float ((e.ts -. Float.of_int (int_of_float e.ts)) *. 1000.0) in
-  let buf = Buffer.create 96 in
-  Buffer.add_string buf
-    (Printf.sprintf "%02d:%02d:%02d.%03d %s" tm.Unix.tm_hour tm.Unix.tm_min
-       tm.Unix.tm_sec ms e.name);
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_char buf ' ';
-      Buffer.add_string buf k;
-      Buffer.add_char buf '=';
-      Buffer.add_string buf
-        (match v with
-         | Int i -> string_of_int i
-         | Float f -> Printf.sprintf "%g" f
-         | String s -> s
-         | Bool b -> string_of_bool b))
-    e.fields;
-  Buffer.add_char buf '\n';
-  output_string oc (Buffer.contents buf);
-  flush oc

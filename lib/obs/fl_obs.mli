@@ -57,10 +57,6 @@ val enabled : unit -> bool
     (see {!Json.to_string} for the schema).  The caller owns [oc]. *)
 val jsonl_sink : out_channel -> sink
 
-(** [console_sink ?oc ()] writes human-readable one-liners
-    ([HH:MM:SS.mmm name k=v ...]) to [oc] (default [stderr]). *)
-val console_sink : ?oc:out_channel -> unit -> sink
-
 (** [emit ?fields name] sends an event to every sink; a no-op (single
     branch) when none is installed. *)
 val emit : ?fields:(string * value) list -> string -> unit
@@ -96,10 +92,10 @@ val span_depth : unit -> int
 
 (** {1 Counters, gauges and histograms}
 
-    Metrics live in named registries; {!Registry.default} ("fl") is where
-    the library layers register.  [make] is idempotent per (registry, name):
-    asking again returns the same cell, so modules can declare their
-    counters at top level without coordination.
+    Metrics live in one table keyed by name.  [make] is idempotent per
+    name: asking again returns the same cell, so modules can declare their
+    counters at top level without coordination; asking for a name already
+    taken by another kind of metric raises [Invalid_argument].
 
     Counters and histograms are domain-safe: increments go to a per-domain
     stripe of atomic cells and {!Counter.value} / {!snapshot} /
@@ -107,20 +103,11 @@ val span_depth : unit -> int
     is merged into the global totals (the merge happens on every read —
     nothing is deferred to a join). *)
 
-module Registry : sig
-  type t
-
-  val create : string -> t
-  val default : t
-  val name : t -> string
-end
-
 module Counter : sig
   type t
 
-  (** [make ?registry name] is the (registry, name) counter, created at 0 on
-      first use. *)
-  val make : ?registry:Registry.t -> string -> t
+  (** [make name] is the counter [name], created at 0 on first use. *)
+  val make : string -> t
 
   val incr : t -> unit
   val add : t -> int -> unit
@@ -130,7 +117,7 @@ end
 module Gauge : sig
   type t
 
-  val make : ?registry:Registry.t -> string -> t
+  val make : string -> t
   val set : t -> float -> unit
   val value : t -> float
 end
@@ -205,10 +192,9 @@ module Hist : sig
   (** Merged read-side snapshot: total counts per bucket. *)
   type snap = { hname : string; hscale : float; hbuckets : int array }
 
-  (** [make ?registry ?scale name] is the (registry, name) histogram,
-      created empty on first use.  [scale] defaults to [1.0] and is fixed
-      at creation. *)
-  val make : ?registry:Registry.t -> ?scale:float -> string -> t
+  (** [make ?scale name] is the histogram [name], created empty on first
+      use.  [scale] defaults to [1.0] and is fixed at creation. *)
+  val make : ?scale:float -> string -> t
 
   (** [record h v] adds one sample: a single atomic increment. *)
   val record : t -> int -> unit
@@ -240,14 +226,6 @@ module Hist : sig
       bucket (0 when empty). *)
   val max_value : snap -> float
 
-  (** [upper_bound s i] is bucket [i]'s largest representable value in
-      display units (0 for bucket 0). *)
-  val upper_bound : snap -> int -> float
-
-  (** [merge a b] sums bucket counts pointwise; keeps [a]'s name.
-      @raise Invalid_argument when the scales differ. *)
-  val merge : snap -> snap -> snap
-
   (** [json s] renders [{"count":..,"sum":..,"p50":..,"p90":..,"p99":..,
       "max":..,"scale":..,"buckets":{"<index>":<count>,..}}] — summary
       statistics plus the sparse bucket vector, so {!of_json} recovers the
@@ -259,20 +237,19 @@ module Hist : sig
   val of_json : name:string -> Json.t -> snap
 end
 
-(** [snapshot ?registry ()] is every counter and gauge of the registry as
-    (name, value) pairs, sorted by name.  Counters snapshot as [Int],
-    gauges as [Float].  Histograms are excluded (see {!hist_snapshot}). *)
-val snapshot : ?registry:Registry.t -> unit -> (string * value) list
+(** [snapshot ()] is every counter and gauge as (name, value) pairs,
+    sorted by name.  Counters snapshot as [Int], gauges as [Float].  Histograms are excluded (see {!hist_snapshot}). *)
+val snapshot : unit -> (string * value) list
 
-(** [hist_snapshot ?registry ()] is every histogram of the registry as a
-    merged snapshot, sorted by name. *)
-val hist_snapshot : ?registry:Registry.t -> unit -> Hist.snap list
+(** [hist_snapshot ()] is every histogram as a merged snapshot, sorted by
+    name. *)
+val hist_snapshot : unit -> Hist.snap list
 
-(** [reset_metrics ?registry ()] zeroes every counter, gauge and histogram
+(** [reset_metrics ()] zeroes every counter, gauge and histogram
     (for benchmark isolation; existing handles stay valid). *)
-val reset_metrics : ?registry:Registry.t -> unit -> unit
+val reset_metrics : unit -> unit
 
-(** [pp_snapshot fmt ()] prints the default registry's snapshot — one
+(** [pp_snapshot fmt ()] prints the snapshot — one
     [name = value] per line, histograms as count/p50/p99/max summaries. *)
 val pp_snapshot : Format.formatter -> unit -> unit
 
@@ -286,7 +263,8 @@ val pp_snapshot : Format.formatter -> unit -> unit
     interleaved worker-domain traces attributed to the right parents.
 
     Feed a profile live with {!Profile.sink} (delivery is serialized by
-    the sink lock) or offline with {!Profile.of_jsonl_file}; then read it
+    the sink lock) or offline by passing parsed trace lines to
+    {!Profile.add_event}; then read it
     with {!Profile.roots} / {!Profile.flame}.  Reading while events are
     still being fed is a race — detach the sink first. *)
 
@@ -302,10 +280,6 @@ module Profile : sig
 
   (** [sink p] is [add_event p] as an installable sink. *)
   val sink : t -> sink
-
-  (** [of_jsonl_file path] builds a profile from a JSONL trace, skipping
-      unparsable lines. *)
-  val of_jsonl_file : string -> t
 
   (** Immutable aggregation tree, children sorted by total time
       descending. *)

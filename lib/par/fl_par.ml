@@ -4,9 +4,8 @@
    jobs (each job owns its slot of a batch's result array — which is what
    makes batch result ordering deterministic), and two conditions: "queue
    gained work" for the workers and "batch drained" for the submitter.
-   Retry, soft-timeout marking, cancellation and the Fl_obs events all
-   live in the per-task wrapper, so the inline jobs=1 path and the worker
-   path run the exact same code.
+   Cancellation and the Fl_obs events live in the per-task wrapper, so
+   the inline jobs=1 path and the worker path run the exact same code.
 
    Submitting to a pool from inside one of its own tasks would deadlock —
    every worker could end up waiting on work only a worker can run — so
@@ -16,17 +15,14 @@
 
 type 'a outcome =
   | Done of 'a
-  | Late of 'a * float
-  | Failed of string * int
+  | Failed of string
   | Cancelled
 
 type batch_stats = {
   tasks : int;
   completed : int;
-  late : int;
   failed : int;
   cancelled : int;
-  retries : int;
   task_seconds : float;
   wall_seconds : float;
 }
@@ -35,10 +31,8 @@ let zero_stats =
   {
     tasks = 0;
     completed = 0;
-    late = 0;
     failed = 0;
     cancelled = 0;
-    retries = 0;
     task_seconds = 0.0;
     wall_seconds = 0.0;
   }
@@ -60,9 +54,7 @@ type t = {
 }
 
 let c_tasks = Fl_obs.Counter.make "par.tasks"
-let c_retries = Fl_obs.Counter.make "par.retries"
 let c_failures = Fl_obs.Counter.make "par.failures"
-let c_timeouts = Fl_obs.Counter.make "par.timeouts"
 let c_cancelled = Fl_obs.Counter.make "par.cancelled"
 let c_batches = Fl_obs.Counter.make "par.batches"
 
@@ -72,7 +64,6 @@ let c_batches = Fl_obs.Counter.make "par.batches"
 let h_queue_wait = Fl_obs.Hist.make ~scale:1e-6 "par.queue_wait_s"
 
 let jobs p = p.jobs
-let name p = p.pname
 let last_stats p = p.last
 
 let locked p f =
@@ -154,10 +145,8 @@ let with_pool ?name ~jobs f =
 (* Mutable accounting of the batch in flight, guarded by [p.mutex]. *)
 type accounting = {
   mutable a_completed : int;
-  mutable a_late : int;
   mutable a_failed : int;
   mutable a_cancelled : int;
-  mutable a_retries : int;
   mutable a_task_seconds : float;
 }
 
@@ -168,11 +157,11 @@ let task_fields p i =
     "domain", Fl_obs.Int (Domain.self () :> int);
   ]
 
-(* The per-task wrapper: cancellation check, bounded retry, soft-timeout
-   marking, result-slot write, events, accounting.  Runs on a worker
-   domain (jobs > 1) or inline on the submitter (jobs = 1); must never
-   raise — a raise here would kill a worker and hang the batch. *)
-let exec_task p ~acct ~cancelled ~submitted ~timeout ~retries ~results i f =
+(* The per-task wrapper: cancellation check, result-slot write, events,
+   accounting.  Runs on a worker domain (jobs > 1) or inline on the
+   submitter (jobs = 1); must never raise — a raise here would kill a
+   worker and hang the batch. *)
+let exec_task p ~acct ~cancelled ~submitted ~results i f =
   Fl_obs.Counter.incr c_tasks;
   if Fl_obs.deep_enabled () then
     Fl_obs.Hist.record_time h_queue_wait (Unix.gettimeofday () -. submitted);
@@ -187,63 +176,29 @@ let exec_task p ~acct ~cancelled ~submitted ~timeout ~retries ~results i f =
     if Fl_obs.enabled () then
       Fl_obs.emit "par.task.start" ~fields:(task_fields p i);
     let t0 = Unix.gettimeofday () in
-    let rec attempt k =
-      match f () with
-      | v -> Ok (v, k)
-      | exception e ->
-        if k <= retries then begin
-          Fl_obs.Counter.incr c_retries;
-          locked p (fun () -> acct.a_retries <- acct.a_retries + 1);
-          attempt (k + 1)
-        end
-        else Error (Printexc.to_string e, k)
-    in
-    let verdict = attempt 1 in
+    let verdict = match f () with v -> Ok v | exception e -> Error e in
     let elapsed = Unix.gettimeofday () -. t0 in
     (match verdict with
-     | Ok (v, attempts) ->
-       let late = match timeout with Some s -> elapsed > s | None -> false in
-       if late then begin
-         Fl_obs.Counter.incr c_timeouts;
-         results.(i) <- Late (v, elapsed);
-         if Fl_obs.enabled () then
-           Fl_obs.emit "par.task.timeout"
-             ~fields:
-               (task_fields p i
-                @ [
-                    "elapsed_s", Fl_obs.Float elapsed;
-                    ( "timeout_s",
-                      Fl_obs.Float (Option.value ~default:0.0 timeout) );
-                    "attempts", Fl_obs.Int attempts;
-                  ])
-       end
-       else begin
-         results.(i) <- Done v;
-         if Fl_obs.enabled () then
-           Fl_obs.emit "par.task.done"
-             ~fields:
-               (task_fields p i
-                @ [
-                    "elapsed_s", Fl_obs.Float elapsed;
-                    "attempts", Fl_obs.Int attempts;
-                  ])
-       end;
+     | Ok v ->
+       results.(i) <- Done v;
+       if Fl_obs.enabled () then
+         Fl_obs.emit "par.task.done"
+           ~fields:(task_fields p i @ [ "elapsed_s", Fl_obs.Float elapsed ]);
        locked p (fun () ->
            acct.a_completed <- acct.a_completed + 1;
-           if late then acct.a_late <- acct.a_late + 1;
            acct.a_task_seconds <- acct.a_task_seconds +. elapsed)
-     | Error (msg, attempts) ->
-       (* Fatal: mark and cancel everything not yet started. *)
+     | Error e ->
+       (* Mark and cancel everything not yet started. *)
+       let msg = Printexc.to_string e in
        Fl_obs.Counter.incr c_failures;
        Atomic.set cancelled true;
-       results.(i) <- Failed (msg, attempts);
+       results.(i) <- Failed msg;
        if Fl_obs.enabled () then
          Fl_obs.emit "par.task.error"
            ~fields:
              (task_fields p i
               @ [
                   "error", Fl_obs.String msg;
-                  "attempts", Fl_obs.Int attempts;
                   "elapsed_s", Fl_obs.Float elapsed;
                 ]);
        locked p (fun () ->
@@ -251,8 +206,7 @@ let exec_task p ~acct ~cancelled ~submitted ~timeout ~retries ~results i f =
            acct.a_task_seconds <- acct.a_task_seconds +. elapsed))
   end
 
-let run p ?timeout ?(retries = 0) fs =
-  if retries < 0 then invalid_arg "Fl_par.run: retries must be >= 0";
+let run p fs =
   guard p "Fl_par.run";
   let n = Array.length fs in
   let results = Array.make n Cancelled in
@@ -262,18 +216,15 @@ let run p ?timeout ?(retries = 0) fs =
     let acct =
       {
         a_completed = 0;
-        a_late = 0;
         a_failed = 0;
         a_cancelled = 0;
-        a_retries = 0;
         a_task_seconds = 0.0;
       }
     in
     Fl_obs.Counter.incr c_batches;
     let t0 = Unix.gettimeofday () in
     let job i () =
-      exec_task p ~acct ~cancelled ~submitted:t0 ~timeout ~retries ~results i
-        fs.(i)
+      exec_task p ~acct ~cancelled ~submitted:t0 ~results i fs.(i)
     in
     if p.jobs = 1 then begin
       (* Inline: index order, no queue — bit-for-bit sequential. *)
@@ -312,10 +263,8 @@ let run p ?timeout ?(retries = 0) fs =
       {
         tasks = n;
         completed = acct.a_completed;
-        late = acct.a_late;
         failed = acct.a_failed;
         cancelled = acct.a_cancelled;
-        retries = acct.a_retries;
         task_seconds = acct.a_task_seconds;
         wall_seconds = wall;
       };
@@ -334,20 +283,10 @@ let run p ?timeout ?(retries = 0) fs =
     results
   end
 
-let map p ?timeout ?retries f xs =
-  run p ?timeout ?retries (Array.map (fun x () -> f x) xs)
-
-let map_list p ?timeout ?retries f xs =
-  Array.to_list (map p ?timeout ?retries f (Array.of_list xs))
-
-let value = function Done v | Late (v, _) -> Some v | Failed _ | Cancelled -> None
+let map p f xs = run p (Array.map (fun x () -> f x) xs)
+let map_list p f xs = Array.to_list (map p f (Array.of_list xs))
 
 let get = function
-  | Done v | Late (v, _) -> v
-  | Failed (msg, attempts) ->
-    failwith (Printf.sprintf "Fl_par: task failed after %d attempts: %s" attempts msg)
+  | Done v -> v
+  | Failed msg -> failwith ("Fl_par: task failed: " ^ msg)
   | Cancelled -> failwith "Fl_par: task cancelled"
-
-let map_reduce p ?timeout ?retries ~map:f ~reduce ~init xs =
-  let outcomes = map_list p ?timeout ?retries f xs in
-  List.fold_left (fun acc o -> reduce acc (get o)) init outcomes

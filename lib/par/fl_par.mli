@@ -2,26 +2,18 @@
 
     A pool is a fixed set of worker domains pulling tasks from a shared
     queue.  One batch at a time is submitted through {!run} (or the
-    {!map} / {!map_reduce} conveniences); results land by {e task index},
+    {!map} / {!map_list} conveniences); results land by {e task index},
     so the output order is deterministic regardless of completion order,
     and a [jobs = 1] pool executes every task inline on the calling
     domain in index order — bit-for-bit the sequential behaviour.
 
-    Per-task semantics:
+    A task that raises is {!constructor:Failed}, and the failure cancels
+    every task of the batch that has not started yet; those report
+    {!constructor:Cancelled}.  Tasks have no deadline: long-running tasks
+    such as SAT attacks enforce their own budgets internally.
 
-    - {e soft timeout}: a task that finishes after its deadline is marked
-      {!constructor:Late} (the value is kept — domains cannot be killed, so
-      the timeout is advisory; long-running tasks such as SAT attacks
-      enforce their own hard budgets internally).
-    - {e bounded retry}: a task that raises is re-run up to [retries]
-      times before it is declared {!constructor:Failed}.
-    - {e cancellation}: the first fatal (retries-exhausted) failure cancels
-      every task of the batch that has not started yet; those report
-      {!constructor:Cancelled}.
-
-    Observability: the pool emits [par.task.start] / [par.task.done] /
-    [par.task.timeout] (plus [par.task.error], [par.task.cancelled] and
-    [par.batch.done]) through {!Fl_obs}, each tagged with the pool name,
+    Observability: the pool emits [par.task.start] / [par.task.done]
+    (plus [par.task.error], [par.task.cancelled] and [par.batch.done]) through {!Fl_obs}, each tagged with the pool name,
     task index and domain id, and keeps [par.*] counters.  {!Fl_obs}
     counters are striped per domain, so worker-side increments always
     merge into the global snapshot.
@@ -29,7 +21,7 @@
     Tasks must be self-contained: build circuits and views {e inside} the
     task (views are domain-local) and do not touch shared mutable state.
     Submitting to a pool from inside one of its own tasks would deadlock;
-    {!run} (and so {!map} / {!map_reduce}) raises [Invalid_argument]
+    {!run} (and so {!map} / {!map_list}) raises [Invalid_argument]
     instead (the queue is not re-entrant). *)
 
 type t
@@ -38,21 +30,16 @@ type t
 
 (** Outcome of one task, in task-index order. *)
 type 'a outcome =
-  | Done of 'a  (** completed within its (optional) soft deadline *)
-  | Late of 'a * float
-      (** completed, but after [timeout] seconds; carries elapsed time *)
-  | Failed of string * int
-      (** raised on every attempt; exception text and attempts made *)
-  | Cancelled  (** skipped: an earlier task of the batch failed fatally *)
+  | Done of 'a
+  | Failed of string  (** raised; the exception text *)
+  | Cancelled  (** skipped: an earlier task of the batch failed *)
 
 (** Aggregate accounting of the most recent batch. *)
 type batch_stats = {
   tasks : int;
-  completed : int;  (** [Done] + [Late] *)
-  late : int;
+  completed : int;
   failed : int;
   cancelled : int;
-  retries : int;  (** re-runs performed across the batch *)
   task_seconds : float;  (** summed per-task wall time *)
   wall_seconds : float;  (** batch wall time; speedup = task/wall *)
 }
@@ -65,38 +52,18 @@ type batch_stats = {
 val create : ?name:string -> jobs:int -> unit -> t
 
 val jobs : t -> int
-val name : t -> string
 
-(** [run p ?timeout ?retries tasks] executes every task and returns their
-    outcomes by index.  [timeout] is the per-task soft deadline in
-    seconds; [retries] (default 0) bounds re-runs after an exception.
-    Blocks until the whole batch settles. *)
-val run :
-  t -> ?timeout:float -> ?retries:int -> (unit -> 'a) array -> 'a outcome array
+(** [run p tasks] executes every task and returns their outcomes by
+    index.  Blocks until the whole batch settles. *)
+val run : t -> (unit -> 'a) array -> 'a outcome array
 
 (** [map p f xs] is [run p (fun () -> f x) per x]. *)
-val map :
-  t -> ?timeout:float -> ?retries:int -> ('a -> 'b) -> 'a array ->
-  'b outcome array
+val map : t -> ('a -> 'b) -> 'a array -> 'b outcome array
 
-val map_list :
-  t -> ?timeout:float -> ?retries:int -> ('a -> 'b) -> 'a list ->
-  'b outcome list
-
-(** [map_reduce p ~map ~reduce ~init xs] maps in parallel and folds the
-    results sequentially in index order, so it equals
-    [List.fold_left reduce init (List.map map xs)] whenever no task
-    fails.  Late results fold like [Done] ones.
-    @raise Failure when any task fails or is cancelled. *)
-val map_reduce :
-  t -> ?timeout:float -> ?retries:int -> map:('a -> 'b) ->
-  reduce:('acc -> 'b -> 'acc) -> init:'acc -> 'a list -> 'acc
+val map_list : t -> ('a -> 'b) -> 'a list -> 'b outcome list
 
 (** Accounting of the most recent finished batch (zeros before any). *)
 val last_stats : t -> batch_stats
-
-(** [value o] is the task's value, late or not. *)
-val value : 'a outcome -> 'a option
 
 (** [get o] is the task's value.
     @raise Failure on [Failed] / [Cancelled]. *)

@@ -78,38 +78,11 @@ let no_budget = { max_conflicts = -1; deadline = -1.0 }
 let budget_conflicts n = { no_budget with max_conflicts = n }
 let budget_seconds s = { no_budget with deadline = Unix.gettimeofday () +. s }
 
-(* Search-heuristic configuration.  [default_config] reproduces the
-   historical hard-coded constants, so a solver created with it behaves
-   bit-for-bit like one created before the knobs existed (the
-   determinism tests rely on this). *)
-type config = {
-  var_decay : float;  (* VSIDS activity decay, (0, 1] *)
-  clause_decay : float;  (* learnt-clause activity decay, (0, 1] *)
-  restart_base : int;  (* conflicts in the first Luby restart segment *)
-  phase_default : [ `False | `True | `Random ];  (* unsaved-phase polarity *)
-  random_var_freq : float;  (* probability of a random decision, [0, 1) *)
-  seed : int;  (* RNG seed for `Random phases / random decisions *)
-}
-
-let default_config =
-  {
-    var_decay = 0.95;
-    clause_decay = 0.999;
-    restart_base = 64;
-    phase_default = `False;
-    random_var_freq = 0.0;
-    seed = 0;
-  }
-
-let check_config c =
-  if not (c.var_decay > 0.0 && c.var_decay <= 1.0) then
-    invalid_arg "Cdcl.create: var_decay must be in (0, 1]";
-  if not (c.clause_decay > 0.0 && c.clause_decay <= 1.0) then
-    invalid_arg "Cdcl.create: clause_decay must be in (0, 1]";
-  if c.restart_base < 1 then
-    invalid_arg "Cdcl.create: restart_base must be >= 1";
-  if not (c.random_var_freq >= 0.0 && c.random_var_freq < 1.0) then
-    invalid_arg "Cdcl.create: random_var_freq must be in [0, 1)"
+(* Search constants: VSIDS and learnt-clause activity decay, and the
+   conflicts in the first Luby restart segment. *)
+let var_decay_factor = 0.95
+let clause_decay_factor = 0.999
+let restart_base = 64
 
 (* Growable int vector. *)
 module Vec = struct
@@ -210,8 +183,6 @@ module Heap = struct
 end
 
 type t = {
-  cfg : config;
-  rng : Random.State.t;  (* drawn from only when the config asks for it *)
   mutable nvars : int;
   mutable ok : bool;  (* false once a top-level contradiction is derived *)
   arena : Arena.t;  (* every clause, problem + learnt, packed flat *)
@@ -265,12 +236,9 @@ type t = {
   mutable progress_cb : stats -> unit;
 }
 
-let create ?(config = default_config) () =
-  check_config config;
+let create () =
   let activity = ref (Array.make 8 0.0) in
   {
-    cfg = config;
-    rng = Random.State.make [| config.seed; 0x466c6b |];
     nvars = 0;
     ok = true;
     arena = Arena.create ();
@@ -344,10 +312,6 @@ let ensure_vars s n =
       s.bin_watches <- bin'
     end;
     for v = s.nvars to n - 1 do
-      (match s.cfg.phase_default with
-       | `False -> ()
-       | `True -> Bytes.set s.polarity v '\001'
-       | `Random -> if Random.State.bool s.rng then Bytes.set s.polarity v '\001');
       Heap.insert s.heap v
     done;
     s.nvars <- n
@@ -395,7 +359,7 @@ let var_bump s v =
   end;
   Heap.decrease s.heap v
 
-let var_decay s = s.var_inc <- s.var_inc /. s.cfg.var_decay
+let var_decay s = s.var_inc <- s.var_inc /. var_decay_factor
 
 let cla_bump s ci =
   if Arena.learnt s.arena ci then begin
@@ -408,7 +372,7 @@ let cla_bump s ci =
     end
   end
 
-let cla_decay s = s.cla_inc <- s.cla_inc /. s.cfg.clause_decay
+let cla_decay s = s.cla_inc <- s.cla_inc /. clause_decay_factor
 
 let cancel_until s target =
   if decision_level s > target then begin
@@ -900,20 +864,7 @@ let search s assumptions budget conflict_budget start_conflicts =
               if Lit.Lbool.is_undef (value_var s v) then v else pick ()
             end
           in
-          let v =
-            (* Occasional random decisions: the picked variable stays
-               in the heap, where a later pop skips it while assigned —
-               exactly like any other out-of-date heap entry. *)
-            if
-              s.cfg.random_var_freq > 0.0
-              && s.nvars > 0
-              && Random.State.float s.rng 1.0 < s.cfg.random_var_freq
-            then begin
-              let r = Random.State.int s.rng s.nvars in
-              if Lit.Lbool.is_undef (value_var s r) then r else pick ()
-            end
-            else pick ()
-          in
+          let v = pick () in
           if v < 0 then raise (Found Sat)
           else begin
             let phase_true = Bytes.get s.polarity v = '\001' in
@@ -941,7 +892,7 @@ let solve ?(assumptions = []) ?(budget = no_budget) s =
     let rec run i =
       if out_of_budget budget s start_conflicts then Unknown
       else begin
-        let conflict_budget = s.cfg.restart_base * luby s i in
+        let conflict_budget = restart_base * luby s i in
         match search s assumptions budget conflict_budget start_conflicts with
         | Some r -> r
         | None -> run (i + 1)
@@ -987,8 +938,6 @@ let reduce_now s =
   cancel_until s 0;
   if s.ok then reduce_db s
 
-let config s = s.cfg
-
 let set_progress s ~every cb =
   if every <= 0 then invalid_arg "Cdcl.set_progress: every must be positive";
   s.progress_every <- every;
@@ -1000,6 +949,18 @@ let clear_progress s =
   s.progress_every <- 0;
   s.progress_next <- max_int;
   s.progress_cb <- ignore
+
+let stats_fields (d : stats) =
+  [
+    "decisions", Fl_obs.Int d.decisions;
+    "propagations", Fl_obs.Int d.propagations;
+    "conflicts", Fl_obs.Int d.conflicts;
+    "restarts", Fl_obs.Int d.restarts;
+    "learned_clauses", Fl_obs.Int d.learned_clauses;
+    "learned_literals", Fl_obs.Int d.learned_literals;
+    "reductions", Fl_obs.Int d.reductions;
+    "max_decision_level", Fl_obs.Int d.max_decision_level;
+  ]
 
 let pp_stats fmt st =
   Format.fprintf fmt

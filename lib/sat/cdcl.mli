@@ -50,35 +50,8 @@ val no_budget : budget
 val budget_conflicts : int -> budget
 val budget_seconds : float -> budget
 
-(** Search-heuristic configuration.  {!default_config} reproduces the
-    solver's historical hard-coded constants bit-for-bit, so a
-    default-configured solver is indistinguishable from one created
-    before the knobs existed. *)
-type config = {
-  var_decay : float;  (** VSIDS activity decay, in (0, 1]; default 0.95 *)
-  clause_decay : float;
-      (** learnt-clause activity decay, in (0, 1]; default 0.999 *)
-  restart_base : int;
-      (** conflicts in the first Luby restart segment; default 64 *)
-  phase_default : [ `False | `True | `Random ];
-      (** polarity of a variable decided before any phase was saved;
-          default [`False] *)
-  random_var_freq : float;
-      (** probability that a decision picks a uniformly random variable
-          instead of the VSIDS top, in [0, 1); default 0.0 *)
-  seed : int;
-      (** seed for [`Random] phases and random decisions; unused (no RNG
-          draw ever happens) under the default config *)
-}
-
-val default_config : config
-
-(** [create ?config ()] builds an empty solver.
-    @raise Invalid_argument when a [config] field is out of range. *)
-val create : ?config:config -> unit -> t
-
-(** The configuration the solver was created with. *)
-val config : t -> config
+(** [create ()] builds an empty solver. *)
+val create : unit -> t
 
 (** [of_formula f] loads every clause of [f] into a fresh solver. *)
 val of_formula : Fl_cnf.Formula.t -> t
@@ -132,6 +105,12 @@ val iter_learnts : t -> (int array -> unit) -> unit
 val reduce_now : t -> unit
 
 val stats : t -> stats
+
+(** [stats_fields d] is every field of [d] as {!Fl_obs} event fields, in
+    declaration order — the payload of the [cdcl.progress] and
+    [cdcl.solve] records and of the per-iteration attack records. *)
+val stats_fields : stats -> (string * Fl_obs.value) list
+
 val pp_stats : Format.formatter -> stats -> unit
 
 (** [set_progress s ~every cb] arms a periodic progress hook: during search,

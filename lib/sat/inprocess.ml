@@ -229,12 +229,21 @@ let undo_trail scr =
   done;
   tr.Simp_db.Vec.size <- 0
 
+(* At most [rounds] XOR -> probe -> SCC -> subsume -> eliminate rounds,
+   each XOR pass up to [max_xor_arity], each probe pass over at most
+   [max_probes] roots, and elimination skipping variables with more than
+   [max_occ] occurrences. *)
+let rounds = 2
+let max_probes = 512
+let max_xor_arity = 5
+let max_occ = 30
+
 (* Probe both polarities of the highest-occurrence variables touching the
    binary implication graph.  A conflicting probe of [l] makes ¬l a unit
    (failed literal); a literal implied by both polarities is a unit too
    (shared implication); implications through long clauses become
    hyper-binary clauses, thickening the BIG for the SCC pass. *)
-let probe_pass st scr ~max_probes =
+let probe_pass st scr =
   let db = st.db in
   let nv = db.Simp_db.nvars in
   let has_bin = Bytes.make (max 1 nv) '\000' in
@@ -537,14 +546,14 @@ let sym_diff a b =
    with back-substitution, and the resulting singleton rows (units) and
    pair rows (equivalences) are exported back to CNF — the SCC pass
    collapses the equivalences, cancelling whole chains. *)
-let xor_pass st ~max_arity =
+let xor_pass st =
   let db = st.db in
   let tbl = Hashtbl.create 512 in
   for ci = 0 to db.Simp_db.n - 1 do
     if Simp_db.alive db ci then begin
       let c = db.Simp_db.cl.(ci) in
       let k = Array.length c in
-      if k >= 3 && k <= max_arity then begin
+      if k >= 3 && k <= max_xor_arity then begin
         let vars = Array.map abs c in
         let mask = ref 0 in
         Array.iteri (fun i l -> if l > 0 then mask := !mask lor (1 lsl i)) c;
@@ -649,8 +658,7 @@ let xor_pass st ~max_arity =
 
 (* ------------------------------------------------------------------ *)
 
-let run ?(rounds = 2) ?(max_probes = 512) ?(max_xor_arity = 5) ?(growth = 0)
-    ?(max_occ = 30) ?(probe = true) ?(scc = true) ?(xor = true) ?(elim = true)
+let run ?(probe = true) ?(scc = true) ?(xor = true) ?(elim = true)
     ?scratch:scr ?(label = "inprocess") ~frozen f =
   Fl_obs.with_span "inprocess.run" @@ fun () ->
   let t0 = Unix.gettimeofday () in
@@ -691,15 +699,15 @@ let run ?(rounds = 2) ?(max_probes = 512) ?(max_xor_arity = 5) ?(growth = 0)
     let mark =
       st.n_units + st.n_collapsed + db.Simp_db.n_elim + db.Simp_db.n_sub
     in
-    if xor && not db.Simp_db.unsat then xor_pass st ~max_arity:max_xor_arity;
-    if probe && not db.Simp_db.unsat then probe_pass st scr ~max_probes;
+    if xor && not db.Simp_db.unsat then xor_pass st;
+    if probe && not db.Simp_db.unsat then probe_pass st scr;
     if scc && not db.Simp_db.unsat then scc_pass st;
     if not db.Simp_db.unsat then begin
       harvest_units st;
       Simp_db.drain_subsumption db
     end;
     if elim && not db.Simp_db.unsat then
-      ignore (Simp_db.elimination_sweep db ~growth ~max_occ);
+      ignore (Simp_db.elimination_sweep ~max_occ db);
     progressing :=
       st.n_units + st.n_collapsed + db.Simp_db.n_elim + db.Simp_db.n_sub
       > mark

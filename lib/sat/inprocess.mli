@@ -47,19 +47,14 @@ type scratch
 val scratch : unit -> scratch
 
 (** [run ~frozen f] simplifies [f]. [frozen] variables survive untouched
-    (the attack interface: inputs, key copies, outputs). [rounds] bounds
-    the XOR→probe→SCC→subsume→eliminate iterations (default 2, with
-    progress-based early exit); [max_probes] caps probe roots per pass
-    (default 512); [max_xor_arity] caps XOR detection width (default 5);
-    [growth]/[max_occ] bound variable elimination as in {!Preprocess}.
+    (the attack interface: inputs, key copies, outputs). At most two
+    XOR→probe→SCC→subsume→eliminate rounds run, with progress-based early
+    exit; a probe pass tries at most 512 roots, XOR detection stops at
+    arity 5, and variable elimination is bounded as in {!Preprocess} but
+    skips variables with more than 30 occurrences.
     The [probe]/[scc]/[xor]/[elim] switches disable individual passes
     (used by per-pass property tests). *)
 val run :
-  ?rounds:int ->
-  ?max_probes:int ->
-  ?max_xor_arity:int ->
-  ?growth:int ->
-  ?max_occ:int ->
   ?probe:bool ->
   ?scc:bool ->
   ?xor:bool ->

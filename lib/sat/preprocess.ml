@@ -41,7 +41,7 @@ type t = {
   st : stats;
 }
 
-let run ?(growth = 0) ?(max_occ = 40) ?(label = "preprocess") ~frozen f =
+let run ?(label = "preprocess") ~frozen f =
   let t0 = Unix.gettimeofday () in
   Fl_obs.Counter.incr c_runs;
   let db = Simp_db.create ~frozen f in
@@ -56,7 +56,7 @@ let run ?(growth = 0) ?(max_occ = 40) ?(label = "preprocess") ~frozen f =
   let rounds = ref 0 in
   while !progress && (not db.Simp_db.unsat) && !rounds < 12 do
     incr rounds;
-    progress := Simp_db.elimination_sweep db ~growth ~max_occ > 0
+    progress := Simp_db.elimination_sweep db > 0
   done;
   let reduced = Simp_db.extract db in
   let clauses_after, literals_after = Simp_db.live_counts db in

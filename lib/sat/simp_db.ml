@@ -320,11 +320,12 @@ let push_elim db v saved =
   Bytes.set db.elim_set (v - 1) '\001'
 
 (* Bounded variable elimination of [v]: worthwhile when the surviving
-   resolvents do not outnumber the removed clauses by more than [growth].
+   resolvents do not outnumber the removed clauses.  Variables with more
+   than [max_occ] occurrences are skipped (quadratic-resolvent guard).
    The outcome depends only on the live clauses containing [v] or [-v]
    and on the frozen/eliminated flags, which is what lets
    {!elimination_sweep} skip untouched variables. *)
-let try_eliminate db ~growth ~max_occ v =
+let try_eliminate db ~max_occ v =
   if not (frozen db v || eliminated db v || db.unsat) then begin
     db.n_attempts <- db.n_attempts + 1;
     let pos = occurrences db v and neg = occurrences db (-v) in
@@ -334,7 +335,7 @@ let try_eliminate db ~growth ~max_occ v =
       && np + nn <= max_occ
       && np * nn <= max_occ * max_occ
     then begin
-      let budget = np + nn + growth in
+      let budget = np + nn in
       if count_resolvents db v ~budget pos neg <= budget then begin
         (* Accepted: build the resolvents (pos-major, then reversed, the
            order they are appended in), snapshot and remove the clauses of
@@ -373,7 +374,7 @@ let try_eliminate db ~growth ~max_occ v =
    (those come only from [kill] and [strengthen], which touch), so
    skipping it leaves every [occ_count], and with it the sort order, as a
    full sweep would.  Returns how many variables the sweep eliminated. *)
-let elimination_sweep db ~growth ~max_occ =
+let elimination_sweep ?(max_occ = 40) db =
   let before = db.n_elim in
   let key = Array.init db.nvars (fun i -> occ_count db (i + 1)) in
   let order = Array.init db.nvars (fun i -> i + 1) in
@@ -382,7 +383,7 @@ let elimination_sweep db ~growth ~max_occ =
     (fun v ->
       if Bytes.get db.dirty (v - 1) = '\001' then begin
         Bytes.set db.dirty (v - 1) '\000';
-        try_eliminate db ~growth ~max_occ v
+        try_eliminate db ~max_occ v
       end;
       drain_subsumption db)
     order;

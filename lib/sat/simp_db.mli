@@ -100,13 +100,16 @@ val occ_count : t -> int -> int
     (or [unsat]). *)
 val drain_subsumption : t -> unit
 
-(** [elimination_sweep db ~growth ~max_occ] — one bounded-variable-
-    elimination sweep over all variables, cheapest first, draining the
-    subsumption queue after each.  Only [dirty] variables are attempted;
+(** [elimination_sweep ?max_occ db] — one bounded-variable-elimination
+    sweep over all variables, cheapest first, draining the subsumption
+    queue after each.  A variable is eliminated when its resolvents do
+    not outnumber the clauses they replace; variables with more than
+    [max_occ] occurrences are skipped (default 40, {!Preprocess}'s bound;
+    {!Inprocess} passes 30).  Only [dirty] variables are attempted;
     since every clause change goes through {!append}, {!kill} or
     {!strengthen}, the result equals a sweep that attempts every
     variable.  Returns how many variables the sweep eliminated. *)
-val elimination_sweep : t -> growth:int -> max_occ:int -> int
+val elimination_sweep : ?max_occ:int -> t -> int
 
 (** Number of distinct variables occurring in any (even dead) clause
     slot — the reduced formula's effective variable count. *)

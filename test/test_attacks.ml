@@ -97,15 +97,6 @@ let test_sat_timeout_reported () =
   let r = Sat_attack.run ~timeout:0.05 l in
   check bool_t "timeout" true (r.Sat_attack.status = Sat_attack.Timeout)
 
-let test_sat_iteration_limit () =
-  let rng = Random.State.make [| 9 |] in
-  let l = Fl_locking.Sarlock.lock rng ~key_bits:6 (host ()) in
-  let r = Sat_attack.run ~timeout:60.0 ~max_iterations:3 l in
-  check bool_t "limited" true
-    (r.Sat_attack.status = Sat_attack.Iteration_limit
-     || r.Sat_attack.status = Sat_attack.Timeout
-     || broken_correct r)
-
 let test_sat_ratio_positive () =
   let rng = Random.State.make [| 10 |] in
   let l = Fl_locking.Rll.lock rng ~key_bits:4 (host ()) in
@@ -188,7 +179,7 @@ let test_sat_on_sfll_needs_many_iterations () =
 let test_appsat_approximates_sfll () =
   let rng = Random.State.make [| 33 |] in
   let l = Fl_locking.Sfll.lock rng ~key_bits:8 ~h:1 (host ~inputs:10 ()) in
-  let r = Appsat.run ~timeout:60.0 ~settle_every:2 ~error_threshold:0.02 l in
+  let r = Appsat.run ~timeout:60.0 l in
   match r.Appsat.key with
   | None -> Alcotest.fail "appsat found no key"
   | Some _ ->
@@ -228,7 +219,7 @@ let test_appsat_approximates_sarlock () =
      exact attack's ~2^k iterations. *)
   let rng = Random.State.make [| 12 |] in
   let l = Fl_locking.Sarlock.lock rng ~key_bits:8 (host ~inputs:10 ()) in
-  let r = Appsat.run ~timeout:60.0 ~settle_every:2 ~error_threshold:0.02 l in
+  let r = Appsat.run ~timeout:60.0 l in
   match r.Appsat.key with
   | None -> Alcotest.fail "appsat found no key"
   | Some _ ->
@@ -628,7 +619,6 @@ let () =
           Alcotest.test_case "breaks small cln" `Quick test_sat_breaks_small_cln;
           Alcotest.test_case "breaks small fulllock" `Slow test_sat_breaks_small_fulllock;
           Alcotest.test_case "timeout" `Quick test_sat_timeout_reported;
-          Alcotest.test_case "iteration limit" `Quick test_sat_iteration_limit;
           Alcotest.test_case "ratio" `Quick test_sat_ratio_positive;
           Alcotest.test_case "screened dips = reference" `Quick
             test_screened_find_dip_matches_reference;

@@ -1,5 +1,5 @@
 (* Tests for Fl_obs: JSONL sink round-trip, the generic JSON parser, span
-   nesting and timing, metric registries, log2 histograms (bucketing,
+   nesting and timing, the metric table, log2 histograms (bucketing,
    striped-merge law, JSON round-trip), span profiles and the folded-stack
    flame contract, the deep-telemetry switch, the CDCL progress hook, the
    contract that the per-iteration attack records' solver-stat deltas sum
@@ -276,27 +276,29 @@ let test_of_string_rejects_nested () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Counters, gauges, registries                                        *)
+(* Counters and gauges                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let test_metrics_registry () =
-  let reg = Obs.Registry.create "test" in
-  let c = Obs.Counter.make ~registry:reg "hits" in
-  let c' = Obs.Counter.make ~registry:reg "hits" in
+  let c = Obs.Counter.make "test.hits" in
+  let c' = Obs.Counter.make "test.hits" in
   Obs.Counter.incr c;
   Obs.Counter.add c' 4;
   check int_t "same cell through both handles" 5 (Obs.Counter.value c);
-  let g = Obs.Gauge.make ~registry:reg "ratio" in
+  let g = Obs.Gauge.make "test.ratio" in
   Obs.Gauge.set g 3.77;
-  (match Obs.snapshot ~registry:reg () with
-   | [ ("hits", Obs.Int 5); ("ratio", Obs.Float r) ] ->
-     check bool_t "gauge value" true (r = 3.77)
-   | other -> Alcotest.failf "unexpected snapshot (%d entries)" (List.length other));
-  Obs.reset_metrics ~registry:reg ();
+  let snap = Obs.snapshot () in
+  check bool_t "counter in snapshot" true
+    (List.assoc_opt "test.hits" snap = Some (Obs.Int 5));
+  check bool_t "gauge in snapshot" true
+    (List.assoc_opt "test.ratio" snap = Some (Obs.Float 3.77));
+  check bool_t "snapshot sorted by name" true
+    (List.map fst snap = List.sort compare (List.map fst snap));
+  Obs.reset_metrics ();
   check int_t "counter reset" 0 (Obs.Counter.value c);
   check bool_t "gauge reset" true (Obs.Gauge.value g = 0.0);
   (* A name cannot be both a counter and a gauge. *)
-  match Obs.Gauge.make ~registry:reg "hits" with
+  match Obs.Gauge.make "test.hits" with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "counter name reused as gauge"
 
@@ -304,13 +306,9 @@ let test_metrics_registry () =
 (* Histograms                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let hist_reg = Obs.Registry.create "hist-test"
-
-let find_hist ?registry name =
+let find_hist name =
   match
-    List.find_opt
-      (fun s -> s.Obs.Hist.hname = name)
-      (Obs.hist_snapshot ?registry ())
+    List.find_opt (fun s -> s.Obs.Hist.hname = name) (Obs.hist_snapshot ())
   with
   | Some s -> s
   | None -> Alcotest.failf "histogram %S not in snapshot" name
@@ -330,7 +328,7 @@ let test_hist_buckets () =
   done
 
 let test_hist_stats () =
-  let h = Obs.Hist.make ~registry:hist_reg "stats" in
+  let h = Obs.Hist.make "test.stats" in
   check int_t "empty count" 0 (Obs.Hist.count (Obs.Hist.read_cells "stats" h));
   check bool_t "empty quantile" true
     (Obs.Hist.quantile (Obs.Hist.read_cells "stats" h) 0.5 = 0.0);
@@ -346,7 +344,7 @@ let test_hist_stats () =
   check bool_t "sum estimate" true (abs_float (Obs.Hist.sum s -. 38425.0) < 1e-6)
 
 let test_hist_scaled_time () =
-  let h = Obs.Hist.make ~registry:hist_reg ~scale:1e-6 "lat" in
+  let h = Obs.Hist.make ~scale:1e-6 "test.lat" in
   Obs.Hist.record_time h 1.0e-6;
   Obs.Hist.record_time h 1.0e-3;
   let s = Obs.Hist.read_cells "lat" h in
@@ -357,44 +355,26 @@ let test_hist_scaled_time () =
   check bool_t "p99 in seconds" true
     (abs_float (Obs.Hist.quantile s 0.99 -. 1023e-6) < 1e-12)
 
-let test_hist_merge () =
-  let a = Obs.Hist.make ~registry:hist_reg "merge.a" in
-  let b = Obs.Hist.make ~registry:hist_reg "merge.b" in
-  Obs.Hist.record a 1;
-  Obs.Hist.record b 1;
-  Obs.Hist.record b 100;
-  let sa = Obs.Hist.read_cells "a" a and sb = Obs.Hist.read_cells "b" b in
-  let m = Obs.Hist.merge sa sb in
-  check int_t "merged count" 3 (Obs.Hist.count m);
-  check bool_t "merged max" true (Obs.Hist.max_value m = 127.0);
-  (* Scale mismatch must refuse to merge, not silently mix units. *)
-  let c = Obs.Hist.make ~registry:hist_reg ~scale:1e-6 "merge.c" in
-  match Obs.Hist.merge sa (Obs.Hist.read_cells "c" c) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "merged histograms of different scales"
-
 let test_hist_registry_integration () =
-  let reg = Obs.Registry.create "hist-reg" in
-  let h = Obs.Hist.make ~registry:reg "h" in
-  let h' = Obs.Hist.make ~registry:reg "h" in
+  let h = Obs.Hist.make "test.h" in
+  let h' = Obs.Hist.make "test.h" in
   Obs.Hist.record h 5;
   Obs.Hist.record h' 5;
   check int_t "same cell through both handles" 2
-    (Obs.Hist.count (find_hist ~registry:reg "h"));
+    (Obs.Hist.count (find_hist "test.h"));
   (* Histograms stay out of the scalar snapshot. *)
-  check int_t "not in scalar snapshot" 0
-    (List.length (Obs.snapshot ~registry:reg ()));
+  check bool_t "not in scalar snapshot" false
+    (List.mem_assoc "test.h" (Obs.snapshot ()));
   (* A name cannot be both a counter and a histogram. *)
-  let _c = Obs.Counter.make ~registry:reg "taken" in
-  (match Obs.Hist.make ~registry:reg "taken" with
+  let _c = Obs.Counter.make "test.taken" in
+  (match Obs.Hist.make "test.taken" with
    | exception Invalid_argument _ -> ()
    | _ -> Alcotest.fail "counter name reused as histogram");
-  Obs.reset_metrics ~registry:reg ();
-  check int_t "reset zeroes buckets" 0
-    (Obs.Hist.count (find_hist ~registry:reg "h"))
+  Obs.reset_metrics ();
+  check int_t "reset zeroes buckets" 0 (Obs.Hist.count (find_hist "test.h"))
 
 let test_hist_json_round_trip () =
-  let h = Obs.Hist.make ~registry:hist_reg "jsonrt" in
+  let h = Obs.Hist.make "test.jsonrt" in
   List.iter (Obs.Hist.record h) [ -3; 0; 1; 1; 3; 900; 900; 900; 123456 ];
   let s = Obs.Hist.read_cells "jsonrt" h in
   let back = Obs.Hist.of_json ~name:"jsonrt" (Obs.Json.parse (Obs.Hist.json s)) in
@@ -402,7 +382,7 @@ let test_hist_json_round_trip () =
   check bool_t "scale" true (back.Obs.Hist.hscale = s.Obs.Hist.hscale);
   check bool_t "buckets" true (back.Obs.Hist.hbuckets = s.Obs.Hist.hbuckets);
   (* Scaled histograms round-trip their scale too. *)
-  let t = Obs.Hist.make ~registry:hist_reg ~scale:1e-6 "jsonrt.t" in
+  let t = Obs.Hist.make ~scale:1e-6 "test.jsonrt.t" in
   Obs.Hist.record_time t 0.5;
   let st = Obs.Hist.read_cells "jsonrt.t" t in
   let backt =
@@ -419,8 +399,8 @@ let hist_law_id = ref 0
 let striped_hist_prop values =
   incr hist_law_id;
   let name tag = Printf.sprintf "law.%d.%s" !hist_law_id tag in
-  let seq = Obs.Hist.make ~registry:hist_reg (name "seq") in
-  let par = Obs.Hist.make ~registry:hist_reg (name "par") in
+  let seq = Obs.Hist.make (name "seq") in
+  let par = Obs.Hist.make (name "par") in
   List.iter (Obs.Hist.record seq) values;
   let chunks = Array.make 4 [] in
   List.iteri (fun i v -> chunks.(i mod 4) <- v :: chunks.(i mod 4)) values;
@@ -616,9 +596,7 @@ let test_deep_queue_wait_histogram () =
           in
           Array.iteri
             (fun i o ->
-              match Fl_par.value o with
-              | Some v -> check int_t "task result" (i * i) v
-              | None -> Alcotest.fail "task failed")
+              check int_t "task result" (i * i) (Fl_par.get o))
             outcomes));
   check int_t "one wait sample per task" 8
     (Obs.Hist.count (find_hist "par.queue_wait_s"))
@@ -822,7 +800,6 @@ let () =
           Alcotest.test_case "bucket boundaries" `Quick test_hist_buckets;
           Alcotest.test_case "count/sum/quantile" `Quick test_hist_stats;
           Alcotest.test_case "scaled time" `Quick test_hist_scaled_time;
-          Alcotest.test_case "merge" `Quick test_hist_merge;
           Alcotest.test_case "registry integration" `Quick
             test_hist_registry_integration;
           Alcotest.test_case "json round-trip" `Quick

@@ -1,7 +1,6 @@
 (* Tests for Fl_par: deterministic result ordering (parallel = jobs-1
-   semantics), retry and failure bookkeeping, cancellation, soft-timeout
-   marking, pool reuse across batches, the map_reduce/sequential-fold
-   equivalence, and the par.* event stream. *)
+   semantics), failure bookkeeping, cancellation, pool reuse across
+   batches, and the par.* event stream. *)
 
 module Par = Fl_par
 module Obs = Fl_obs
@@ -10,10 +9,7 @@ let check = Alcotest.check
 let bool_t = Alcotest.bool
 let int_t = Alcotest.int
 
-let qcheck_case ?(count = 30) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
-
-let values outcomes = Array.to_list outcomes |> List.filter_map Par.value
+let values outcomes = Array.to_list outcomes |> List.map Par.get
 
 (* ------------------------------------------------------------------ *)
 (* Ordering and determinism                                            *)
@@ -40,27 +36,12 @@ let test_parallel_matches_sequential () =
   let seq = Par.with_pool ~jobs:1 (fun p -> Par.map_list p f xs) in
   let par = Par.with_pool ~jobs:3 (fun p -> Par.map_list p f xs) in
   check (Alcotest.list int_t) "jobs=3 equals jobs=1"
-    (List.filter_map Par.value seq)
-    (List.filter_map Par.value par)
+    (List.map Par.get seq)
+    (List.map Par.get par)
 
 (* ------------------------------------------------------------------ *)
-(* Retry, failure, cancellation                                        *)
+(* Failure, cancellation                                               *)
 (* ------------------------------------------------------------------ *)
-
-let test_retry_then_succeed () =
-  (* Fails on the first two attempts, succeeds on the third. *)
-  let attempts = Atomic.make 0 in
-  let flaky () =
-    if Atomic.fetch_and_add attempts 1 < 2 then failwith "flaky" else 42
-  in
-  Par.with_pool ~jobs:1 (fun p ->
-      let out = Par.run p ~retries:2 [| flaky |] in
-      (match out.(0) with
-       | Par.Done 42 -> ()
-       | _ -> Alcotest.fail "expected Done 42 after retries");
-      let s = Par.last_stats p in
-      check int_t "two retries recorded" 2 s.Par.retries;
-      check int_t "completed" 1 s.Par.completed)
 
 let test_failure_and_cancellation () =
   (* jobs=1 runs in index order, so everything after the fatal task is
@@ -74,17 +55,16 @@ let test_failure_and_cancellation () =
     |]
   in
   Par.with_pool ~jobs:1 (fun p ->
-      let out = Par.run p ~retries:1 tasks in
+      let out = Par.run p tasks in
       (match out.(0) with Par.Done 1 -> () | _ -> Alcotest.fail "task 0 Done");
       (match out.(1) with
-       | Par.Failed (msg, attempts) ->
+       | Par.Failed msg ->
          let contains_boom =
            let n = String.length msg in
            let rec go i = i + 4 <= n && (String.sub msg i 4 = "boom" || go (i + 1)) in
            go 0
          in
-         check bool_t "message kept" true contains_boom;
-         check int_t "initial try + one retry" 2 attempts
+         check bool_t "message kept" true contains_boom
        | _ -> Alcotest.fail "task 1 Failed");
       (match out.(2), out.(3) with
        | Par.Cancelled, Par.Cancelled -> ()
@@ -92,33 +72,11 @@ let test_failure_and_cancellation () =
       let s = Par.last_stats p in
       check int_t "failed" 1 s.Par.failed;
       check int_t "cancelled" 2 s.Par.cancelled;
-      check int_t "retries" 1 s.Par.retries;
-      (* get/map_reduce surface the failure as an exception. *)
+      (* get surfaces the failure as an exception. *)
       check bool_t "get raises" true
         (match Par.get out.(1) with
          | _ -> false
          | exception Failure _ -> true))
-
-(* ------------------------------------------------------------------ *)
-(* Soft timeout                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let test_late_marking () =
-  Par.with_pool ~jobs:1 (fun p ->
-      let out =
-        Par.run p ~timeout:0.005
-          [| (fun () -> Unix.sleepf 0.03; "slow"); (fun () -> "fast") |]
-      in
-      (match out.(0) with
-       | Par.Late ("slow", elapsed) ->
-         check bool_t "elapsed recorded" true (elapsed >= 0.005)
-       | _ -> Alcotest.fail "slow task marked Late");
-      (match out.(1) with
-       | Par.Done "fast" -> ()
-       | _ -> Alcotest.fail "fast task Done");
-      check int_t "late counted" 1 (Par.last_stats p).Par.late;
-      (* Late results still carry their value. *)
-      check bool_t "value kept" true (Par.value out.(0) = Some "slow"))
 
 (* ------------------------------------------------------------------ *)
 (* Pool reuse                                                          *)
@@ -139,23 +97,6 @@ let test_pool_reuse_across_batches () =
 let test_empty_batch () =
   Par.with_pool ~jobs:2 (fun p ->
       check int_t "empty batch" 0 (Array.length (Par.run p [||])))
-
-(* ------------------------------------------------------------------ *)
-(* map_reduce = map + fold                                             *)
-(* ------------------------------------------------------------------ *)
-
-let map_reduce_matches_sequential =
-  qcheck_case "parallel map_reduce = List.map + fold"
-    QCheck2.Gen.(pair (list_size (0 -- 25) small_int) (2 -- 4))
-    (fun (xs, jobs) ->
-      let f x = (x * 31) lxor 5 in
-      let reduce acc v = (acc * 17) + v in
-      let expected = List.fold_left reduce 3 (List.map f xs) in
-      let got =
-        Par.with_pool ~jobs (fun p ->
-            Par.map_reduce p ~map:f ~reduce ~init:3 xs)
-      in
-      expected = got)
 
 (* ------------------------------------------------------------------ *)
 (* Events and counters                                                 *)
@@ -227,10 +168,8 @@ let () =
         ] );
       ( "failures",
         [
-          Alcotest.test_case "retry then succeed" `Quick test_retry_then_succeed;
           Alcotest.test_case "failure cancels the rest" `Quick
             test_failure_and_cancellation;
-          Alcotest.test_case "late marking" `Quick test_late_marking;
         ] );
       ( "batches",
         [
@@ -238,7 +177,6 @@ let () =
           Alcotest.test_case "empty batch" `Quick test_empty_batch;
           Alcotest.test_case "nested run rejected" `Quick
             test_nested_run_rejected;
-          map_reduce_matches_sequential;
         ] );
       ( "observability",
         [

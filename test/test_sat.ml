@@ -493,7 +493,7 @@ let full_sweep_preprocess ~frozen f =
   while !progress && (not db.Simp_db.unsat) && !sweeps < 12 do
     incr sweeps;
     Bytes.fill db.Simp_db.dirty 0 (Bytes.length db.Simp_db.dirty) '\001';
-    progress := Simp_db.elimination_sweep db ~growth:0 ~max_occ:40 > 0
+    progress := Simp_db.elimination_sweep db > 0
   done;
   db, !sweeps
 
