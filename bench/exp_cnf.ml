@@ -60,21 +60,16 @@ let cell ~timeout ~max_conflicts ~name ~plr_n ~plr_count ~seed circuit =
   match Fulllock.lock rng ~policy:`Cyclic ~configs circuit with
   | exception Invalid_argument _ -> None
   | locked ->
+    (* Both simplifiers copy the clauses they work on and leave their
+       input as it was, so one miter serves both. *)
     let miter = Miter.build locked.Locked.locked in
-    let p =
-      Preprocess.run ~label:name ~frozen:(Miter.interface_vars miter)
-        miter.Miter.formula
-    in
-    let st = Preprocess.stats p in
+    let frozen = Miter.interface_vars miter in
+    let st = Preprocess.stats (Preprocess.run ~label:name ~frozen miter.Miter.formula) in
     (* Structural inprocessing yield on the raw miter (XOR patterns still
        intact): how many XOR rows the recovery pass finds per cell. *)
     let xor_rows =
-      let miter = Miter.build locked.Locked.locked in
-      let ip =
-        Inprocess.run ~label:name ~frozen:(Miter.interface_vars miter)
-          miter.Miter.formula
-      in
-      (Inprocess.stats ip).Inprocess.xor_rows
+      (Inprocess.stats (Inprocess.run ~label:name ~frozen miter.Miter.formula))
+        .Inprocess.xor_rows
     in
     let r_inp =
       Cycsat.run ~timeout ~max_conflicts ~preprocess:true ~inprocess:true

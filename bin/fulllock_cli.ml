@@ -362,8 +362,18 @@ let verify_cmd =
 
 (* ---------- attack ---------- *)
 
+let attack_kinds = [ "sat"; "cycsat"; "appsat"; "removal"; "bruteforce" ]
+
 let attack_cmd =
   let run kind locked_path oracle_path timeout key_out trace stats inprocess =
+    if not (List.mem kind attack_kinds) then begin
+      Printf.eprintf "unknown attack %S (%s)\n" kind (String.concat ", " attack_kinds);
+      exit 2
+    end;
+    if not (timeout > 0.0 && Float.is_finite timeout) then begin
+      Printf.eprintf "--timeout needs a positive finite number, got %g\n" timeout;
+      exit 2
+    end;
     if inprocess && List.mem kind [ "appsat"; "removal"; "bruteforce" ] then begin
       Printf.eprintf "--inprocess applies to --kind sat and cycsat only, not %s\n"
         kind;
@@ -412,7 +422,7 @@ let attack_cmd =
          result.Fl_attacks.Removal.bypassed_mux_islands
          result.Fl_attacks.Removal.equivalent;
        if not result.Fl_attacks.Removal.equivalent then exit 1
-     | "bruteforce" ->
+     | _ (* "bruteforce", the last of [attack_kinds] *) ->
        let result = Fl_attacks.Brute_force.run l in
        (match result.Fl_attacks.Brute_force.key with
         | Some key ->
@@ -422,10 +432,7 @@ let attack_cmd =
           save_key key
         | None ->
           print_endline "no functionally correct key found";
-          exit 1)
-     | other ->
-       Printf.eprintf "unknown attack %S (sat, cycsat, appsat, removal, bruteforce)\n" other;
-       exit 1)
+          exit 1))
   in
   let kind = Arg.(value & opt string "sat" & info [ "kind" ] ~doc:"Attack kind.") in
   let locked = Arg.(required & pos 0 (some file) None & info [] ~docv:"LOCKED") in

@@ -50,8 +50,7 @@ let ensure a extra =
 let pack_act x = Int64.to_int (Int64.shift_right_logical (Int64.bits_of_float x) 1)
 let unpack_act b = Int64.float_of_bits (Int64.shift_left (Int64.of_int b) 1)
 
-let alloc a ~learnt lits =
-  let n = Array.length lits in
+let alloc a ~learnt lits n =
   if n < 2 then invalid_arg "Arena.alloc: clauses must have >= 2 literals";
   ensure a (header_words + n);
   let c = a.size in

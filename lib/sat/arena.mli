@@ -22,10 +22,11 @@ type t
 
 val create : unit -> t
 
-(** [alloc a ~learnt lits] appends a clause of packed literals and
-    returns its cref.  @raise Invalid_argument on fewer than 2 literals
-    (units belong on the trail, not in the arena). *)
-val alloc : t -> learnt:bool -> int array -> Cref.t
+(** [alloc a ~learnt lits n] appends the clause of the first [n] packed
+    literals of [lits] and returns its cref; [lits] may be a scratch
+    buffer longer than [n].  @raise Invalid_argument on fewer than 2
+    literals (units belong on the trail, not in the arena). *)
+val alloc : t -> learnt:bool -> int array -> int -> Cref.t
 
 val size : t -> Cref.t -> int
 val learnt : t -> Cref.t -> bool

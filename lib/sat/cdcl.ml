@@ -84,27 +84,6 @@ let var_decay_factor = 0.95
 let clause_decay_factor = 0.999
 let restart_base = 64
 
-(* Growable int vector. *)
-module Vec = struct
-  type t = { mutable data : int array; mutable size : int }
-
-  let create () = { data = Array.make 8 0; size = 0 }
-
-  let push v x =
-    if v.size = Array.length v.data then begin
-      let data' = Array.make (v.size * 2) 0 in
-      Array.blit v.data 0 data' 0 v.size;
-      v.data <- data'
-    end;
-    Array.unsafe_set v.data v.size x;
-    v.size <- v.size + 1
-
-  let get v i = Array.unsafe_get v.data i
-  let set v i x = Array.unsafe_set v.data i x
-  let size v = v.size
-  let shrink v n = v.size <- n
-end
-
 (* Indexed max-heap over variables ordered by activity. *)
 module Heap = struct
   type t = {
@@ -194,7 +173,8 @@ type t = {
   mutable watches : Vec.t array;
       (* lit -> flat (blocker, cref) pairs, stride 2.  The blocker is
          some other literal of the clause; when it is already true the
-         clause is satisfied and the arena is never touched. *)
+         clause is satisfied and the arena is never touched.  A literal
+         nothing watches holds the shared {!Vec.empty}. *)
   mutable bin_watches : Vec.t array;
       (* lit -> flat (implied_lit, cref) pairs, stride 2: binary
          clauses propagate off this list without touching the clause
@@ -220,7 +200,18 @@ type t = {
   mutable n_learned : int;
   mutable n_learned_lits : int;
   mutable max_dl : int;
-  mutable last_model : Bytes.t option;
+  (* Model of the last Sat solve: var -> '\001' true, in the first
+     [model_n] bytes of a buffer reused across solves; [model_n] is -1
+     after a solve that was not Sat. *)
+  mutable model_buf : Bytes.t;
+  mutable model_n : int;
+  (* Allocation-free scratch: the clause being loaded, the learnt clause
+     and the variables marked while analysing a conflict, and learnt
+     activities for the reduction median. *)
+  load_buf : Vec.t;
+  learnt : Vec.t;
+  marked : Vec.t;
+  mutable acts : float array;
   (* deep-telemetry scratch: stamped level marks for O(len) LBD, and the
      propagation/decision watermarks of the previous conflict *)
   mutable lbd_seen : int array;
@@ -247,8 +238,8 @@ let create () =
     assigns = Bytes.make 8 '\002';
     level = Array.make 8 0;
     reason = Array.make 8 Arena.Cref.none;
-    watches = Array.init 16 (fun _ -> Vec.create ());
-    bin_watches = Array.init 16 (fun _ -> Vec.create ());
+    watches = Array.make 16 Vec.empty;
+    bin_watches = Array.make 16 Vec.empty;
     activity;
     polarity = Bytes.make 8 '\000';
     seen = Bytes.make 8 '\000';
@@ -265,7 +256,12 @@ let create () =
     n_learned = 0;
     n_learned_lits = 0;
     max_dl = 0;
-    last_model = None;
+    model_buf = Bytes.empty;
+    model_n = -1;
+    load_buf = Vec.create ();
+    learnt = Vec.create ();
+    marked = Vec.create ();
+    acts = [||];
     lbd_seen = Array.make 8 0;
     lbd_stamp = 0;
     deep_mark_props = 0;
@@ -304,10 +300,10 @@ let ensure_vars s n =
       let act' = Array.make cap 0.0 in
       Array.blit !(s.activity) 0 act' 0 old_cap;
       s.activity := act';
-      let watches' = Array.init (2 * cap) (fun _ -> Vec.create ()) in
+      let watches' = Array.make (2 * cap) Vec.empty in
       Array.blit s.watches 0 watches' 0 (Array.length s.watches);
       s.watches <- watches';
-      let bin' = Array.init (2 * cap) (fun _ -> Vec.create ()) in
+      let bin' = Array.make (2 * cap) Vec.empty in
       Array.blit s.bin_watches 0 bin' 0 (Array.length s.bin_watches);
       s.bin_watches <- bin'
     end;
@@ -401,49 +397,73 @@ let cancel_until s target =
 let attach s ci =
   let l0 = Arena.lit s.arena ci 0 and l1 = Arena.lit s.arena ci 1 in
   if Arena.size s.arena ci = 2 then begin
-    Vec.push s.bin_watches.(l0) l1;
-    Vec.push s.bin_watches.(l0) ci;
-    Vec.push s.bin_watches.(l1) l0;
-    Vec.push s.bin_watches.(l1) ci
+    Vec.push_at s.bin_watches l0 l1;
+    Vec.push_at s.bin_watches l0 ci;
+    Vec.push_at s.bin_watches l1 l0;
+    Vec.push_at s.bin_watches l1 ci
   end
   else begin
-    Vec.push s.watches.(l0) l1;
-    Vec.push s.watches.(l0) ci;
-    Vec.push s.watches.(l1) l0;
-    Vec.push s.watches.(l1) ci
+    Vec.push_at s.watches l0 l1;
+    Vec.push_at s.watches l0 ci;
+    Vec.push_at s.watches l1 l0;
+    Vec.push_at s.watches l1 ci
   end
 
-let push_clause ?(learnt = false) s lits =
-  let ci = Arena.alloc s.arena ~learnt lits in
+(* Copy the literals on the scratch stack [v] into the arena and watch
+   them. *)
+let push_clause s ~learnt v =
+  let ci = Arena.alloc s.arena ~learnt v.Vec.data (Vec.size v) in
   attach s ci;
   ci
 
-(* Add a problem clause of packed literals; assumes trail is at level 0.
-   The array is scratch: sorted and compacted in place, no intermediate
-   lists.  Simplifies against permanent (level-0) assignments, drops
-   duplicate literals and detects tautologies. *)
-let add_internal s lits =
+(* Sort the first [n] ints of [a] in place.  Ints under their total
+   order have one sorted arrangement, so the choice of algorithm cannot
+   change a loaded clause: insertion sort for the short clauses that
+   dominate Tseytin output, [Array.sort] on a copy for long ones. *)
+let sort_prefix a n =
+  if n <= 16 then
+    for i = 1 to n - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  else begin
+    let b = Array.sub a 0 n in
+    Array.sort Int.compare b;
+    Array.blit b 0 a 0 n
+  end
+
+(* Add a problem clause of DIMACS literals; assumes every variable is
+   known and the trail is at level 0.  The literals go through the
+   [load_buf] scratch: packed, simplified against permanent (level-0)
+   assignments, sorted and compacted in place, so the arena copy is the
+   only allocation.  Drops duplicate literals and detects
+   tautologies. *)
+let load_clause s lits =
   if s.ok then begin
     (* Keep undefined literals; a true literal satisfies the clause. *)
+    let buf = s.load_buf in
+    Vec.shrink buf 0;
     let n = Array.length lits in
-    let w = ref 0 in
     let sat = ref false in
     (let i = ref 0 in
      while (not !sat) && !i < n do
-       let l = lits.(!i) in
+       let l = lit_of_dimacs lits.(!i) in
        (match value_lit s l with
         | 1 -> sat := true
         | 0 -> ()
-        | _ ->
-          lits.(!w) <- l;
-          incr w);
+        | _ -> Vec.push buf l);
        incr i
      done);
     if not !sat then begin
-      let kept = Array.sub lits 0 !w in
-      Array.sort Int.compare kept;
+      let kept = buf.Vec.data in
+      let m = Vec.size buf in
+      sort_prefix kept m;
       (* Deduplicate in place; adjacent [2v, 2v+1] is a tautology. *)
-      let m = Array.length kept in
       let w = ref 0 in
       (let i = ref 0 in
        while (not !sat) && !i < m do
@@ -466,23 +486,32 @@ let add_internal s lits =
           | 0 -> s.ok <- false
           | _ -> enqueue s kept.(0) Arena.Cref.none
         end
-        else ignore (push_clause s (Array.sub kept 0 !w))
+        else begin
+          Vec.shrink buf !w;
+          ignore (push_clause s ~learnt:false buf)
+        end
     end
   end
 
+let max_var lits =
+  let m = ref 0 in
+  for i = 0 to Array.length lits - 1 do
+    let v = abs lits.(i) in
+    if v > !m then m := v
+  done;
+  !m
+
 let add_clause_a s lits =
-  Array.iter (fun l -> ensure_vars s (abs l)) lits;
+  ensure_vars s (max_var lits);
   cancel_until s 0;
-  add_internal s (Array.map lit_of_dimacs lits)
+  load_clause s lits
 
 let add_clause s lits = add_clause_a s (Array.of_list lits)
 
 let of_formula f =
   let s = create () in
   ensure_vars s (Fl_cnf.Formula.num_vars f);
-  Fl_cnf.Formula.iter_clauses f (fun clause ->
-      cancel_until s 0;
-      add_internal s (Array.map lit_of_dimacs clause));
+  Fl_cnf.Formula.iter_clauses f (load_clause s);
   s
 
 (* --- propagation --- *)
@@ -557,8 +586,8 @@ let propagate s =
               if value_lit s lk <> 0 then begin
                 Arena.set_lit arena ci 1 lk;
                 Arena.set_lit arena ci !k false_lit;
-                Vec.push s.watches.(lk) first;
-                Vec.push s.watches.(lk) ci;
+                Vec.push_at s.watches lk first;
+                Vec.push_at s.watches lk ci;
                 found := true
               end;
               incr k
@@ -590,15 +619,40 @@ let propagate s =
 
 (* --- conflict analysis (first UIP) --- *)
 
+(* Local conflict-clause minimization: a tail literal is redundant when
+   its reason clause contains only marked or level-0 literals —
+   self-resolution removes it without changing the clause's meaning. *)
+let redundant s q =
+  let arena = s.arena in
+  let v = var_of q in
+  let r = s.reason.(v) in
+  r >= 0
+  &&
+  let len = Arena.size arena r in
+  let ok = ref true in
+  let k = ref 0 in
+  while !ok && !k < len do
+    let lv = var_of (Arena.lit arena r !k) in
+    if not (lv = v || s.level.(lv) = 0 || Bytes.get s.seen lv = '\001') then
+      ok := false;
+    incr k
+  done;
+  !ok
+
+(* Leaves the learnt clause in [s.learnt]: the asserting literal in slot
+   0, then the minimized tail in reverse discovery order, with the
+   highest-level tail literal swapped into slot 1.  Returns the backjump
+   level. *)
 let analyze s confl =
   let arena = s.arena in
-  let learnt = ref [] in
+  let learnt = s.learnt and marked = s.marked in
+  Vec.shrink learnt 0;
+  Vec.shrink marked 0;
+  Vec.push learnt 0;  (* slot 0: the asserting literal, set below *)
   let counter = ref 0 in
   let p = ref (-1) in
   let confl = ref confl in
   let index = ref (Vec.size s.trail - 1) in
-  let marked = ref [] in
-  (* every var whose seen flag was raised *)
   let continue = ref true in
   while !continue do
     cla_bump s !confl;
@@ -611,10 +665,10 @@ let analyze s confl =
       let v = var_of q in
       if q <> !p && Bytes.get s.seen v = '\000' && s.level.(v) > 0 then begin
         Bytes.set s.seen v '\001';
-        marked := v :: !marked;
+        Vec.push marked v;
         var_bump s v;
         if s.level.(v) >= decision_level s then incr counter
-        else learnt := q :: !learnt
+        else Vec.push learnt q
       end
     done;
     (* Walk the trail backwards to the next marked literal. *)
@@ -629,49 +683,54 @@ let analyze s confl =
   done;
   (* The UIP must not count as marked during minimization. *)
   Bytes.set s.seen (var_of !p) '\000';
-  (* Local conflict-clause minimization: a tail literal is redundant when its
-     reason clause contains only marked or level-0 literals — self-resolution
-     removes it without changing the clause's meaning. *)
-  let redundant q =
-    let v = var_of q in
-    let r = s.reason.(v) in
-    r >= 0
-    &&
-    let len = Arena.size arena r in
-    let ok = ref true in
-    let k = ref 0 in
-    while !ok && !k < len do
-      let lv = var_of (Arena.lit arena r !k) in
-      if not (lv = v || s.level.(lv) = 0 || Bytes.get s.seen lv = '\001') then
-        ok := false;
-      incr k
-    done;
-    !ok
-  in
-  let tail = List.filter (fun q -> not (redundant q)) !learnt in
+  Vec.set learnt 0 (lneg !p);
+  (* Reverse the tail to latest-discovered first, then drop redundant
+     literals in place.  Literal order is part of the search: it breaks
+     the slot-1 tie below and orders propagation's scan for a new
+     watch. *)
+  let n = Vec.size learnt in
+  let i = ref 1 and j = ref (n - 1) in
+  while !i < !j do
+    let t = Vec.get learnt !i in
+    Vec.set learnt !i (Vec.get learnt !j);
+    Vec.set learnt !j t;
+    incr i;
+    decr j
+  done;
+  let w = ref 1 in
+  for k = 1 to n - 1 do
+    let q = Vec.get learnt k in
+    if not (redundant s q) then begin
+      Vec.set learnt !w q;
+      incr w
+    end
+  done;
+  Vec.shrink learnt !w;
   (* Clear every raised flag (including dropped literals'). *)
-  List.iter (fun v -> Bytes.set s.seen v '\000') !marked;
-  let learnt_arr = Array.of_list (lneg !p :: tail) in
+  for k = 0 to Vec.size marked - 1 do
+    Bytes.set s.seen (Vec.get marked k) '\000'
+  done;
   (* Backjump level = highest level among the (minimized) tail. *)
+  let n = !w in
   let btlevel = ref 0 in
-  for k = 1 to Array.length learnt_arr - 1 do
-    if s.level.(var_of learnt_arr.(k)) > !btlevel then
-      btlevel := s.level.(var_of learnt_arr.(k))
+  for k = 1 to n - 1 do
+    if s.level.(var_of (Vec.get learnt k)) > !btlevel then
+      btlevel := s.level.(var_of (Vec.get learnt k))
   done;
   (* Watch invariant: slot 1 must hold the highest-level tail literal so that
      after backjumping the watched literal is never a stale false literal
      from a lower level (that would silence future unit propagations). *)
-  if Array.length learnt_arr > 2 then begin
+  if n > 2 then begin
     let best = ref 1 in
-    for k = 2 to Array.length learnt_arr - 1 do
-      if s.level.(var_of learnt_arr.(k)) > s.level.(var_of learnt_arr.(!best))
+    for k = 2 to n - 1 do
+      if s.level.(var_of (Vec.get learnt k)) > s.level.(var_of (Vec.get learnt !best))
       then best := k
     done;
-    let tmp = learnt_arr.(1) in
-    learnt_arr.(1) <- learnt_arr.(!best);
-    learnt_arr.(!best) <- tmp
+    let tmp = Vec.get learnt 1 in
+    Vec.set learnt 1 (Vec.get learnt !best);
+    Vec.set learnt !best tmp
   end;
-  learnt_arr, !btlevel
+  !btlevel
 
 (* --- search --- *)
 
@@ -700,6 +759,33 @@ let out_of_budget budget s start_check =
       && budget.deadline >= 0.0
       && Unix.gettimeofday () > budget.deadline)
 
+(* [select a n k] is the [k]-th smallest of [a.(0 .. n-1)] (0-based),
+   found by Hoare quickselect, which reorders that prefix in place. *)
+let select (a : float array) n k =
+  let lo = ref 0 and hi = ref (n - 1) in
+  while !lo < !hi do
+    let pivot = a.((!lo + !hi) / 2) in
+    let i = ref !lo and j = ref !hi in
+    while !i <= !j do
+      while a.(!i) < pivot do
+        incr i
+      done;
+      while a.(!j) > pivot do
+        decr j
+      done;
+      if !i <= !j then begin
+        let t = a.(!i) in
+        a.(!i) <- a.(!j);
+        a.(!j) <- t;
+        incr i;
+        decr j
+      end
+    done;
+    (* [lo..j] <= pivot <= [i..hi], and everything between equals it. *)
+    if k <= !j then hi := !j else if k >= !i then lo := !i else lo := !hi
+  done;
+  a.(k)
+
 (* Drop the less active half of the learnt clauses and compact the arena.
    Called only at decision level 0: level-0 reasons are never dereferenced
    by [analyze] (it skips level-0 variables), so clearing them is safe, and
@@ -708,16 +794,18 @@ let out_of_budget budget s start_check =
 let reduce_db s =
   assert (decision_level s = 0);
   let arena = s.arena in
-  (* Median learnt activity as the deletion threshold; keep binary clauses. *)
-  let acts = ref [] in
+  (* Median learnt activity as the deletion threshold; keep binary clauses.
+     The median is the element at [count / 2] of the ascending order, so
+     selecting it gives the same threshold a full sort would. *)
+  if Array.length s.acts < Arena.num_learnts arena then
+    s.acts <- Array.make (max 64 (2 * Arena.num_learnts arena)) 0.0;
+  let count = ref 0 in
   Arena.iter_learnts arena (fun ci ->
-      if Arena.size arena ci > 2 then acts := Arena.activity arena ci :: !acts);
-  let sorted = List.sort compare !acts in
-  let threshold =
-    match List.nth_opt sorted (List.length sorted / 2) with
-    | Some v -> v
-    | None -> infinity
-  in
+      if Arena.size arena ci > 2 then begin
+        s.acts.(!count) <- Arena.activity arena ci;
+        incr count
+      end);
+  let threshold = if !count = 0 then infinity else select s.acts !count (!count / 2) in
   Arena.iter_learnts arena (fun ci ->
       if Arena.size arena ci > 2 && Arena.activity arena ci <= threshold then
         Arena.kill arena ci);
@@ -754,15 +842,15 @@ let reduce_db s =
    among the clause's literals) plus the other conflict-shape samples.
    Runs before backtracking, while the learnt literals' levels are still
    current; the stamped scratch array keeps it allocation-free. *)
-let record_conflict_stats s learnt =
+let record_conflict_stats s =
+  let learnt = s.learnt in
   Fl_obs.Hist.record h_conflict_level (decision_level s);
-  Fl_obs.Hist.record h_learnt_len (Array.length learnt);
+  Fl_obs.Hist.record h_learnt_len (Vec.size learnt);
   let stamp = s.lbd_stamp + 1 in
   s.lbd_stamp <- stamp;
   let lbd = ref 0 in
-  Array.iter
-    (fun l ->
-      let lv = s.level.(var_of l) in
+  for k = 0 to Vec.size learnt - 1 do
+      let lv = s.level.(var_of (Vec.get learnt k)) in
       if lv >= Array.length s.lbd_seen then begin
         (* levels can outgrow the var arrays only via repeated-assumption
            dummy levels; grow lazily rather than burden ensure_vars *)
@@ -774,8 +862,8 @@ let record_conflict_stats s learnt =
       if s.lbd_seen.(lv) <> stamp then begin
         s.lbd_seen.(lv) <- stamp;
         incr lbd
-      end)
-    learnt;
+      end
+  done;
   Fl_obs.Hist.record h_lbd !lbd;
   let dp = s.n_propagations - s.deep_mark_props
   and dd = s.n_decisions - s.deep_mark_decisions in
@@ -785,6 +873,17 @@ let record_conflict_stats s learnt =
 
 exception Found of outcome
 
+(* Pop the most active unassigned variable, or -1 when all are
+   assigned. *)
+let rec pick_branch s =
+  if Heap.is_empty s.heap then -1
+  else begin
+    let v = Heap.pop s.heap in
+    if Lit.Lbool.is_undef (value_var s v) then v else pick_branch s
+  end
+
+(* [assumptions] holds packed literals; assumption [i] is decided at
+   level [i + 1]. *)
 let search s assumptions budget conflict_budget start_conflicts =
   let conflicts_this_run = ref 0 in
   try
@@ -797,23 +896,26 @@ let search s assumptions budget conflict_budget start_conflicts =
           s.ok <- false;
           raise (Found Unsat)
         end;
-        let learnt, btlevel = analyze s confl in
-        if Fl_obs.deep_enabled () then record_conflict_stats s learnt;
+        let btlevel = analyze s confl in
+        let learnt = s.learnt in
+        if Fl_obs.deep_enabled () then record_conflict_stats s;
         cancel_until s (max btlevel 0) ;
-        (match learnt with
-         | [| unit_lit |] ->
+        (if Vec.size learnt = 1 then begin
+           let unit_lit = Vec.get learnt 0 in
            cancel_until s 0;
-           (match value_lit s unit_lit with
-            | 0 ->
-              s.ok <- false;
-              raise (Found Unsat)
-            | 1 -> ()
-            | _ -> enqueue s unit_lit Arena.Cref.none)
-         | _ ->
-           let ci = push_clause ~learnt:true s learnt in
-           enqueue s learnt.(0) ci);
+           match value_lit s unit_lit with
+           | 0 ->
+             s.ok <- false;
+             raise (Found Unsat)
+           | 1 -> ()
+           | _ -> enqueue s unit_lit Arena.Cref.none
+         end
+         else begin
+           let ci = push_clause s ~learnt:true learnt in
+           enqueue s (Vec.get learnt 0) ci
+         end);
         s.n_learned <- s.n_learned + 1;
-        s.n_learned_lits <- s.n_learned_lits + Array.length learnt;
+        s.n_learned_lits <- s.n_learned_lits + Vec.size learnt;
         var_decay s;
         cla_decay s;
         if s.n_conflicts >= s.progress_next then begin
@@ -843,8 +945,8 @@ let search s assumptions budget conflict_budget start_conflicts =
           raise Exit
         end;
         let dl = decision_level s in
-        if dl < List.length assumptions then begin
-          let a = List.nth assumptions dl in
+        if dl < Array.length assumptions then begin
+          let a = assumptions.(dl) in
           match value_lit s a with
           | 1 ->
             Vec.push s.trail_lim (Vec.size s.trail)
@@ -856,15 +958,7 @@ let search s assumptions budget conflict_budget start_conflicts =
             enqueue s a Arena.Cref.none
         end
         else begin
-          (* Pick an unassigned variable by activity. *)
-          let rec pick () =
-            if Heap.is_empty s.heap then -1
-            else begin
-              let v = Heap.pop s.heap in
-              if Lit.Lbool.is_undef (value_var s v) then v else pick ()
-            end
-          in
-          let v = pick () in
+          let v = pick_branch s in
           if v < 0 then raise (Found Sat)
           else begin
             let phase_true = Bytes.get s.polarity v = '\001' in
@@ -883,9 +977,13 @@ let search s assumptions budget conflict_budget start_conflicts =
   | Exit -> None
 
 let solve ?(assumptions = []) ?(budget = no_budget) s =
-  List.iter (fun l -> ensure_vars s (abs l)) assumptions;
-  let assumptions = List.map lit_of_dimacs assumptions in
+  let assumptions = Array.of_list assumptions in
+  ensure_vars s (max_var assumptions);
+  for i = 0 to Array.length assumptions - 1 do
+    assumptions.(i) <- lit_of_dimacs assumptions.(i)
+  done;
   cancel_until s 0;
+  s.model_n <- -1;
   if not s.ok then Unsat
   else begin
     let start_conflicts = s.n_conflicts in
@@ -899,29 +997,26 @@ let solve ?(assumptions = []) ?(budget = no_budget) s =
       end
     in
     let result = run 1 in
-    (match result with
-     | Sat ->
-       let m = Bytes.create s.nvars in
-       for v = 0 to s.nvars - 1 do
-         Bytes.set m v (if value_var s v = 1 then '\001' else '\000')
-       done;
-       s.last_model <- Some m
-     | Unsat | Unknown -> s.last_model <- None);
+    if result = Sat then begin
+      if Bytes.length s.model_buf < s.nvars then
+        s.model_buf <- Bytes.create (Bytes.length s.assigns);
+      for v = 0 to s.nvars - 1 do
+        Bytes.set s.model_buf v (if value_var s v = 1 then '\001' else '\000')
+      done;
+      s.model_n <- s.nvars
+    end;
     cancel_until s 0;
     result
   end
 
 let value s v =
-  match s.last_model with
-  | None -> invalid_arg "Cdcl.value: no model (last solve was not Sat)"
-  | Some m ->
-    if v < 1 || v > Bytes.length m then invalid_arg "Cdcl.value: unknown variable";
-    Bytes.get m (v - 1) = '\001'
+  if s.model_n < 0 then invalid_arg "Cdcl.value: no model (last solve was not Sat)";
+  if v < 1 || v > s.model_n then invalid_arg "Cdcl.value: unknown variable";
+  Bytes.get s.model_buf (v - 1) = '\001'
 
 let model s =
-  match s.last_model with
-  | None -> invalid_arg "Cdcl.model: no model (last solve was not Sat)"
-  | Some m -> Array.init (Bytes.length m + 1) (fun i -> i > 0 && Bytes.get m (i - 1) = '\001')
+  if s.model_n < 0 then invalid_arg "Cdcl.model: no model (last solve was not Sat)";
+  Array.init (s.model_n + 1) (fun i -> i > 0 && Bytes.get s.model_buf (i - 1) = '\001')
 
 (* Learnt-clause export (inprocessing replay): every
    live learnt clause, in DIMACS literals.  The callback must not touch

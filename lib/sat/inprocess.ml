@@ -74,11 +74,11 @@ type t = {
 type scratch = {
   mutable pval : Bytes.t;  (* lidx -> '\001' when the literal is true *)
   mutable pmark : Bytes.t;  (* lidx -> '\001' when implied by probe(+v) *)
-  trail : Simp_db.Vec.t;
+  trail : Vec.t;
 }
 
 let scratch () =
-  { pval = Bytes.empty; pmark = Bytes.empty; trail = Simp_db.Vec.create () }
+  { pval = Bytes.empty; pmark = Bytes.empty; trail = Vec.create () }
 
 let ensure_scratch scr n2 =
   if Bytes.length scr.pval < n2 then begin
@@ -173,24 +173,24 @@ let harvest_units st =
 let probe st scr root ~on_hyper =
   let db = st.db in
   let tr = scr.trail in
-  tr.Simp_db.Vec.size <- 0;
+  Vec.shrink tr 0;
   let set l =
     Bytes.set scr.pval (Simp_db.lidx l) '\001';
-    Simp_db.Vec.push tr l
+    Vec.push tr l
   in
   let ptrue l = Bytes.get scr.pval (Simp_db.lidx l) = '\001' in
   set root;
   let conflict = ref false in
   let i = ref 0 in
   (try
-     while !i < Simp_db.Vec.size tr do
-       let t = Simp_db.Vec.get tr !i in
+     while !i < Vec.size tr do
+       let t = Vec.get tr !i in
        incr i;
        (* Clauses that may have lost the literal ¬t.  Stale occurrence
           entries just cost a scan: evaluating any live clause is sound. *)
        let occ = db.Simp_db.occ.(Simp_db.lidx (-t)) in
-       for oi = 0 to Simp_db.Vec.size occ - 1 do
-         let ci = Simp_db.Vec.get occ oi in
+       for oi = 0 to Vec.size occ - 1 do
+         let ci = Vec.get occ oi in
          if Simp_db.alive db ci then begin
            st.prop_budget <- st.prop_budget - 1;
            let c = db.Simp_db.cl.(ci) in
@@ -224,10 +224,10 @@ let probe st scr root ~on_hyper =
 
 let undo_trail scr =
   let tr = scr.trail in
-  for i = 0 to Simp_db.Vec.size tr - 1 do
-    Bytes.set scr.pval (Simp_db.lidx (Simp_db.Vec.get tr i)) '\000'
+  for i = 0 to Vec.size tr - 1 do
+    Bytes.set scr.pval (Simp_db.lidx (Vec.get tr i)) '\000'
   done;
-  tr.Simp_db.Vec.size <- 0
+  Vec.shrink tr 0
 
 (* At most [rounds] XOR -> probe -> SCC -> subsume -> eliminate rounds,
    each XOR pass up to [max_xor_arity], each probe pass over at most
@@ -292,7 +292,7 @@ let probe_pass st scr =
          else begin
            (* Snapshot the positive implications, then probe ¬v. *)
            let tr = scr.trail in
-           let pos = Array.sub tr.Simp_db.Vec.data 0 (Simp_db.Vec.size tr) in
+           let pos = Array.sub tr.Vec.data 0 (Vec.size tr) in
            Array.iter
              (fun l -> Bytes.set scr.pmark (Simp_db.lidx l) '\001')
              pos;
@@ -306,8 +306,8 @@ let probe_pass st scr =
            let shared = ref [] in
            if not conflict then begin
              let tr = scr.trail in
-             for i = 1 to Simp_db.Vec.size tr - 1 do
-               let l = Simp_db.Vec.get tr i in
+             for i = 1 to Vec.size tr - 1 do
+               let l = Vec.get tr i in
                if Bytes.get scr.pmark (Simp_db.lidx l) = '\001' then
                  shared := l :: !shared
              done

@@ -15,25 +15,6 @@
 
 module Formula = Fl_cnf.Formula
 
-(* Growable int vector (occurrence lists). *)
-module Vec = struct
-  type t = { mutable data : int array; mutable size : int }
-
-  let create () = { data = [||]; size = 0 }
-
-  let push v x =
-    if v.size = Array.length v.data then begin
-      let data' = Array.make (max 4 (v.size * 2)) 0 in
-      Array.blit v.data 0 data' 0 v.size;
-      v.data <- data'
-    end;
-    v.data.(v.size) <- x;
-    v.size <- v.size + 1
-
-  let get v i = v.data.(i)
-  let size v = v.size
-end
-
 (* Literal index for occurrence lists. *)
 let lidx l = (2 * (abs l - 1)) + if l < 0 then 1 else 0
 
@@ -163,7 +144,7 @@ let append db lits =
     db.cl.(ci) <- lits;
     db.sg.(ci) <- signature lits;
     db.n <- ci + 1;
-    Array.iter (fun l -> Vec.push db.occ.(lidx l) ci) lits;
+    Array.iter (fun l -> Vec.push_at db.occ (lidx l) ci) lits;
     touch db lits;
     enqueue_clause db ci;
     ci
@@ -200,12 +181,12 @@ let occurrences db l =
   for i = 0 to Vec.size v - 1 do
     let ci = Vec.get v i in
     if alive db ci && Array.exists (fun x -> x = l) db.cl.(ci) then begin
-      v.Vec.data.(!w) <- ci;
+      Vec.set v !w ci;
       incr w;
       out := ci :: !out
     end
   done;
-  v.Vec.size <- !w;
+  Vec.shrink v !w;
   List.rev !out
 
 let occ_count db v = Vec.size db.occ.(lidx v) + Vec.size db.occ.(lidx (-v))
@@ -425,7 +406,7 @@ let create ~frozen f =
       cl = Array.make (max 64 (Formula.num_clauses f)) [||];
       sg = Array.make (max 64 (Formula.num_clauses f)) 0;
       n = 0;
-      occ = Array.init (2 * max 1 nvars) (fun _ -> Vec.create ());
+      occ = Array.make (2 * max 1 nvars) Vec.empty;
       queue = Queue.create ();
       queued = Bytes.make (max 64 (Formula.num_clauses f)) '\000';
       elim_set = Bytes.make (max 1 nvars) '\000';

@@ -14,17 +14,6 @@
     resolution, single-variable elimination) are sealed behind the
     sweep/drain entry points. *)
 
-(** Growable int vector (occurrence lists).  [data] beyond [size] is
-    garbage; {!Inprocess} snapshots prefixes directly. *)
-module Vec : sig
-  type t = { mutable data : int array; mutable size : int }
-
-  val create : unit -> t
-  val push : t -> int -> unit
-  val get : t -> int -> int
-  val size : t -> int
-end
-
 (** Literal index for occurrence lists: variable [v] occupies slots
     [2*(v-1)] (positive) and [2*(v-1)+1] (negative). *)
 val lidx : int -> int

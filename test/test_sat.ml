@@ -296,7 +296,7 @@ let prop_arena_roundtrip =
       let clauses = Array.init n mk in
       let a = Arena.create () in
       let crefs =
-        Array.mapi (fun i c -> Arena.alloc a ~learnt:(i mod 2 = 0) c) clauses
+        Array.mapi (fun i c -> Arena.alloc a ~learnt:(i mod 2 = 0) c (Array.length c)) clauses
       in
       Array.iteri (fun i c -> Arena.set_activity a c (float_of_int i)) crefs;
       (* Round-trip 1: everything still there, in order. *)
@@ -348,17 +348,17 @@ let prop_arena_roundtrip =
 
 let test_arena_snapshot () =
   let a = Arena.create () in
-  let c0 = Arena.alloc a ~learnt:false [| 0; 2 |] in
+  let c0 = Arena.alloc a ~learnt:false [| 0; 2 |] 2 in
   let snap = Arena.mark a in
-  let _c1 = Arena.alloc a ~learnt:true [| 1; 3; 5 |] in
-  let _c2 = Arena.alloc a ~learnt:false [| 4; 6 |] in
+  let _c1 = Arena.alloc a ~learnt:true [| 1; 3; 5 |] 3 in
+  let _c2 = Arena.alloc a ~learnt:false [| 4; 6; 8 |] 2 in
   check int_t "3 clauses" 3 (Arena.num_clauses a);
   Arena.restore a snap;
   check int_t "back to 1" 1 (Arena.num_clauses a);
   check int_t "no learnts" 0 (Arena.num_learnts a);
   check bool_t "pre-mark clause intact" true (Arena.lits a c0 = [| 0; 2 |]);
   check bool_t "unit rejected" true
-    (match Arena.alloc a ~learnt:false [| 7 |] with
+    (match Arena.alloc a ~learnt:false [| 7 |] 1 with
      | exception Invalid_argument _ -> true
      | _ -> false)
 
@@ -923,6 +923,100 @@ let prop_cdcl_circuit_reference =
       | Cdcl.Unsat, None, Dpll.Unsat -> true
       | _ -> false)
 
+(* ------------------------------------------------------------------ *)
+(* Solver growth, loading and allocation                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Random CNFs over few variables, so clauses repeat literals, hold both
+   phases of a variable, and meet unit clauses that fix literals false at
+   level 0 before longer clauses mention them. *)
+let messy_formula_gen =
+  QCheck2.Gen.(
+    let* num_vars = int_range 1 60 in
+    let* num_clauses = int_range 1 240 in
+    let* seed = int_bound 1_000_000 in
+    return (num_vars, num_clauses, seed))
+
+let make_messy_formula (num_vars, num_clauses, seed) =
+  let rng = Random.State.make [| seed |] in
+  let f = Formula.create () in
+  Formula.reserve f num_vars;
+  for _ = 1 to num_clauses do
+    let len = if Random.State.int rng 8 = 0 then 1 else 2 + Random.State.int rng 5 in
+    Formula.add_clause_a f
+      (Array.init len (fun _ ->
+           let v = 1 + Random.State.int rng num_vars in
+           if Random.State.bool rng then v else -v))
+  done;
+  f
+
+let solve_summary s =
+  let outcome = Cdcl.solve s in
+  let model = if outcome = Cdcl.Sat then Some (Cdcl.model s) else None in
+  outcome, model, Cdcl.stats s
+
+let prop_incremental_load_matches_bulk =
+  (* Growth must not steer the search: a solver that starts at one
+     variable and grows clause by clause (many capacity doublings of
+     every per-variable and per-literal table) reaches the same outcome,
+     model and statistics as one built by [of_formula] in a single
+     load. *)
+  qcheck_case ~count:300 "clause-by-clause growth = of_formula"
+    messy_formula_gen (fun params ->
+      let f = make_messy_formula params in
+      let bulk = solve_summary (Cdcl.of_formula f) in
+      let s = Cdcl.create () in
+      Cdcl.ensure_vars s 1;
+      Formula.iter_clauses f (fun c -> Cdcl.add_clause_a s (Array.copy c));
+      Cdcl.ensure_vars s (Formula.num_vars f);
+      let grown = solve_summary s in
+      grown = bulk
+      &&
+      match bulk with
+      | Cdcl.Sat, Some m, _ -> model_satisfies f m
+      | Cdcl.Unsat, None, _ -> Formula.num_vars f > 20 || not (brute_sat f)
+      | _ -> false)
+
+let minor_words_during f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+let test_cdcl_allocation_bounds () =
+  (* Growth allocates per-variable arrays only, and arrays that large go
+     straight to the major heap: no record or list storage per literal
+     until a clause is watched there.  Both bounds sit well above the
+     measured counts (about 0.05 words per variable, 25 per decision) and
+     well below what a per-literal list (about 125 words per variable)
+     or per-decision lists and closures (about 245 per decision) cost. *)
+  let n = 100_000 in
+  let s = Cdcl.create () in
+  let words =
+    minor_words_during (fun () ->
+        for v = 1 to n do
+          Cdcl.ensure_vars s v
+        done)
+  in
+  check bool_t
+    (Printf.sprintf "ensure_vars: %.0f minor words for %d variables" words n)
+    true
+    (words < 4.0 *. float_of_int n);
+  (* Decisions, conflict analysis and learnt-database reduction reuse
+     solver-owned scratch; what remains per decision is amortized growth
+     of the watch lists and the boxed decay increments.  A satisfiable
+     phase-transition instance with about 4.5k decisions. *)
+  let rng = Random.State.make [| 3; 200 |] in
+  let f = Random_sat.fixed_length rng ~num_vars:200 ~num_clauses:840 ~k:3 in
+  let s = Cdcl.of_formula f in
+  let outcome = ref Cdcl.Unknown in
+  let words = minor_words_during (fun () -> outcome := Cdcl.solve s) in
+  check bool_t "fixed instance is sat" true (!outcome = Cdcl.Sat);
+  let decisions = (Cdcl.stats s).Cdcl.decisions in
+  check bool_t
+    (Printf.sprintf "solve: %.0f minor words over %d decisions" words decisions)
+    true
+    (words < 60.0 *. float_of_int decisions)
+
 let () =
   Alcotest.run "sat"
     [
@@ -942,6 +1036,8 @@ let () =
           Alcotest.test_case "tautology" `Quick test_cdcl_duplicate_and_tautology;
           Alcotest.test_case "binary watch rebuild" `Quick
             test_cdcl_binary_watch_rebuild;
+          prop_incremental_load_matches_bulk;
+          Alcotest.test_case "allocation bounds" `Quick test_cdcl_allocation_bounds;
         ] );
       ( "arena",
         [
