@@ -165,7 +165,10 @@ type t = {
   mutable nvars : int;
   mutable ok : bool;  (* false once a top-level contradiction is derived *)
   arena : Arena.t;  (* every clause, problem + learnt, packed flat *)
-  mutable cla_inc : float;
+  inc : float array;
+      (* [| var_inc; cla_inc |]: a float array stores its floats unboxed,
+         so the per-conflict decays allocate nothing, where a mutable
+         float field of this mixed record would box on every write *)
   mutable reductions : int;
   mutable assigns : Bytes.t;  (* var -> Lbool: 0 false / 1 true / 2 undef *)
   mutable level : int array;
@@ -187,7 +190,6 @@ type t = {
   trail : Vec.t;
   trail_lim : Vec.t;
   mutable qhead : int;
-  mutable var_inc : float;
   (* Memoized Luby sequence, 1-based: luby.(i-1) = luby(i).  Grows by
      one entry per restart instead of re-deriving the sequence
      recursively from scratch each time. *)
@@ -233,7 +235,7 @@ let create () =
     nvars = 0;
     ok = true;
     arena = Arena.create ();
-    cla_inc = 1.0;
+    inc = [| 1.0; 1.0 |];
     reductions = 0;
     assigns = Bytes.make 8 '\002';
     level = Array.make 8 0;
@@ -247,7 +249,6 @@ let create () =
     trail = Vec.create ();
     trail_lim = Vec.create ();
     qhead = 0;
-    var_inc = 1.0;
     luby = Vec.create ();
     n_decisions = 0;
     n_propagations = 0;
@@ -344,31 +345,34 @@ let enqueue s l reason =
   s.reason.(v) <- reason;
   Vec.push s.trail l
 
+let var_inc = 0
+let cla_inc = 1
+
 let var_bump s v =
   let act = !(s.activity) in
-  act.(v) <- act.(v) +. s.var_inc;
+  act.(v) <- act.(v) +. s.inc.(var_inc);
   if act.(v) > 1e100 then begin
     for i = 0 to s.nvars - 1 do
       act.(i) <- act.(i) *. 1e-100
     done;
-    s.var_inc <- s.var_inc *. 1e-100
+    s.inc.(var_inc) <- s.inc.(var_inc) *. 1e-100
   end;
   Heap.decrease s.heap v
 
-let var_decay s = s.var_inc <- s.var_inc /. var_decay_factor
+let var_decay s = s.inc.(var_inc) <- s.inc.(var_inc) /. var_decay_factor
 
 let cla_bump s ci =
   if Arena.learnt s.arena ci then begin
-    let a = Arena.activity s.arena ci +. s.cla_inc in
+    let a = Arena.activity s.arena ci +. s.inc.(cla_inc) in
     Arena.set_activity s.arena ci a;
     if a > 1e20 then begin
       Arena.iter_learnts s.arena (fun c ->
           Arena.set_activity s.arena c (Arena.activity s.arena c *. 1e-20));
-      s.cla_inc <- s.cla_inc *. 1e-20
+      s.inc.(cla_inc) <- s.inc.(cla_inc) *. 1e-20
     end
   end
 
-let cla_decay s = s.cla_inc <- s.cla_inc /. clause_decay_factor
+let cla_decay s = s.inc.(cla_inc) <- s.inc.(cla_inc) /. clause_decay_factor
 
 let cancel_until s target =
   if decision_level s > target then begin
