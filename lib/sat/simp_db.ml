@@ -432,37 +432,53 @@ let try_eliminate db ~max_occ v =
    its last attempt saw, so trying it again would fail again.  Its
    occurrence lists also hold no stale entries (those come only from
    [kill] and [strengthen], which touch), so skipping it leaves every
-   [occ_count], and with it the order, as a full sweep would.  Returns
-   how many variables the sweep eliminated. *)
+   [occ_count], and with it the order, as a full sweep would.
+
+   The order holds only the candidates: variables neither frozen nor
+   eliminated at sweep start, as an attempt on any other is a no-op.
+   Restricting a stable sort keeps the candidates' relative order.  The
+   dirty flag is read at the visit, not at sweep start: an elimination
+   earlier in the sweep touches its neighbours, and a neighbour placed
+   later must still be tried in this sweep.  With the subsumption queue
+   drained before the first visit, draining after each attempt leaves
+   the same clauses as draining after every variable.  Returns how many
+   variables the sweep eliminated. *)
 let elimination_sweep ?(max_occ = 40) db =
   let before = db.n_elim in
-  let n = db.nvars in
-  let key = Array.make n 0 and kmax = ref 0 in
-  for v = 1 to n do
-    key.(v - 1) <- occ_count db v;
-    kmax := Int.max !kmax key.(v - 1)
+  let cand = Array.make db.nvars 0 and key = Array.make db.nvars 0 in
+  let m = ref 0 and kmax = ref 0 in
+  for v = 1 to db.nvars do
+    if not (frozen db v || eliminated db v) then begin
+      let k = occ_count db v in
+      cand.(!m) <- v;
+      key.(!m) <- k;
+      kmax := Int.max !kmax k;
+      incr m
+    end
   done;
+  let m = !m in
   (* [start.(k)]: the next free position for key [k] in [order]. *)
   let start = Array.make (!kmax + 2) 0 in
-  for i = 0 to n - 1 do
+  for i = 0 to m - 1 do
     start.(key.(i) + 1) <- start.(key.(i) + 1) + 1
   done;
   for k = 1 to !kmax + 1 do
     start.(k) <- start.(k) + start.(k - 1)
   done;
-  let order = Array.make n 0 in
-  for i = 0 to n - 1 do
+  let order = Array.make m 0 in
+  for i = 0 to m - 1 do
     let k = key.(i) in
-    order.(start.(k)) <- i + 1;
+    order.(start.(k)) <- cand.(i);
     start.(k) <- start.(k) + 1
   done;
-  for i = 0 to n - 1 do
+  drain_subsumption db;
+  for i = 0 to m - 1 do
     let v = order.(i) in
     if Bytes.get db.dirty (v - 1) = '\001' then begin
       Bytes.set db.dirty (v - 1) '\000';
-      try_eliminate db ~max_occ v
-    end;
-    drain_subsumption db
+      try_eliminate db ~max_occ v;
+      drain_subsumption db
+    end
   done;
   db.n_elim - before
 
