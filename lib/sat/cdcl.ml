@@ -187,6 +187,14 @@ type t = {
   mutable polarity : Bytes.t;  (* saved phase: 0 -> pick false first *)
   mutable seen : Bytes.t;  (* scratch for conflict analysis *)
   heap : Heap.t;
+  mutable named : Bytes.t;
+      (* var -> '\000' until a clause or an assumption names it, '\001'
+         once named but not yet in [heap], '\002' once in it.  Only named
+         variables are ever decided (DESIGN.md §4e). *)
+  mutable pending_lo : int;
+  mutable pending_hi : int;
+      (* Every '\001' variable lies in [pending_lo .. pending_hi]; the
+         range is empty ([lo > hi]) when none is pending. *)
   trail : Vec.t;
   trail_lim : Vec.t;
   mutable qhead : int;
@@ -246,6 +254,9 @@ let create () =
     polarity = Bytes.make 8 '\000';
     seen = Bytes.make 8 '\000';
     heap = Heap.create activity;
+    named = Bytes.make 8 '\000';
+    pending_lo = max_int;
+    pending_hi = -1;
     trail = Vec.create ();
     trail_lim = Vec.create ();
     qhead = 0;
@@ -292,6 +303,9 @@ let ensure_vars s n =
       let seen' = Bytes.make cap '\000' in
       Bytes.blit s.seen 0 seen' 0 old_cap;
       s.seen <- seen';
+      let named' = Bytes.make cap '\000' in
+      Bytes.blit s.named 0 named' 0 old_cap;
+      s.named <- named';
       let level' = Array.make cap 0 in
       Array.blit s.level 0 level' 0 old_cap;
       s.level <- level';
@@ -308,11 +322,33 @@ let ensure_vars s n =
       Array.blit s.bin_watches 0 bin' 0 (Array.length s.bin_watches);
       s.bin_watches <- bin'
     end;
-    for v = s.nvars to n - 1 do
-      Heap.insert s.heap v
-    done;
     s.nvars <- n
   end
+
+(* Mark the variables of the DIMACS literals [lits] named; the first
+   naming queues a variable for the heap. *)
+let name_vars s lits =
+  for i = 0 to Array.length lits - 1 do
+    let v = abs lits.(i) - 1 in
+    if Bytes.get s.named v = '\000' then begin
+      Bytes.set s.named v '\001';
+      if v < s.pending_lo then s.pending_lo <- v;
+      if v > s.pending_hi then s.pending_hi <- v
+    end
+  done
+
+(* Insert the variables named since the last solve into the heap in
+   ascending index order: the order, and so the heap, that creating them
+   used to give when creation inserted every variable. *)
+let flush_named s =
+  for v = s.pending_lo to s.pending_hi do
+    if Bytes.unsafe_get s.named v = '\001' then begin
+      Bytes.unsafe_set s.named v '\002';
+      Heap.insert s.heap v
+    end
+  done;
+  s.pending_lo <- max_int;
+  s.pending_hi <- -1
 
 (* --- value manipulation --- *)
 
@@ -507,6 +543,7 @@ let max_var lits =
 
 let add_clause_a s lits =
   ensure_vars s (max_var lits);
+  name_vars s lits;
   cancel_until s 0;
   load_clause s lits
 
@@ -515,7 +552,9 @@ let add_clause s lits = add_clause_a s (Array.of_list lits)
 let of_formula f =
   let s = create () in
   ensure_vars s (Fl_cnf.Formula.num_vars f);
-  Fl_cnf.Formula.iter_clauses f (load_clause s);
+  Fl_cnf.Formula.iter_clauses f (fun lits ->
+      name_vars s lits;
+      load_clause s lits);
   s
 
 (* --- propagation --- *)
@@ -877,7 +916,7 @@ let record_conflict_stats s =
 
 exception Found of outcome
 
-(* Pop the most active unassigned variable, or -1 when all are
+(* Pop the most active unassigned decision variable, or -1 when all are
    assigned. *)
 let rec pick_branch s =
   if Heap.is_empty s.heap then -1
@@ -983,10 +1022,12 @@ let search s assumptions budget conflict_budget start_conflicts =
 let solve ?(assumptions = []) ?(budget = no_budget) s =
   let assumptions = Array.of_list assumptions in
   ensure_vars s (max_var assumptions);
+  name_vars s assumptions;
   for i = 0 to Array.length assumptions - 1 do
     assumptions.(i) <- lit_of_dimacs assumptions.(i)
   done;
   cancel_until s 0;
+  flush_named s;
   s.model_n <- -1;
   if not s.ok then Unsat
   else begin

@@ -12,7 +12,16 @@
     {!Arena} addressed by word offset; assignments, saved phases and the
     analysis scratch are byte arrays ({!Lit.Lbool}); watcher lists carry
     blocking literals so satisfied clauses are skipped without touching
-    the arena. *)
+    the arena.
+
+    Decision variables: the solver decides only variables that something
+    names.  A variable is named the first time a clause passed to
+    {!add_clause}, {!add_clause_a} or {!of_formula} mentions it (whether
+    or not loading keeps that clause), or an assumption does.  Variables
+    named since the previous {!solve} enter the decision heap at the start
+    of the next one, in ascending index order.  A solver whose variables
+    are all named before the first solve after their creation therefore
+    searches exactly as one that decides every variable. *)
 
 type t
 
@@ -56,7 +65,9 @@ val create : unit -> t
 (** [of_formula f] loads every clause of [f] into a fresh solver. *)
 val of_formula : Fl_cnf.Formula.t -> t
 
-(** [ensure_vars s n] makes variables [1..n] known to the solver. *)
+(** [ensure_vars s n] makes variables [1..n] known to the solver.  It
+    sizes the per-variable tables only: a variable no clause or
+    assumption names is never decided. *)
 val ensure_vars : t -> int -> unit
 
 (** [add_clause s lits] adds a clause (DIMACS literals).  May be called
@@ -71,7 +82,8 @@ val add_clause_a : t -> int array -> unit
     Statistics accumulate across calls. *)
 val solve : ?assumptions:int list -> ?budget:budget -> t -> outcome
 
-(** [value s v] is the model value of variable [v] after [Sat].
+(** [value s v] is the model value of variable [v] after [Sat].  A
+    variable nothing has named is [false] (it occurs in no clause).
     @raise Invalid_argument if the last call did not return Sat or [v] is
     unknown. *)
 val value : t -> int -> bool

@@ -1043,6 +1043,68 @@ let prop_incremental_load_matches_bulk =
       | Cdcl.Unsat, None, _ -> Formula.num_vars f > 20 || not (brute_sat f)
       | _ -> false)
 
+let test_cdcl_decides_named_only () =
+  (* A formula over variables 1..10 in a solver sized to 10,000: only the
+     ten named variables are ever decided, whatever the assumptions, and
+     every other variable reads [false] in the model. *)
+  let clauses =
+    [ [ 1; 2; 3 ]; [ -1; 4 ]; [ -4; 5; -6 ]; [ 6; 7 ]; [ -7; 8; 9 ];
+      [ -9; 10 ]; [ -2; -3 ]; [ -5; -8 ] ]
+  in
+  let s = Cdcl.create () in
+  Cdcl.ensure_vars s 10_000;
+  List.iter (Cdcl.add_clause s) clauses;
+  List.iter
+    (fun assumptions ->
+      let before = (Cdcl.stats s).Cdcl.decisions in
+      check bool_t "sat" true (Cdcl.solve ~assumptions s = Cdcl.Sat);
+      let d = (Cdcl.stats s).Cdcl.decisions - before in
+      check bool_t (Printf.sprintf "%d decisions, at most 10" d) true (d <= 10);
+      for v = 11 to 10_000 do
+        if Cdcl.value s v then Alcotest.failf "unnamed variable %d is true" v
+      done)
+    [ []; [ 1 ]; [ -1; 6 ]; [ 2; -10 ] ]
+
+let test_cdcl_late_named_decided () =
+  (* Variables 500 and 501 exist from the start but are first named by a
+     clause added after a solve; the next solve must decide them, so its
+     model satisfies that clause. *)
+  let s = Cdcl.create () in
+  Cdcl.ensure_vars s 600;
+  Cdcl.add_clause s [ 1; 2 ];
+  check bool_t "first sat" true (Cdcl.solve s = Cdcl.Sat);
+  check bool_t "500 unnamed, false" false (Cdcl.value s 500);
+  Cdcl.add_clause s [ 500; 501 ];
+  check bool_t "second sat" true (Cdcl.solve s = Cdcl.Sat);
+  check bool_t "late clause satisfied" true (Cdcl.value s 500 || Cdcl.value s 501);
+  (* An assumption names its variable too. *)
+  check bool_t "assumed sat" true (Cdcl.solve ~assumptions:[ 550 ] s = Cdcl.Sat);
+  check bool_t "assumed value" true (Cdcl.value s 550)
+
+let test_cdcl_golden_stats () =
+  (* On an instance where every variable occurs, deciding only named
+     variables builds the heap that deciding every variable did, so the
+     search is the same to the last counter.  The figures are those of
+     the solver before the naming rule. *)
+  let rng = Random.State.make [| 7; 200 |] in
+  let f = Random_sat.fixed_length rng ~num_vars:200 ~num_clauses:860 ~k:3 in
+  let occurs = Array.make 201 false in
+  Formula.iter_clauses f (Array.iter (fun l -> occurs.(abs l) <- true));
+  check bool_t "every variable occurs" true
+    (Array.for_all Fun.id (Array.sub occurs 1 200));
+  let s = Cdcl.of_formula f in
+  check bool_t "unsat" true (Cdcl.solve s = Cdcl.Unsat);
+  let st = Cdcl.stats s in
+  check
+    (Alcotest.list int_t)
+    "decisions, propagations, conflicts, restarts, learned clauses, learned \
+     literals, reductions, max level"
+    [ 9091; 279827; 7514; 49; 7513; 78382; 4; 25 ]
+    Cdcl.
+      [ st.decisions; st.propagations; st.conflicts; st.restarts;
+        st.learned_clauses; st.learned_literals; st.reductions;
+        st.max_decision_level ]
+
 let test_cdcl_allocation_bounds () =
   (* Growth allocates per-variable arrays only, and arrays that large go
      straight to the major heap: no record or list storage per literal
@@ -1114,6 +1176,11 @@ let () =
             test_cdcl_binary_watch_rebuild;
           prop_incremental_load_matches_bulk;
           Alcotest.test_case "allocation bounds" `Quick test_cdcl_allocation_bounds;
+          Alcotest.test_case "decides named variables only" `Quick
+            test_cdcl_decides_named_only;
+          Alcotest.test_case "late-named variables decided" `Quick
+            test_cdcl_late_named_decided;
+          Alcotest.test_case "golden stats" `Quick test_cdcl_golden_stats;
         ] );
       ( "arena",
         [
