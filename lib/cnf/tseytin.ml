@@ -227,30 +227,45 @@ let encode_observation f c ~values ~share_keys ~outputs =
       (Array.map (fun fid -> lit.(fid)) nd.Circuit.fanins)
   in
   let emit = fold_emit f in
+  (* A gate left with one live fanin takes that fanin's literal; any
+     other gets a fresh variable and its clauses. *)
+  let define id =
+    match folded id with
+    | Gate.Buf, [| a |] -> lit.(id) <- a
+    | Gate.Not, [| a |] -> lit.(id) <- -a
+    | kind, fanins ->
+      let out = Formula.fresh_var f in
+      lit.(id) <- out;
+      encode_gate ~emit f kind ~out ~fanins
+  in
   (match View.topo_order (View.of_circuit c) with
-   | Some order ->
-     Array.iter
-       (fun id ->
-         if lit.(id) = 0 then
-           match folded id with
-           | Gate.Buf, [| a |] -> lit.(id) <- a
-           | Gate.Not, [| a |] -> lit.(id) <- -a
-           | kind, fanins ->
-             let out = Formula.fresh_var f in
-             lit.(id) <- out;
-             encode_gate ~emit f kind ~out ~fanins)
-       order
+   | Some order -> Array.iter (fun id -> if lit.(id) = 0 then define id) order
    | None ->
-     (* On a cycle an alias could chase itself (a BUF loop), so every
-        unsettled node gets its own variable before any clause is emitted,
-        and clauses go out in id order as in [encode]. *)
-     let gates = List.filter (fun id -> lit.(id) = 0) (List.init n Fun.id) in
-     List.iter (fun id -> lit.(id) <- Formula.fresh_var f) gates;
-     List.iter
-       (fun id ->
-         let kind, fanins = folded id in
-         encode_gate ~emit f kind ~out:lit.(id) ~fanins)
-       gates);
+     (* On a cycle an alias could chase itself (a BUF loop), so nodes are
+        resolved depth-first over their fanins.  A node reached again
+        while its own resolution is open gets a fresh variable: that cuts
+        the cycle there, and the node's clauses go out once its fanins
+        are resolved.  Every other node is defined as above.  Aliasing
+        substitutes a literal for a variable, so each cycle keeps its
+        constraint through the one variable that cuts it (DESIGN.md
+        §4h). *)
+     let opened = Bytes.make n '\000' in
+     let rec resolve id =
+       if lit.(id) = 0 then
+         if Bytes.get opened id = '\001' then lit.(id) <- Formula.fresh_var f
+         else begin
+           Bytes.set opened id '\001';
+           Array.iter resolve (Circuit.node c id).Circuit.fanins;
+           Bytes.set opened id '\000';
+           if lit.(id) = 0 then define id
+           else
+             let kind, fanins = folded id in
+             encode_gate ~emit f kind ~out:lit.(id) ~fanins
+         end
+     in
+     for id = 0 to n - 1 do
+       resolve id
+     done);
   Array.iteri
     (fun i (_, id) ->
       let l = if outputs.(i) then lit.(id) else -lit.(id) in

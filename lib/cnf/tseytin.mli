@@ -54,11 +54,14 @@ val assert_vector : Formula.t -> int array -> bool array -> unit
     vector to [outputs], encoding only the circuit's key cone under that
     vector.  [values] is {!Fl_netlist.View.eval_under_inputs} of [c] on the
     input vector.  A settled node gets no variable and no clause: its value
-    folds into the gates it feeds.  On acyclic circuits a gate left with
-    one live fanin (BUF, NOT, single-live AND/OR/XOR families, MUX with a
-    settled select or settled unequal data) aliases that fanin's literal;
-    every other unsettled gate gets a fresh variable and its Table 1
-    clauses minus the settled literals.  A key-dependent output gets a unit
+    folds into the gates it feeds.  A gate left with one live fanin (BUF,
+    NOT, single-live AND/OR/XOR families, MUX with a settled select or
+    settled unequal data) aliases that fanin's literal; every other
+    unsettled gate gets a fresh variable and its Table 1 clauses minus the
+    settled literals.  On a cyclic circuit the gates are resolved
+    depth-first, and a gate reached again while its own resolution is open
+    gets a fresh variable and its clauses even when it folds to a BUF or a
+    NOT, so every cycle keeps one variable.  A key-dependent output gets a unit
     clause; a settled output that contradicts [outputs] adds a
     contradiction.
 

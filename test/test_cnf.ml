@@ -306,12 +306,41 @@ let prop_encoding_matches_sim =
           enc.Tseytin.output_vars expected
       | _ -> false)
 
+(* The folded observation copy (key cone only, settled nodes constant)
+   must admit exactly the keys the full copy with pinned inputs and
+   outputs admits, and never be larger: both copies are solved with the
+   key pinned to [key].  Returns the verdict and the two clause counts. *)
+let observation_agrees locked ~inputs ~key ~outputs =
+  let copy encode_copy =
+    let f = Formula.create () in
+    let keys = Formula.fresh_vars f (Array.length key) in
+    encode_copy f keys;
+    let clauses = Formula.num_clauses f in
+    Tseytin.assert_vector f keys key;
+    let sat, _, _ = Fl_sat.Cdcl.solve_formula f in
+    sat = Fl_sat.Cdcl.Sat, clauses
+  in
+  let full_sat, full_clauses =
+    copy (fun f keys ->
+        let enc = Tseytin.encode ~share_keys:keys f locked in
+        Tseytin.assert_vector f enc.Tseytin.input_vars inputs;
+        Tseytin.assert_vector f enc.Tseytin.output_vars outputs)
+  in
+  let folded_sat, folded_clauses =
+    copy (fun f keys ->
+        let values =
+          Fl_netlist.View.eval_under_inputs
+            (Fl_netlist.View.of_circuit locked) ~inputs
+        in
+        Tseytin.encode_observation f locked ~values ~share_keys:keys ~outputs)
+  in
+  full_sat = folded_sat && folded_clauses <= full_clauses, full_clauses,
+  folded_clauses
+
 let prop_observation_folding =
-  (* The folded observation copy (key cone only, settled nodes constant)
-     must admit exactly the keys the full copy with pinned inputs and
-     outputs admits, and never be larger.  Random small hosts under every
-     scheme family the attacks meet, acyclic and cyclic; outputs are the
-     oracle's (consistent keys exist) or random (often none do). *)
+  (* Random small hosts under every scheme family the attacks meet,
+     acyclic and cyclic; outputs are the oracle's (consistent keys exist)
+     or random (often none do). *)
   let gen =
     QCheck2.Gen.(
       quad (int_bound 1_000_000) (int_bound 4) (int_bound 0xffff) bool)
@@ -343,31 +372,138 @@ let prop_observation_folding =
           if oracle_outputs then Fl_locking.Locked.query_oracle l inputs
           else Array.init 3 (fun _ -> Random.State.bool rng)
         in
-        let copy encode_copy =
-          let f = Formula.create () in
-          let keys = Formula.fresh_vars f (Array.length key) in
-          encode_copy f keys;
-          let clauses = Formula.num_clauses f in
-          Tseytin.assert_vector f keys key;
-          let sat, _, _ = Fl_sat.Cdcl.solve_formula f in
-          sat = Fl_sat.Cdcl.Sat, clauses
+        let ok, _, _ = observation_agrees locked ~inputs ~key ~outputs in
+        ok)
+
+(* A small circuit whose strongly connected components the observation
+   copy's cyclic resolver must cut, drawn from [rng]: BUF/NOT chains that
+   enter and leave a cycle through a two-input gate, a BUF-only loop, an
+   odd NOT loop, and a key-controlled MUX inside a cycle.  Each part comes
+   with probability one half (the odd loop, which makes every key
+   inconsistent, one quarter), with its own lengths and gate kinds; the
+   MUX part stands in when no part is drawn. *)
+let cyclic_core rng =
+  let module B = Circuit.Builder in
+  let b = B.create ~name:"core" () in
+  let xs = Array.init 3 (fun i -> B.input ~name:(Printf.sprintf "x%d" i) b) in
+  let ks = Array.init 3 (fun i -> B.key_input ~name:(Printf.sprintf "k%d" i) b) in
+  let int n = Random.State.int rng n and coin () = Random.State.bool rng in
+  let pick a = a.(int (Array.length a)) in
+  let source () = if coin () then pick xs else pick ks in
+  let unary () = if coin () then Gate.Buf else Gate.Not in
+  let chain from len =
+    let id = ref from in
+    for _ = 1 to len do
+      id := B.add b (unary ()) [| !id |]
+    done;
+    !id
+  in
+  (* A ring of BUF/NOT nodes, each fed by its predecessor. *)
+  let ring kinds =
+    let ids = Array.map (B.declare b) kinds in
+    let n = Array.length ids in
+    Array.iteri (fun i id -> B.set_fanins b id [| ids.((i + n - 1) mod n) |]) ids;
+    ids
+  in
+  let outs = ref [] in
+  let out id = outs := id :: !outs in
+  if coin () then begin
+    let entry = chain (source ()) (int 4) in
+    let head = B.declare b (pick [| Gate.And; Gate.Or; Gate.Xor; Gate.Nand |]) in
+    let last = chain head (int 3) in
+    B.set_fanins b head (if coin () then [| entry; last |] else [| last; entry |]);
+    out (chain (if coin () then head else last) (int 4))
+  end;
+  if coin () then begin
+    let loop = ring (Array.make (1 + int 3) Gate.Buf) in
+    out
+      (if coin () then chain (pick loop) (int 3)
+       else B.add b Gate.And [| pick xs; pick loop |])
+  end;
+  if int 4 = 0 then begin
+    let n = 1 + int 4 in
+    let kinds = Array.init n (fun _ -> unary ()) in
+    let nots = Array.fold_left (fun k g -> if g = Gate.Not then k + 1 else k) 0 kinds in
+    if nots land 1 = 0 then
+      kinds.(0) <- (if kinds.(0) = Gate.Not then Gate.Buf else Gate.Not);
+    out (chain (pick (ring kinds)) (int 2))
+  end;
+  if !outs = [] || coin () then begin
+    let m = B.declare b Gate.Mux in
+    let back = chain m (1 + int 3) in
+    let other = source () in
+    B.set_fanins b m
+      (if coin () then [| pick ks; other; back |] else [| pick ks; back; other |]);
+    out (chain m (int 3))
+  end;
+  List.iteri (fun i id -> B.output b (Printf.sprintf "o%d" i) id) (List.rev !outs);
+  Circuit.of_builder b
+
+let prop_observation_folding_cyclic_cores =
+  (* The same agreement on circuits built around cycles, with outputs
+     taken from the circuit under the pinned key where they settle (so
+     consistent keys often exist) or drawn at random. *)
+  qcheck_case ~count:500 "folded observation = full copy (cyclic cores)"
+    QCheck2.Gen.(pair (int_bound 1_000_000) bool)
+    (fun (seed, from_circuit) ->
+      let rng = Random.State.make [| seed |] in
+      let c = cyclic_core rng in
+      let inputs = Array.init 3 (fun _ -> Random.State.bool rng) in
+      let key = Array.init 3 (fun _ -> Random.State.bool rng) in
+      let outputs =
+        let settled =
+          View.eval_tristate (View.of_circuit c) ~inputs ~keys:key
         in
-        let full_sat, full_clauses =
-          copy (fun f keys ->
-              let enc = Tseytin.encode ~share_keys:keys f locked in
-              Tseytin.assert_vector f enc.Tseytin.input_vars inputs;
-              Tseytin.assert_vector f enc.Tseytin.output_vars outputs)
-        in
-        let folded_sat, folded_clauses =
-          copy (fun f keys ->
-              let values =
-                Fl_netlist.View.eval_under_inputs
-                  (Fl_netlist.View.of_circuit locked) ~inputs
-              in
-              Tseytin.encode_observation f locked ~values ~share_keys:keys
-                ~outputs)
-        in
-        full_sat = folded_sat && folded_clauses <= full_clauses)
+        Array.map
+          (fun v ->
+            match v with
+            | View.V0 when from_circuit -> false
+            | View.V1 when from_circuit -> true
+            | _ -> Random.State.bool rng)
+          settled
+      in
+      let ok, _, _ = observation_agrees c ~inputs ~key ~outputs in
+      ok)
+
+let test_cyclic_observation_aliases () =
+  (* On cyclic Full-Lock, gates that fold to a BUF or a NOT alias their
+     fanin: the folded copy then has fewer variables than unsettled gates,
+     and fewer clauses than the full copy.  Fixed host and lock draw, every
+     input vector of its six inputs. *)
+  let c =
+    Generator.random ~seed:17 ~name:"h"
+      { Generator.num_inputs = 6; num_outputs = 3; num_gates = 40;
+        max_fanin = 3; and_bias = 0.7 }
+  in
+  let l = Fl_core.Fulllock.lock_one (Random.State.make [| 4 |]) ~policy:`Cyclic ~n:4 c in
+  let locked = l.Fl_locking.Locked.locked in
+  check bool_t "cyclic" false (Circuit.is_acyclic locked);
+  let nk = Circuit.num_keys locked in
+  let key = Array.make nk false in
+  let fewer_vars = ref 0 and fewer_clauses = ref 0 in
+  for stim = 0 to 63 do
+    let inputs = Array.init 6 (fun i -> stim land (1 lsl i) <> 0) in
+    let outputs = Fl_locking.Locked.query_oracle l inputs in
+    let values =
+      View.eval_under_inputs (View.of_circuit locked) ~inputs
+    in
+    let unsettled = ref 0 in
+    Array.iteri
+      (fun id v ->
+        if v = View.VX && (Circuit.node locked id).Circuit.kind <> Gate.Key_input
+        then incr unsettled)
+      values;
+    let f = Formula.create () in
+    let keys = Formula.fresh_vars f nk in
+    Tseytin.encode_observation f locked ~values ~share_keys:keys ~outputs;
+    if Formula.num_vars f - nk < !unsettled then incr fewer_vars;
+    let ok, full, folded = observation_agrees locked ~inputs ~key ~outputs in
+    check bool_t "folded = full" true ok;
+    if folded < full then incr fewer_clauses
+  done;
+  check bool_t "some copy aliases an unsettled gate" true (!fewer_vars > 0);
+  check bool_t "some copy has fewer clauses than the full copy" true
+    (!fewer_clauses > 0)
 
 let () =
   Alcotest.run "cnf"
@@ -395,5 +531,12 @@ let () =
           Alcotest.test_case "requires keys" `Quick test_miter_requires_keys;
           Alcotest.test_case "ratio positive" `Quick test_ratio_positive;
         ] );
-      "properties", [ prop_encoding_matches_sim; prop_observation_folding ];
+      ( "properties",
+        [
+          prop_encoding_matches_sim;
+          prop_observation_folding;
+          prop_observation_folding_cyclic_cores;
+          Alcotest.test_case "cyclic observation aliases" `Quick
+            test_cyclic_observation_aliases;
+        ] );
     ]
