@@ -354,6 +354,63 @@ let prop_baselines_verify =
       let _, lock = List.nth scheme_cases which in
       Locked.verify (lock rng c))
 
+(* Every scheme [fulllock lock] offers, with its command-line defaults
+   (16 key bits, one 1x8 PLR). *)
+let cli_schemes =
+  let key_bits = 16 in
+  let full_lock policy rng c =
+    Fulllock.lock rng ~policy ~configs:[ Fulllock.default_config ~n:8 ] c
+  in
+  [|
+    full_lock `Acyclic;
+    full_lock `Cyclic;
+    (fun rng c -> Fl_locking.Rll.lock rng ~key_bits c);
+    (fun rng c -> Fl_locking.Mux_lock.lock rng ~key_bits c);
+    (fun rng c -> Fl_locking.Sarlock.lock rng ~key_bits c);
+    (fun rng c -> Fl_locking.Antisat.lock rng ~key_bits c);
+    (fun rng c -> Fl_locking.Lut_lock.lock rng ~gates:(key_bits / 4) c);
+    (fun rng c -> Fl_locking.Cross_lock.lock rng ~n:key_bits c);
+    (fun rng c -> Fl_locking.Sfll.lock rng ~key_bits ~h:(key_bits / 8) c);
+    (fun rng c -> Fl_locking.Cyclic_lock.lock rng ~cycles:key_bits c);
+  |]
+
+let prop_locked_netlist_parses_back =
+  (* A locked netlist written as .bench parses back to the same function:
+     same key width, and the same outputs (defined lanes and their values)
+     on random input and key words.  Hosts come as the command line makes
+     them, written and parsed once before locking: suite hosts, whose
+     output ports are BUFs named like the port, and generated ones. *)
+  let module Bench_io = Fl_netlist.Bench_io in
+  let module View = Fl_netlist.View in
+  let suite = [| "c432"; "c499"; "c880"; "c1355" |] in
+  qcheck_case ~count:60 "locked netlist parses back"
+    QCheck2.Gen.(
+      triple (int_bound 10_000) (int_bound (Array.length cli_schemes - 1)) bool)
+    (fun (seed, scheme, from_suite) ->
+      let raw =
+        if from_suite then Bench_suite.load suite.(seed mod Array.length suite)
+        else
+          Generator.random ~seed ~name:"gen"
+            { Generator.num_inputs = 12; num_outputs = 6; num_gates = 100;
+              max_fanin = 3; and_bias = 0.7 }
+      in
+      let c = Bench_io.parse_string ~name:"host" (Bench_io.to_string raw) in
+      let rng = Random.State.make [| seed |] in
+      match cli_schemes.(scheme) rng c with
+      | exception Invalid_argument _ -> QCheck2.assume_fail ()
+      | l ->
+        let locked = l.Locked.locked in
+        let back = Bench_io.parse_string ~name:"back" (Bench_io.to_string locked) in
+        let inputs = View.random_words rng ~width:(Circuit.num_inputs locked) in
+        let keys = View.random_words rng ~width:(Circuit.num_keys locked) in
+        let eval c = View.eval_words (View.of_circuit c) ~inputs ~keys in
+        Circuit.num_keys back = Circuit.num_keys locked
+        && Array.for_all2
+             (fun (a : View.word) (b : View.word) ->
+               a.defined = b.defined
+               && a.value land a.defined = b.value land b.defined)
+             (eval locked) (eval back))
+
 let () =
   Alcotest.run "locking"
     [
@@ -392,5 +449,10 @@ let () =
           Alcotest.test_case "c17" `Quick test_fulllock_on_c17;
         ] );
       ( "properties",
-        [ prop_fulllock_always_verifies; prop_fulllock_cyclic_verifies; prop_baselines_verify ] );
+        [
+          prop_fulllock_always_verifies;
+          prop_fulllock_cyclic_verifies;
+          prop_baselines_verify;
+          prop_locked_netlist_parses_back;
+        ] );
     ]
