@@ -1,18 +1,30 @@
 (** CycSAT (Zhou, Shamsi et al., ICCAD'17) — the cycle-aware SAT attack the
     paper uses for Table 4.
 
-    Preprocessing computes, for every feedback edge, a "no structural cycle"
-    (NC) condition over the key variables: somewhere along each potential
-    cycle a key-selected MUX must deselect the cycle edge.  The conditions
-    are conjoined onto both miter key copies and onto the key-recovery
-    formula, after which the ordinary DIP loop runs.  This is CycSAT-I: NC
-    may over-constrain (it rejects keys with structural-but-functionally-open
-    cycles), which is the attack's documented incompleteness. *)
+    Preprocessing builds a "no structural cycle" (NC) condition over the
+    key variables: every structural cycle must pass through an edge that a
+    key blocks, i.e. a data slot of a key-selected MUX that the key
+    deselects.  The condition is conjoined onto both miter key copies and
+    onto the key-recovery formula, after which the ordinary DIP loop runs.
+    This is CycSAT-I: NC may over-constrain (it rejects keys with
+    structural-but-functionally-open cycles), which is the attack's
+    documented incompleteness. *)
 
 (** [no_cycle_condition c] analyses the locked circuit and returns an
-    emitter that asserts the NC conditions over a key-variable vector
-    (ordered like [c.keys]) inside a formula.  Circuits whose cycles cannot
-    be blocked by any key make the formula unsatisfiable. *)
+    emitter that asserts NC over a key-variable vector (ordered like
+    [c.keys]) inside a formula.
+
+    The encoding names only edges a key can block.  A {e port} is a
+    key-selected MUX fed from its own SCC; every other intra-SCC edge is
+    always open.  For each port [y], one reach variable per port reachable
+    from [y] records a key-unblocked path from [y] into that port, stepping
+    from port to port over always-open closures; the goal clause says no
+    such path returns to [y].  That is at most P² variables per key copy
+    for P ports, and the closures are computed once per circuit.  A model
+    exists for exactly the keys under which no structural cycle stays open;
+    circuits with a cycle of always-open edges, which no key can cut, make
+    the formula unsatisfiable.  Each emission adds its size to the
+    [cycsat.nc_vars] and [cycsat.nc_clauses] counters. *)
 val no_cycle_condition :
   Fl_netlist.Circuit.t -> Fl_cnf.Formula.t -> int array -> unit
 

@@ -2,6 +2,24 @@ module Gate = Fl_netlist.Gate
 module Circuit = Fl_netlist.Circuit
 module Pass = Insertion_util.Pass
 
+(* [fanout_cone b src] marks the builder nodes that [src] reaches,
+   [src] included. *)
+let fanout_cone b src =
+  let size = Circuit.Builder.size b in
+  let fanouts = Array.make size [] in
+  for u = 0 to size - 1 do
+    Array.iter (fun f -> fanouts.(f) <- u :: fanouts.(f)) (Circuit.Builder.fanins_of b u)
+  done;
+  let seen = Array.make size false in
+  let rec visit u =
+    if not seen.(u) then begin
+      seen.(u) <- true;
+      List.iter visit fanouts.(u)
+    end
+  in
+  visit src;
+  seen
+
 let lock rng ~key_bits orig =
   let p = Pass.start ~name:"mux" orig in
   let b = Pass.builder p in
@@ -9,19 +27,19 @@ let lock rng ~key_bits orig =
   let num_nodes = Circuit.num_nodes orig in
   Array.iter
     (fun w ->
-      (* Decoy: any original node not in the transitive fanout of [w] (and
-         not [w] itself), so MUX insertion cannot close a cycle. *)
-      let in_fanout = Array.make num_nodes false in
-      for id = 0 to num_nodes - 1 do
-        if Circuit.reaches orig ~src:w ~dst:id then in_fanout.(id) <- true
-      done;
+      (* Decoy: any original node that [w] does not reach in the circuit as
+         modified so far, so MUX insertion cannot close a cycle.  The MUX
+         feeds the decoy into the consumers of [w], which closes a cycle
+         exactly when [w] reaches the decoy; earlier MUXes have added edges
+         of their own, so the original circuit's fanout is not enough. *)
+      let reached = fanout_cone b (Pass.wire p w) in
       let decoys = ref [] in
       for id = 0 to num_nodes - 1 do
         match (Circuit.node orig id).Circuit.kind with
         | Gate.Key_input | Gate.Const _ -> ()
         | Gate.Input | Gate.Buf | Gate.Not | Gate.And | Gate.Nand | Gate.Or
         | Gate.Nor | Gate.Xor | Gate.Xnor | Gate.Mux | Gate.Lut _ ->
-          if (not in_fanout.(id)) && id <> w then decoys := id :: !decoys
+          if not reached.(Pass.wire p id) then decoys := id :: !decoys
       done;
       match !decoys with
       | [] -> ()  (* no safe decoy for this wire; skip it *)

@@ -453,6 +453,176 @@ let prop_cycsat_sound_on_cyclic_fulllock =
       let r = Cycsat.run ~timeout:120.0 l in
       broken_correct r)
 
+(* NC against a graph oracle: under a full key, NC must be satisfiable
+   exactly when the structural graph minus the edges that key blocks is
+   acyclic.  An edge is blocked when it enters data slot 1 of a
+   key-selected MUX whose key bit is 1, or slot 2 and the bit is 0. *)
+let key_open_acyclic c key =
+  let n = Circuit.num_nodes c in
+  let key_index = Hashtbl.create 16 in
+  Array.iteri (fun i id -> Hashtbl.add key_index id i) c.Circuit.keys;
+  let open_fanins u =
+    let nd = Circuit.node c u in
+    let key_bit =
+      if nd.Circuit.kind = Gate.Mux then Hashtbl.find_opt key_index nd.Circuit.fanins.(0)
+      else None
+    in
+    List.filteri
+      (fun slot _ ->
+        match key_bit with
+        | Some ki when slot = 1 -> not key.(ki)
+        | Some ki when slot = 2 -> key.(ki)
+        | _ -> true)
+      (Array.to_list nd.Circuit.fanins)
+  in
+  (* A cycle exists iff the DFS along open fanins meets a grey node. *)
+  let color = Array.make n 0 in
+  let rec visit u =
+    color.(u) <- 1;
+    let cyclic =
+      List.exists
+        (fun f -> color.(f) = 1 || (color.(f) = 0 && visit f))
+        (open_fanins u)
+    in
+    color.(u) <- 2;
+    cyclic
+  in
+  let cyclic = ref false in
+  for u = 0 to n - 1 do
+    if (not !cyclic) && color.(u) = 0 then cyclic := visit u
+  done;
+  not !cyclic
+
+(* The NC formula of [c] over key variables 1..k, with its solver. *)
+let nc_solver c =
+  let f = Fl_cnf.Formula.create () in
+  let key_vars = Fl_cnf.Formula.fresh_vars f (Circuit.num_keys c) in
+  Cycsat.no_cycle_condition c f key_vars;
+  f, Fl_sat.Cdcl.of_formula f
+
+let key_lits key = Array.to_list (Array.mapi (fun i b -> if b then i + 1 else -(i + 1)) key)
+
+let nc_allows solver key =
+  Fl_sat.Cdcl.solve ~assumptions:(key_lits key) solver = Fl_sat.Cdcl.Sat
+
+(* Ports: key-selected MUXes with a data fanin in their own SCC. *)
+let num_ports c =
+  let scc = Circuit.strongly_connected_components c in
+  let is_key = Array.make (Circuit.num_nodes c) false in
+  Array.iter (fun id -> is_key.(id) <- true) c.Circuit.keys;
+  let ports = ref 0 in
+  for u = 0 to Circuit.num_nodes c - 1 do
+    let nd = Circuit.node c u in
+    if nd.Circuit.kind = Gate.Mux && is_key.(nd.Circuit.fanins.(0))
+       && (scc.(nd.Circuit.fanins.(1)) = scc.(u) || scc.(nd.Circuit.fanins.(2)) = scc.(u))
+    then incr ports
+  done;
+  !ports
+
+(* NC and the oracle agree on the correct key and on random keys, every
+   model of NC is a key under which the graph is acyclic, and NC uses at
+   most P² variables per key copy for P ports. *)
+let nc_matches_oracle ~seed (l : Locked.t) =
+  let c = l.Locked.locked in
+  let k = Circuit.num_keys c in
+  let f, solver = nc_solver c in
+  let p = num_ports c in
+  let rng = Random.State.make [| seed |] in
+  let agrees key = nc_allows solver key = key_open_acyclic c key in
+  let models =
+    (* Distinct models of NC, each blocked before drawing the next. *)
+    let s = Fl_sat.Cdcl.of_formula (Fl_cnf.Formula.copy f) in
+    let rec draw acc n =
+      if n = 0 then acc
+      else
+        match Fl_sat.Cdcl.solve s with
+        | Fl_sat.Cdcl.Sat ->
+          let key = Array.init k (fun i -> Fl_sat.Cdcl.value s (i + 1)) in
+          Fl_sat.Cdcl.add_clause s (List.map (fun l -> -l) (key_lits key));
+          draw (key :: acc) (n - 1)
+        | _ -> acc
+    in
+    draw [] 12
+  in
+  Fl_cnf.Formula.num_vars f - k <= p * p
+  && agrees l.Locked.correct_key
+  && List.for_all agrees (List.init 24 (fun _ -> Array.init k (fun _ -> Random.State.bool rng)))
+  && models <> []
+  && List.for_all (fun key -> key_open_acyclic c key) models
+
+let prop_nc_matches_graph_oracle =
+  let gen = QCheck2.Gen.int_bound 1000 in
+  qcheck_case ~count:50 "NC = graph oracle" gen (fun seed ->
+      let c = host ~seed:(seed + 401) ~gates:80 () in
+      let full = Fulllock.lock_one (Random.State.make [| seed |]) ~policy:`Cyclic ~n:4 c in
+      let cyc = Fl_locking.Cyclic_lock.lock (Random.State.make [| seed |]) ~cycles:3 c in
+      nc_matches_oracle ~seed full && nc_matches_oracle ~seed:(seed + 1) cyc)
+
+(* Hand-built cyclic netlists over inputs a, b and key bits k0.. ; each
+   case checks NC against the oracle and an expected verdict on every key. *)
+let nc_case ~keys build expect =
+  let b = Circuit.Builder.create ~name:"nc" () in
+  let a = Circuit.Builder.input ~name:"a" b in
+  let x = Circuit.Builder.input ~name:"b" b in
+  let k = Array.init keys (fun i -> Circuit.Builder.key_input ~name:(Printf.sprintf "k%d" i) b) in
+  Circuit.Builder.output b "o" (build b a x k);
+  let c = Circuit.of_builder b in
+  let _, solver = nc_solver c in
+  for code = 0 to (1 lsl keys) - 1 do
+    let key = Array.init keys (fun i -> code land (1 lsl i) <> 0) in
+    let name = Printf.sprintf "key %d" code in
+    check bool_t (name ^ ": oracle") (expect key) (key_open_acyclic c key);
+    check bool_t (name ^ ": NC") (expect key) (nc_allows solver key)
+  done
+
+let test_nc_always_open_cycle () =
+  (* g1 <-> g2 through plain gates, next to a cycle a key can cut: no key
+     admits the netlist. *)
+  nc_case ~keys:1
+    (fun b a _ k ->
+      let g1 = Circuit.Builder.declare b Gate.And in
+      let g2 = Circuit.Builder.add b Gate.Or [| g1; a |] in
+      Circuit.Builder.set_fanins b g1 [| g2; a |];
+      let m = Circuit.Builder.declare b Gate.Mux in
+      let h = Circuit.Builder.add b Gate.Xor [| m; g1 |] in
+      Circuit.Builder.set_fanins b m [| k.(0); h; a |];
+      m)
+    (fun _ -> false)
+
+let test_nc_self_loop () =
+  (* m = MUX(k0, m, a): key 0 selects the loop, key 1 cuts it. *)
+  nc_case ~keys:1
+    (fun b a _ k ->
+      let m = Circuit.Builder.declare b Gate.Mux in
+      Circuit.Builder.set_fanins b m [| k.(0); m; a |];
+      m)
+    (fun key -> key.(0))
+
+let test_nc_same_data_slots () =
+  (* m = MUX(k0, g, g), g = AND(m, a): whichever slot k0 selects, the loop
+     stays closed. *)
+  nc_case ~keys:1
+    (fun b a _ k ->
+      let m = Circuit.Builder.declare b Gate.Mux in
+      let g = Circuit.Builder.add b Gate.And [| m; a |] in
+      Circuit.Builder.set_fanins b m [| k.(0); g; g |];
+      m)
+    (fun _ -> false)
+
+let test_nc_shared_port () =
+  (* p = MUX(k0, g, a), g = OR(q1, q2), qi = MUX(ki, p, b): the cycles
+     p -> q1 -> g -> p and p -> q2 -> g -> p share port p, so k0 = 1 cuts
+     both, and otherwise k1 = 1 and k2 = 1 must cut one each. *)
+  nc_case ~keys:3
+    (fun b a x k ->
+      let p = Circuit.Builder.declare b Gate.Mux in
+      let q1 = Circuit.Builder.add b Gate.Mux [| k.(1); p; x |] in
+      let q2 = Circuit.Builder.add b Gate.Mux [| k.(2); p; x |] in
+      let g = Circuit.Builder.add b Gate.Or [| q1; q2 |] in
+      Circuit.Builder.set_fanins b p [| k.(0); g; a |];
+      p)
+    (fun key -> key.(0) || (key.(1) && key.(2)))
+
 (* ------------------------------------------------------------------ *)
 (* DIP screening vs reference                                          *)
 (* ------------------------------------------------------------------ *)
@@ -637,6 +807,11 @@ let () =
           Alcotest.test_case "acyclic = sat" `Quick test_cycsat_on_acyclic_equals_sat;
           Alcotest.test_case "breaks cyclic-lock" `Quick test_cycsat_breaks_cyclic_lock;
           Alcotest.test_case "NC admits correct key" `Quick test_nc_conditions_allow_correct_key;
+          Alcotest.test_case "NC always-open cycle" `Quick test_nc_always_open_cycle;
+          Alcotest.test_case "NC self-loop" `Quick test_nc_self_loop;
+          Alcotest.test_case "NC same data slots" `Quick test_nc_same_data_slots;
+          Alcotest.test_case "NC shared port" `Quick test_nc_shared_port;
+          prop_nc_matches_graph_oracle;
         ] );
       ( "appsat",
         [

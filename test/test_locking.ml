@@ -149,6 +149,20 @@ let test_crosslock_acyclic () =
   (* n=8 crossbar: 8 outputs x 3 select bits *)
   check int_t "key bits" 24 (Locked.num_key_bits l)
 
+let test_mux_lock_acyclic () =
+  (* Each MUX feeds its decoy into the consumers of its wire, so a later
+     wire/decoy pair can close a cycle through an earlier MUX unless decoys
+     are checked on the netlist as modified so far.  Hosts and seeds are
+     those of the "sat attack sound on acyclic schemes" property, which
+     assumes acyclic netlists; 16 of these seeds gave cyclic ones when
+     decoys were checked against the original fanout. *)
+  for seed = 0 to 1000 do
+    let c = host ~seed:(seed + 31) ~gates:60 ~inputs:8 () in
+    let l = Fl_locking.Mux_lock.lock (Random.State.make [| seed |]) ~key_bits:5 c in
+    if not (Circuit.is_acyclic l.Locked.locked) then
+      Alcotest.failf "seed %d: mux-lock closed a cycle" seed
+  done
+
 let test_lutlock_key_budget () =
   let c = host () in
   let rng = Random.State.make [| 11 |] in
@@ -426,6 +440,7 @@ let () =
           Alcotest.test_case "cyclic lock wrong key" `Quick test_cyclic_lock_wrong_key_oscillates_or_corrupts;
           Alcotest.test_case "antisat key family" `Quick test_antisat_correct_key_family;
           Alcotest.test_case "crosslock acyclic" `Quick test_crosslock_acyclic;
+          Alcotest.test_case "mux-lock acyclic" `Quick test_mux_lock_acyclic;
           Alcotest.test_case "lutlock key budget" `Quick test_lutlock_key_budget;
         ] );
       ( "fulllock",
