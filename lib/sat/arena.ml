@@ -62,6 +62,7 @@ let alloc a ~learnt lits n =
   if learnt then a.learnts <- a.learnts + 1;
   c
 
+let data a = a.data
 let size a c = Array.unsafe_get a.data c lsr 2
 let learnt a c = Array.unsafe_get a.data c land 1 = 1
 let is_dead a c = Array.unsafe_get a.data c land 2 <> 0
