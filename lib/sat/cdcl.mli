@@ -21,7 +21,16 @@
     named since the previous {!solve} enter the decision heap at the start
     of the next one, in ascending index order.  A solver whose variables
     are all named before the first solve after their creation therefore
-    searches exactly as one that decides every variable. *)
+    searches exactly as one that decides every variable.
+
+    Chronological backtracking (Nadel and Ryvchin, SAT 2018, with the
+    corrections of Moehle and Biere, SAT 2019): when a learnt clause would
+    backjump more than 100 levels, the solver backtracks one level instead
+    and asserts the learnt literal at the clause's backjump level, keeping
+    every lower-level assignment above it.  A conflict whose highest level
+    lies below the current one backtracks to that level first.  A search
+    with no backjump over 100 levels is the plain backjumping search, step
+    for step (DESIGN.md §4e). *)
 
 type t
 
@@ -39,6 +48,9 @@ type stats = {
   learned_literals : int;
   reductions : int;  (** learnt-database reductions *)
   max_decision_level : int;
+  chrono_backtracks : int;
+      (** backtracks to the previous level that replaced a backjump of
+          more than 100 levels *)
 }
 
 val zero_stats : stats

@@ -718,6 +718,7 @@ let sum_records events =
             learned_literals = field_int "learned_literals" e;
             reductions = field_int "reductions" e;
             max_decision_level = field_int "max_decision_level" e;
+            chrono_backtracks = field_int "chrono_backtracks" e;
           }
       else acc)
     Cdcl.zero_stats events
