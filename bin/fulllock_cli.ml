@@ -365,7 +365,8 @@ let verify_cmd =
 let attack_kinds = [ "sat"; "cycsat"; "appsat"; "removal"; "bruteforce" ]
 
 let attack_cmd =
-  let run kind locked_path oracle_path timeout key_out trace stats inprocess =
+  let run kind locked_path oracle_path timeout max_conflicts key_out trace stats
+      inprocess =
     if not (List.mem kind attack_kinds) then begin
       Printf.eprintf "unknown attack %S (%s)\n" kind (String.concat ", " attack_kinds);
       exit 2
@@ -374,11 +375,21 @@ let attack_cmd =
       Printf.eprintf "--timeout needs a positive finite number, got %g\n" timeout;
       exit 2
     end;
-    if inprocess && List.mem kind [ "appsat"; "removal"; "bruteforce" ] then begin
+    let solver_kind = kind = "sat" || kind = "cycsat" in
+    if inprocess && not solver_kind then begin
       Printf.eprintf "--inprocess applies to --kind sat and cycsat only, not %s\n"
         kind;
       exit 2
     end;
+    (match max_conflicts with
+     | Some n when n <= 0 ->
+       Printf.eprintf "--max-conflicts needs a positive number, got %d\n" n;
+       exit 2
+     | Some _ when not solver_kind ->
+       Printf.eprintf "--max-conflicts applies to --kind sat and cycsat only, not %s\n"
+         kind;
+       exit 2
+     | _ -> ());
     (match trace with None -> () | Some file -> Fl_cli.install_trace file);
     if stats then begin
       (* Deep telemetry so the snapshot includes the cdcl.* histograms. *)
@@ -401,8 +412,8 @@ let attack_cmd =
      | "sat" | "cycsat" ->
        let result =
          if kind = "sat" then
-           Fl_attacks.Sat_attack.run ~timeout ~progress ~inprocess l
-         else Fl_attacks.Cycsat.run ~timeout ~progress ~inprocess l
+           Fl_attacks.Sat_attack.run ~timeout ?max_conflicts ~progress ~inprocess l
+         else Fl_attacks.Cycsat.run ~timeout ?max_conflicts ~progress ~inprocess l
        in
        prerr_newline ();
        Format.printf "%a@." Fl_attacks.Sat_attack.pp_result result;
@@ -440,6 +451,12 @@ let attack_cmd =
   let timeout =
     Arg.(value & opt float 60.0 & info [ "timeout" ] ~doc:"Wall-clock budget (s).")
   in
+  let max_conflicts =
+    Arg.(value & opt (some int) None & info [ "max-conflicts" ] ~docv:"N"
+           ~doc:"Stop after $(docv) solver conflicts in all (SAT/CycSAT \
+                 attacks only); the key check is conflict-budgeted too.  A \
+                 conflict budget gives the same verdict on any machine.")
+  in
   let key_out =
     Arg.(value & opt (some string) None & info [ "key-out" ] ~doc:"Save the key here.")
   in
@@ -461,8 +478,8 @@ let attack_cmd =
   in
   Cmd.v
     (Cmd.info "attack" ~doc:"Attack a locked netlist with oracle access")
-    Term.(const run $ kind $ locked $ oracle $ timeout $ key_out $ trace
-          $ stats $ inprocess)
+    Term.(const run $ kind $ locked $ oracle $ timeout $ max_conflicts $ key_out
+          $ trace $ stats $ inprocess)
 
 let () =
   let doc = "Full-Lock logic locking toolbox (DAC'19 reproduction)" in
