@@ -53,25 +53,23 @@ let insert_plr p rng config (wires : int array) =
   let key_ids = Util.Key_bag.fresh_vector (Pass.bag p) key in
   let barrier = Pass.snapshot p in
   let outs = Cln.build config.cln b ~inputs:mapped ~keys:key_ids in
-  (* 4. Rewire every consumer of wire source(j) to CLN output j. *)
-  Array.iteri
-    (fun j out ->
-      Pass.redirect_wire ~limit:barrier p ~from_id:mapped.(action.Cln.source.(j))
-        ~to_id:out)
-    outs;
-  (* 5. LUT layer: gates now reading CLN outputs become keyed LUTs. *)
+  (* 4. Rewire every consumer of wire source(j) to CLN output j, in one
+     pass.  The rewired nodes are exactly the gates below the barrier that
+     now read a CLN output. *)
+  let rewired =
+    Pass.redirect_wires p ~limit:barrier
+      (Array.mapi (fun j out -> mapped.(action.Cln.source.(j)), out) outs)
+  in
+  (* 5. LUT layer: gates now reading CLN outputs become keyed LUTs.  The
+     table's iteration order fixes the keyed-LUT node ids and key order,
+     so it is filled in ascending id order. *)
   if config.lut_layer then begin
     let consumers = Hashtbl.create 16 in
-    let out_set = Hashtbl.create 16 in
-    Array.iter (fun o -> Hashtbl.replace out_set o ()) outs;
-    for id = 0 to barrier - 1 do
-      if Array.exists (fun f -> Hashtbl.mem out_set f) (Circuit.Builder.fanins_of b id)
-      then Hashtbl.replace consumers id ()
-    done;
+    List.iter (fun id -> Hashtbl.replace consumers id ()) rewired;
     Hashtbl.iter
       (fun gid () ->
         let kind = Circuit.Builder.kind_of b gid in
-        let fanins = Circuit.Builder.fanins_of b gid in
+        let fanins = Circuit.Builder.peek_fanins b gid in
         let arity = Array.length fanins in
         match kind with
         | Gate.Input | Gate.Key_input | Gate.Const _ -> ()
@@ -91,6 +89,7 @@ let validate_config config =
   if config.max_lut_inputs < 1 then invalid_arg "Fulllock.lock: max_lut_inputs < 1"
 
 let lock rng ?(policy = `Acyclic) ~configs orig =
+  Fl_obs.with_span "core.lock" @@ fun () ->
   if configs = [] then invalid_arg "Fulllock.lock: no PLR configs";
   List.iter validate_config configs;
   let total = List.fold_left (fun acc c -> acc + c.cln.Cln.n) 0 configs in

@@ -47,8 +47,7 @@ let lock rng ~n orig =
         in
         mux_tree b ~select ~data)
   in
-  Array.iteri
-    (fun j out ->
-      Pass.redirect_wire ~limit:barrier p ~from_id:mapped.(sigma.(j)) ~to_id:out)
-    outputs;
+  ignore
+    (Pass.redirect_wires p ~limit:barrier
+       (Array.mapi (fun j out -> mapped.(sigma.(j)), out) outputs));
   Pass.finish p ~scheme:"cross-lock"

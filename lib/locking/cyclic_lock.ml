@@ -11,14 +11,17 @@ let lock rng ~cycles orig =
   let b = Pass.builder p in
   let inserted = ref 0 in
   let attempts = ref 0 in
+  let reached = Insertion_util.Reach.create (Circuit.fanouts orig) in
   (* Pick (w, d) with d strictly downstream of w so selecting d closes a
      real loop through the MUX. *)
   while !inserted < cycles && !attempts < 40 * cycles do
     incr attempts;
     let w = candidates.(Random.State.int rng (Array.length candidates)) in
+    Insertion_util.Reach.clear reached;
+    Insertion_util.Reach.mark reached w;
     let downstream =
       Array.to_list candidates
-      |> List.filter (fun d -> d <> w && Circuit.reaches orig ~src:w ~dst:d)
+      |> List.filter (fun d -> d <> w && Insertion_util.Reach.marked reached d)
     in
     match downstream with
     | [] -> ()

@@ -1,6 +1,5 @@
 module Gate = Fl_netlist.Gate
 module Circuit = Fl_netlist.Circuit
-module View = Fl_netlist.View
 
 module Key_bag = struct
   type t = { builder : Circuit.Builder.t; mutable values : bool list (* reversed *) }
@@ -17,15 +16,36 @@ module Key_bag = struct
   let count bag = List.length bag.values
 end
 
-let redirect b ~from_id ~to_id ~limit ?(except = []) () =
-  for id = 0 to limit - 1 do
-    if not (List.mem id except) then begin
-      let fanins = Circuit.Builder.fanins_of b id in
-      if Array.exists (fun f -> f = from_id) fanins then
-        Circuit.Builder.set_fanins b id
-          (Array.map (fun f -> if f = from_id then to_id else f) fanins)
+module Reach = struct
+  type t = { next : int array array; marks : Bytes.t; stack : int array }
+
+  let create next =
+    let n = Array.length next in
+    { next; marks = Bytes.make n '\000'; stack = Array.make n 0 }
+
+  let marked r id = Bytes.get r.marks id <> '\000'
+  let clear r = Bytes.fill r.marks 0 (Bytes.length r.marks) '\000'
+
+  (* Depth-first over [next], marking a node when it is pushed, so each
+     node enters the stack at most once and the stack never overflows. *)
+  let mark r start =
+    if not (marked r start) then begin
+      Bytes.set r.marks start '\001';
+      r.stack.(0) <- start;
+      let top = ref 1 in
+      while !top > 0 do
+        decr top;
+        Array.iter
+          (fun v ->
+            if not (marked r v) then begin
+              Bytes.set r.marks v '\001';
+              r.stack.(!top) <- v;
+              incr top
+            end)
+          r.next.(r.stack.(!top))
+      done
     end
-  done
+end
 
 let lockable_gates c =
   let ids = ref [] in
@@ -52,30 +72,40 @@ let select_wires c rng ~count ~policy =
   let candidates = shuffle rng (lockable_gates c) in
   if Array.length candidates < count then
     invalid_arg "Insertion_util.select_wires: not enough gates";
+  (* Reach marks over the wires chosen so far: [up] holds the nodes that
+     reach a chosen wire, [down] the nodes a chosen wire reaches (a chosen
+     wire is in both).  A candidate has a path to or from some chosen wire
+     iff it is in either, so one test replaces a reach query per chosen
+     wire, and choosing a wire extends both sets by one DFS each. *)
+  let reach_sets () =
+    ( Reach.create (Array.map (fun (nd : Circuit.node) -> nd.Circuit.fanins) c.Circuit.nodes),
+      Reach.create (Circuit.fanouts c) )
+  in
+  let related (up, down) id = Reach.marked up id || Reach.marked down id in
+  let choose (up, down) id =
+    Reach.mark up id;
+    Reach.mark down id
+  in
   match policy with
   | `Any -> Array.sub candidates 0 count
   | `Independent ->
     (* Greedy independent set (no path in either direction between any two
        chosen wires).  The greedy outcome is order-sensitive, so retry a few
-       shuffles before concluding the circuit is too narrow.  Cones come
-       from the shared view's per-node cache, so retries (and later
-       analyses of the same circuit) reuse them. *)
-    let view = View.of_circuit c in
-    let fanin_of id = View.cone_of_influence view id in
+       shuffles before concluding the circuit is too narrow. *)
+    let ((up, down) as reach) = reach_sets () in
     let attempt order =
-      let chosen = ref [] in
-      let independent id =
-        List.for_all
-          (fun other -> (not (fanin_of id).(other)) && not (fanin_of other).(id))
-          !chosen
-      in
+      Reach.clear up;
+      Reach.clear down;
+      let chosen = ref [] and n = ref 0 in
       Array.iter
         (fun id ->
-          if List.length !chosen < count && independent id then
-            chosen := id :: !chosen)
+          if !n < count && not (related reach id) then begin
+            chosen := id :: !chosen;
+            incr n;
+            choose reach id
+          end)
         order;
-      if List.length !chosen >= count then Some (Array.of_list (List.rev !chosen))
-      else None
+      if !n >= count then Some (Array.of_list (List.rev !chosen)) else None
     in
     let rec retry tries order =
       match attempt order with
@@ -92,21 +122,26 @@ let select_wires c rng ~count ~policy =
   | `Connected ->
     (* Seed with a random wire, then prefer wires connected (either
        direction) to the current set; fall back to arbitrary wires. *)
-    let chosen = ref [ candidates.(0) ] in
-    let connected id =
-      List.exists
-        (fun other ->
-          Circuit.reaches c ~src:id ~dst:other || Circuit.reaches c ~src:other ~dst:id)
-        !chosen
+    let reach = reach_sets () in
+    let picked = Bytes.make (Circuit.num_nodes c) '\000' in
+    let chosen = ref [] and n = ref 0 in
+    let pick id =
+      chosen := id :: !chosen;
+      incr n;
+      Bytes.set picked id '\001'
     in
+    pick candidates.(0);
+    choose reach candidates.(0);
     let rest = Array.sub candidates 1 (Array.length candidates - 1) in
     Array.iter
-      (fun id -> if List.length !chosen < count && connected id then chosen := id :: !chosen)
+      (fun id ->
+        if !n < count && related reach id then begin
+          pick id;
+          choose reach id
+        end)
       rest;
     Array.iter
-      (fun id ->
-        if List.length !chosen < count && not (List.mem id !chosen) then
-          chosen := id :: !chosen)
+      (fun id -> if !n < count && Bytes.get picked id = '\000' then pick id)
       rest;
     Array.of_list (List.rev !chosen)
 
@@ -138,12 +173,37 @@ module Pass = struct
 
   let set_driver p ~output_index ~to_id = p.drivers.(output_index) <- to_id
 
+  (* One scan for all pairs.  It equals redirecting the pairs one after
+     another because no substitution feeds another: a wire listed twice
+     keeps its first target, as the later redirect would find no reader,
+     and every target is at or above [limit], so no rewired node or driver
+     reads a wire that a later pair redirects. *)
+  let redirect_wires p ~limit pairs =
+    let b = p.builder in
+    let target = Array.make (Circuit.Builder.size b) (-1) in
+    Array.iter
+      (fun (from_id, to_id) ->
+        if to_id < limit then
+          invalid_arg "Insertion_util.Pass.redirect_wires: target below limit";
+        if target.(from_id) < 0 then target.(from_id) <- to_id)
+      pairs;
+    let rewired = ref [] in
+    for id = limit - 1 downto 0 do
+      let fanins = Circuit.Builder.peek_fanins b id in
+      if Array.exists (fun f -> target.(f) >= 0) fanins then begin
+        Circuit.Builder.set_fanins b id
+          (Array.map (fun f -> if target.(f) >= 0 then target.(f) else f) fanins);
+        rewired := id :: !rewired
+      end
+    done;
+    Array.iteri (fun i d -> if target.(d) >= 0 then p.drivers.(i) <- target.(d)) p.drivers;
+    !rewired
+
   let redirect_wire ?limit p ~from_id ~to_id =
     (* Nodes at or after [limit] belong to the block being inserted and read
        the original wire on purpose. *)
     let limit = Option.value ~default:to_id limit in
-    redirect p.builder ~from_id ~to_id ~limit ();
-    Array.iteri (fun i d -> if d = from_id then p.drivers.(i) <- to_id) p.drivers
+    ignore (redirect_wires p ~limit [| from_id, to_id |])
 
   let finish p ~scheme =
     Array.iteri

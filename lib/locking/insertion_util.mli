@@ -20,19 +20,24 @@ module Key_bag : sig
   val count : t -> int
 end
 
-(** [redirect b ~from_id ~to_id ~limit] rewires every fanin reference to
-    [from_id] into [to_id] among nodes with id < [limit] (pass
-    [Builder.size b] to cover everything built so far).  Nodes listed in
-    [except] are skipped (e.g. the inserted block reading the original
-    wire). *)
-val redirect :
-  Fl_netlist.Circuit.Builder.t ->
-  from_id:int ->
-  to_id:int ->
-  limit:int ->
-  ?except:int list ->
-  unit ->
-  unit
+(** Reach marks over a fixed graph, extended one start node at a time. *)
+module Reach : sig
+  type t
+
+  (** [create next] has no node marked; [next.(u)] are the nodes one step
+      from [u] (a circuit's fanins, or {!Fl_netlist.Circuit.fanouts}). *)
+  val create : int array array -> t
+
+  (** [mark r id] marks [id] and every node reachable from it, stopping at
+      nodes already marked: marking a set of start nodes costs O(nodes +
+      edges) in all. *)
+  val mark : t -> int -> unit
+
+  val marked : t -> int -> bool
+
+  (** Unmark every node. *)
+  val clear : t -> unit
+end
 
 (** [select_wires c rng ~count ~policy] picks distinct gate output wires.
 
@@ -77,6 +82,15 @@ module Pass : sig
 
   (** [wire p id] is the new-builder id of original node [id]. *)
   val wire : t -> int -> int
+
+  (** [redirect_wires p ~limit pairs] applies every [(from_id, to_id)] of
+      [pairs] at once: readers of [from_id] below [limit], and pending
+      output drivers, switch to [to_id].  The result is that of
+      {!redirect_wire} [~limit] applied to the pairs in order; a [from_id]
+      listed twice keeps its first target.  Returns the ids of the nodes
+      it rewired, ascending.
+      @raise Invalid_argument if a [to_id] is below [limit]. *)
+  val redirect_wires : t -> limit:int -> (int * int) array -> int list
 
   (** [redirect_wire p ~from_id ~to_id] rewires consumers of [from_id] and
       pending output drivers to [to_id].  Only nodes with id < [limit] are

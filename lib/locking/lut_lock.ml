@@ -9,7 +9,7 @@ let lutify p gid =
   let b = Pass.builder p in
   let mid = Pass.wire p gid in
   let kind = Circuit.Builder.kind_of b mid in
-  let fanins = Circuit.Builder.fanins_of b mid in
+  let fanins = Circuit.Builder.peek_fanins b mid in
   let truth_table = Gate.truth_table kind ~arity:(Array.length fanins) in
   let lut = Insertion_util.keyed_lut b (Pass.bag p) ~addr:fanins ~truth_table in
   Circuit.Builder.replace b mid Gate.Buf [| lut |]

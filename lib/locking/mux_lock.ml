@@ -8,7 +8,7 @@ let fanout_cone b src =
   let size = Circuit.Builder.size b in
   let fanouts = Array.make size [] in
   for u = 0 to size - 1 do
-    Array.iter (fun f -> fanouts.(f) <- u :: fanouts.(f)) (Circuit.Builder.fanins_of b u)
+    Array.iter (fun f -> fanouts.(f) <- u :: fanouts.(f)) (Circuit.Builder.peek_fanins b u)
   done;
   let seen = Array.make size false in
   let rec visit u =

@@ -6,99 +6,173 @@ type line_decl =
   | L_input of string
   | L_key_input of string
   | L_output of string
-  | L_gate of string * Gate.t * string list
+  | L_gate of string * Gate.t * string array
+
+(* The parser scans [text] by index.  A line is a range [a, b) of [text];
+   the helpers below find, trim and compare within such a range, so only
+   wire names and messages are copied out.  Whitespace is [String.trim]'s. *)
+
+let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
+
+(* First index of [ch] in [a, b), or [b]. *)
+let index_in text a b ch =
+  let i = ref a in
+  while !i < b && String.unsafe_get text !i <> ch do incr i done;
+  !i
+
+let skip_space text a b =
+  let i = ref a in
+  while !i < b && is_space (String.unsafe_get text !i) do incr i done;
+  !i
+
+(* End of [a, b) once trailing whitespace is dropped. *)
+let trim_end text a b =
+  let i = ref b in
+  while !i > a && is_space (String.unsafe_get text (!i - 1)) do decr i done;
+  !i
+
+let trimmed text a b =
+  let a = skip_space text a b in
+  String.sub text a (trim_end text a b - a)
+
+(* Whether [a, b) is longer than [prefix] and starts with it, ignoring
+   case ([prefix] is upper case). *)
+let has_prefix text a b prefix =
+  let n = String.length prefix in
+  b - a > n
+  &&
+  let i = ref 0 in
+  while !i < n && Char.uppercase_ascii text.[a + !i] = prefix.[!i] do incr i done;
+  !i = n
 
 let is_key_name name =
   let prefix = "keyinput" in
   String.length name >= String.length prefix
   && String.lowercase_ascii (String.sub name 0 (String.length prefix)) = prefix
 
-let strip_comment s =
-  match String.index_opt s '#' with
-  | Some i -> String.sub s 0 i
-  | None -> s
+let hex_digit = function
+  | '0' .. '9' as ch -> Char.code ch - Char.code '0'
+  | 'a' .. 'f' as ch -> Char.code ch - Char.code 'a' + 10
+  | 'A' .. 'F' as ch -> Char.code ch - Char.code 'A' + 10
+  | _ -> -1
 
-let parse_call lineno s =
-  (* "GATE(a, b, c)" or "LUT 0x8 (a, b)" -> kind, operand names *)
-  match String.index_opt s '(' with
-  | None -> fail lineno "expected '(' in gate application %S" s
-  | Some lp ->
-    if s.[String.length s - 1] <> ')' then fail lineno "missing ')' in %S" s;
-    let head = String.trim (String.sub s 0 lp) in
-    let args_str = String.sub s (lp + 1) (String.length s - lp - 2) in
-    let args =
-      String.split_on_char ',' args_str
-      |> List.map String.trim
-      |> List.filter (fun a -> a <> "")
-    in
-    let kind =
-      match String.split_on_char ' ' head |> List.filter (fun w -> w <> "") with
-      | [ word ] ->
-        (match Gate.of_string word with
-         | Some k -> k
-         | None -> fail lineno "unknown gate kind %S" word)
-      | [ lut; hex ] when String.lowercase_ascii lut = "lut" ->
-        let table_bits =
-          match int_of_string_opt hex with
-          | Some v -> v
-          | None -> fail lineno "bad LUT table constant %S" hex
-        in
-        let arity = List.length args in
-        if arity < 1 || arity > 16 then fail lineno "LUT arity %d unsupported" arity;
-        let tt = Array.init (1 lsl arity) (fun i -> table_bits land (1 lsl i) <> 0) in
-        Gate.Lut tt
-      | _ -> fail lineno "cannot parse gate head %S" head
-    in
-    kind, args
+(* "0x..." into a table of [1 lsl arity] entries, LSB-first: the last
+   digit holds entries 0-3, the one before it 4-7, and so on. *)
+let lut_table lineno hex ~arity =
+  let n = String.length hex in
+  if n < 3 || hex.[0] <> '0' || (hex.[1] <> 'x' && hex.[1] <> 'X')
+     || not (String.for_all (fun ch -> hex_digit ch >= 0) (String.sub hex 2 (n - 2)))
+  then fail lineno "bad LUT table constant %S" hex;
+  if arity < 1 || arity > 16 then fail lineno "LUT arity %d unsupported" arity;
+  let size = 1 lsl arity in
+  let tt = Array.make size false in
+  for d = 0 to n - 3 do
+    let v = hex_digit hex.[n - 1 - d] in
+    for bit = 0 to 3 do
+      if v land (1 lsl bit) <> 0 then begin
+        let i = (4 * d) + bit in
+        if i >= size then fail lineno "LUT table %s has bits beyond its %d entries" hex size;
+        tt.(i) <- true
+      end
+    done
+  done;
+  tt
 
-let parse_line lineno raw =
-  let s = String.trim (strip_comment raw) in
-  if s = "" then None
+(* The space-separated words of [a, b), at most three (a third means too
+   many). *)
+let words text a b =
+  let rec go i acc k =
+    if i >= b || k = 3 then List.rev acc
+    else if text.[i] = ' ' then go (i + 1) acc k
+    else
+      let e = index_in text i b ' ' in
+      go e (String.sub text i (e - i) :: acc) (k + 1)
+  in
+  go a [] 0
+
+let parse_call text lineno a b =
+  (* "GATE(a, b, c)" or "LUT 0x8 (a, b)" over the trimmed range [a, b) ->
+     kind, operand names *)
+  let lp = index_in text a b '(' in
+  if lp = b then
+    fail lineno "expected '(' in gate application %S" (String.sub text a (b - a));
+  if text.[b - 1] <> ')' then fail lineno "missing ')' in %S" (String.sub text a (b - a));
+  let args = ref [] in
+  let rec split p =
+    let q = index_in text p (b - 1) ',' in
+    let pa = skip_space text p q in
+    let pb = trim_end text pa q in
+    if pb > pa then args := String.sub text pa (pb - pa) :: !args;
+    if q < b - 1 then split (q + 1)
+  in
+  split (lp + 1);
+  let args = Array.of_list (List.rev !args) in
+  let ha = skip_space text a lp in
+  let hb = trim_end text ha lp in
+  let kind =
+    match words text ha hb with
+    | [ word ] ->
+      (match Gate.of_string word with
+       | Some k -> k
+       | None -> fail lineno "unknown gate kind %S" word)
+    | [ lut; hex ] when String.lowercase_ascii lut = "lut" ->
+      Gate.Lut (lut_table lineno hex ~arity:(Array.length args))
+    | _ -> fail lineno "cannot parse gate head %S" (String.sub text ha (hb - ha))
+  in
+  kind, args
+
+(* The declaration on line [lineno], the range [a, b) of [text]. *)
+let parse_line text lineno a b =
+  let b = index_in text a b '#' in
+  let a = skip_space text a b in
+  let b = trim_end text a b in
+  if a = b then None
   else
-    let upper_prefix prefix =
-      String.length s > String.length prefix
-      && String.uppercase_ascii (String.sub s 0 (String.length prefix)) = prefix
-    in
     let inside () =
-      match String.index_opt s '(' with
-      | Some lp when s.[String.length s - 1] = ')' ->
-        String.trim (String.sub s (lp + 1) (String.length s - lp - 2))
-      | Some _ | None -> fail lineno "malformed declaration %S" s
+      let lp = index_in text a b '(' in
+      if lp = b || text.[b - 1] <> ')' then
+        fail lineno "malformed declaration %S" (String.sub text a (b - a));
+      trimmed text (lp + 1) (b - 1)
     in
-    if upper_prefix "INPUT" then begin
+    if has_prefix text a b "INPUT" then begin
       let name = inside () in
       if is_key_name name then Some (L_key_input name) else Some (L_input name)
     end
-    else if upper_prefix "KEYINPUT" then Some (L_key_input (inside ()))
-    else if upper_prefix "OUTPUT" then Some (L_output (inside ()))
+    else if has_prefix text a b "KEYINPUT" then Some (L_key_input (inside ()))
+    else if has_prefix text a b "OUTPUT" then Some (L_output (inside ()))
     else
-      match String.index_opt s '=' with
-      | None -> fail lineno "cannot parse line %S" s
-      | Some eq ->
-        let lhs = String.trim (String.sub s 0 eq) in
-        let rhs = String.trim (String.sub s (eq + 1) (String.length s - eq - 1)) in
-        if lhs = "" then fail lineno "empty target name";
-        let kind, args = parse_call lineno rhs in
-        Some (L_gate (lhs, kind, args))
+      let eq = index_in text a b '=' in
+      if eq = b then fail lineno "cannot parse line %S" (String.sub text a (b - a));
+      let lhs = trimmed text a eq in
+      if lhs = "" then fail lineno "empty target name";
+      let ra = skip_space text (eq + 1) b in
+      let kind, args = parse_call text lineno ra (trim_end text ra b) in
+      Some (L_gate (lhs, kind, args))
 
 let parse_string ?(name = "bench") text =
-  (* (line number, declaration), in file order. *)
+  Fl_obs.with_span "netlist.parse" @@ fun () ->
+  (* (line number, declaration), in file order; lines are the pieces
+     between newlines, the last one after the final newline included. *)
   let decls = ref [] in
-  List.iteri
-    (fun i raw ->
-      match parse_line (i + 1) raw with
-      | Some decl -> decls := (i + 1, decl) :: !decls
-      | None -> ())
-    (String.split_on_char '\n' text);
+  let len = String.length text in
+  let start = ref 0 and lineno = ref 1 in
+  while !start <= len do
+    let stop = index_in text !start len '\n' in
+    (match parse_line text !lineno !start stop with
+     | Some decl -> decls := (!lineno, decl) :: !decls
+     | None -> ());
+    start := stop + 1;
+    incr lineno
+  done;
   let decls = List.rev !decls in
+  (* One name table, the builder's. *)
   let b = Circuit.Builder.create ~name () in
-  let ids = Hashtbl.create 64 in
   (* Pass 1: declare every named node so forward references and cycles
      resolve.  A redefinition is reported at its own line. *)
   let declare lineno wire kind =
-    if Hashtbl.mem ids wire then
+    if Circuit.Builder.find_by_name b wire <> None then
       fail lineno "wire %S defined more than once" wire
-    else Hashtbl.add ids wire (Circuit.Builder.declare ~name:wire b kind)
+    else ignore (Circuit.Builder.declare ~name:wire b kind)
   in
   List.iter
     (fun (lineno, decl) ->
@@ -109,7 +183,7 @@ let parse_string ?(name = "bench") text =
       | L_gate (wire, kind, _) -> declare lineno wire kind)
     decls;
   let lookup lineno wire =
-    match Hashtbl.find_opt ids wire with
+    match Circuit.Builder.find_by_name b wire with
     | Some id -> id
     | None -> fail lineno "wire %S is used but never defined" wire
   in
@@ -121,8 +195,8 @@ let parse_string ?(name = "bench") text =
       | L_input _ | L_key_input _ -> ()
       | L_output wire -> Circuit.Builder.output b wire (lookup lineno wire)
       | L_gate (wire, _, args) ->
-        Circuit.Builder.set_fanins b (lookup lineno wire)
-          (Array.of_list (List.map (lookup lineno) args)))
+        let fanins = Array.map (lookup lineno) args in
+        Circuit.Builder.set_fanins b (lookup lineno wire) fanins)
     decls;
   Circuit.of_builder b
 
@@ -137,11 +211,24 @@ let gate_call node =
   let buf = Buffer.create 32 in
   (match node.Circuit.kind with
    | Gate.Lut tt ->
-     let v = ref 0 in
-     for i = Array.length tt - 1 downto 0 do
-       v := (!v lsl 1) lor (if tt.(i) then 1 else 0)
+     (* Four entries per hex digit, most significant digit first, no
+        leading zeros. *)
+     Buffer.add_string buf "LUT 0x";
+     let digits = (Array.length tt + 3) / 4 in
+     let digit d =
+       let v = ref 0 in
+       for bit = 3 downto 0 do
+         let i = (4 * d) + bit in
+         v := (!v lsl 1) lor (if i < Array.length tt && tt.(i) then 1 else 0)
+       done;
+       !v
+     in
+     let top = ref (digits - 1) in
+     while !top > 0 && digit !top = 0 do decr top done;
+     for d = !top downto 0 do
+       Buffer.add_char buf "0123456789abcdef".[digit d]
      done;
-     Buffer.add_string buf (Printf.sprintf "LUT 0x%x " !v)
+     Buffer.add_char buf ' ' 
    | Gate.Const b ->
      (* Constants are printed as 0-ary gate calls CONST0()/CONST1(). *)
      Buffer.add_string buf (if b then "CONST1" else "CONST0")

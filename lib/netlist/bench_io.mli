@@ -14,7 +14,9 @@
     v}
 
     Input names starting with [keyinput] are treated as key inputs, matching
-    the convention of published locked benchmarks. *)
+    the convention of published locked benchmarks.  A LUT table is [0x]
+    followed by hex digits, four entries per digit, the last digit holding
+    entries 0-3; a set bit past the [2^arity] entries is a parse error. *)
 
 exception Parse_error of int * string
 (** [(line, message)] *)

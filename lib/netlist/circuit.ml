@@ -8,6 +8,13 @@ type t = {
   outputs : (string * int) array;
 }
 
+module Names = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
 module Builder = struct
   type t = {
     circuit_name : string;
@@ -15,12 +22,13 @@ module Builder = struct
     mutable kinds : Gate.t array;
     mutable fanin_tab : int array array;
     mutable names : string array;
-    name_index : (string, int) Hashtbl.t;
+    name_index : int Names.t;
     mutable input_ids : int list;  (* reversed *)
     mutable key_ids : int list;  (* reversed *)
     mutable output_ports : (string * int) list;  (* reversed *)
     mutable fresh : int;
-    pending : (int, unit) Hashtbl.t;  (* declared but not yet wired *)
+    mutable pending : Bytes.t;  (* 1 = declared but not yet wired *)
+    mutable pending_count : int;
   }
 
   let create ?(name = "circuit") () =
@@ -30,12 +38,13 @@ module Builder = struct
       kinds = Array.make 16 Gate.Input;
       fanin_tab = Array.make 16 [||];
       names = Array.make 16 "";
-      name_index = Hashtbl.create 64;
+      name_index = Names.create 64;
       input_ids = [];
       key_ids = [];
       output_ports = [];
       fresh = 0;
-      pending = Hashtbl.create 16;
+      pending = Bytes.make 16 '\000';
+      pending_count = 0;
     }
 
   let size b = b.node_count
@@ -51,23 +60,26 @@ module Builder = struct
       in
       b.kinds <- grow (fun n -> Array.make n Gate.Input) b.kinds;
       b.fanin_tab <- grow (fun n -> Array.make n [||]) b.fanin_tab;
-      b.names <- grow (fun n -> Array.make n "") b.names
+      b.names <- grow (fun n -> Array.make n "") b.names;
+      let pending = Bytes.make cap' '\000' in
+      Bytes.blit b.pending 0 pending 0 cap;
+      b.pending <- pending
     end
 
   let fresh_name b =
     let rec go () =
-      let candidate = Printf.sprintf "n%d" b.fresh in
+      let candidate = "n" ^ string_of_int b.fresh in
       b.fresh <- b.fresh + 1;
-      if Hashtbl.mem b.name_index candidate then go () else candidate
+      if Names.mem b.name_index candidate then go () else candidate
     in
     go ()
 
   let unique_name b base =
-    if not (Hashtbl.mem b.name_index base) then base
+    if not (Names.mem b.name_index base) then base
     else begin
       let rec go i =
         let candidate = Printf.sprintf "%s_c%d" base i in
-        if Hashtbl.mem b.name_index candidate then go (i + 1) else candidate
+        if Names.mem b.name_index candidate then go (i + 1) else candidate
       in
       go 1
     end
@@ -88,7 +100,7 @@ module Builder = struct
       match name with
       | None -> fresh_name b
       | Some n ->
-        if Hashtbl.mem b.name_index n then
+        if Names.mem b.name_index n then
           invalid_arg (Printf.sprintf "Circuit.Builder: duplicate name %S" n);
         n
     in
@@ -97,7 +109,7 @@ module Builder = struct
     b.kinds.(id) <- kind;
     b.fanin_tab.(id) <- fanins;
     b.names.(id) <- name;
-    Hashtbl.add b.name_index name id;
+    Names.add b.name_index name id;
     b.node_count <- id + 1;
     (match kind with
      | Gate.Input -> b.input_ids <- id :: b.input_ids
@@ -113,18 +125,30 @@ module Builder = struct
 
   let declare ?name b kind =
     let id = push ?name b kind [||] in
-    if not (Gate.valid_fanin_count kind 0) then Hashtbl.replace b.pending id ();
+    if not (Gate.valid_fanin_count kind 0) then begin
+      Bytes.set b.pending id '\001';
+      b.pending_count <- b.pending_count + 1
+    end;
     id
 
   let input ?name b = add ?name b Gate.Input [||]
   let key_input ?name b = add ?name b Gate.Key_input [||]
 
-  let set_fanins b id fanins =
+  let wired b id =
+    if Bytes.get b.pending id <> '\000' then begin
+      Bytes.set b.pending id '\000';
+      b.pending_count <- b.pending_count - 1
+    end
+
+  (* [set_fanins] without the copy, for arrays no caller keeps. *)
+  let set_fanins_owned b id fanins =
     if id < 0 || id >= b.node_count then
       invalid_arg "Circuit.Builder.set_fanins: unknown id";
     check_fanins b b.kinds.(id) fanins;
-    b.fanin_tab.(id) <- Array.copy fanins;
-    Hashtbl.remove b.pending id
+    b.fanin_tab.(id) <- fanins;
+    wired b id
+
+  let set_fanins b id fanins = set_fanins_owned b id (Array.copy fanins)
 
   let set_kind b id kind =
     if id < 0 || id >= b.node_count then
@@ -147,7 +171,7 @@ module Builder = struct
     check_fanins b kind fanins;
     b.kinds.(id) <- kind;
     b.fanin_tab.(id) <- Array.copy fanins;
-    Hashtbl.remove b.pending id
+    wired b id
 
   let output b name id =
     if id < 0 || id >= b.node_count then
@@ -159,16 +183,18 @@ module Builder = struct
       invalid_arg "Circuit.Builder.kind_of: unknown id";
     b.kinds.(id)
 
-  let fanins_of b id =
+  let peek_fanins b id =
     if id < 0 || id >= b.node_count then
-      invalid_arg "Circuit.Builder.fanins_of: unknown id";
-    Array.copy b.fanin_tab.(id)
+      invalid_arg "Circuit.Builder.peek_fanins: unknown id";
+    b.fanin_tab.(id)
+
+  let find_by_name b name = Names.find_opt b.name_index name
 
   let freeze b =
     if b.output_ports = [] then
       invalid_arg "Circuit.Builder.freeze: circuit has no outputs";
-    if Hashtbl.length b.pending > 0 then begin
-      let id = Hashtbl.fold (fun id () _ -> id) b.pending (-1) in
+    if b.pending_count > 0 then begin
+      let id = Bytes.index b.pending '\001' in
       invalid_arg
         (Printf.sprintf "Circuit.Builder.freeze: node %S declared but never wired"
            b.names.(id))
@@ -199,7 +225,7 @@ let copy_nodes_into b c =
   Array.iteri
     (fun id (n : node) ->
       if Array.length n.fanins > 0 then
-        Builder.set_fanins b map.(id) (Array.map (fun f -> map.(f)) n.fanins))
+        Builder.set_fanins_owned b map.(id) (Array.map (fun f -> map.(f)) n.fanins))
     c.nodes;
   map
 

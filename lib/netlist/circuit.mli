@@ -66,13 +66,21 @@ module Builder : sig
   val size : t -> int
 
   val kind_of : t -> int -> Gate.t
-  val fanins_of : t -> int -> int array
+
+  (** [peek_fanins b id] is node [id]'s fanin array itself, not a copy:
+      read it, never mutate it.  A later {!set_fanins} or {!replace} of
+      [id] installs a new array and leaves this one as it was. *)
+  val peek_fanins : t -> int -> int array
+
+  (** [find_by_name b name] is the id of the node named [name]. *)
+  val find_by_name : t -> string -> int option
 
   (** [unique_name b base] is [base] when free, otherwise a fresh variant. *)
   val unique_name : t -> string -> string
 
   (** Freeze into an immutable circuit.
-      @raise Invalid_argument if no output was declared. *)
+      @raise Invalid_argument if no output was declared, or naming the
+      lowest-numbered declared node that was never wired. *)
   val freeze : t -> circuit
 end
 

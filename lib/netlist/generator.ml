@@ -81,7 +81,7 @@ let random ~seed ~name profile =
   (* Mark consumed nodes, then fold every unread gate and input into the
      output cones so that the circuit has no dead logic. *)
   let read = Hashtbl.create (profile.num_gates * 2) in
-  Array.iter (fun g -> Array.iter (fun f -> Hashtbl.replace read f ()) (Circuit.Builder.fanins_of b g)) gates;
+  Array.iter (fun g -> Array.iter (fun f -> Hashtbl.replace read f ()) (Circuit.Builder.peek_fanins b g)) gates;
   let unread =
     let from_inputs =
       Array.to_list inputs |> List.filter (fun id -> not (Hashtbl.mem read id))

@@ -203,8 +203,9 @@ let levels v =
 
 let depth v = Option.map (Array.fold_left max 0) (levels v)
 
-(* Cached per node id (attack loops query the same output cones over and
-   over).  The memoized array is shared: callers must not mutate it. *)
+(* Cached per node id, for as long as the circuit lives: each mask is one
+   word per node.  The memoized array is shared: callers must not mutate
+   it. *)
 let cone_of_influence v id =
   match Hashtbl.find_opt v.coi_memo id with
   | Some cone ->

@@ -66,7 +66,10 @@ val scc : t -> int array
 
 (** [cone_of_influence v id] is the transitive fanin mask of [id] (see
     {!Circuit.transitive_fanin}), cached per node id on first request.
-    Shared array — do not mutate.  Hit/miss rates are reported on the
+    Shared array — do not mutate.  No library code calls it: every cached
+    mask is one word per node and lives as long as the circuit, so asking
+    for the cones of many nodes of a large circuit holds memory quadratic
+    in its size (wire selection marks reach sets instead).  Hit/miss rates are reported on the
     [view.memo.coi.*] {!Fl_obs} counters, as are the other memoized
     analyses ([view.memo.fanouts.*], [view.memo.levels.*],
     [view.memo.scc.*]) and the evaluator ([view.builds],

@@ -425,6 +425,83 @@ let prop_locked_netlist_parses_back =
                && a.value land a.defined = b.value land b.defined)
              (eval locked) (eval back))
 
+(* ------------------------------------------------------------------ *)
+(* Golden locks: fixed (host, scheme, seed) triples must keep giving the
+   same netlist (its .bench text, so ids, names and fanins) and the same
+   correct key.  The digests were recorded before wire selection, the
+   rewiring pass and the parser were rewritten for linear time.        *)
+(* ------------------------------------------------------------------ *)
+
+let golden_cases =
+  let full_lock policy plrs n rng c =
+    Fulllock.lock rng ~policy
+      ~configs:(List.init plrs (fun _ -> Fulllock.default_config ~n)) c
+  in
+  [
+    "full-lock acyclic 1x32", "c1908", full_lock `Acyclic 1 32,
+      "2ddd8fa29dfb1dd591c385dca0e3a330";
+    "full-lock cyclic 2x4", "c432", full_lock `Cyclic 2 4,
+      "184cf500980f98354d640aeb4041f9ae";
+    "sarlock", "c432", (fun rng c -> Fl_locking.Sarlock.lock rng ~key_bits:16 c),
+      "1175dc169601040740096a0b373c14e0";
+    "anti-sat", "c432", (fun rng c -> Fl_locking.Antisat.lock rng ~key_bits:16 c),
+      "982325d7e2084c41dfb5284894386adb";
+    "rll", "c880", (fun rng c -> Fl_locking.Rll.lock rng ~key_bits:16 c),
+      "574be4f0ff320575deb3f7b5e5a51fc9";
+    "mux", "c880", (fun rng c -> Fl_locking.Mux_lock.lock rng ~key_bits:16 c),
+      "c6ffdad9e70c3bcd8eda144164321d37";
+    "cross", "c880", (fun rng c -> Fl_locking.Cross_lock.lock rng ~n:16 c),
+      "9327bbdf1b55b095775bb10b323a0c13";
+    "lut", "c880", (fun rng c -> Fl_locking.Lut_lock.lock rng ~gates:4 c),
+      "a24b7ed900b70599232a62e64bfe3cfa";
+    "sfll", "c432", (fun rng c -> Fl_locking.Sfll.lock rng ~key_bits:16 ~h:2 c),
+      "541a54e33dbd7c749f617132ec21d5a6";
+    "cyclic", "c880", (fun rng c -> Fl_locking.Cyclic_lock.lock rng ~cycles:16 c),
+      "cbacb00337cf9fbfe4954eb873112727";
+  ]
+
+let lock_digest (l : Locked.t) =
+  let key = String.init (Array.length l.Locked.correct_key) (fun i ->
+      if l.Locked.correct_key.(i) then '1' else '0')
+  in
+  Digest.to_hex (Digest.string (Fl_netlist.Bench_io.to_string l.Locked.locked ^ key))
+
+let golden_tests =
+  List.map
+    (fun (name, host, lock, digest) ->
+      Alcotest.test_case name `Quick (fun () ->
+          let l = lock (Random.State.make [| 7 |]) (Bench_suite.load host) in
+          Alcotest.(check string) (name ^ " on " ^ host) digest (lock_digest l)))
+    golden_cases
+
+let prop_select_wires_matches_reference =
+  (* The reach-mark selection against the pairwise reference, for every
+     policy, on acyclic hosts and on cyclic ones (a host after cyclic
+     locking): the same wires from the same random draws, or the same
+     Invalid_argument. *)
+  let policies = [| `Any; `Independent; `Connected |] in
+  let gen =
+    QCheck2.Gen.(
+      quad (int_bound 10_000) (int_bound 2) bool
+        (oneof [ int_range 0 10; int_range 0 40 ]))
+  in
+  qcheck_case ~count:300 "select_wires = pairwise reference" gen
+    (fun (seed, policy, cyclic, count) ->
+      let policy = policies.(policy) in
+      let c = host ~seed ~gates:(10 + (seed mod 90)) ~inputs:(2 + (seed mod 9)) () in
+      let c =
+        if cyclic then
+          let l = Fl_locking.Cyclic_lock.lock (Random.State.make [| seed |]) ~cycles:3 c in
+          l.Locked.locked
+        else c
+      in
+      let run select =
+        match select c (Random.State.make [| seed; 1 |]) ~count ~policy with
+        | wires -> Ok wires
+        | exception Invalid_argument m -> Error m
+      in
+      run Fl_locking.Insertion_util.select_wires = run Test_support.reference_select_wires)
+
 let () =
   Alcotest.run "locking"
     [
@@ -469,5 +546,7 @@ let () =
           prop_fulllock_cyclic_verifies;
           prop_baselines_verify;
           prop_locked_netlist_parses_back;
+          prop_select_wires_matches_reference;
         ] );
+      "golden", golden_tests;
     ]

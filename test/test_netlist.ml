@@ -317,6 +317,23 @@ let test_bench_parse_errors () =
       "garbage line\n", 1;
     ]
 
+let test_bench_lut_table_errors () =
+  (* A LUT table is hex, four entries per digit; a set bit past the last
+     entry is an error at its line, as is a table that is not hex. *)
+  List.iter
+    (fun (table, arity) ->
+      let args = String.concat ", " (List.init arity (fun i -> Printf.sprintf "a%d" i)) in
+      let text =
+        String.concat ""
+          (List.init arity (fun i -> Printf.sprintf "INPUT(a%d)\n" i))
+        ^ Printf.sprintf "OUTPUT(y)\ny = LUT %s (%s)\n" table args
+      in
+      match Bench_io.parse_string text with
+      | _ -> Alcotest.failf "expected parse error for %S" text
+      | exception Bench_io.Parse_error (l, _) -> check int_t text (arity + 2) l)
+    [ "0x4", 1; "0x10", 2; "0x1ffffffffffffffff", 6; "0x1" ^ String.make 64 '0', 8;
+      "8", 2; "0x", 2; "0xg", 2; "0b1000", 2; "-0x1", 2 ]
+
 (* ------------------------------------------------------------------ *)
 (* Generator and bench suite                                           *)
 (* ------------------------------------------------------------------ *)
@@ -495,6 +512,124 @@ let prop_bench_roundtrip =
       let inputs = Array.init n (fun i -> stim land (1 lsl (i mod 24)) <> 0) in
       View.eval (View.of_circuit c) ~inputs ~keys:[||] = View.eval (View.of_circuit c2) ~inputs ~keys:[||])
 
+let prop_lut_bench_roundtrip =
+  (* Every LUT table survives .bench text, including those of arity 6 and
+     more, which do not fit a 63-bit integer. *)
+  let gen =
+    QCheck2.Gen.(
+      int_range 1 10 >>= fun arity ->
+      map (fun bits -> arity, Array.of_list bits) (list_repeat (1 lsl arity) bool))
+  in
+  qcheck_case ~count:200 "lut tables survive .bench" gen (fun (arity, tt) ->
+      let b = Circuit.Builder.create () in
+      let ins = Array.init arity (fun _ -> Circuit.Builder.input b) in
+      Circuit.Builder.output b "y" (Circuit.Builder.add ~name:"y" b (Gate.Lut tt) ins);
+      let back = Bench_io.parse_string (Bench_io.to_string (Circuit.of_builder b)) in
+      match Circuit.find_by_name back "y" with
+      | Some id -> (Circuit.node back id).Circuit.kind = Gate.Lut tt
+      | None -> false)
+
+(* Random .bench text in the accepted dialect, varied the ways files vary:
+   blank and comment lines, trailing comments, spaces and tabs around
+   tokens, keyword and gate-name case, CRLF endings, key inputs declared
+   either way, forward references and LUT lines. *)
+let random_bench_text rng =
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let chance p = Random.State.float rng 1.0 < p in
+  let ws () = pick [| ""; ""; " "; "  "; "\t"; " \t " |] in
+  let case w =
+    match Random.State.int rng 3 with
+    | 0 -> String.uppercase_ascii w
+    | 1 -> String.lowercase_ascii w
+    | _ -> String.capitalize_ascii (String.lowercase_ascii w)
+  in
+  let eol () = (if chance 0.2 then " # " ^ pick [| "note"; "a = b"; "INPUT(x)"; "" |] else "")
+               ^ if chance 0.1 then "\r\n" else "\n" in
+  let n_in = 1 + Random.State.int rng 5 and n_gates = 1 + Random.State.int rng 8 in
+  let inputs = Array.init n_in (fun i -> if chance 0.3 then Printf.sprintf "keyinput%d" i else Printf.sprintf "in%d" i) in
+  let gates = Array.init n_gates (fun i -> Printf.sprintf "g%d" i) in
+  let wires = Array.append inputs gates in
+  let lines = ref [] in
+  let add l = lines := l :: !lines in
+  Array.iter
+    (fun w ->
+      let kw = if chance 0.2 then "KEYINPUT" else "INPUT" in
+      add (Printf.sprintf "%s%s(%s%s%s)" (case kw) (ws ()) (ws ()) w (ws ())))
+    inputs;
+  Array.iter
+    (fun g ->
+      let args k = String.concat ("," ^ ws ()) (List.init k (fun _ -> pick wires)) in
+      let call =
+        match Random.State.int rng 6 with
+        | 0 -> case (pick [| "not"; "buf"; "buff"; "inv" |]) ^ "(" ^ args 1 ^ ")"
+        | 1 -> case "mux" ^ ws () ^ "(" ^ args 3 ^ ")"
+        | 2 -> case (pick [| "const0"; "const1" |]) ^ "()"
+        | 3 ->
+          let k = 1 + Random.State.int rng 4 in
+          Printf.sprintf "%s %s0x%x%s(%s)" (case "lut") (pick [| ""; " " |])
+            (Random.State.int rng (1 lsl (1 lsl k))) (ws ()) (args k)
+        | _ ->
+          case (pick [| "and"; "nand"; "or"; "nor"; "xor"; "xnor" |])
+          ^ "(" ^ ws () ^ args (2 + Random.State.int rng 3) ^ ws () ^ ")"
+      in
+      add (Printf.sprintf "%s%s%s=%s%s" (ws ()) g (ws ()) (ws ()) call))
+    gates;
+  for _ = 0 to Random.State.int rng 3 do
+    add (Printf.sprintf "%s(%s)" (case "OUTPUT") (pick wires))
+  done;
+  for _ = 0 to Random.State.int rng 3 do
+    add (pick [| ""; "# comment"; "   "; "\t" |])
+  done;
+  (* Declarations may come in any order: both passes resolve names. *)
+  let lines = Array.of_list !lines in
+  for i = Array.length lines - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = lines.(i) in
+    lines.(i) <- lines.(j);
+    lines.(j) <- t
+  done;
+  String.concat "" (Array.to_list (Array.map (fun l -> l ^ eol ()) lines))
+
+(* One character replaced, deleted or inserted. *)
+let mutate rng text =
+  let alphabet = "()=,# \t\nxX0123456789abcdefgINPUTLUTkeyinput_" in
+  let ch () = alphabet.[Random.State.int rng (String.length alphabet)] in
+  let n = String.length text in
+  let i = Random.State.int rng (n + 1) in
+  match Random.State.int rng 3 with
+  | 0 when i < n -> String.mapi (fun j c -> if j = i then ch () else c) text
+  | 1 when i < n -> String.sub text 0 i ^ String.sub text (i + 1) (n - i - 1)
+  | _ -> String.sub text 0 i ^ String.make 1 (ch ()) ^ String.sub text i (n - i)
+
+let prop_parser_matches_reference =
+  (* The index-scanning parser against the whole-line reference: the same
+     circuit (its .bench text and its node, port and key arrays), or the
+     same exception, on well-formed text and on one- and two-character
+     mutations of it. *)
+  let outcome parse text =
+    match parse text with
+    | c ->
+      Ok
+        ( Bench_io.to_string c, c.Circuit.nodes, c.Circuit.inputs, c.Circuit.keys,
+          c.Circuit.outputs )
+    | exception (Bench_io.Parse_error _ as e) -> Error (Printexc.to_string e)
+    | exception (Invalid_argument _ as e) -> Error (Printexc.to_string e)
+  in
+  let text_of (seed, mutations) =
+    let rng = Random.State.make [| seed |] in
+    let text = ref (random_bench_text rng) in
+    for _ = 1 to mutations do text := mutate rng !text done;
+    !text
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:2000 ~name:"parser = whole-line reference"
+       ~print:(fun x -> Printf.sprintf "%S" (text_of x))
+       QCheck2.Gen.(pair (int_bound 1_000_000_000) (int_bound 2))
+       (fun x ->
+         let text = text_of x in
+         outcome (Bench_io.parse_string ~name:"t") text
+         = outcome (Test_support.Reference_bench.parse_string ~name:"t") text))
+
 let () =
   Alcotest.run "netlist"
     [
@@ -535,6 +670,7 @@ let () =
           Alcotest.test_case "keyinput convention" `Quick test_bench_keyinput_convention;
           Alcotest.test_case "lut roundtrip" `Quick test_bench_lut_roundtrip;
           Alcotest.test_case "parse errors" `Quick test_bench_parse_errors;
+          Alcotest.test_case "lut table errors" `Quick test_bench_lut_table_errors;
         ] );
       ( "generator",
         [
@@ -555,5 +691,6 @@ let () =
         ] );
       ( "properties",
         [ prop_lut_matches_gate; prop_generator_valid; prop_sim_tristate_agrees;
-          prop_bench_roundtrip; prop_parser_total ] );
+          prop_bench_roundtrip; prop_parser_total; prop_lut_bench_roundtrip;
+          prop_parser_matches_reference ] );
     ]
