@@ -12,18 +12,37 @@ type t = {
   keys_b : int array;  (** key variables of copy B *)
   outputs_a : int array;
   outputs_b : int array;
-  enc_a : Tseytin.encoding;  (** full node-variable map of copy A *)
-  enc_b : Tseytin.encoding;
 }
 
-(** [build c] constructs the miter formula for locked circuit [c].
+(** [build c] constructs the miter formula for locked circuit [c]:
+    {!of_copy} of one {!Tseytin.encode} copy.  It is clause for clause the
+    miter of two {!Tseytin.encode} copies with shared inputs followed by
+    {!Tseytin.assert_any_differs} over the output pairs.
     @raise Invalid_argument when [c] has no key inputs. *)
 val build : Fl_netlist.Circuit.t -> t
 
+(** [copy_interface enc] is what a simplifier of one circuit copy must
+    freeze so that {!of_copy} can instantiate the miter from its result:
+    the copy's inputs, keys and outputs. *)
+val copy_interface : Tseytin.encoding -> int array
+
+(** [of_copy f enc] turns [f], which holds one copy of a locked circuit
+    with the variables [enc] names (possibly simplified over
+    {!copy_interface}[ enc] and holding clauses over the keys and fresh
+    variables, such as CycSAT's no-cycle condition), into the miter, and
+    returns it over [f] itself.  Copy A is [f]'s clauses; copy B is their
+    renaming, which keeps the input variables and numbers every other
+    variable of [f] anew after [f]'s last one, in order; then the output
+    pairs are asserted to differ.  The copies share only the inputs, so a
+    model of [f]'s clauses projected on the interface gives copy B's too.
+    @raise Invalid_argument when [enc] has no keys. *)
+val of_copy : Formula.t -> Tseytin.encoding -> t
+
 (** [add_io_constraint m c ~inputs ~outputs] encodes one oracle
     observation: both key copies must reproduce output [outputs] on input
-    [inputs].  Each copy is {!Tseytin.encode_observation}'s key cone of [c]
-    under [inputs], with fresh variables inside [m.formula]. *)
+    [inputs].  The observation is folded once to [c]'s key cone under
+    [inputs] ({!Tseytin.fold_observation}) and added for each key copy
+    with fresh variables inside [m.formula]. *)
 val add_io_constraint :
   t -> Fl_netlist.Circuit.t -> inputs:bool array -> outputs:bool array -> unit
 

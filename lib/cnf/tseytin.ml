@@ -9,20 +9,37 @@ type encoding = {
   output_vars : int array;
 }
 
+(* Where the gate table writes its clauses: [put] adds a literal to the
+   open clause, [close] ends it, and [fresh] numbers a new variable (the
+   inner stages of n-ary XOR chains).  A full circuit copy writes into a
+   formula ([formula_sink]); a folded observation copy writes into a flat
+   template ([fold_observation]). *)
+type sink = { put : int -> unit; close : unit -> unit; fresh : unit -> int }
+
+let clause2 s a b =
+  s.put a;
+  s.put b;
+  s.close ()
+
+let clause3 s a b c =
+  s.put a;
+  s.put b;
+  s.put c;
+  s.close ()
+
 (* Binary XOR: the 4 clauses of Table 1. *)
-let encode_xor2 emit ~out a b =
-  emit [| -a; -b; -out |];
-  emit [| a; b; -out |];
-  emit [| a; -b; out |];
-  emit [| -a; b; out |]
+let encode_xor2 s ~out a b =
+  clause3 s (-a) (-b) (-out);
+  clause3 s a b (-out);
+  clause3 s a (-b) out;
+  clause3 s (-a) b out
 
 (* n-ary XOR via a balanced pairwise tree of fresh variables; the final
    stage optionally complements for XNOR.  Same n-1 XOR2 stages (and thus
    clause count and shapes) as a linear chain, but log instead of linear
    depth, so unit propagation across a wide XOR resolves in O(log n)
    implication steps. *)
-let encode_xor_chain emit f ~out ~negated fanins =
-  let n = Array.length fanins in
+let encode_xor_chain s ~out ~negated fanins n =
   assert (n >= 2);
   let rec reduce layer =
     let m = Array.length layer in
@@ -30,69 +47,108 @@ let encode_xor_chain emit f ~out ~negated fanins =
     else begin
       let next = Array.make ((m + 1) / 2) 0 in
       for i = 0 to (m / 2) - 1 do
-        let t = Formula.fresh_var f in
-        encode_xor2 emit ~out:t layer.(2 * i) layer.(2 * i + 1);
+        let t = s.fresh () in
+        encode_xor2 s ~out:t layer.(2 * i) layer.(2 * i + 1);
         next.(i) <- t
       done;
       if m land 1 = 1 then next.(((m + 1) / 2) - 1) <- layer.(m - 1);
       reduce next
     end
   in
-  let pair = reduce fanins in
-  encode_xor2 emit ~out:(if negated then -out else out) pair.(0) pair.(1)
+  let out = if negated then -out else out in
+  if n = 2 then encode_xor2 s ~out fanins.(0) fanins.(1)
+  else
+    let pair = reduce (Array.sub fanins 0 n) in
+    encode_xor2 s ~out pair.(0) pair.(1)
 
-(* Gate clauses go through [emit], so the full circuit copy
-   ([Formula.add_clause_a]) and the folded observation copy ([fold_emit]
-   below) share this one table of Table 1's clause shapes. *)
-let encode_gate ?emit f kind ~out ~fanins =
-  let emit = match emit with Some e -> e | None -> Formula.add_clause_a f in
-  let n = Array.length fanins in
-  if not (Gate.valid_fanin_count kind n) then
-    invalid_arg "Tseytin.encode_gate: fanin count mismatch";
+(* The clauses of Table 1 for [out = kind(fanins.(0..n-1))], written to
+   [s]: the one table behind the full circuit copy and the folded
+   observation copy. *)
+let gate_clauses s kind ~out fanins n =
   match kind with
   | Gate.Input | Gate.Key_input ->
     invalid_arg "Tseytin.encode_gate: inputs are free variables"
-  | Gate.Const b -> emit [| (if b then out else -out) |]
+  | Gate.Const b ->
+    s.put (if b then out else -out);
+    s.close ()
   | Gate.Buf ->
-    emit [| fanins.(0); -out |];
-    emit [| -fanins.(0); out |]
+    clause2 s fanins.(0) (-out);
+    clause2 s (-fanins.(0)) out
   | Gate.Not ->
-    emit [| -fanins.(0); -out |];
-    emit [| fanins.(0); out |]
-  | Gate.And ->
-    (* (¬A1 ∨ … ∨ ¬An ∨ C) ∧ ∧i (Ai ∨ ¬C) *)
-    emit (Array.append (Array.map (fun a -> -a) fanins) [| out |]);
-    Array.iter (fun a -> emit [| a; -out |]) fanins
-  | Gate.Nand ->
-    emit (Array.append (Array.map (fun a -> -a) fanins) [| -out |]);
-    Array.iter (fun a -> emit [| a; out |]) fanins
-  | Gate.Or ->
-    emit (Array.append fanins [| -out |]);
-    Array.iter (fun a -> emit [| -a; out |]) fanins
-  | Gate.Nor ->
-    emit (Array.append fanins [| out |]);
-    Array.iter (fun a -> emit [| -a; -out |]) fanins
-  | Gate.Xor -> encode_xor_chain emit f ~out ~negated:false fanins
-  | Gate.Xnor -> encode_xor_chain emit f ~out ~negated:true fanins
+    clause2 s (-fanins.(0)) (-out);
+    clause2 s fanins.(0) out
+  | Gate.And | Gate.Nand ->
+    (* AND: (¬A1 ∨ … ∨ ¬An ∨ C) ∧ ∧i (Ai ∨ ¬C); NAND complements C. *)
+    let c = if kind = Gate.And then out else -out in
+    for i = 0 to n - 1 do
+      s.put (-fanins.(i))
+    done;
+    s.put c;
+    s.close ();
+    for i = 0 to n - 1 do
+      clause2 s fanins.(i) (-c)
+    done
+  | Gate.Or | Gate.Nor ->
+    let c = if kind = Gate.Or then out else -out in
+    for i = 0 to n - 1 do
+      s.put fanins.(i)
+    done;
+    s.put (-c);
+    s.close ();
+    for i = 0 to n - 1 do
+      clause2 s (-fanins.(i)) c
+    done
+  | Gate.Xor -> encode_xor_chain s ~out ~negated:false fanins n
+  | Gate.Xnor -> encode_xor_chain s ~out ~negated:true fanins n
   | Gate.Mux ->
     (* C = A·¬S + B·S with fanins [S; A; B] — Table 1's four clauses. *)
-    let s = fanins.(0) and a = fanins.(1) and b = fanins.(2) in
-    emit [| s; -a; out |];
-    emit [| s; a; -out |];
-    emit [| -s; -b; out |];
-    emit [| -s; b; -out |]
+    let sel = fanins.(0) and a = fanins.(1) and b = fanins.(2) in
+    clause3 s sel (-a) out;
+    clause3 s sel a (-out);
+    clause3 s (-sel) (-b) out;
+    clause3 s (-sel) b (-out)
   | Gate.Lut tt ->
     (* One clause per table row: (row holds) -> out = tt(row). *)
     Array.iteri
       (fun row set ->
-        let clause =
-          Array.init (n + 1) (fun j ->
-              if j = n then if set then out else -out
-              else if row land (1 lsl j) <> 0 then -fanins.(j)
-              else fanins.(j))
-        in
-        emit clause)
+        for j = 0 to n - 1 do
+          s.put (if row land (1 lsl j) <> 0 then -fanins.(j) else fanins.(j))
+        done;
+        s.put (if set then out else -out);
+        s.close ())
       tt
+
+(* A growable int array, the one scratch buffer of each sink. *)
+type buf = { mutable data : int array; mutable len : int }
+
+let buf_create () = { data = Array.make 16 0; len = 0 }
+
+let buf_push b x =
+  if b.len = Array.length b.data then begin
+    let data = Array.make (2 * b.len) 0 in
+    Array.blit b.data 0 data 0 b.len;
+    b.data <- data
+  end;
+  b.data.(b.len) <- x;
+  b.len <- b.len + 1
+
+(* Each clause becomes an array of its own in [f]. *)
+let formula_sink f =
+  let b = buf_create () in
+  {
+    put = buf_push b;
+    close =
+      (fun () ->
+        Formula.add_clause_a f (Array.sub b.data 0 b.len);
+        b.len <- 0);
+    fresh = (fun () -> Formula.fresh_var f);
+  }
+
+let encode_gate f kind ~out ~fanins =
+  let n = Array.length fanins in
+  if not (Gate.valid_fanin_count kind n) then
+    invalid_arg "Tseytin.encode_gate: fanin count mismatch";
+  gate_clauses (formula_sink f) kind ~out fanins n
 
 let encode ?share_inputs ?share_keys f c =
   let n = Circuit.num_nodes c in
@@ -114,13 +170,20 @@ let encode ?share_inputs ?share_keys f c =
   (* Gate clauses go out in topological order when acyclic (fanin-defining
      clauses before their consumers helps unit propagation); variable
      numbering above stays in id order either way. *)
+  let sink = formula_sink f in
+  let fan = ref [||] in
   let emit id =
     let nd = Circuit.node c id in
     match nd.Circuit.kind with
     | Gate.Input | Gate.Key_input -> ()
     | kind ->
-      encode_gate f kind ~out:node_var.(id)
-        ~fanins:(Array.map (fun fid -> node_var.(fid)) nd.Circuit.fanins)
+      let fanins = nd.Circuit.fanins in
+      let m = Array.length fanins in
+      if Array.length !fan < m then fan := Array.make (2 * m) 0;
+      for i = 0 to m - 1 do
+        !fan.(i) <- node_var.(fanins.(i))
+      done;
+      gate_clauses sink kind ~out:node_var.(id) !fan m
   in
   (match View.topo_order (View.of_circuit c) with
    | Some order -> Array.iter emit order
@@ -141,7 +204,7 @@ let assert_equal f a b =
 
 let xor_out f a b =
   let x = Formula.fresh_var f in
-  encode_xor2 (Formula.add_clause_a f) ~out:x a b;
+  encode_xor2 (formula_sink f) ~out:x a b;
   x
 
 let assert_any_differs f pairs =
@@ -160,83 +223,120 @@ let assert_vector f vars bits =
 (* Observation copies, folded to the key cone                          *)
 (* ------------------------------------------------------------------ *)
 
+(* A template numbers its variables locally: key slot [i] is variable
+   [i + 1], and the [j]-th fresh variable (from 1) is [keys + j].  Its
+   clauses lie end to end in one array, each ended by a 0. *)
+type observation = { keys : int; locals : int; clauses : int array }
+
 (* A node the evaluator settled stands as a constant literal: [lit_true]
-   or its negation.  No variable has this number, and only [fold_emit]
-   sees it: a false constant drops out of its clause, a true one satisfies
-   (and so skips) the clause.  Every gate clause also mentions the gate's
-   own, unsettled, output, so no clause folds to empty. *)
+   or its negation.  No variable has this number, and only the fold's
+   sink sees it: a false constant drops out of its clause, a true one
+   satisfies (and so skips) the clause.  Every gate clause also mentions
+   the gate's own, unsettled, output, so no clause folds to empty. *)
 let lit_true = max_int
 
-let filter_lits keep lits = Array.of_seq (Seq.filter keep (Array.to_seq lits))
-
-let fold_emit f clause =
-  if not (Array.exists (fun l -> l = lit_true) clause) then
-    Formula.add_clause_a f
-      (if Array.exists (fun l -> l = -lit_true) clause then
-         filter_lits (fun l -> l <> -lit_true) clause
-       else clause)
-
-(* The gate an unsettled node still computes once its settled fanins are
-   folded in: neutral constants leave AND/OR/XOR (an XOR absorbs true ones
-   as a complement), and a gate left with one live fanin is a BUF or a NOT.
-   A settled fanin that decides the gate cannot occur here: the evaluator
-   would have settled the node too. *)
-let fold_gate kind fanins =
-  let live = filter_lits (fun l -> abs l <> lit_true) fanins in
-  let unary negated = if negated then Gate.Not else Gate.Buf in
-  match kind with
-  | Gate.And | Gate.Nand | Gate.Or | Gate.Nor when Array.length live = 1 ->
-    unary (kind = Gate.Nand || kind = Gate.Nor), live
-  | Gate.And | Gate.Nand | Gate.Or | Gate.Nor -> kind, live
-  | Gate.Xor | Gate.Xnor ->
-    let negated =
-      Array.fold_left
-        (fun acc l -> acc <> (l = lit_true))
-        (kind = Gate.Xnor) fanins
-    in
-    if Array.length live = 1 then unary negated, live
-    else (if negated then Gate.Xnor else Gate.Xor), live
-  | Gate.Mux ->
-    let s = fanins.(0) and a = fanins.(1) and b = fanins.(2) in
-    if s = lit_true then Gate.Buf, [| b |]
-    else if s = -lit_true then Gate.Buf, [| a |]
-    else if abs a = lit_true && abs b = lit_true then
-      unary (a = lit_true), [| s |]
-    else kind, fanins
-  | _ -> kind, fanins
-
-let encode_observation f c ~values ~share_keys ~outputs =
+let fold_observation c ~values ~outputs =
   let n = Circuit.num_nodes c in
   if Array.length values <> n then
-    invalid_arg "Tseytin.encode_observation: values length mismatch";
-  if Array.length share_keys <> Circuit.num_keys c then
-    invalid_arg "Tseytin.encode_observation: shared keys length mismatch";
+    invalid_arg "Tseytin.fold_observation: values length mismatch";
   if Array.length outputs <> Circuit.num_outputs c then
-    invalid_arg "Tseytin.encode_observation: outputs length mismatch";
-  (* Settled nodes hold a constant, keys their shared variable, and the
-     unsettled gates 0 until they get a literal below. *)
+    invalid_arg "Tseytin.fold_observation: outputs length mismatch";
+  let keys = Circuit.num_keys c in
+  (* Settled nodes hold a constant, keys their slot, and the unsettled
+     gates 0 until they get a literal below. *)
   let lit =
     Array.map
       (function View.V0 -> -lit_true | View.V1 -> lit_true | View.VX -> 0)
       values
   in
-  Array.iteri (fun i id -> lit.(id) <- share_keys.(i)) c.Circuit.keys;
+  Array.iteri (fun i id -> lit.(id) <- i + 1) c.Circuit.keys;
+  let locals = ref 0 in
+  let fresh () =
+    incr locals;
+    keys + !locals
+  in
+  let out = buf_create () in
+  let start = ref 0 and satisfied = ref false in
+  let sink =
+    {
+      put =
+        (fun l ->
+          if l = lit_true then satisfied := true
+          else if l <> -lit_true then buf_push out l);
+      close =
+        (fun () ->
+          if !satisfied then begin
+            out.len <- !start;
+            satisfied := false
+          end
+          else begin
+            buf_push out 0;
+            start := out.len
+          end);
+      fresh;
+    }
+  in
+  let unit l =
+    sink.put l;
+    sink.close ()
+  in
+  (* The gate an unsettled node still computes once its settled fanins are
+     folded in, with its live fanins in [fan.(0 .. !arity - 1)]: neutral
+     constants leave AND/OR/XOR (an XOR absorbs true ones as a
+     complement), and a gate left with one live fanin is a BUF or a NOT.
+     A settled fanin that decides the gate cannot occur here: the
+     evaluator would have settled the node too. *)
+  let fan = ref (Array.make 8 0) and arity = ref 0 in
+  let keep l =
+    !fan.(!arity) <- l;
+    incr arity
+  in
+  let unary negated = if negated then Gate.Not else Gate.Buf in
   let folded id =
     let nd = Circuit.node c id in
-    fold_gate nd.Circuit.kind
-      (Array.map (fun fid -> lit.(fid)) nd.Circuit.fanins)
+    let fanins = nd.Circuit.fanins in
+    let m = Array.length fanins in
+    if Array.length !fan < m then fan := Array.make (2 * m) 0;
+    arity := 0;
+    match nd.Circuit.kind with
+    | (Gate.And | Gate.Nand | Gate.Or | Gate.Nor) as kind ->
+      for i = 0 to m - 1 do
+        let l = lit.(fanins.(i)) in
+        if abs l <> lit_true then keep l
+      done;
+      if !arity = 1 then unary (kind = Gate.Nand || kind = Gate.Nor) else kind
+    | (Gate.Xor | Gate.Xnor) as kind ->
+      let negated = ref (kind = Gate.Xnor) in
+      for i = 0 to m - 1 do
+        let l = lit.(fanins.(i)) in
+        if l = lit_true then negated := not !negated
+        else if l <> -lit_true then keep l
+      done;
+      if !arity = 1 then unary !negated
+      else if !negated then Gate.Xnor
+      else Gate.Xor
+    | Gate.Mux ->
+      let s = lit.(fanins.(0)) and a = lit.(fanins.(1)) and b = lit.(fanins.(2)) in
+      if s = lit_true then (keep b; Gate.Buf)
+      else if s = -lit_true then (keep a; Gate.Buf)
+      else if abs a = lit_true && abs b = lit_true then (keep s; unary (a = lit_true))
+      else (keep s; keep a; keep b; Gate.Mux)
+    | kind ->
+      for i = 0 to m - 1 do
+        keep lit.(fanins.(i))
+      done;
+      kind
   in
-  let emit = fold_emit f in
   (* A gate left with one live fanin takes that fanin's literal; any
      other gets a fresh variable and its clauses. *)
   let define id =
     match folded id with
-    | Gate.Buf, [| a |] -> lit.(id) <- a
-    | Gate.Not, [| a |] -> lit.(id) <- -a
-    | kind, fanins ->
-      let out = Formula.fresh_var f in
-      lit.(id) <- out;
-      encode_gate ~emit f kind ~out ~fanins
+    | Gate.Buf when !arity = 1 -> lit.(id) <- !fan.(0)
+    | Gate.Not when !arity = 1 -> lit.(id) <- - !fan.(0)
+    | kind ->
+      let o = fresh () in
+      lit.(id) <- o;
+      gate_clauses sink kind ~out:o !fan !arity
   in
   (match View.topo_order (View.of_circuit c) with
    | Some order -> Array.iter (fun id -> if lit.(id) = 0 then define id) order
@@ -252,15 +352,15 @@ let encode_observation f c ~values ~share_keys ~outputs =
      let opened = Bytes.make n '\000' in
      let rec resolve id =
        if lit.(id) = 0 then
-         if Bytes.get opened id = '\001' then lit.(id) <- Formula.fresh_var f
+         if Bytes.get opened id = '\001' then lit.(id) <- fresh ()
          else begin
            Bytes.set opened id '\001';
            Array.iter resolve (Circuit.node c id).Circuit.fanins;
            Bytes.set opened id '\000';
            if lit.(id) = 0 then define id
            else
-             let kind, fanins = folded id in
-             encode_gate ~emit f kind ~out:lit.(id) ~fanins
+             let kind = folded id in
+             gate_clauses sink kind ~out:lit.(id) !fan !arity
          end
      in
      for id = 0 to n - 1 do
@@ -272,9 +372,38 @@ let encode_observation f c ~values ~share_keys ~outputs =
       if l = -lit_true then begin
         (* A settled output contradicts the observation: no key explains
            it, so the copy is unsatisfiable. *)
-        let v = Formula.fresh_var f in
-        assert_lit f v;
-        assert_lit f (-v)
+        let v = fresh () in
+        unit v;
+        unit (-v)
       end
-      else if l <> lit_true then assert_lit f l)
-    c.Circuit.outputs
+      else if l <> lit_true then unit l)
+    c.Circuit.outputs;
+  { keys; locals = !locals; clauses = Array.sub out.data 0 out.len }
+
+let add_observation f o ~share_keys =
+  if Array.length share_keys <> o.keys then
+    invalid_arg "Tseytin.add_observation: shared keys length mismatch";
+  let base = Formula.num_vars f - o.keys in
+  Formula.reserve f (Formula.num_vars f + o.locals);
+  let rename l =
+    let v = abs l in
+    let w = if v <= o.keys then share_keys.(v - 1) else base + v in
+    if l > 0 then w else -w
+  in
+  let lits = o.clauses in
+  let start = ref 0 in
+  for i = 0 to Array.length lits - 1 do
+    if lits.(i) = 0 then begin
+      let clause = Array.make (i - !start) 0 in
+      for j = 0 to i - !start - 1 do
+        clause.(j) <- rename lits.(!start + j)
+      done;
+      Formula.add_clause_a f clause;
+      start := i + 1
+    end
+  done
+
+let encode_observation f c ~values ~share_keys ~outputs =
+  if Array.length share_keys <> Circuit.num_keys c then
+    invalid_arg "Tseytin.encode_observation: shared keys length mismatch";
+  add_observation f (fold_observation c ~values ~outputs) ~share_keys

@@ -12,15 +12,13 @@ type encoding = {
   output_vars : int array;  (** output order *)
 }
 
-(** [encode_gate ?emit f kind ~out ~fanins] emits the clauses forcing
-    variable [out] to equal [kind(fanins)]; fanins may be negative
-    literals.  [emit] receives each clause (default: append it to [f]); [f]
+(** [encode_gate f kind ~out ~fanins] adds the clauses forcing variable
+    [out] to equal [kind(fanins)]; fanins may be negative literals.  [f]
     also supplies the fresh variables of n-ary XOR chains.  The full copy
     and the folded observation copy share this one table.
     @raise Invalid_argument for [Input]/[Key_input] or a fanin-count
     mismatch. *)
 val encode_gate :
-  ?emit:(Formula.lit array -> unit) ->
   Formula.t -> Fl_netlist.Gate.t -> out:int -> fanins:int array -> unit
 
 (** [encode f c] encodes circuit [c] into [f] with fresh variables.
@@ -49,26 +47,50 @@ val assert_lit : Formula.t -> Formula.lit -> unit
 (** [assert_vector f vars bits] pins each variable to the corresponding bit. *)
 val assert_vector : Formula.t -> int array -> bool array -> unit
 
-(** [encode_observation f c ~values ~share_keys ~outputs] constrains the
-    key variables [share_keys] to keys under which [c] maps one input
-    vector to [outputs], encoding only the circuit's key cone under that
-    vector.  [values] is {!Fl_netlist.View.eval_under_inputs} of [c] on the
-    input vector.  A settled node gets no variable and no clause: its value
-    folds into the gates it feeds.  A gate left with one live fanin (BUF,
-    NOT, single-live AND/OR/XOR families, MUX with a settled select or
-    settled unequal data) aliases that fanin's literal; every other
-    unsettled gate gets a fresh variable and its Table 1 clauses minus the
-    settled literals.  On a cyclic circuit the gates are resolved
-    depth-first, and a gate reached again while its own resolution is open
-    gets a fresh variable and its clauses even when it folds to a BUF or a
-    NOT, so every cycle keeps one variable.  A key-dependent output gets a unit
+(** One oracle observation folded to the circuit's key cone, as a
+    template over key slots and local fresh variables (see
+    {!fold_observation}). *)
+type observation
+
+(** [fold_observation c ~values ~outputs] folds the observation that [c]
+    maps one input vector to [outputs].  [values] is
+    {!Fl_netlist.View.eval_under_inputs} of [c] on the input vector.  A
+    settled node gets no variable and no clause: its value folds into the
+    gates it feeds.  A gate left with one live fanin (BUF, NOT,
+    single-live AND/OR/XOR families, MUX with a settled select or settled
+    unequal data) aliases that fanin's literal; every other unsettled gate
+    gets a fresh variable and its Table 1 clauses minus the settled
+    literals.  On a cyclic circuit the gates are resolved depth-first, and
+    a gate reached again while its own resolution is open gets a fresh
+    variable and its clauses even when it folds to a BUF or a NOT, so
+    every cycle keeps one variable.  A key-dependent output gets a unit
     clause; a settled output that contradicts [outputs] adds a
     contradiction.
 
-    The set of keys consistent with the observation is the one a full copy
-    with pinned inputs and outputs gives ({!encode} + {!assert_vector}):
-    the dropped variables are functions of the inputs.  Clauses mention
-    only [share_keys] and fresh variables.
+    The template does not depend on the variables its keys will take, so
+    one fold serves every key copy the observation constrains.
+    @raise Invalid_argument on a length mismatch. *)
+val fold_observation :
+  Fl_netlist.Circuit.t ->
+  values:Fl_netlist.View.tristate array ->
+  outputs:bool array ->
+  observation
+
+(** [add_observation f o ~share_keys] adds [o] to [f] with its key slots
+    renamed to [share_keys] and its local variables to fresh variables of
+    [f], numbered in the order the fold made them.  The set of keys
+    consistent with the observation is the one a full copy with pinned
+    inputs and outputs gives ({!encode} + {!assert_vector}): the dropped
+    variables are functions of the inputs.  The clauses mention only
+    [share_keys] and the fresh variables.
+    @raise Invalid_argument when [share_keys] is not one variable per key
+    slot. *)
+val add_observation : Formula.t -> observation -> share_keys:int array -> unit
+
+(** [encode_observation f c ~values ~share_keys ~outputs] is
+    {!fold_observation} followed by {!add_observation}: it constrains the
+    key variables [share_keys] to keys under which [c] maps one input
+    vector to [outputs].
     @raise Invalid_argument on a length mismatch. *)
 val encode_observation :
   Formula.t ->

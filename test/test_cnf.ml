@@ -505,6 +505,112 @@ let test_cyclic_observation_aliases () =
   check bool_t "some copy has fewer clauses than the full copy" true
     (!fewer_clauses > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Reference paths: the miter built from one renamed copy and the
+   observation folded once are the old constructions clause for clause. *)
+(* ------------------------------------------------------------------ *)
+
+module Ref = Test_support.Reference_tseytin
+
+let same_formula f g =
+  Formula.num_vars f = Formula.num_vars g && Formula.clauses f = Formula.clauses g
+
+(* A small locked circuit: scheme 0-4 as in the folding property above,
+   5 a cyclic core. *)
+let locked_draw seed scheme =
+  let rng = Random.State.make [| seed |] in
+  if scheme = 5 then Some (cyclic_core rng, None)
+  else
+    let c =
+      Generator.random ~seed ~name:"h"
+        { Generator.num_inputs = 6; num_outputs = 3; num_gates = 40;
+          max_fanin = 3; and_bias = 0.7 }
+    in
+    match
+      match scheme with
+      | 0 -> Fl_locking.Rll.lock rng ~key_bits:5 c
+      | 1 -> Fl_locking.Sarlock.lock rng ~key_bits:4 c
+      | 2 -> Fl_core.Fulllock.lock_one rng ~n:4 c
+      | 3 -> Fl_core.Fulllock.lock_one rng ~policy:`Cyclic ~n:4 c
+      | _ -> Fl_locking.Cyclic_lock.lock rng ~cycles:2 c
+    with
+    | exception Invalid_argument _ -> None
+    | l -> Some (l.Fl_locking.Locked.locked, Some l)
+
+let prop_miter_matches_reference =
+  qcheck_case ~count:120 "miter = two full copies"
+    QCheck2.Gen.(pair (int_bound 1_000_000) (int_bound 5))
+    (fun (seed, scheme) ->
+      match locked_draw seed scheme with
+      | None -> QCheck2.assume_fail ()
+      | Some (c, _) ->
+        let m = Miter.build c in
+        let f, a, b = Ref.miter c in
+        same_formula m.Miter.formula f
+        && m.Miter.inputs = a.Ref.input_vars
+        && m.Miter.keys_a = a.Ref.key_vars
+        && m.Miter.keys_b = b.Ref.key_vars
+        && m.Miter.outputs_a = a.Ref.output_vars
+        && m.Miter.outputs_b = b.Ref.output_vars)
+
+(* One fold added for two key copies, at variables that are neither
+   contiguous nor first in the formula, against two per-copy encodings.
+   Random outputs often contradict a settled output. *)
+let fold_matches_reference c ~inputs ~outputs =
+  let nk = Circuit.num_keys c in
+  let values = View.eval_under_inputs (View.of_circuit c) ~inputs in
+  let keys_a = Array.init nk (fun i -> (3 * i) + 2)
+  and keys_b = Array.init nk (fun i -> (3 * (nk - i)) + 1) in
+  let prefix () =
+    let f = Formula.create () in
+    Formula.reserve f ((3 * nk) + 4);
+    f
+  in
+  let f = prefix () and g = prefix () in
+  let o = Tseytin.fold_observation c ~values ~outputs in
+  Tseytin.add_observation f o ~share_keys:keys_a;
+  Tseytin.add_observation f o ~share_keys:keys_b;
+  Ref.encode_observation g c ~values ~share_keys:keys_a ~outputs;
+  Ref.encode_observation g c ~values ~share_keys:keys_b ~outputs;
+  same_formula f g
+
+let prop_fold_matches_reference =
+  qcheck_case ~count:300 "fold + add = per-copy observation"
+    QCheck2.Gen.(triple (int_bound 1_000_000) (int_bound 5) bool)
+    (fun (seed, scheme, oracle_outputs) ->
+      match locked_draw seed scheme with
+      | None -> QCheck2.assume_fail ()
+      | Some (c, l) ->
+        let rng = Random.State.make [| seed; 7 |] in
+        let inputs =
+          Array.init (Circuit.num_inputs c) (fun _ -> Random.State.bool rng)
+        in
+        let outputs =
+          match l with
+          | Some l when oracle_outputs -> Fl_locking.Locked.query_oracle l inputs
+          | _ ->
+            Array.init (Circuit.num_outputs c) (fun _ -> Random.State.bool rng)
+        in
+        fold_matches_reference c ~inputs ~outputs)
+
+let test_fold_contradiction () =
+  (* y = AND(x, k) observed as 1 under x = 0: the output settles to 0, so
+     the fold carries the contradiction and no key is consistent. *)
+  let b = Circuit.Builder.create ~name:"and" () in
+  let x = Circuit.Builder.input ~name:"x" b in
+  let k = Circuit.Builder.key_input ~name:"k" b in
+  Circuit.Builder.output b "y" (Circuit.Builder.add ~name:"y" b Gate.And [| x; k |]);
+  let c = Circuit.of_builder b in
+  check bool_t "same clauses" true
+    (fold_matches_reference c ~inputs:[| false |] ~outputs:[| true |]);
+  let f = Formula.create () in
+  let keys = Formula.fresh_vars f 1 in
+  let values = View.eval_under_inputs (View.of_circuit c) ~inputs:[| false |] in
+  Tseytin.encode_observation f c ~values ~share_keys:keys ~outputs:[| true |];
+  check int_t "two units over one fresh variable" 2 (Formula.num_clauses f);
+  let outcome, _, _ = Fl_sat.Cdcl.solve_formula f in
+  check bool_t "unsat" true (outcome = Fl_sat.Cdcl.Unsat)
+
 let () =
   Alcotest.run "cnf"
     [
@@ -530,6 +636,8 @@ let () =
           Alcotest.test_case "io constraint" `Quick test_miter_io_constraint_rules_out_keys;
           Alcotest.test_case "requires keys" `Quick test_miter_requires_keys;
           Alcotest.test_case "ratio positive" `Quick test_ratio_positive;
+          prop_miter_matches_reference;
+          Alcotest.test_case "fold contradiction" `Quick test_fold_contradiction;
         ] );
       ( "properties",
         [
@@ -538,5 +646,6 @@ let () =
           prop_observation_folding_cyclic_cores;
           Alcotest.test_case "cyclic observation aliases" `Quick
             test_cyclic_observation_aliases;
+          prop_fold_matches_reference;
         ] );
     ]
