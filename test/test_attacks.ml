@@ -16,6 +16,7 @@ module Removal = Fl_attacks.Removal
 module Sps = Fl_attacks.Sps
 module Affine = Fl_attacks.Affine
 module Bypass = Fl_attacks.Bypass
+module Session = Fl_attacks.Session
 
 let check = Alcotest.check
 let bool_t = Alcotest.bool
@@ -453,6 +454,64 @@ let prop_cycsat_sound_on_cyclic_fulllock =
       let r = Cycsat.run ~timeout:120.0 l in
       broken_correct r)
 
+(* The miter from one preprocessed circuit copy and the unpreprocessed
+   miter admit the same interface behaviour: after the same observations,
+   the same random partial assignments to the inputs, both key vectors
+   and both output vectors are satisfiable in both or in neither. *)
+let prop_one_copy_preprocessing_sound =
+  let gen = QCheck2.Gen.(triple (int_bound 1_000_000) bool bool) in
+  qcheck_case ~count:40 "one preprocessed copy = unpreprocessed miter" gen
+    (fun (seed, cyclic, no_cycle) ->
+      let rng = Random.State.make [| seed |] in
+      let c = host ~seed:(seed mod 1009) ~gates:40 ~inputs:6 ~outputs:3 () in
+      let policy = if cyclic then `Cyclic else `Acyclic in
+      match Fulllock.lock_one rng ~policy ~n:4 c with
+      | exception Invalid_argument _ -> QCheck2.assume_fail ()
+      | l ->
+        let circuit = l.Locked.locked in
+        let extra_key_constraint =
+          if no_cycle then Some (Cycsat.no_cycle_condition circuit) else None
+        in
+        let pre, m_pre =
+          Session.base_miter ?extra_key_constraint ~preprocess:true circuit
+        in
+        let _, m_ref =
+          Session.base_miter ?extra_key_constraint ~preprocess:false circuit
+        in
+        let bits n = Array.init n (fun _ -> Random.State.bool rng) in
+        for _ = 1 to Random.State.int rng 4 do
+          let inputs = bits (Circuit.num_inputs circuit) in
+          let outputs =
+            if Random.State.bool rng then Locked.query_oracle l inputs
+            else bits (Circuit.num_outputs circuit)
+          in
+          Fl_cnf.Miter.add_io_constraint m_pre circuit ~inputs ~outputs;
+          Fl_cnf.Miter.add_io_constraint m_ref circuit ~inputs ~outputs
+        done;
+        let s_pre = Fl_sat.Cdcl.of_formula m_pre.Fl_cnf.Miter.formula
+        and s_ref = Fl_sat.Cdcl.of_formula m_ref.Fl_cnf.Miter.formula in
+        let if_pre = Fl_cnf.Miter.interface_vars m_pre
+        and if_ref = Fl_cnf.Miter.interface_vars m_ref in
+        let agree () =
+          let pick =
+            Array.map
+              (fun _ ->
+                if Random.State.int rng 3 = 0 then Some (Random.State.bool rng)
+                else None)
+              if_pre
+          in
+          let assumptions iface =
+            List.filter_map Fun.id
+              (Array.to_list
+                 (Array.mapi
+                    (fun i v -> Option.map (fun b -> if b then v else -v) pick.(i))
+                    iface))
+          in
+          Fl_sat.Cdcl.solve ~assumptions:(assumptions if_pre) s_pre
+          = Fl_sat.Cdcl.solve ~assumptions:(assumptions if_ref) s_ref
+        in
+        pre <> None && List.for_all (fun _ -> agree ()) (List.init 25 Fun.id))
+
 (* NC against a graph oracle: under a full key, NC must be satisfiable
    exactly when the structural graph minus the edges that key blocks is
    acyclic.  An edge is blocked when it enters data slot 1 of a
@@ -627,7 +686,6 @@ let test_nc_shared_port () =
 (* DIP screening vs reference                                          *)
 (* ------------------------------------------------------------------ *)
 
-module Session = Fl_attacks.Session
 
 (* Drive the CEGAR loop by hand through [dip_fn] until the miter is
    exhausted, returning the recovered key and iteration count. *)
@@ -776,6 +834,67 @@ let test_session_preprocess_reduces () =
   check bool_t "flag disables preprocessing" true
     (Session.preprocess_stats s_off = None)
 
+(* The key-recovery formula gets each observation at the next
+   [candidate_key].  Driven as the SAT attack (oracle DIPs, one key at
+   exhaustion) and as AppSAT (random queries between DIPs, a key every
+   few iterations), every key must be the one of a recovery formula that
+   gets each observation at once, encoded per copy as before the fold. *)
+let test_deferred_key_copy_matches_reference () =
+  let module Ref = Test_support.Reference_tseytin in
+  let run ?extra_key_constraint ~appsat l =
+    let circuit = l.Locked.locked in
+    let deadline = Unix.gettimeofday () +. 60.0 in
+    let s = Session.create ?extra_key_constraint ~deadline l in
+    let f = Fl_cnf.Formula.create () in
+    let keys = Fl_cnf.Formula.fresh_vars f (Circuit.num_keys circuit) in
+    Option.iter (fun add -> add f keys) extra_key_constraint;
+    let solver = Fl_sat.Cdcl.create () and loaded = ref 0 in
+    let reference_key () =
+      Fl_sat.Cdcl.ensure_vars solver (Fl_cnf.Formula.num_vars f);
+      Fl_cnf.Formula.iter_clauses_from f !loaded (Fl_sat.Cdcl.add_clause_a solver);
+      loaded := Fl_cnf.Formula.num_clauses f;
+      match Fl_sat.Cdcl.solve solver with
+      | Fl_sat.Cdcl.Sat -> `Key (Array.map (Fl_sat.Cdcl.value solver) keys)
+      | Fl_sat.Cdcl.Unsat -> `None
+      | Fl_sat.Cdcl.Unknown -> `Timeout
+    in
+    let keys_compared = ref 0 in
+    let compare_keys () =
+      incr keys_compared;
+      check bool_t "candidate key = reference" true
+        (Session.candidate_key s = reference_key ())
+    in
+    let observe inputs outputs =
+      Session.constrain_io s ~inputs ~outputs;
+      let values = View.eval_under_inputs (View.of_circuit circuit) ~inputs in
+      Ref.encode_observation f circuit ~values ~share_keys:keys ~outputs
+    in
+    let rng = Random.State.make [| 11 |] in
+    let rec loop i =
+      match Session.find_dip s with
+      | `Dip dip ->
+        observe dip (Locked.query_oracle l dip);
+        if appsat then begin
+          let inputs = View.random_vector rng (Circuit.num_inputs circuit) in
+          observe inputs (Locked.query_oracle l inputs);
+          if i mod 3 = 2 then compare_keys ()
+        end;
+        loop (i + 1)
+      | `Exhausted -> compare_keys ()
+      | `Timeout -> Alcotest.fail "attack timed out"
+    in
+    loop 0;
+    check bool_t "keys compared" true (!keys_compared > 0)
+  in
+  let rng = Random.State.make [| 29 |] in
+  run ~appsat:false (Fl_locking.Rll.lock rng ~key_bits:8 (host ()));
+  run ~appsat:true (Fl_locking.Sarlock.lock rng ~key_bits:5 (host ~inputs:6 ()));
+  let cyclic = Fulllock.lock_one rng ~policy:`Cyclic ~n:4 (host ~gates:80 ()) in
+  run ~appsat:false
+    ~extra_key_constraint:(Cycsat.no_cycle_condition cyclic.Locked.locked)
+    cyclic;
+  run ~appsat:true cyclic
+
 let () =
   Alcotest.run "attacks"
     [
@@ -800,6 +919,8 @@ let () =
             test_inprocess_session_runs_and_logs;
           Alcotest.test_case "session preprocess reduces" `Quick
             test_session_preprocess_reduces;
+          Alcotest.test_case "deferred key copy = reference" `Quick
+            test_deferred_key_copy_matches_reference;
         ] );
       ( "cycsat",
         [
@@ -854,5 +975,6 @@ let () =
           Alcotest.test_case "rejects plr" `Quick test_affine_rejects_plr;
         ] );
       ( "properties",
-        [ prop_sat_attack_recovers_function; prop_cycsat_sound_on_cyclic_fulllock ] );
+        [ prop_sat_attack_recovers_function; prop_cycsat_sound_on_cyclic_fulllock;
+          prop_one_copy_preprocessing_sound ] );
     ]
