@@ -188,14 +188,20 @@ let parse_string ?(name = "bench") text =
     | None -> fail lineno "wire %S is used but never defined" wire
   in
   (* Pass 2: wire fanins and outputs in file order, so an undefined wire
-     is reported at the line of its first use. *)
+     or a wrong fanin count is reported at its line. *)
   List.iter
     (fun (lineno, decl) ->
       match decl with
       | L_input _ | L_key_input _ -> ()
       | L_output wire -> Circuit.Builder.output b wire (lookup lineno wire)
-      | L_gate (wire, _, args) ->
+      | L_gate (wire, kind, args) ->
         let fanins = Array.map (lookup lineno) args in
+        if not (Gate.valid_fanin_count kind (Array.length fanins)) then
+          fail lineno "gate %s takes %s fanins, not %d" (Gate.to_string kind)
+          (match Gate.arity kind with
+           | Some k -> string_of_int k
+           | None -> "2 or more")
+          (Array.length fanins);
         Circuit.Builder.set_fanins b (lookup lineno wire) fanins)
     decls;
   Circuit.of_builder b

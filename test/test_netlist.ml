@@ -315,6 +315,9 @@ let test_bench_parse_errors () =
       "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n\ny = BUF(a)\n", 5;
       "INPUT(a)\nINPUT(a)\n", 2;
       "garbage line\n", 1;
+      "INPUT(a)\nOUTPUT(y)\ny = AND(a)\n", 3;
+      "INPUT(a)\nOUTPUT(y)\ny = NOT(a, a)\n", 3;
+      "INPUT(a)\nOUTPUT(y)\nz = AND(a, a)\ny = AND(z)\n", 4;
     ]
 
 let test_bench_lut_table_errors () =
