@@ -2,10 +2,12 @@
    miters over the Table 4 grid.
 
    For every (circuit, PLR configuration) cell this measures (a) the
-   before/after variable, clause and literal counts of the one-shot miter
-   preprocessing pass plus the structural yield of the Inprocess engine on
-   the same miter (notably recovered XOR rows — Full-Lock miters are
-   XOR-saturated, so every cell should recover some), and (b) the CycSAT
+   clause counts of the miter the CycSAT session starts from, without and
+   with its one-shot preprocessing ([Session.base_miter]: one circuit copy
+   simplified and renamed into the second), plus the structural yield of
+   the Inprocess engine on the raw miter (notably recovered XOR rows —
+   Full-Lock miters are XOR-saturated, so every cell should recover
+   some), and (b) the CycSAT
    attack run three times under the same conflict budget — preprocessed +
    between-iterations inprocessing, preprocessed only, and reference —
    recording statuses and wall times.
@@ -24,17 +26,15 @@
 module Bench_suite = Fl_netlist.Bench_suite
 module Formula = Fl_cnf.Formula
 module Miter = Fl_cnf.Miter
-module Preprocess = Fl_sat.Preprocess
 module Inprocess = Fl_sat.Inprocess
 module Fulllock = Fl_core.Fulllock
 module Cycsat = Fl_attacks.Cycsat
+module Session = Fl_attacks.Session
 module Sat_attack = Fl_attacks.Sat_attack
 module Locked = Fl_locking.Locked
 
 type cell = {
   label : string;
-  vars_before : int;
-  vars_after : int;
   clauses_before : int;
   clauses_after : int;
   reduction_pct : float;
@@ -60,15 +60,24 @@ let cell ~timeout ~max_conflicts ~name ~plr_n ~plr_count ~seed circuit =
   match Fulllock.lock rng ~policy:`Cyclic ~configs circuit with
   | exception Invalid_argument _ -> None
   | locked ->
-    (* Both simplifiers copy the clauses they work on and leave their
-       input as it was, so one miter serves both. *)
-    let miter = Miter.build locked.Locked.locked in
-    let frozen = Miter.interface_vars miter in
-    let st = Preprocess.stats (Preprocess.run ~label:name ~frozen miter.Miter.formula) in
+    (* Clause counts of the miter each arm's session starts from: the
+       reference arm's unpreprocessed miter and the preprocessed arms'
+       (one simplified copy with its renaming), both with the no-cycle
+       condition CycSAT adds. *)
+    let circuit = locked.Locked.locked in
+    let extra_key_constraint = Cycsat.no_cycle_condition circuit in
+    let base preprocess =
+      snd (Session.base_miter ~extra_key_constraint ~label:name ~preprocess circuit)
+    in
+    let clauses_before = Formula.num_clauses (base false).Miter.formula in
+    let clauses_after = Formula.num_clauses (base true).Miter.formula in
     (* Structural inprocessing yield on the raw miter (XOR patterns still
        intact): how many XOR rows the recovery pass finds per cell. *)
     let xor_rows =
-      (Inprocess.stats (Inprocess.run ~label:name ~frozen miter.Miter.formula))
+      let miter = Miter.build circuit in
+      (Inprocess.stats
+         (Inprocess.run ~label:name ~frozen:(Miter.interface_vars miter)
+            miter.Miter.formula))
         .Inprocess.xor_rows
     in
     let r_inp =
@@ -80,17 +89,13 @@ let cell ~timeout ~max_conflicts ~name ~plr_n ~plr_count ~seed circuit =
     Some
       {
         label = Printf.sprintf "%s %dx%dx%d" name plr_count plr_n plr_n;
-        vars_before = st.Preprocess.vars_before;
-        vars_after = st.Preprocess.vars_after;
-        clauses_before = st.Preprocess.clauses_before;
-        clauses_after = st.Preprocess.clauses_after;
+        clauses_before;
+        clauses_after;
         reduction_pct =
-          (if st.Preprocess.clauses_before = 0 then 0.0
+          (if clauses_before = 0 then 0.0
            else
              100.0
-             *. (1.0
-                 -. float_of_int st.Preprocess.clauses_after
-                    /. float_of_int st.Preprocess.clauses_before));
+             *. (1.0 -. (float_of_int clauses_after /. float_of_int clauses_before)));
         xor_rows;
         status_inp = status r_inp;
         status_pre = status r_pre;
