@@ -58,6 +58,7 @@ type t = {
   mutable last_inprocess_conflicts : int;
   mutable inprocess_log : Inprocess.stats list;
   scratch : Inprocess.scratch;
+  elim_scratch : Tseytin.scratch;  (* buffers of [Tseytin.eliminate_locals] *)
   deadline : float;
   conflict_budget : int option;
       (* total solver conflicts the attack may spend; deterministic
@@ -166,6 +167,7 @@ let create ?extra_key_constraint ?(label = "sat") ?max_conflicts
     last_inprocess_conflicts = 0;
     inprocess_log = [];
     scratch = Inprocess.scratch ();
+    elim_scratch = Tseytin.scratch ();
     deadline;
     conflict_budget = max_conflicts;
     start = Unix.gettimeofday ();
@@ -253,11 +255,31 @@ let screen_passes_per_call = 4
 
 (* A pool key stays only while the locked circuit under it settles to the
    observed oracle outputs — i.e. while it remains a witness consistent
-   with the whole observation set. *)
-let key_consistent s ~inputs ~outputs key =
-  match View.eval s.view ~inputs ~keys:key with
-  | outs -> outs = outputs
-  | exception View.Unresolved _ -> false
+   with the whole observation set.  The keys ride one lane each of one
+   word evaluation; a lane that does not settle, or settles to other
+   outputs, drops its key.  Lanes do not interact, and the cyclic
+   fixpoint sweeps until no lane moves, so each lane ends where a scalar
+   evaluation under its key would. *)
+let consistent_keys view ~inputs ~outputs = function
+  | [] -> []
+  | first :: _ as keys ->
+    if List.length keys > View.lanes then
+      invalid_arg "Session.consistent_keys: more keys than lanes";
+    let words = Array.make (Array.length first) 0 in
+    List.iteri
+      (fun lane key ->
+        Array.iteri
+          (fun j bit -> if bit then words.(j) <- words.(j) lor (1 lsl lane))
+          key)
+      keys;
+    let outs = View.eval_words view ~inputs:(View.broadcast inputs) ~keys:words in
+    let wrong = ref 0 in
+    Array.iteri
+      (fun i (w : View.word) ->
+        let expected = if outputs.(i) then -1 else 0 in
+        wrong := !wrong lor lnot w.View.defined lor (w.View.value lxor expected))
+      outs;
+    List.filteri (fun lane _ -> !wrong land (1 lsl lane) = 0) keys
 
 let add_pool_key s key =
   if
@@ -449,17 +471,19 @@ let find_dip_reference s =
 let constrain_io s ~inputs ~outputs =
   Fl_obs.with_span "session.observe" @@ fun () ->
   (* One evaluation with the keys at X and one fold to the key cone under
-     [inputs] serve all three copies.  The key-recovery copy waits for
-     the next [candidate_key]: most attacks end without one. *)
+     [inputs] serve all three copies.  The miter's two copies get the fold
+     with its locals eliminated once (DESIGN.md §4h).  The key-recovery
+     copy keeps the raw fold, solved once, and waits for the next
+     [candidate_key]: most attacks end without one. *)
   let values = View.eval_under_inputs s.view ~inputs in
   let o = Tseytin.fold_observation s.locked.Locked.locked ~values ~outputs in
-  Tseytin.add_observation s.miter.Miter.formula o ~share_keys:s.miter.Miter.keys_a;
-  Tseytin.add_observation s.miter.Miter.formula o ~share_keys:s.miter.Miter.keys_b;
+  let e = Tseytin.eliminate_locals s.elim_scratch o in
+  Tseytin.add_observation s.miter.Miter.formula e ~share_keys:s.miter.Miter.keys_a;
+  Tseytin.add_observation s.miter.Miter.formula e ~share_keys:s.miter.Miter.keys_b;
   s.pending <- o :: s.pending;
   s.last_observed <- Some (Array.copy inputs);
   (* Pool keys must stay consistent with the full observation set. *)
-  if s.key_pool <> [] then
-    s.key_pool <- List.filter (key_consistent s ~inputs ~outputs) s.key_pool
+  s.key_pool <- consistent_keys s.view ~inputs ~outputs s.key_pool
 
 let observe s dip =
   let outputs = Locked.query_oracle s.locked dip in

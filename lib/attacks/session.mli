@@ -114,14 +114,32 @@ val find_dip_reference : t -> [ `Dip of bool array | `Exhausted | `Timeout ]
     evaluation with the keys at X ({!Fl_netlist.View.eval_under_inputs})
     and one fold to the circuit's key cone under [dip]
     ({!Fl_cnf.Tseytin.fold_observation}) serve all three copies.  Both
-    miter key copies get it at once; the recovery formula gets it at the
-    next {!candidate_key}, in observation order, so every key solve sees
-    the formula that adding it at once would have given. *)
+    miter key copies get the fold with its local variables eliminated once
+    ({!Fl_cnf.Tseytin.eliminate_locals}); the recovery formula gets the
+    raw fold at the next {!candidate_key}, in observation order, so every
+    key solve sees the formula that adding it at once would have given.
+    Screening-pool keys the observation rules out are dropped
+    ({!consistent_keys}). *)
 val observe : t -> bool array -> unit
 
 (** [constrain_io s ~inputs ~outputs] adds an arbitrary I/O observation
     (AppSAT's random queries). *)
 val constrain_io : t -> inputs:bool array -> outputs:bool array -> unit
+
+(** [consistent_keys view ~inputs ~outputs keys] is the keys, at most
+    {!Fl_netlist.View.lanes} of them, under which the circuit of [view]
+    settles to [outputs] on [inputs], in order.  One word evaluation
+    serves them all: key [i] rides lane [i], the inputs are broadcast.  A
+    lane evaluates as the scalar {!Fl_netlist.View.eval} under its key
+    would, so this is the keys for which that returns [outputs] without
+    raising {!Fl_netlist.View.Unresolved}.
+    @raise Invalid_argument on more than {!Fl_netlist.View.lanes} keys. *)
+val consistent_keys :
+  Fl_netlist.View.t ->
+  inputs:bool array ->
+  outputs:bool array ->
+  bool array list ->
+  bool array list
 
 (** [candidate_key s] solves the recovery formula for a key consistent with
     every observation so far.  It first adds the observations made since

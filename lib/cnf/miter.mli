@@ -41,8 +41,9 @@ val of_copy : Formula.t -> Tseytin.encoding -> t
 (** [add_io_constraint m c ~inputs ~outputs] encodes one oracle
     observation: both key copies must reproduce output [outputs] on input
     [inputs].  The observation is folded once to [c]'s key cone under
-    [inputs] ({!Tseytin.fold_observation}) and added for each key copy
-    with fresh variables inside [m.formula]. *)
+    [inputs] ({!Tseytin.fold_observation}), its local variables are
+    eliminated once ({!Tseytin.eliminate_locals}), and the result is added
+    for each key copy with fresh variables inside [m.formula]. *)
 val add_io_constraint :
   t -> Fl_netlist.Circuit.t -> inputs:bool array -> outputs:bool array -> unit
 

@@ -403,6 +403,188 @@ let add_observation f o ~share_keys =
     end
   done
 
+(* The template of an observation no key explains: one local forced
+   both ways, as the fold writes a settled output that contradicts it. *)
+let contradiction keys =
+  { keys; locals = 1; clauses = [| keys + 1; 0; -(keys + 1); 0 |] }
+
+(* Bounded variable elimination over the locals, in one sweep in variable
+   order with the SatELite rule: a local goes when the non-tautological
+   resolvents of its clauses do not outnumber them.  No subsumption and
+   no duplicate table: the pass runs once per observation, so it must
+   cost less than the search it saves, and it allocates no array per
+   clause.  The clauses lie in one store, each as its length followed by
+   its literals, canonical; the length is set to 0 when the clause is
+   removed.  [at] maps clause numbers to their offsets in the store.  The
+   occurrences of each local literal form a list linked through [ent]:
+   entry [e] holds a clause number at [e] and the next entry at [e + 1],
+   and [head] holds the first entry of each local literal, -1 ending a
+   list.  Removed clauses stay in the lists and are skipped.  The buffers
+   outlive a call, so a session that eliminates one observation after
+   another allocates them once. *)
+type scratch = {
+  store : buf;
+  at : buf;
+  ent : buf;
+  mutable head : int array;
+  mutable number : int array;  (* old local -> new variable, at the end *)
+  pos : int array;  (* live clauses of [v] and of [-v] *)
+  neg : int array;
+  lens : int array;  (* resolvent lengths, pos-major *)
+}
+
+let scratch () =
+  let bound = Clause.max_occ + 1 in
+  {
+    store = buf_create ();
+    at = buf_create ();
+    ent = buf_create ();
+    head = [||];
+    number = [||];
+    pos = Array.make bound 0;
+    neg = Array.make bound 0;
+    lens = Array.make (Clause.max_occ * Clause.max_occ) 0;
+  }
+
+let eliminate_locals sc o =
+  let keys = o.keys and src = o.clauses in
+  let { store; at; ent; pos; neg; lens; _ } = sc in
+  store.len <- 0;
+  at.len <- 0;
+  ent.len <- 0;
+  if Array.length sc.head < 2 * o.locals then
+    sc.head <- Array.make (4 * o.locals) (-1)
+  else Array.fill sc.head 0 (2 * o.locals) (-1);
+  let head = sc.head in
+  let slot l = if l > 0 then 2 * (l - keys - 1) else (2 * (-l - keys - 1)) + 1 in
+  let reserve n =
+    if store.len + n > Array.length store.data then begin
+      let data = Array.make (2 * (store.len + n)) 0 in
+      Array.blit store.data 0 data 0 store.len;
+      store.data <- data
+    end
+  in
+  (* Number the clause of [n] literals at [store.len] and list it under
+     its local literals. *)
+  let add n =
+    let p = store.len in
+    store.data.(p) <- n;
+    store.len <- p + 1 + n;
+    let ci = at.len in
+    buf_push at p;
+    for k = p + 1 to p + n do
+      let l = store.data.(k) in
+      if abs l > keys then begin
+        let s = slot l in
+        buf_push ent ci;
+        buf_push ent head.(s);
+        head.(s) <- ent.len - 2
+      end
+    done
+  in
+  (* Each template clause takes its length in the store where its
+     terminating 0 stood. *)
+  reserve (Array.length src);
+  let start = ref 0 in
+  for i = 0 to Array.length src - 1 do
+    if src.(i) = 0 then begin
+      let n = i - !start in
+      Array.blit src !start store.data (store.len + 1) n;
+      let n = Clause.canonicalize store.data (store.len + 1) n in
+      if n >= 0 then add n;
+      start := i + 1
+    end
+  done;
+  (* The live clauses of literal [l] go to [into], [Clause.max_occ + 1] at
+     most (one more than {!Clause.bounded} admits); returns how many. *)
+  let live l into =
+    let e = ref head.(slot l) and k = ref 0 in
+    while !e >= 0 && !k <= Clause.max_occ do
+      let ci = ent.data.(!e) in
+      if store.data.(at.data.(ci)) > 0 then begin
+        into.(!k) <- ci;
+        incr k
+      end;
+      e := ent.data.(!e + 1)
+    done;
+    !k
+  in
+  let unsat = ref false in
+  for v = keys + 1 to keys + o.locals do
+    if not !unsat then begin
+      let np = live v pos and nn = live (-v) neg in
+      if Clause.bounded ~max_occ:Clause.max_occ np nn then begin
+        let budget = np + nn and count = ref 0 and pair = ref 0 in
+        while !count <= budget && !pair < np * nn do
+          let a = at.data.(pos.(!pair / nn)) and b = at.data.(neg.(!pair mod nn)) in
+          let d = store.data in
+          let n = Clause.resolvent_length v d (a + 1) d.(a) d (b + 1) d.(b) in
+          lens.(!pair) <- n;
+          if n >= 0 then incr count;
+          incr pair
+        done;
+        if !count <= budget then begin
+          for pair = 0 to (np * nn) - 1 do
+            let n = lens.(pair) in
+            if n = 0 then unsat := true
+            else if n > 0 then begin
+              reserve (n + 1);
+              let a = at.data.(pos.(pair / nn)) and b = at.data.(neg.(pair mod nn)) in
+              let d = store.data in
+              Clause.resolve_into v d (a + 1) d.(a) d (b + 1) d.(b) d (store.len + 1);
+              add n
+            end
+          done;
+          for i = 0 to np - 1 do
+            store.data.(at.data.(pos.(i))) <- 0
+          done;
+          for j = 0 to nn - 1 do
+            store.data.(at.data.(neg.(j))) <- 0
+          done
+        end
+      end
+    end
+  done;
+  if !unsat then contradiction keys
+  else begin
+    (* The surviving locals, renumbered in order from [keys + 1]. *)
+    let d = store.data in
+    if Array.length sc.number <= o.locals then
+      sc.number <- Array.make (2 * (o.locals + 1)) 0
+    else Array.fill sc.number 0 (o.locals + 1) 0;
+    let number = sc.number and len = ref 0 in
+    for ci = 0 to at.len - 1 do
+      let p = at.data.(ci) in
+      if d.(p) > 0 then len := !len + d.(p) + 1;
+      for k = p + 1 to p + d.(p) do
+        let v = abs d.(k) in
+        if v > keys then number.(v - keys) <- 1
+      done
+    done;
+    let locals = ref 0 in
+    for j = 1 to o.locals do
+      if number.(j) > 0 then begin
+        incr locals;
+        number.(j) <- keys + !locals
+      end
+    done;
+    let clauses = Array.make !len 0 and w = ref 0 in
+    for ci = 0 to at.len - 1 do
+      let p = at.data.(ci) in
+      if d.(p) > 0 then begin
+        for k = p + 1 to p + d.(p) do
+          let l = d.(k) in
+          let v = abs l in
+          let u = if v > keys then number.(v - keys) else v in
+          clauses.(!w) <- (if l > 0 then u else -u);
+          incr w
+        done;
+        incr w
+      end
+    done;
+    { keys; locals = !locals; clauses }
+  end
+
 let encode_observation f c ~values ~share_keys ~outputs =
   if Array.length share_keys <> Circuit.num_keys c then
     invalid_arg "Tseytin.encode_observation: shared keys length mismatch";

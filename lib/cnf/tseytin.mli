@@ -78,14 +78,33 @@ val fold_observation :
 
 (** [add_observation f o ~share_keys] adds [o] to [f] with its key slots
     renamed to [share_keys] and its local variables to fresh variables of
-    [f], numbered in the order the fold made them.  The set of keys
-    consistent with the observation is the one a full copy with pinned
-    inputs and outputs gives ({!encode} + {!assert_vector}): the dropped
-    variables are functions of the inputs.  The clauses mention only
+    [f], numbered in template order (for a fold, the order it made them).
+    The set of keys consistent with the observation is the one a full
+    copy with pinned inputs and outputs gives ({!encode} +
+    {!assert_vector}): the dropped variables are functions of the
+    inputs.  The clauses mention only
     [share_keys] and the fresh variables.
     @raise Invalid_argument when [share_keys] is not one variable per key
     slot. *)
 val add_observation : Formula.t -> observation -> share_keys:int array -> unit
+
+(** Reusable buffers of {!eliminate_locals}.  A scratch serves one call
+    at a time: give each session (and so each domain) its own. *)
+type scratch
+
+val scratch : unit -> scratch
+
+(** [eliminate_locals sc o] removes local variables of [o] by bounded
+    variable elimination: one sweep over the locals in variable order,
+    each eliminated when the non-tautological resolvents of its clauses
+    do not outnumber them, within {!Clause.max_occ}.  Key slots are never
+    eliminated.  The surviving locals are renumbered in order.  Under any
+    assignment of the key slots the result is satisfiable exactly when [o]
+    is, so it admits the same keys; its locals are not the fold's, and a
+    model assigns them nothing the session reads.  An [o] the resolvents
+    refute becomes one local forced both ways, as a contradicting
+    settled output folds. *)
+val eliminate_locals : scratch -> observation -> observation
 
 (** [encode_observation f c ~values ~share_keys ~outputs] is
     {!fold_observation} followed by {!add_observation}: it constrains the

@@ -270,7 +270,7 @@ let probe_pass st scr =
     if st.hyper_budget > 0 then begin
       st.hyper_budget <- st.hyper_budget - 1;
       st.n_hyper <- st.n_hyper + 1;
-      match Simp_db.canonical [| -root; u |] with
+      match Fl_cnf.Clause.canonical [| -root; u |] with
       | Some lits -> ignore (Simp_db.append db lits)
       | None -> ()
     end
@@ -487,7 +487,7 @@ let scc_pass st =
           (fun ci ->
             let mapped = Array.map map_lit db.Simp_db.cl.(ci) in
             Simp_db.kill db ci;
-            match Simp_db.canonical mapped with
+            match Fl_cnf.Clause.canonical mapped with
             | None -> ()
             | Some lits -> ignore (Simp_db.append db lits))
           (Simp_db.occurrences db v @ Simp_db.occurrences db (-v)))
@@ -835,7 +835,7 @@ let map_clause t lits =
    with Exit -> ());
   if not !keep then None
   else
-    match Simp_db.canonical (Array.sub out 0 !w) with
+    match Fl_cnf.Clause.canonical (Array.sub out 0 !w) with
     | None -> None
     | Some [||] -> None
     | Some c -> Some c

@@ -14,15 +14,10 @@
    lists. *)
 
 module Formula = Fl_cnf.Formula
+module Clause = Fl_cnf.Clause
 
 (* Literal index for occurrence lists. *)
 let lidx l = (2 * (abs l - 1)) + if l < 0 then 1 else 0
-
-(* Sort by variable; each variable appears at most once per canonical
-   clause, so the sign tiebreak never fires within one clause. *)
-let lit_compare a b =
-  let c = compare (abs a) (abs b) in
-  if c <> 0 then c else compare a b
 
 (* The hot helpers below are plain loops over their arguments: a closure
    passed to [Array.iter] or [Array.exists] would be allocated on every
@@ -40,45 +35,6 @@ let rec mem_from l (lits : int array) i =
 
 (* Whether literal [l] occurs in [lits]. *)
 let mem l lits = mem_from l lits 0
-
-(* Sort by [lit_compare] by insertion, the cheaper sort on the short
-   clauses miters are made of.  The order is total, so any sort gives the
-   same array. *)
-let insertion_sort (lits : int array) =
-  for i = 1 to Array.length lits - 1 do
-    let x = lits.(i) in
-    let j = ref (i - 1) in
-    while !j >= 0 && lit_compare lits.(!j) x > 0 do
-      lits.(!j + 1) <- lits.(!j);
-      decr j
-    done;
-    lits.(!j + 1) <- x
-  done
-
-(* Canonicalize a literal array in place: sort, drop duplicate literals,
-   detect tautologies.  Returns [None] for a tautology, otherwise a
-   clause trimmed to its deduplicated prefix — no intermediate lists, so
-   loading a large miter stays one packed array per clause.  The caller
-   must own [lits] (it is sorted and possibly truncated). *)
-let canonical lits =
-  if Array.length lits <= 16 then insertion_sort lits
-  else Array.sort lit_compare lits;
-  let n = Array.length lits in
-  let w = ref 0 in
-  let taut = ref false in
-  (let i = ref 0 in
-   while (not !taut) && !i < n do
-     let l = lits.(!i) in
-     if !i + 1 < n && lits.(!i + 1) = -l then taut := true
-     else if !w > 0 && lits.(!w - 1) = l then ()
-     else begin
-       lits.(!w) <- l;
-       incr w
-     end;
-     incr i
-   done);
-  if !taut then None
-  else Some (if !w = n then lits else Array.sub lits 0 !w)
 
 (* Merge walk over canonical clauses [c] and [d]:
    [`Subsumes] when c ⊆ d; [`Strengthen l] when (c \ {l}) ⊆ d and -l ∈ d
@@ -293,56 +249,6 @@ let drain_subsumption db =
     db.qhead <- 0
   end
 
-(* Merge walk over canonical [a] (containing v) and [b] (containing -v)
-   from positions [i] and [j], [shared] literals of their prefixes counted
-   twice so far: the length of their resolvent on [v], or -1 when it is a
-   tautology.  Allocates nothing. *)
-let rec resolvent_length v (a : int array) (b : int array) i j shared =
-  if i = Array.length a || j = Array.length b then
-    Array.length a + Array.length b - shared
-  else begin
-    let x = a.(i) and y = b.(j) in
-    let vx = abs x and vy = abs y in
-    if vx < vy then resolvent_length v a b (i + 1) j shared
-    else if vx > vy then resolvent_length v a b i (j + 1) shared
-    else if vx = v then resolvent_length v a b (i + 1) (j + 1) (shared + 2)
-    else if x = y then resolvent_length v a b (i + 1) (j + 1) (shared + 1)
-    else -1
-  end
-
-let tautological v a b = resolvent_length v a b 0 0 0 < 0
-
-(* Resolvent of canonical [a] (containing v) and [b] (containing -v) on
-   [v], which must not be tautological.  Both clauses are sorted by
-   variable, so the merge is already canonical: no sort needed. *)
-let resolve v a b =
-  let la = Array.length a and lb = Array.length b in
-  let lits = Array.make (resolvent_length v a b 0 0 0) 0 in
-  let w = ref 0 and i = ref 0 and j = ref 0 in
-  while !i < la || !j < lb do
-    let l =
-      if !j = lb || (!i < la && abs a.(!i) < abs b.(!j)) then begin
-        incr i;
-        a.(!i - 1)
-      end
-      else if !i = la || abs a.(!i) > abs b.(!j) then begin
-        incr j;
-        b.(!j - 1)
-      end
-      else begin
-        (* Shared variable: [v] itself, or the same literal in both. *)
-        incr i;
-        incr j;
-        a.(!i - 1)
-      end
-    in
-    if abs l <> v then begin
-      lits.(!w) <- l;
-      incr w
-    end
-  done;
-  lits
-
 (* Non-tautological resolvents on [v] of the clauses listed in [pos] x
    [neg], counted until the count passes [budget]. *)
 let count_resolvents db v ~budget pos neg =
@@ -351,7 +257,7 @@ let count_resolvents db v ~budget pos neg =
     let a = db.cl.(Vec.get pos !i) in
     let j = ref 0 in
     while !acc <= budget && !j < Vec.size neg do
-      if not (tautological v a db.cl.(Vec.get neg !j)) then incr acc;
+      if not (Clause.tautological v a db.cl.(Vec.get neg !j)) then incr acc;
       incr j
     done;
     incr i
@@ -378,11 +284,7 @@ let try_eliminate db ~max_occ v =
        holds neither literal. *)
     let pos = compact db v and neg = compact db (-v) in
     let np = Vec.size pos and nn = Vec.size neg in
-    if
-      np + nn > 0
-      && np + nn <= max_occ
-      && np * nn <= max_occ * max_occ
-    then begin
+    if Clause.bounded ~max_occ np nn then begin
       let budget = np + nn in
       let count = count_resolvents db v ~budget pos neg in
       if count <= budget then begin
@@ -397,9 +299,9 @@ let try_eliminate db ~max_occ v =
           let a = db.cl.(Vec.get pos i) in
           for j = 0 to nn - 1 do
             let b = db.cl.(Vec.get neg j) in
-            if not (tautological v a b) then begin
+            if not (Clause.tautological v a b) then begin
               decr r;
-              resolvents.(!r) <- resolve v a b
+              resolvents.(!r) <- Clause.resolve v a b
             end
           done
         done;
@@ -443,7 +345,7 @@ let try_eliminate db ~max_occ v =
    drained before the first visit, draining after each attempt leaves
    the same clauses as draining after every variable.  Returns how many
    variables the sweep eliminated. *)
-let elimination_sweep ?(max_occ = 40) db =
+let elimination_sweep ?(max_occ = Clause.max_occ) db =
   let before = db.n_elim in
   let cand = Array.make db.nvars 0 and key = Array.make db.nvars 0 in
   let m = ref 0 and kmax = ref 0 in
@@ -569,7 +471,7 @@ let create ~frozen f =
   Formula.iter_clauses f (fun clause ->
       (* Copy before canonicalizing: the input formula owns [clause] and
          [canonical] sorts in place. *)
-      match canonical (Array.copy clause) with
+      match Clause.canonical (Array.copy clause) with
       | None -> db.n_taut <- db.n_taut + 1
       | Some [||] ->
         if !seen_empty then db.n_dup <- db.n_dup + 1

@@ -18,12 +18,6 @@
     [2*(v-1)] (positive) and [2*(v-1)+1] (negative). *)
 val lidx : int -> int
 
-(** Canonicalize a literal array in place: sort by variable, drop
-    duplicate literals, detect tautologies.  [None] for a tautology,
-    otherwise the clause trimmed to its deduplicated prefix.  The caller
-    must own the array (it is sorted and possibly truncated). *)
-val canonical : int array -> int array option
-
 type t = {
   nvars : int;
   frozen_set : Bytes.t;  (** var-1 -> ['\001'] when frozen *)
@@ -95,8 +89,8 @@ val drain_subsumption : t -> unit
     ties by variable index, draining the subsumption queue after each.
     A variable is eliminated when its resolvents do not outnumber the
     clauses they replace; variables with more than [max_occ] occurrences
-    are skipped (default 40, {!Preprocess}'s bound; {!Inprocess} passes
-    30).  Only [dirty] variables are attempted;
+    are skipped (default {!Fl_cnf.Clause.max_occ}, {!Preprocess}'s bound;
+    {!Inprocess} passes 30).  Only [dirty] variables are attempted;
     since every clause change goes through {!append}, {!kill} or
     {!strengthen}, the result equals a sweep that attempts every
     variable.  Returns how many variables the sweep eliminated. *)

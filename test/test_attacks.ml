@@ -895,6 +895,57 @@ let test_deferred_key_copy_matches_reference () =
     cyclic;
   run ~appsat:true cyclic
 
+(* The screening pool is filtered in one word evaluation, one key per
+   lane.  It must keep exactly the keys the scalar filter keeps: those
+   under which [View.eval] returns the observed outputs without raising
+   [Unresolved].  Pools of one to six keys (the pool's bound), random and
+   correct, on acyclic and cyclic Full-Lock; outputs the oracle's or
+   random.  The draws must include keys whose cyclic evaluation does not
+   settle, and both kept and dropped keys. *)
+let test_pool_lane_filter () =
+  let unresolved = ref 0 and kept = ref 0 and dropped = ref 0 in
+  for seed = 0 to 59 do
+    let rng = Random.State.make [| seed; 3 |] in
+    let c = host ~seed:(seed + 5) ~gates:50 ~inputs:6 ~outputs:3 () in
+    let policy = if seed mod 3 = 0 then `Acyclic else `Cyclic in
+    match Fulllock.lock_one rng ~policy ~n:4 c with
+    | exception Invalid_argument _ -> ()
+    | l ->
+      let circuit = l.Locked.locked in
+      let view = View.of_circuit circuit in
+      let bits n = Array.init n (fun _ -> Random.State.bool rng) in
+      for _ = 1 to 10 do
+        let pool =
+          List.init
+            (1 + Random.State.int rng 6)
+            (fun _ ->
+              if Random.State.int rng 4 = 0 then l.Locked.correct_key
+              else bits (Circuit.num_keys circuit))
+        in
+        let inputs = bits (Circuit.num_inputs circuit) in
+        let outputs =
+          if Random.State.bool rng then Locked.query_oracle l inputs
+          else bits (Circuit.num_outputs circuit)
+        in
+        let scalar =
+          List.filter
+            (fun key ->
+              match View.eval view ~inputs ~keys:key with
+              | outs -> outs = outputs
+              | exception View.Unresolved _ ->
+                incr unresolved;
+                false)
+            pool
+        in
+        kept := !kept + List.length scalar;
+        dropped := !dropped + List.length pool - List.length scalar;
+        check bool_t "lane filter = scalar filter" true
+          (Session.consistent_keys view ~inputs ~outputs pool = scalar)
+      done
+  done;
+  check bool_t "some key leaves a cycle unsettled" true (!unresolved > 0);
+  check bool_t "some keys kept, some dropped" true (!kept > 0 && !dropped > 0)
+
 let () =
   Alcotest.run "attacks"
     [
@@ -921,6 +972,8 @@ let () =
             test_session_preprocess_reduces;
           Alcotest.test_case "deferred key copy = reference" `Quick
             test_deferred_key_copy_matches_reference;
+          Alcotest.test_case "pool lane filter = scalar filter" `Quick
+            test_pool_lane_filter;
         ] );
       ( "cycsat",
         [

@@ -611,6 +611,124 @@ let test_fold_contradiction () =
   let outcome, _, _ = Fl_sat.Cdcl.solve_formula f in
   check bool_t "unsat" true (outcome = Fl_sat.Cdcl.Unsat)
 
+(* ------------------------------------------------------------------ *)
+(* Local elimination: the eliminated template admits the raw one's keys *)
+(* ------------------------------------------------------------------ *)
+
+(* [o] added for one key vector at variables 1 .. keys. *)
+let observation_formula o nk =
+  let f = Formula.create () in
+  let keys = Formula.fresh_vars f nk in
+  Tseytin.add_observation f o ~share_keys:keys;
+  f, keys
+
+(* The raw template and its elimination, each added over fresh key
+   variables, agree on SAT/UNSAT under [trials] random partial key
+   assignments (each key bit fixed with probability one half, the empty
+   assignment included). *)
+let eliminated_agrees rng raw eliminated nk ~trials =
+  let f, keys = observation_formula raw nk
+  and g, keys' = observation_formula eliminated nk in
+  let sf = Fl_sat.Cdcl.of_formula f and sg = Fl_sat.Cdcl.of_formula g in
+  List.for_all
+    (fun _ ->
+      let pick = Array.init nk (fun _ -> Random.State.int rng 4) in
+      let assumptions vars =
+        List.filter_map Fun.id
+          (List.init nk (fun i ->
+               match pick.(i) with
+               | 0 -> Some vars.(i)
+               | 1 -> Some (-vars.(i))
+               | _ -> None))
+      in
+      Fl_sat.Cdcl.solve ~assumptions:(assumptions keys) sf
+      = Fl_sat.Cdcl.solve ~assumptions:(assumptions keys') sg)
+    (List.init trials Fun.id)
+
+let prop_eliminated_observation =
+  (* SARLock, acyclic and cyclic Full-Lock and cyclic cores; outputs the
+     oracle's (schemes with one) or random, which often contradict a
+     settled output.  One scratch serves every observation of a draw, as
+     it serves a session. *)
+  qcheck_case ~count:200 "eliminated observation = raw observation on keys"
+    QCheck2.Gen.(triple (int_bound 1_000_000) (oneofl [ 1; 2; 3; 5 ]) bool)
+    (fun (seed, scheme, oracle_outputs) ->
+      match locked_draw seed scheme with
+      | None -> QCheck2.assume_fail ()
+      | Some (c, l) ->
+        let rng = Random.State.make [| seed; 13 |] in
+        let sc = Tseytin.scratch () in
+        List.for_all
+          (fun _ ->
+            let inputs =
+              Array.init (Circuit.num_inputs c) (fun _ -> Random.State.bool rng)
+            in
+            let outputs =
+              match l with
+              | Some l when oracle_outputs -> Fl_locking.Locked.query_oracle l inputs
+              | _ ->
+                Array.init (Circuit.num_outputs c) (fun _ -> Random.State.bool rng)
+            in
+            let values = View.eval_under_inputs (View.of_circuit c) ~inputs in
+            let o = Tseytin.fold_observation c ~values ~outputs in
+            eliminated_agrees rng o (Tseytin.eliminate_locals sc o)
+              (Circuit.num_keys c) ~trials:6)
+          (List.init 3 Fun.id))
+
+let test_eliminate_contradiction () =
+  (* The fold's contradiction, [v] and [¬v], resolves to the empty
+     clause: the result stays unsatisfiable, as one local forced both
+     ways, and adding it raises nothing. *)
+  let b = Circuit.Builder.create ~name:"and" () in
+  let x = Circuit.Builder.input ~name:"x" b in
+  let k = Circuit.Builder.key_input ~name:"k" b in
+  Circuit.Builder.output b "y" (Circuit.Builder.add ~name:"y" b Gate.And [| x; k |]);
+  let c = Circuit.of_builder b in
+  let values = View.eval_under_inputs (View.of_circuit c) ~inputs:[| false |] in
+  let o = Tseytin.fold_observation c ~values ~outputs:[| true |] in
+  let f, _ = observation_formula (Tseytin.eliminate_locals (Tseytin.scratch ()) o) 1 in
+  check int_t "one local" 2 (Formula.num_vars f);
+  check int_t "two units" 2 (Formula.num_clauses f);
+  let outcome, _, _ = Fl_sat.Cdcl.solve_formula f in
+  check bool_t "unsat" true (outcome = Fl_sat.Cdcl.Unsat)
+
+let test_eliminate_cycle_cut () =
+  (* m = MUX(k, x, b), b = BUF(m), y = m, observed y = 1 under x = 0.
+     The fold cuts the loop at m's own variable: (k ∨ ¬m) from the MUX
+     and the unit [m] from the output.  Eliminating the cut variable
+     leaves [k], which is the raw copy's verdict on k: k = 0 reads x = 0,
+     k = 1 closes the loop, which holds 1. *)
+  let module B = Circuit.Builder in
+  let b = B.create ~name:"loop" () in
+  let x = B.input ~name:"x" b in
+  let k = B.key_input ~name:"k" b in
+  let m = B.declare b Gate.Mux in
+  let buf = B.add b Gate.Buf [| m |] in
+  B.set_fanins b m [| k; x; buf |];
+  B.output b "y" m;
+  let c = Circuit.of_builder b in
+  let values = View.eval_under_inputs (View.of_circuit c) ~inputs:[| false |] in
+  let o = Tseytin.fold_observation c ~values ~outputs:[| true |] in
+  let raw, _ = observation_formula o 1 in
+  let e, _ = observation_formula (Tseytin.eliminate_locals (Tseytin.scratch ()) o) 1 in
+  check int_t "raw copy keeps the cut variable" 2 (Formula.num_vars raw);
+  check bool_t "eliminated copy is [k]" true
+    (Formula.num_vars e = 1 && Formula.clauses e = [| [| 1 |] |]);
+  List.iter
+    (fun key ->
+      let under f =
+        let outcome, _, _ =
+          Fl_sat.Cdcl.solve_formula
+            (let g = Formula.copy f in
+             Tseytin.assert_lit g (if key then 1 else -1);
+             g)
+        in
+        outcome = Fl_sat.Cdcl.Sat
+      in
+      check bool_t (Printf.sprintf "k = %b" key) key (under raw);
+      check bool_t (Printf.sprintf "k = %b eliminated" key) key (under e))
+    [ false; true ]
+
 let () =
   Alcotest.run "cnf"
     [
@@ -638,6 +756,9 @@ let () =
           Alcotest.test_case "ratio positive" `Quick test_ratio_positive;
           prop_miter_matches_reference;
           Alcotest.test_case "fold contradiction" `Quick test_fold_contradiction;
+          Alcotest.test_case "eliminate contradiction" `Quick
+            test_eliminate_contradiction;
+          Alcotest.test_case "eliminate cycle cut" `Quick test_eliminate_cycle_cut;
         ] );
       ( "properties",
         [
@@ -647,5 +768,6 @@ let () =
           Alcotest.test_case "cyclic observation aliases" `Quick
             test_cyclic_observation_aliases;
           prop_fold_matches_reference;
+          prop_eliminated_observation;
         ] );
     ]

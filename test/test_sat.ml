@@ -632,7 +632,7 @@ let prop_canonical_matches_reference =
         if List.exists (fun l -> List.mem (-l) sorted) sorted then None
         else Some (Array.of_list sorted)
       in
-      Simp_db.canonical (Array.copy lits) = expected)
+      Fl_cnf.Clause.canonical (Array.copy lits) = expected)
 
 let prop_touched_only_elimination_miters =
   qcheck_case ~count:100 "touched-only elimination = full sweep (miters)"
