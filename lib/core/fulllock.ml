@@ -21,12 +21,11 @@ let cln_key_bits config = Cln.num_key_bits config.cln
 
 type insertion_policy = [ `Acyclic | `Cyclic ]
 
-(* Insert one PLR over the already-mapped wire group. *)
+(* Insert one PLR over a wire group. *)
 let insert_plr p rng config (wires : int array) =
   let b = Pass.builder p in
   let n = config.cln.Cln.n in
   assert (Array.length wires = n);
-  let mapped = Array.map (fun w -> Pass.wire p w) wires in
   (* 1. Twist: negate some leading gates. *)
   let inv_lead = Array.make n false in
   if config.negate_leading then
@@ -37,7 +36,7 @@ let insert_plr p rng config (wires : int array) =
           Circuit.Builder.set_kind b mid (Gate.negate kind);
           inv_lead.(i) <- true
         end)
-      mapped;
+      wires;
   (* 2. CLN key: random routable permutation, inverters set to compensate
      the negations. *)
   let key = Cln.random_routable_key config.cln rng in
@@ -52,13 +51,13 @@ let insert_plr p rng config (wires : int array) =
   (* 3. Build the CLN. *)
   let key_ids = Util.Key_bag.fresh_vector (Pass.bag p) key in
   let barrier = Pass.snapshot p in
-  let outs = Cln.build config.cln b ~inputs:mapped ~keys:key_ids in
+  let outs = Cln.build config.cln b ~inputs:wires ~keys:key_ids in
   (* 4. Rewire every consumer of wire source(j) to CLN output j, in one
      pass.  The rewired nodes are exactly the gates below the barrier that
      now read a CLN output. *)
   let rewired =
     Pass.redirect_wires p ~limit:barrier
-      (Array.mapi (fun j out -> mapped.(action.Cln.source.(j)), out) outs)
+      (Array.mapi (fun j out -> wires.(action.Cln.source.(j)), out) outs)
   in
   (* 5. LUT layer: gates now reading CLN outputs become keyed LUTs.  The
      table's iteration order fixes the keyed-LUT node ids and key order,

@@ -10,7 +10,7 @@ let lock rng ~key_bits orig =
   (* Correct key: K1 = K2 (both equal to [secret]). *)
   let k1 = Insertion_util.Key_bag.fresh_vector (Pass.bag p) secret in
   let k2 = Insertion_util.Key_bag.fresh_vector (Pass.bag p) secret in
-  let inputs = Array.init width (fun i -> Pass.wire p orig.Circuit.inputs.(i)) in
+  let inputs = Array.sub orig.Circuit.inputs 0 width in
   let xor_layer keys =
     Array.init width (fun i -> Circuit.Builder.add b Gate.Xor [| inputs.(i); keys.(i) |])
   in
@@ -22,7 +22,6 @@ let lock rng ~key_bits orig =
   let not_g2 = Circuit.Builder.add b Gate.Not [| g2 |] in
   let flip = Circuit.Builder.add b Gate.And [| g1; not_g2 |] in
   let _, first_out = orig.Circuit.outputs.(0) in
-  let target = Pass.wire p first_out in
-  let flipped = Circuit.Builder.add b Gate.Xor [| target; flip |] in
+  let flipped = Circuit.Builder.add b Gate.Xor [| first_out; flip |] in
   Pass.set_driver p ~output_index:0 ~to_id:flipped;
   Pass.finish p ~scheme:"anti-sat"

@@ -26,7 +26,6 @@ let lock rng ~n orig =
   let p = Pass.start ~name:"crosslock" orig in
   let b = Pass.builder p in
   let wires = Insertion_util.select_wires orig rng ~count:n ~policy:`Independent in
-  let mapped = Array.map (fun w -> Pass.wire p w) wires in
   (* Random permutation: crossbar output j delivers wire sigma.(j). *)
   let sigma = Array.init n (fun i -> i) in
   for i = n - 1 downto 1 do
@@ -37,7 +36,7 @@ let lock rng ~n orig =
   done;
   let bits = max 1 (ceil_log2 n) in
   let padded = 1 lsl bits in
-  let data = Array.init padded (fun i -> if i < n then mapped.(i) else mapped.(0)) in
+  let data = Array.init padded (fun i -> if i < n then wires.(i) else wires.(0)) in
   let barrier = Pass.snapshot p in
   let outputs =
     Array.init n (fun j ->
@@ -49,5 +48,5 @@ let lock rng ~n orig =
   in
   ignore
     (Pass.redirect_wires p ~limit:barrier
-       (Array.mapi (fun j out -> mapped.(sigma.(j)), out) outputs));
+       (Array.mapi (fun j out -> wires.(sigma.(j)), out) outputs));
   Pass.finish p ~scheme:"cross-lock"

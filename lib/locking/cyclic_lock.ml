@@ -27,12 +27,11 @@ let lock rng ~cycles orig =
     | [] -> ()
     | ds ->
       let d = List.nth ds (Random.State.int rng (List.length ds)) in
-      let mw = Pass.wire p w and md = Pass.wire p d in
       let k = Insertion_util.Key_bag.fresh (Pass.bag p) false in
       let limit = Pass.snapshot p in
       (* key = 0 selects the true wire; key = 1 closes the loop. *)
-      let m = Circuit.Builder.add b Gate.Mux [| k; mw; md |] in
-      Pass.redirect_wire ~limit p ~from_id:mw ~to_id:m;
+      let m = Circuit.Builder.add b Gate.Mux [| k; w; d |] in
+      Pass.redirect_wire ~limit p ~from_id:w ~to_id:m;
       incr inserted
   done;
   if !inserted < cycles then

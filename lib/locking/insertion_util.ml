@@ -78,8 +78,11 @@ let select_wires c rng ~count ~policy =
      iff it is in either, so one test replaces a reach query per chosen
      wire, and choosing a wire extends both sets by one DFS each. *)
   let reach_sets () =
-    ( Reach.create (Array.map (fun (nd : Circuit.node) -> nd.Circuit.fanins) c.Circuit.nodes),
-      Reach.create (Circuit.fanouts c) )
+    (* Filled, not mapped: [Array.map] would start the array from the
+       first fanin array, which a just-parsed host has in the minor heap. *)
+    let fanins = Array.make (Circuit.num_nodes c) [||] in
+    Array.iteri (fun id (nd : Circuit.node) -> fanins.(id) <- nd.Circuit.fanins) c.Circuit.nodes;
+    Reach.create fanins, Reach.create (Circuit.fanouts c)
   in
   let related (up, down) id = Reach.marked up id || Reach.marked down id in
   let choose (up, down) id =
@@ -149,25 +152,23 @@ module Pass = struct
   type t = {
     builder : Circuit.Builder.t;
     bag : Key_bag.t;
-    map : int array;
     drivers : int array;
     orig : Circuit.t;
   }
 
   let start ~name orig =
-    let builder = Circuit.Builder.create ~name:(orig.Circuit.name ^ "-" ^ name) () in
-    let map = Circuit.copy_nodes_into builder orig in
+    let builder =
+      Circuit.Builder.of_circuit ~name:(orig.Circuit.name ^ "-" ^ name) orig
+    in
     {
       builder;
       bag = Key_bag.create builder;
-      map;
-      drivers = Array.map (fun (_, id) -> map.(id)) orig.Circuit.outputs;
+      drivers = Array.map snd orig.Circuit.outputs;
       orig;
     }
 
   let builder p = p.builder
   let bag p = p.bag
-  let wire p id = p.map.(id)
 
   let snapshot p = Circuit.Builder.size p.builder
 

@@ -69,19 +69,18 @@ val keyed_lut :
     cut: combinational gates (not inputs/keys/constants). *)
 val lockable_gates : Fl_netlist.Circuit.t -> int array
 
-(** The skeleton every locking pass follows: copy the original netlist,
-    mutate it, then freeze with the original output ports. *)
+(** The skeleton every locking pass follows: start from the original
+    netlist, mutate it, then freeze with the original output ports. *)
 module Pass : sig
   type t
 
-  (** [start ~name orig] copies the nodes of [orig] into a fresh builder. *)
+  (** [start ~name orig] is a builder holding the nodes of [orig]
+      ({!Fl_netlist.Circuit.Builder.of_circuit}): every original node keeps
+      its id, so original ids address the builder directly. *)
   val start : name:string -> Fl_netlist.Circuit.t -> t
 
   val builder : t -> Fl_netlist.Circuit.Builder.t
   val bag : t -> Key_bag.t
-
-  (** [wire p id] is the new-builder id of original node [id]. *)
-  val wire : t -> int -> int
 
   (** [redirect_wires p ~limit pairs] applies every [(from_id, to_id)] of
       [pairs] at once: readers of [from_id] below [limit], and pending

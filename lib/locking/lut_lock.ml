@@ -2,17 +2,16 @@ module Gate = Fl_netlist.Gate
 module Circuit = Fl_netlist.Circuit
 module Pass = Insertion_util.Pass
 
-(* Replace gate [gid] (original-circuit id) in place: build a keyed LUT over
-   the gate's fanins, then demote the gate to a BUF of the LUT output.
-   Keeping the node id intact preserves all consumer edges. *)
+(* Replace gate [gid] in place: build a keyed LUT over the gate's fanins,
+   then demote the gate to a BUF of the LUT output.  Keeping the node id
+   intact preserves all consumer edges. *)
 let lutify p gid =
   let b = Pass.builder p in
-  let mid = Pass.wire p gid in
-  let kind = Circuit.Builder.kind_of b mid in
-  let fanins = Circuit.Builder.peek_fanins b mid in
+  let kind = Circuit.Builder.kind_of b gid in
+  let fanins = Circuit.Builder.peek_fanins b gid in
   let truth_table = Gate.truth_table kind ~arity:(Array.length fanins) in
   let lut = Insertion_util.keyed_lut b (Pass.bag p) ~addr:fanins ~truth_table in
-  Circuit.Builder.replace b mid Gate.Buf [| lut |]
+  Circuit.Builder.replace b gid Gate.Buf [| lut |]
 
 let replaceable ?(max_fanin = 4) c id =
   let nd = Circuit.node c id in

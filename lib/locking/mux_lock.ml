@@ -44,7 +44,7 @@ let lock rng ~key_bits orig =
     | Gate.Key_input | Gate.Const _ -> false
     | Gate.Input | Gate.Buf | Gate.Not | Gate.And | Gate.Nand | Gate.Or
     | Gate.Nor | Gate.Xor | Gate.Xnor | Gate.Mux | Gate.Lut _ ->
-      Bytes.get reached (Pass.wire p id) = '\000'
+      Bytes.get reached id = '\000'
   in
   Array.iter
     (fun w ->
@@ -53,8 +53,7 @@ let lock rng ~key_bits orig =
          feeds the decoy into the consumers of [w], which closes a cycle
          exactly when [w] reaches the decoy; earlier MUXes have added edges
          of their own, so the original circuit's fanout is not enough. *)
-      let mw = Pass.wire p w in
-      reach mw;
+      reach w;
       let candidates = ref 0 in
       for id = 0 to num_nodes - 1 do
         if decoy_ok id then incr candidates
@@ -66,17 +65,16 @@ let lock rng ~key_bits orig =
           decr decoy;
           if decoy_ok !decoy then decr r
         done;
-        let md = Pass.wire p !decoy in
         let true_on_one = Random.State.bool rng in
         let k = Insertion_util.Key_bag.fresh (Pass.bag p) true_on_one in
         let limit = Pass.snapshot p in
-        let fanins = if true_on_one then [| k; md; mw |] else [| k; mw; md |] in
+        let fanins = if true_on_one then [| k; !decoy; w |] else [| k; w; !decoy |] in
         let m = Circuit.Builder.add b Gate.Mux fanins in
-        (* Every reader of [mw] below [limit] now reads [m]; the MUX is
-           [mw]'s only reader left. *)
-        fanouts.(m) <- Pass.redirect_wires p ~limit [| mw, m |];
-        fanouts.(mw) <- [ m ];
-        fanouts.(md) <- m :: fanouts.(md);
+        (* Every reader of [w] below [limit] now reads [m]; the MUX is
+           [w]'s only reader left. *)
+        fanouts.(m) <- Pass.redirect_wires p ~limit [| w, m |];
+        fanouts.(w) <- [ m ];
+        fanouts.(!decoy) <- m :: fanouts.(!decoy);
         fanouts.(k) <- [ m ]
       end)
     wires;

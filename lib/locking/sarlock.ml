@@ -9,7 +9,7 @@ let lock rng ~key_bits orig =
   let b = Pass.builder p in
   let secret = Array.init width (fun _ -> Random.State.bool rng) in
   let keys = Insertion_util.Key_bag.fresh_vector (Pass.bag p) secret in
-  let inputs = Array.init width (fun i -> Pass.wire p orig.Circuit.inputs.(i)) in
+  let inputs = Array.sub orig.Circuit.inputs 0 width in
   (* match_i = x_i XNOR k_i; cmp = AND match_i  (x equals applied key) *)
   let matches =
     Array.init width (fun i -> Circuit.Builder.add b Gate.Xnor [| inputs.(i); keys.(i) |])
@@ -31,7 +31,6 @@ let lock rng ~key_bits orig =
   (* XOR the flip into the first output port only: the point function must
      not leak into internal logic, or the one-key-per-DIP property breaks. *)
   let _, first_out = orig.Circuit.outputs.(0) in
-  let target = Pass.wire p first_out in
-  let flipped = Circuit.Builder.add b Gate.Xor [| target; flip |] in
+  let flipped = Circuit.Builder.add b Gate.Xor [| first_out; flip |] in
   Pass.set_driver p ~output_index:0 ~to_id:flipped;
   Pass.finish p ~scheme:"sarlock"

@@ -35,7 +35,7 @@ let lock rng ~key_bits ~h orig =
   let b = Pass.builder p in
   let secret = Array.init width (fun _ -> Random.State.bool rng) in
   let keys = Insertion_util.Key_bag.fresh_vector (Pass.bag p) secret in
-  let inputs = Array.init width (fun i -> Pass.wire p orig.Circuit.inputs.(i)) in
+  let inputs = Array.sub orig.Circuit.inputs 0 width in
   (* Strip: HD(x, secret) = h with the secret hard-wired — this is the
      functionality removed from the shipped netlist. *)
   let strip_bits =
@@ -50,7 +50,6 @@ let lock rng ~key_bits ~h orig =
   in
   let restore = exactly b ~bits:restore_bits ~h in
   let _, first_out = orig.Circuit.outputs.(0) in
-  let target = Pass.wire p first_out in
-  let flipped = Circuit.Builder.add b Gate.Xor [| target; strip; restore |] in
+  let flipped = Circuit.Builder.add b Gate.Xor [| first_out; strip; restore |] in
   Pass.set_driver p ~output_index:0 ~to_id:flipped;
   Pass.finish p ~scheme:"sfll-hd"

@@ -2,15 +2,16 @@ exception Parse_error of int * string
 
 let fail line fmt = Printf.ksprintf (fun s -> raise (Parse_error (line, s))) fmt
 
-type line_decl =
-  | L_input of string
-  | L_key_input of string
-  | L_output of string
-  | L_gate of string * Gate.t * string array
-
 (* The parser scans [text] by index.  A line is a range [a, b) of [text];
    the helpers below find, trim and compare within such a range, so only
-   wire names and messages are copied out.  Whitespace is [String.trim]'s. *)
+   declared names, output ports and messages are copied out.  Whitespace
+   is [String.trim]'s.  A wire name is held as its range: [(a, b)] in a
+   declaration, and [a0; b0; a1; b1; ...] for a gate's operands. *)
+type line_decl =
+  | L_input of int * int
+  | L_key_input of int * int
+  | L_output of int * int
+  | L_gate of int * int * Gate.t * int array
 
 let is_space = function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false
 
@@ -31,10 +32,6 @@ let trim_end text a b =
   while !i > a && is_space (String.unsafe_get text (!i - 1)) do decr i done;
   !i
 
-let trimmed text a b =
-  let a = skip_space text a b in
-  String.sub text a (trim_end text a b - a)
-
 (* Whether [a, b) is longer than [prefix] and starts with it, ignoring
    case ([prefix] is upper case). *)
 let has_prefix text a b prefix =
@@ -45,10 +42,14 @@ let has_prefix text a b prefix =
   while !i < n && Char.uppercase_ascii text.[a + !i] = prefix.[!i] do incr i done;
   !i = n
 
-let is_key_name name =
+let is_key_name text a b =
   let prefix = "keyinput" in
-  String.length name >= String.length prefix
-  && String.lowercase_ascii (String.sub name 0 (String.length prefix)) = prefix
+  let n = String.length prefix in
+  b - a >= n
+  &&
+  let i = ref 0 in
+  while !i < n && Char.lowercase_ascii text.[a + !i] = prefix.[!i] do incr i done;
+  !i = n
 
 let hex_digit = function
   | '0' .. '9' as ch -> Char.code ch - Char.code '0'
@@ -78,48 +79,66 @@ let lut_table lineno hex ~arity =
   done;
   tt
 
-(* The space-separated words of [a, b), at most three (a third means too
-   many). *)
-let words text a b =
-  let rec go i acc k =
-    if i >= b || k = 3 then List.rev acc
-    else if text.[i] = ' ' then go (i + 1) acc k
-    else
-      let e = index_in text i b ' ' in
-      go e (String.sub text i (e - i) :: acc) (k + 1)
-  in
-  go a [] 0
+(* First index of [a, b) that is not a space, or [b]. *)
+let skip_blanks text a b =
+  let i = ref a in
+  while !i < b && String.unsafe_get text !i = ' ' do incr i done;
+  !i
 
 let parse_call text lineno a b =
   (* "GATE(a, b, c)" or "LUT 0x8 (a, b)" over the trimmed range [a, b) ->
-     kind, operand names *)
+     kind, operand ranges *)
   let lp = index_in text a b '(' in
   if lp = b then
     fail lineno "expected '(' in gate application %S" (String.sub text a (b - a));
   if text.[b - 1] <> ')' then fail lineno "missing ')' in %S" (String.sub text a (b - a));
-  let args = ref [] in
-  let rec split p =
-    let q = index_in text p (b - 1) ',' in
-    let pa = skip_space text p q in
+  (* Operand ranges: one more than there are commas, less the empty ones. *)
+  let commas = ref 0 in
+  for i = lp + 1 to b - 2 do
+    if String.unsafe_get text i = ',' then incr commas
+  done;
+  let args = Array.make (2 * (!commas + 1)) 0 and arity = ref 0 in
+  let p = ref (lp + 1) in
+  while !p <= b - 1 do
+    let q = index_in text !p (b - 1) ',' in
+    let pa = skip_space text !p q in
     let pb = trim_end text pa q in
-    if pb > pa then args := String.sub text pa (pb - pa) :: !args;
-    if q < b - 1 then split (q + 1)
-  in
-  split (lp + 1);
-  let args = Array.of_list (List.rev !args) in
+    if pb > pa then begin
+      args.(2 * !arity) <- pa;
+      args.((2 * !arity) + 1) <- pb;
+      incr arity
+    end;
+    p := q + 1
+  done;
+  let args = if !arity = !commas + 1 then args else Array.sub args 0 (2 * !arity) in
   let ha = skip_space text a lp in
   let hb = trim_end text ha lp in
+  (* The head's space-separated words: a gate name, or "LUT" and its
+     table.  [ha] starts a word unless the head is empty. *)
+  let e1 = index_in text ha hb ' ' in
+  let s2 = skip_blanks text e1 hb in
+  let e2 = index_in text s2 hb ' ' in
   let kind =
-    match words text ha hb with
-    | [ word ] ->
-      (match Gate.of_string word with
-       | Some k -> k
-       | None -> fail lineno "unknown gate kind %S" word)
-    | [ lut; hex ] when String.lowercase_ascii lut = "lut" ->
-      Gate.Lut (lut_table lineno hex ~arity:(Array.length args))
-    | _ -> fail lineno "cannot parse gate head %S" (String.sub text ha (hb - ha))
+    if ha < hb && s2 = hb then begin
+      let word = String.sub text ha (e1 - ha) in
+      match Gate.of_string word with
+      | Some k -> k
+      | None -> fail lineno "unknown gate kind %S" word
+    end
+    else if ha < hb && skip_blanks text e2 hb = hb
+            && String.lowercase_ascii (String.sub text ha (e1 - ha)) = "lut"
+    then Gate.Lut (lut_table lineno (String.sub text s2 (e2 - s2)) ~arity:!arity)
+    else fail lineno "cannot parse gate head %S" (String.sub text ha (hb - ha))
   in
   kind, args
+
+(* The trimmed name inside "INPUT( name )" and the like, [a, b). *)
+let inside text lineno a b =
+  let lp = index_in text a b '(' in
+  if lp = b || text.[b - 1] <> ')' then
+    fail lineno "malformed declaration %S" (String.sub text a (b - a));
+  let na = skip_space text (lp + 1) (b - 1) in
+  na, trim_end text na (b - 1)
 
 (* The declaration on line [lineno], the range [a, b) of [text]. *)
 let parse_line text lineno a b =
@@ -127,27 +146,83 @@ let parse_line text lineno a b =
   let a = skip_space text a b in
   let b = trim_end text a b in
   if a = b then None
+  else if has_prefix text a b "INPUT" then begin
+    let na, nb = inside text lineno a b in
+    if is_key_name text na nb then Some (L_key_input (na, nb)) else Some (L_input (na, nb))
+  end
+  else if has_prefix text a b "KEYINPUT" then begin
+    let na, nb = inside text lineno a b in
+    Some (L_key_input (na, nb))
+  end
+  else if has_prefix text a b "OUTPUT" then begin
+    let na, nb = inside text lineno a b in
+    Some (L_output (na, nb))
+  end
   else
-    let inside () =
-      let lp = index_in text a b '(' in
-      if lp = b || text.[b - 1] <> ')' then
-        fail lineno "malformed declaration %S" (String.sub text a (b - a));
-      trimmed text (lp + 1) (b - 1)
-    in
-    if has_prefix text a b "INPUT" then begin
-      let name = inside () in
-      if is_key_name name then Some (L_key_input name) else Some (L_input name)
+    let eq = index_in text a b '=' in
+    if eq = b then fail lineno "cannot parse line %S" (String.sub text a (b - a));
+    let na = skip_space text a eq in
+    let nb = trim_end text na eq in
+    if na = nb then fail lineno "empty target name";
+    let ra = skip_space text (eq + 1) b in
+    let kind, args = parse_call text lineno ra (trim_end text ra b) in
+    Some (L_gate (na, nb, kind, args))
+
+(* Wire names by their range in the text: open addressing over [slots],
+   three ints per slot (start, end, node id), a start of -1 marking a free
+   slot.  A name is hashed and compared where it lies, never copied. *)
+module Wires = struct
+  type t = { text : string; slots : int array; mask : int }
+
+  let create text count =
+    let size = ref 16 in
+    while !size < 2 * count do size := 2 * !size done;
+    { text; slots = Array.make (3 * !size) (-1); mask = !size - 1 }
+
+  let hash text a b =
+    let h = ref 0x811c9dc5 in
+    for i = a to b - 1 do
+      h := (!h lxor Char.code (String.unsafe_get text i)) * 0x100000001b3
+    done;
+    !h lxor (!h lsr 29)
+
+  let same text a b a' b' =
+    b - a = b' - a'
+    &&
+    let i = ref 0 in
+    while !i < b - a && String.unsafe_get text (a + !i) = String.unsafe_get text (a' + !i) do
+      incr i
+    done;
+    !i = b - a
+
+  (* The slot holding [a, b), or the free slot where it would go. *)
+  let slot t a b =
+    let i = ref (hash t.text a b land t.mask) in
+    while
+      t.slots.(3 * !i) >= 0
+      && not (same t.text a b t.slots.(3 * !i) t.slots.((3 * !i) + 1))
+    do
+      i := (!i + 1) land t.mask
+    done;
+    3 * !i
+
+  (* The id of the wire named [a, b), or -1. *)
+  let find t a b =
+    let s = slot t a b in
+    if t.slots.(s) < 0 then -1 else t.slots.(s + 2)
+
+  (* Names [a, b) as wire [id] and is [true], or is [false] if a wire
+     already has that name.  At most [count] names are added. *)
+  let add t a b id =
+    let s = slot t a b in
+    t.slots.(s) < 0
+    && begin
+      t.slots.(s) <- a;
+      t.slots.(s + 1) <- b;
+      t.slots.(s + 2) <- id;
+      true
     end
-    else if has_prefix text a b "KEYINPUT" then Some (L_key_input (inside ()))
-    else if has_prefix text a b "OUTPUT" then Some (L_output (inside ()))
-    else
-      let eq = index_in text a b '=' in
-      if eq = b then fail lineno "cannot parse line %S" (String.sub text a (b - a));
-      let lhs = trimmed text a eq in
-      if lhs = "" then fail lineno "empty target name";
-      let ra = skip_space text (eq + 1) b in
-      let kind, args = parse_call text lineno ra (trim_end text ra b) in
-      Some (L_gate (lhs, kind, args))
+end
 
 let parse_string ?(name = "bench") text =
   Fl_obs.with_span "netlist.parse" @@ fun () ->
@@ -165,44 +240,55 @@ let parse_string ?(name = "bench") text =
     incr lineno
   done;
   let decls = List.rev !decls in
-  (* One name table, the builder's. *)
   let b = Circuit.Builder.create ~name () in
+  let wires = Wires.create text (List.length decls) in
   (* Pass 1: declare every named node so forward references and cycles
-     resolve.  A redefinition is reported at its own line. *)
-  let declare lineno wire kind =
-    if Circuit.Builder.find_by_name b wire <> None then
-      fail lineno "wire %S defined more than once" wire
-    else ignore (Circuit.Builder.declare ~name:wire b kind)
+     resolve.  A redefinition is reported at its own line.  One probe of
+     [wires] checks and records each name, so the builder skips its own
+     check. *)
+  let declare lineno wa wb kind =
+    if not (Wires.add wires wa wb (Circuit.Builder.size b)) then
+      fail lineno "wire %S defined more than once" (String.sub text wa (wb - wa));
+    ignore (Circuit.Builder.declare_distinct ~name:(String.sub text wa (wb - wa)) b kind)
   in
   List.iter
     (fun (lineno, decl) ->
       match decl with
-      | L_input wire -> declare lineno wire Gate.Input
-      | L_key_input wire -> declare lineno wire Gate.Key_input
+      | L_input (wa, wb) -> declare lineno wa wb Gate.Input
+      | L_key_input (wa, wb) -> declare lineno wa wb Gate.Key_input
       | L_output _ -> ()
-      | L_gate (wire, kind, _) -> declare lineno wire kind)
+      | L_gate (wa, wb, kind, _) -> declare lineno wa wb kind)
     decls;
-  let lookup lineno wire =
-    match Circuit.Builder.find_by_name b wire with
-    | Some id -> id
-    | None -> fail lineno "wire %S is used but never defined" wire
+  let lookup lineno wa wb =
+    let id = Wires.find wires wa wb in
+    if id < 0 then
+      fail lineno "wire %S is used but never defined" (String.sub text wa (wb - wa));
+    id
   in
   (* Pass 2: wire fanins and outputs in file order, so an undefined wire
-     or a wrong fanin count is reported at its line. *)
+     or a wrong fanin count is reported at its line.  Declarations took
+     ids in file order, so [next] is the id of the next gate. *)
+  let next = ref 0 in
   List.iter
     (fun (lineno, decl) ->
       match decl with
-      | L_input _ | L_key_input _ -> ()
-      | L_output wire -> Circuit.Builder.output b wire (lookup lineno wire)
-      | L_gate (wire, kind, args) ->
-        let fanins = Array.map (lookup lineno) args in
+      | L_input _ | L_key_input _ -> incr next
+      | L_output (wa, wb) ->
+        let id = lookup lineno wa wb in
+        Circuit.Builder.output b (String.sub text wa (wb - wa)) id
+      | L_gate (_, _, kind, args) ->
+        let fanins = Array.make (Array.length args / 2) 0 in
+        for i = 0 to Array.length fanins - 1 do
+          fanins.(i) <- lookup lineno args.(2 * i) args.((2 * i) + 1)
+        done;
         if not (Gate.valid_fanin_count kind (Array.length fanins)) then
           fail lineno "gate %s takes %s fanins, not %d" (Gate.to_string kind)
           (match Gate.arity kind with
            | Some k -> string_of_int k
            | None -> "2 or more")
           (Array.length fanins);
-        Circuit.Builder.set_fanins b (lookup lineno wire) fanins)
+        Circuit.Builder.set_fanins b !next fanins;
+        incr next)
     decls;
   Circuit.of_builder b
 

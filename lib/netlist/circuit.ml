@@ -15,6 +15,36 @@ module Names = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
+(* Arrays of 257 or more words whose initial element is a young block are
+   made by promoting that block with a whole minor collection (OCaml 5's
+   [caml_make_vect]); [Array.init], [Array.map] and [Array.of_list] start
+   from their first element.  Arrays of nodes and of fanin arrays are
+   therefore made from these static placeholders and filled. *)
+let placeholder = { kind = Gate.Input; fanins = [||]; name = "" }
+
+(* [k] when [name] is ["n" ^ string_of_int k], the form of generated names
+   (at most 18 digits, so [k] cannot overflow), else [-1]. *)
+let name_number name =
+  let len = String.length name in
+  if len < 2 || len > 19 || String.unsafe_get name 0 <> 'n'
+     || (len > 2 && String.unsafe_get name 1 = '0')
+  then -1
+  else begin
+    let k = ref 0 and i = ref 1 in
+    while
+      !i < len
+      &&
+      match String.unsafe_get name !i with
+      | '0' .. '9' as ch ->
+        k := (!k * 10) + Char.code ch - Char.code '0';
+        true
+      | _ -> false
+    do
+      incr i
+    done;
+    if !i = len then !k else -1
+  end
+
 module Builder = struct
   type t = {
     circuit_name : string;
@@ -22,7 +52,14 @@ module Builder = struct
     mutable kinds : Gate.t array;
     mutable fanin_tab : int array array;
     mutable names : string array;
-    name_index : int Names.t;
+    (* Names ["n<k>"] (see [name_number]), generated or explicit:
+       [by_number.(k)] is the node so named, or -1.  One with [k] at or
+       past the capacity is in [far] until the arrays grow past it. *)
+    mutable by_number : int array;
+    mutable far : (int * int) list;
+    (* Every other name, built from [names] on the first lookup or checked
+       explicit push; [None] until then. *)
+    mutable index : int Names.t option;
     mutable input_ids : int list;  (* reversed *)
     mutable key_ids : int list;  (* reversed *)
     mutable output_ports : (string * int) list;  (* reversed *)
@@ -31,21 +68,25 @@ module Builder = struct
     mutable pending_count : int;
   }
 
-  let create ?(name = "circuit") () =
+  let with_capacity name cap =
     {
       circuit_name = name;
       node_count = 0;
-      kinds = Array.make 16 Gate.Input;
-      fanin_tab = Array.make 16 [||];
-      names = Array.make 16 "";
-      name_index = Names.create 64;
+      kinds = Array.make cap Gate.Input;
+      fanin_tab = Array.make cap [||];
+      names = Array.make cap "";
+      by_number = Array.make cap (-1);
+      far = [];
+      index = None;
       input_ids = [];
       key_ids = [];
       output_ports = [];
       fresh = 0;
-      pending = Bytes.make 16 '\000';
+      pending = Bytes.make cap '\000';
       pending_count = 0;
     }
+
+  let create ?(name = "circuit") () = with_capacity name 16
 
   let size b = b.node_count
 
@@ -53,33 +94,69 @@ module Builder = struct
     let cap = Array.length b.kinds in
     if b.node_count >= cap then begin
       let cap' = cap * 2 in
-      let grow mk a =
-        let a' = mk cap' in
+      let grow fill a =
+        let a' = Array.make cap' fill in
         Array.blit a 0 a' 0 cap;
         a'
       in
-      b.kinds <- grow (fun n -> Array.make n Gate.Input) b.kinds;
-      b.fanin_tab <- grow (fun n -> Array.make n [||]) b.fanin_tab;
-      b.names <- grow (fun n -> Array.make n "") b.names;
+      b.kinds <- grow Gate.Input b.kinds;
+      b.fanin_tab <- grow [||] b.fanin_tab;
+      b.names <- grow "" b.names;
+      b.by_number <- grow (-1) b.by_number;
+      let near, far = List.partition (fun (k, _) -> k < cap') b.far in
+      List.iter (fun (k, id) -> b.by_number.(k) <- id) near;
+      b.far <- far;
       let pending = Bytes.make cap' '\000' in
       Bytes.blit b.pending 0 pending 0 cap;
       b.pending <- pending
     end
 
-  let fresh_name b =
-    let rec go () =
-      let candidate = "n" ^ string_of_int b.fresh in
-      b.fresh <- b.fresh + 1;
-      if Names.mem b.name_index candidate then go () else candidate
-    in
-    go ()
+  (* The name of node [id], below the capacity: the first [n<k>] with [k]
+     at or above [fresh] that no node holds.  Only generated names move
+     [fresh], so every name at or above it is explicit, and [by_number]
+     rejects exactly the candidates a probe of all names would.  Each
+     candidate tried is [id]'s own number or another node's name, so
+     [k <= id]. *)
+  let fresh_name b id =
+    let k = ref b.fresh in
+    while b.by_number.(!k) >= 0 do incr k done;
+    b.by_number.(!k) <- id;
+    b.fresh <- !k + 1;
+    "n" ^ string_of_int !k
+
+  let index b =
+    match b.index with
+    | Some t -> t
+    | None ->
+      let t = Names.create (max 64 (2 * b.node_count)) in
+      for id = 0 to b.node_count - 1 do
+        if name_number b.names.(id) < 0 then Names.add t b.names.(id) id
+      done;
+      b.index <- Some t;
+      t
+
+  let find_by_name b name =
+    let k = name_number name in
+    if k < 0 then Names.find_opt (index b) name
+    else if k < Array.length b.by_number then begin
+      let id = b.by_number.(k) in
+      if id < 0 then None else Some id
+    end
+    else List.assoc_opt k b.far
+
+  (* Record explicit name [name] of node [id]; no node holds it yet. *)
+  let register b name id =
+    let k = name_number name in
+    if k < 0 then Option.iter (fun t -> Names.add t name id) b.index
+    else if k < Array.length b.by_number then b.by_number.(k) <- id
+    else b.far <- (k, id) :: b.far
 
   let unique_name b base =
-    if not (Names.mem b.name_index base) then base
+    if find_by_name b base = None then base
     else begin
       let rec go i =
         let candidate = Printf.sprintf "%s_c%d" base i in
-        if Names.mem b.name_index candidate then go (i + 1) else candidate
+        if find_by_name b candidate <> None then go (i + 1) else candidate
       in
       go 1
     end
@@ -89,27 +166,28 @@ module Builder = struct
       invalid_arg
         (Printf.sprintf "Circuit.Builder: %d fanins invalid for gate %s"
            (Array.length fanins) (Gate.to_string kind));
-    Array.iter
-      (fun id ->
-        if id < 0 || id >= b.node_count then
-          invalid_arg (Printf.sprintf "Circuit.Builder: unknown fanin id %d" id))
-      fanins
+    for i = 0 to Array.length fanins - 1 do
+      let id = fanins.(i) in
+      if id < 0 || id >= b.node_count then
+        invalid_arg (Printf.sprintf "Circuit.Builder: unknown fanin id %d" id)
+    done
 
-  let push ?name b kind fanins =
-    let name =
-      match name with
-      | None -> fresh_name b
-      | Some n ->
-        if Names.mem b.name_index n then
-          invalid_arg (Printf.sprintf "Circuit.Builder: duplicate name %S" n);
-        n
-    in
+  (* [~distinct:true]: the caller has checked that no node holds [name]. *)
+  let push ?(distinct = false) ?name b kind fanins =
     ensure_capacity b;
     let id = b.node_count in
+    let name =
+      match name with
+      | None -> fresh_name b id
+      | Some n ->
+        if (not distinct) && find_by_name b n <> None then
+          invalid_arg (Printf.sprintf "Circuit.Builder: duplicate name %S" n);
+        register b n id;
+        n
+    in
     b.kinds.(id) <- kind;
     b.fanin_tab.(id) <- fanins;
     b.names.(id) <- name;
-    Names.add b.name_index name id;
     b.node_count <- id + 1;
     (match kind with
      | Gate.Input -> b.input_ids <- id :: b.input_ids
@@ -123,13 +201,35 @@ module Builder = struct
     check_fanins b kind fanins;
     push ?name b kind (Array.copy fanins)
 
-  let declare ?name b kind =
-    let id = push ?name b kind [||] in
+  let declare_node ~distinct ?name b kind =
+    let id = push ~distinct ?name b kind [||] in
     if not (Gate.valid_fanin_count kind 0) then begin
       Bytes.set b.pending id '\001';
       b.pending_count <- b.pending_count + 1
     end;
     id
+
+  let declare ?name b kind = declare_node ~distinct:false ?name b kind
+  let declare_distinct ~name b kind = declare_node ~distinct:true ~name b kind
+
+  (* The host's own kinds, fanin arrays and names: a frozen circuit's
+     names are distinct and its fanins never change in place, so nothing
+     is checked, hashed or copied.  The string index is left to build on
+     first use. *)
+  let of_circuit ?name c =
+    let n = Array.length c.nodes in
+    let b = with_capacity (Option.value ~default:c.name name) (max 16 (2 * n)) in
+    Array.iteri
+      (fun id nd ->
+        b.kinds.(id) <- nd.kind;
+        b.fanin_tab.(id) <- nd.fanins;
+        b.names.(id) <- nd.name;
+        register b nd.name id)
+      c.nodes;
+    b.node_count <- n;
+    b.input_ids <- Array.fold_left (fun acc id -> id :: acc) [] c.inputs;
+    b.key_ids <- Array.fold_left (fun acc id -> id :: acc) [] c.keys;
+    b
 
   let input ?name b = add ?name b Gate.Input [||]
   let key_input ?name b = add ?name b Gate.Key_input [||]
@@ -188,8 +288,6 @@ module Builder = struct
       invalid_arg "Circuit.Builder.peek_fanins: unknown id";
     b.fanin_tab.(id)
 
-  let find_by_name b name = Names.find_opt b.name_index name
-
   let freeze b =
     if b.output_ports = [] then
       invalid_arg "Circuit.Builder.freeze: circuit has no outputs";
@@ -199,16 +297,20 @@ module Builder = struct
         (Printf.sprintf "Circuit.Builder.freeze: node %S declared but never wired"
            b.names.(id))
     end;
-    let nodes =
-      Array.init b.node_count (fun id ->
-          { kind = b.kinds.(id); fanins = b.fanin_tab.(id); name = b.names.(id) })
-    in
+    let nodes = Array.make b.node_count placeholder in
+    for id = 0 to b.node_count - 1 do
+      nodes.(id) <- { kind = b.kinds.(id); fanins = b.fanin_tab.(id); name = b.names.(id) }
+    done;
+    let outputs = Array.make (List.length b.output_ports) ("", 0) in
+    List.iteri
+      (fun i port -> outputs.(Array.length outputs - 1 - i) <- port)
+      b.output_ports;
     {
       name = b.circuit_name;
       nodes;
       inputs = Array.of_list (List.rev b.input_ids);
       keys = Array.of_list (List.rev b.key_ids);
-      outputs = Array.of_list (List.rev b.output_ports);
+      outputs;
     }
 end
 
@@ -265,7 +367,8 @@ let fanouts c =
   Array.iter
     (fun nd -> Array.iter (fun f -> counts.(f) <- counts.(f) + 1) nd.fanins)
     c.nodes;
-  let result = Array.init n (fun i -> Array.make counts.(i) 0) in
+  let result = Array.make n [||] in
+  Array.iteri (fun i k -> result.(i) <- Array.make k 0) counts;
   let fill = Array.make n 0 in
   Array.iteri
     (fun id nd ->
@@ -339,10 +442,6 @@ let transitive_fanin c id =
   in
   visit id;
   seen
-
-let reaches c ~src ~dst =
-  (* src reaches dst iff src is in the transitive fanin of dst. *)
-  (transitive_fanin c dst).(src)
 
 (* Iterative Tarjan over the signal-flow graph (edges fanin -> node). *)
 let strongly_connected_components c =

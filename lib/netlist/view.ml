@@ -15,8 +15,6 @@ let c_levels_hit = Fl_obs.Counter.make "view.memo.levels.hit"
 let c_levels_miss = Fl_obs.Counter.make "view.memo.levels.miss"
 let c_scc_hit = Fl_obs.Counter.make "view.memo.scc.hit"
 let c_scc_miss = Fl_obs.Counter.make "view.memo.scc.miss"
-let c_coi_hit = Fl_obs.Counter.make "view.memo.coi.hit"
-let c_coi_miss = Fl_obs.Counter.make "view.memo.coi.miss"
 
 type word = { defined : int; value : int }
 
@@ -56,7 +54,6 @@ type t = {
   mutable fanouts_memo : int array array option;
   mutable levels_memo : int array option option;
   mutable scc_memo : int array option;
-  coi_memo : (int, bool array) Hashtbl.t;  (* node id -> transitive fanin *)
 }
 
 let topo_order v = v.topo
@@ -103,6 +100,9 @@ let build c =
          luts := Array.copy tt :: !luts;
          Olut)
   done;
+  (* Filled from [[||]], not [Array.of_list]: see [Circuit.placeholder]. *)
+  let lut_tables = Array.make !num_luts [||] in
+  List.iteri (fun i tt -> lut_tables.(!num_luts - 1 - i) <- tt) !luts;
   {
     circuit = c;
     topo;
@@ -111,13 +111,12 @@ let build c =
     aux;
     fanin_off;
     fanin_flat;
-    luts = Array.of_list (List.rev !luts);
+    luts = lut_tables;
     defined = Array.make n 0;
     value = Array.make n 0;
     fanouts_memo = None;
     levels_memo = None;
     scc_memo = None;
-    coi_memo = Hashtbl.create 8;
   }
 
 (* Views are memoized per circuit physical identity (circuits are
@@ -202,20 +201,6 @@ let levels v =
     r
 
 let depth v = Option.map (Array.fold_left max 0) (levels v)
-
-(* Cached per node id, for as long as the circuit lives: each mask is one
-   word per node.  The memoized array is shared: callers must not mutate
-   it. *)
-let cone_of_influence v id =
-  match Hashtbl.find_opt v.coi_memo id with
-  | Some cone ->
-    Fl_obs.Counter.incr c_coi_hit;
-    cone
-  | None ->
-    Fl_obs.Counter.incr c_coi_miss;
-    let cone = Circuit.transitive_fanin v.circuit id in
-    Hashtbl.add v.coi_memo id cone;
-    cone
 
 (* ------------------------------------------------------------------ *)
 (* Compiled evaluation                                                 *)

@@ -42,7 +42,12 @@ val lanes : int
     first use. *)
 val of_circuit : Circuit.t -> t
 
-(** {1 Cached structural analyses} *)
+(** {1 Cached structural analyses}
+
+    Hit/miss rates of the memoized analyses are reported on the
+    [view.memo.fanouts.*], [view.memo.levels.*] and [view.memo.scc.*]
+    {!Fl_obs} counters, and the evaluator's work on [view.builds],
+    [view.cache.hit], [view.evals] and [view.fixpoint_sweeps]. *)
 
 (** Cached {!Circuit.topological_order}.  Do not mutate the returned
     array — it is shared by every consumer of the view. *)
@@ -63,18 +68,6 @@ val fanouts : t -> int array array
 (** Cached {!Circuit.strongly_connected_components}.  Shared — do not
     mutate. *)
 val scc : t -> int array
-
-(** [cone_of_influence v id] is the transitive fanin mask of [id] (see
-    {!Circuit.transitive_fanin}), cached per node id on first request.
-    Shared array — do not mutate.  No library code calls it: every cached
-    mask is one word per node and lives as long as the circuit, so asking
-    for the cones of many nodes of a large circuit holds memory quadratic
-    in its size (wire selection marks reach sets instead).  Hit/miss rates are reported on the
-    [view.memo.coi.*] {!Fl_obs} counters, as are the other memoized
-    analyses ([view.memo.fanouts.*], [view.memo.levels.*],
-    [view.memo.scc.*]) and the evaluator ([view.builds],
-    [view.cache.hit], [view.evals], [view.fixpoint_sweeps]). *)
-val cone_of_influence : t -> int -> bool array
 
 (** {1 Compiled evaluation}
 

@@ -6,6 +6,8 @@ module View = Fl_netlist.View
 module Bench_io = Fl_netlist.Bench_io
 module Generator = Fl_netlist.Generator
 module Bench_suite = Fl_netlist.Bench_suite
+module Insertion_util = Fl_locking.Insertion_util
+module Fulllock = Fl_core.Fulllock
 
 let check = Alcotest.check
 let bool_t = Alcotest.bool
@@ -164,13 +166,6 @@ let test_fanouts () =
   let g1 = Option.get (Circuit.find_by_name c "g1") in
   let g2 = Option.get (Circuit.find_by_name c "g2") in
   check (Alcotest.array int_t) "g1 -> g2" [| g2 |] fo.(g1)
-
-let test_reaches () =
-  let c = simple_circuit () in
-  let a = Option.get (Circuit.find_by_name c "a") in
-  let g2 = Option.get (Circuit.find_by_name c "g2") in
-  check bool_t "a reaches g2" true (Circuit.reaches c ~src:a ~dst:g2);
-  check bool_t "g2 does not reach a" false (Circuit.reaches c ~src:g2 ~dst:a)
 
 let test_copy_into () =
   let c = simple_circuit () in
@@ -446,6 +441,37 @@ let test_sccs () =
   check bool_t "cycle shares scc" true (scc.(m1) = scc.(m2))
 
 (* ------------------------------------------------------------------ *)
+(* Set-up allocation                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Making an array of 257 or more words from a young first element runs a
+   whole minor collection (DESIGN.md §4j).  With a minor heap too large
+   to fill, parsing a host, the wire-selection analyses, every lock
+   insertion and the attacker's view of the locked netlist run none. *)
+let test_setup_forces_no_minor_collection () =
+  let text = Bench_io.to_string (Bench_suite.load "c1908") in
+  let saved = Gc.get () in
+  Gc.set { saved with Gc.minor_heap_size = 8 lsl 20 };
+  Fun.protect ~finally:(fun () -> Gc.set saved) @@ fun () ->
+  let minors () = (Gc.quick_stat ()).Gc.minor_collections in
+  let before = minors () in
+  let rng = Random.State.make [| 1 |] in
+  let c = Bench_io.parse_string ~name:"c1908" text in
+  ignore (Circuit.fanouts c);
+  ignore (Insertion_util.select_wires c rng ~count:16 ~policy:`Independent);
+  let locks =
+    List.map
+      (fun policy ->
+        Fulllock.lock rng ~policy ~configs:[ Fulllock.default_config ~n:16 ] c)
+      [ `Acyclic; `Cyclic ]
+    @ [ Fl_locking.Sarlock.lock rng ~key_bits:16 c; Fl_locking.Antisat.lock rng ~key_bits:16 c ]
+  in
+  List.iter
+    (fun l -> ignore (View.scc (View.of_circuit l.Fl_locking.Locked.locked)))
+    locks;
+  check int_t "minor collections" before (minors ())
+
+(* ------------------------------------------------------------------ *)
 (* Property-based tests                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -633,6 +659,113 @@ let prop_parser_matches_reference =
          outcome (Bench_io.parse_string ~name:"t") text
          = outcome (Test_support.Reference_bench.parse_string ~name:"t") text))
 
+type name_op = Fresh | Named of string | Unique of string | Find of string
+
+let name_pool =
+  List.init 41 (fun k -> "n" ^ string_of_int k) @ [ "n07"; "n00"; "n"; "n-1"; "g3"; "g3_c1" ]
+
+let gen_name_ops =
+  QCheck2.Gen.(
+    list_size (int_bound 80)
+      (frequency
+         [
+           4, pure Fresh;
+           3, map (fun s -> Named s) (oneofl name_pool);
+           1, map (fun s -> Unique s) (oneofl name_pool);
+           2, map (fun s -> Find s) (oneofl name_pool);
+         ]))
+
+let print_name_ops (adopt_after, ops) =
+  Printf.sprintf "adopt after %d: %s" adopt_after
+    (String.concat "; "
+       (List.map
+          (function
+            | Fresh -> "fresh"
+            | Named s -> "named " ^ s
+            | Unique s -> "unique " ^ s
+            | Find s -> "find " ^ s)
+          ops))
+
+let prop_names_match_reference =
+  (* Builder naming against one string table (Test_support.Reference_names):
+     the same ids, generated names, duplicate errors, unique names and
+     lookups, also in a builder that adopted a frozen circuit. *)
+  let module R = Test_support.Reference_names in
+  let outcome f = match f () with r -> Ok r | exception Invalid_argument m -> Error m in
+  let step_real b = function
+    | Fresh -> outcome (fun () -> `Id (Circuit.Builder.input b))
+    | Named s -> outcome (fun () -> `Id (Circuit.Builder.input ~name:s b))
+    | Unique s -> Ok (`Name (Circuit.Builder.unique_name b s))
+    | Find s -> Ok (`Found (Circuit.Builder.find_by_name b s))
+  in
+  let step_ref r = function
+    | Fresh -> outcome (fun () -> `Id (R.push r))
+    | Named s -> outcome (fun () -> `Id (R.push ~name:s r))
+    | Unique s -> Ok (`Name (R.unique_name r s))
+    | Find s -> Ok (`Found (R.find_by_name r s))
+  in
+  let freeze b =
+    Circuit.Builder.output b "y" 0;
+    Circuit.of_builder b
+  in
+  let names c = Array.map (fun (nd : Circuit.node) -> nd.Circuit.name) c.Circuit.nodes in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:1000 ~name:"builder names = string-table reference"
+       ~print:print_name_ops
+       QCheck2.Gen.(pair (int_bound 40) gen_name_ops)
+       (fun (adopt_after, ops) ->
+         let b = ref (Circuit.Builder.create ()) and r = ref (R.create ()) in
+         List.for_all Fun.id
+           (List.mapi
+              (fun i op ->
+                (* Freeze and adopt once, after [adopt_after] ops, if the
+                   builder has a node by then. *)
+                if i = adopt_after && Circuit.Builder.size !b > 0 then begin
+                  let c = freeze !b in
+                  b := Circuit.Builder.of_circuit c;
+                  r := R.adopt (names c)
+                end;
+                step_real !b op = step_ref !r op)
+              ops)
+         && (Circuit.Builder.size !b = 0 || names (freeze !b) = R.names !r)))
+
+let prop_of_circuit_matches_copy =
+  (* Adopting a circuit holds what copying it into an empty builder holds,
+     before and after further generated and explicit names. *)
+  let hosts =
+    lazy
+      (let c = Bench_suite.load_scaled "c432" ~scale:4 in
+       [
+         Bench_suite.c17 ();
+         c;
+         (Fulllock.lock (Random.State.make [| 3 |]) ~policy:`Cyclic
+            ~configs:[ Fulllock.default_config ~n:4 ] c)
+           .Fl_locking.Locked.locked;
+       ])
+  in
+  (* [None] pushes a generated name, [Some s] the explicit name [s]. *)
+  let apply b pushes =
+    List.map
+      (fun name ->
+        match Circuit.Builder.add ?name b Gate.Not [| Circuit.Builder.size b - 1 |] with
+        | id -> Ok id
+        | exception Invalid_argument m -> Error m)
+      pushes
+  in
+  qcheck_case ~count:200 "of_circuit = copy_nodes_into"
+    QCheck2.Gen.(pair (int_bound 2) (list_size (int_bound 80) (opt (oneofl name_pool))))
+    (fun (host, pushes) ->
+      let c = List.nth (Lazy.force hosts) host in
+      let adopted = Circuit.Builder.of_circuit c in
+      let copied = Circuit.Builder.create ~name:c.Circuit.name () in
+      ignore (Circuit.copy_nodes_into copied c);
+      let finish b =
+        Array.iter (fun (port, id) -> Circuit.Builder.output b port id) c.Circuit.outputs;
+        Circuit.of_builder b
+      in
+      let ra = apply adopted pushes and rc = apply copied pushes in
+      ra = rc && finish adopted = finish copied)
+
 let () =
   Alcotest.run "netlist"
     [
@@ -654,8 +787,9 @@ let () =
           Alcotest.test_case "declare cycles" `Quick test_declare_enables_cycles;
           Alcotest.test_case "unwired declare" `Quick test_freeze_rejects_unwired_declare;
           Alcotest.test_case "fanouts" `Quick test_fanouts;
-          Alcotest.test_case "reaches" `Quick test_reaches;
           Alcotest.test_case "copy_into" `Quick test_copy_into;
+          Alcotest.test_case "set-up forces no minor collection" `Quick
+            test_setup_forces_no_minor_collection;
         ] );
       ( "sim",
         [
@@ -695,5 +829,6 @@ let () =
       ( "properties",
         [ prop_lut_matches_gate; prop_generator_valid; prop_sim_tristate_agrees;
           prop_bench_roundtrip; prop_parser_total; prop_lut_bench_roundtrip;
-          prop_parser_matches_reference ] );
+          prop_parser_matches_reference; prop_names_match_reference;
+          prop_of_circuit_matches_copy ] );
     ]

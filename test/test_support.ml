@@ -102,7 +102,7 @@ let reference_select_wires c rng ~count ~policy =
     let connected id =
       List.exists
         (fun other ->
-          Circuit.reaches c ~src:id ~dst:other || Circuit.reaches c ~src:other ~dst:id)
+          (Circuit.transitive_fanin c other).(id) || (Circuit.transitive_fanin c id).(other))
         !chosen
     in
     let rest = Array.sub candidates 1 (Array.length candidates - 1) in
@@ -115,6 +115,61 @@ let reference_select_wires c rng ~count ~policy =
           chosen := id :: !chosen)
       rest;
     Array.of_list (List.rev !chosen)
+
+(* The builder's naming as it was with one string table for every name:
+   a generated name is the first ["n<k>"], [k] counting up from the last
+   one issued, that the table lacks; an explicit name already in the
+   table is an [Invalid_argument].  [adopt names] is a builder that
+   copied nodes so named into an empty one (no name issued yet). *)
+module Reference_names = struct
+  type t = {
+    table : (string, int) Hashtbl.t;
+    mutable names : string list;  (* reversed *)
+    mutable fresh : int;
+  }
+
+  let create () = { table = Hashtbl.create 16; names = []; fresh = 0 }
+
+  let size t = Hashtbl.length t.table
+
+  let push ?name t =
+    let name =
+      match name with
+      | Some n ->
+        if Hashtbl.mem t.table n then
+          invalid_arg (Printf.sprintf "Circuit.Builder: duplicate name %S" n);
+        n
+      | None ->
+        let rec go () =
+          let candidate = "n" ^ string_of_int t.fresh in
+          t.fresh <- t.fresh + 1;
+          if Hashtbl.mem t.table candidate then go () else candidate
+        in
+        go ()
+    in
+    let id = size t in
+    Hashtbl.add t.table name id;
+    t.names <- name :: t.names;
+    id
+
+  let adopt names =
+    let t = create () in
+    Array.iter (fun name -> ignore (push ~name t)) names;
+    t
+
+  let names t = Array.of_list (List.rev t.names)
+  let find_by_name t name = Hashtbl.find_opt t.table name
+
+  let unique_name t base =
+    if not (Hashtbl.mem t.table base) then base
+    else begin
+      let rec go i =
+        let candidate = Printf.sprintf "%s_c%d" base i in
+        if Hashtbl.mem t.table candidate then go (i + 1) else candidate
+      in
+      go 1
+    end
+end
 
 (* The .bench parser as it was before the index scanner: whole-line
    [split_on_char] and [String.sub] copies, its own name table.  One

@@ -250,7 +250,7 @@ let test_topological_order_is_memoized () =
   | _ -> Alcotest.fail "c17 must be acyclic"
 
 (* The memo hit counters were dead until the attack layers were routed
-   through View (cycsat's SCC check, insertion_util's cones): a fresh view
+   through View (cycsat's SCC check): a fresh view
    plus two analysis calls must count exactly one miss and one hit. *)
 let test_memo_counters_count () =
   let hit name = Fl_obs.Counter.value (Fl_obs.Counter.make ("view.memo." ^ name ^ ".hit")) in
@@ -266,9 +266,7 @@ let test_memo_counters_count () =
     check Alcotest.int (name ^ " hits") (h0 + 1) (hit name)
   in
   exercise "scc" (fun () -> View.scc v);
-  exercise "fanouts" (fun () -> View.fanouts v);
-  let _, out = c.Circuit.outputs.(0) in
-  exercise "coi" (fun () -> View.cone_of_influence v out)
+  exercise "fanouts" (fun () -> View.fanouts v)
 
 let test_cached_analyses_agree () =
   let c = Bench_suite.load_scaled "c432" ~scale:4 in
@@ -277,10 +275,7 @@ let test_cached_analyses_agree () =
   check bool_t "depth agrees" true (View.depth v = Circuit.depth c);
   check bool_t "fanouts agree" true (View.fanouts v = Circuit.fanouts c);
   check bool_t "scc agrees" true
-    (View.scc v = Circuit.strongly_connected_components c);
-  check bool_t "coi agrees" true
-    (let _, id = c.Circuit.outputs.(0) in
-     View.cone_of_influence v id = Circuit.transitive_fanin c id)
+    (View.scc v = Circuit.strongly_connected_components c)
 
 (* ------------------------------------------------------------------ *)
 (* Shared probe helper                                                 *)
