@@ -15,6 +15,8 @@ let c_levels_hit = Fl_obs.Counter.make "view.memo.levels.hit"
 let c_levels_miss = Fl_obs.Counter.make "view.memo.levels.miss"
 let c_scc_hit = Fl_obs.Counter.make "view.memo.scc.hit"
 let c_scc_miss = Fl_obs.Counter.make "view.memo.scc.miss"
+let c_key_cone_hit = Fl_obs.Counter.make "view.memo.key_cone.hit"
+let c_key_cone_miss = Fl_obs.Counter.make "view.memo.key_cone.miss"
 
 type word = { defined : int; value : int }
 
@@ -54,6 +56,7 @@ type t = {
   mutable fanouts_memo : int array array option;
   mutable levels_memo : int array option option;
   mutable scc_memo : int array option;
+  mutable key_cone_memo : int array option;
 }
 
 let topo_order v = v.topo
@@ -117,6 +120,7 @@ let build c =
     fanouts_memo = None;
     levels_memo = None;
     scc_memo = None;
+    key_cone_memo = None;
   }
 
 (* Views are memoized per circuit physical identity (circuits are
@@ -201,6 +205,41 @@ let levels v =
     r
 
 let depth v = Option.map (Array.fold_left max 0) (levels v)
+
+let key_cone v =
+  match v.key_cone_memo with
+  | Some k ->
+    Fl_obs.Counter.incr c_key_cone_hit;
+    k
+  | None ->
+    Fl_obs.Counter.incr c_key_cone_miss;
+    let fo = fanouts v in
+    let n = Array.length v.op in
+    let reached = Bytes.make n '\000' and stack = Array.make n 0 in
+    let top = ref 0 and size = ref 0 in
+    let push id =
+      if Bytes.get reached id = '\000' then begin
+        Bytes.set reached id '\001';
+        stack.(!top) <- id;
+        incr top;
+        incr size
+      end
+    in
+    Array.iter (fun key -> Array.iter push fo.(key)) v.circuit.Circuit.keys;
+    while !top > 0 do
+      decr top;
+      Array.iter push fo.(stack.(!top))
+    done;
+    let k = Array.make !size 0 and i = ref 0 in
+    Array.iter
+      (fun id ->
+        if Bytes.get reached id <> '\000' then begin
+          k.(!i) <- id;
+          incr i
+        end)
+      v.order;
+    v.key_cone_memo <- Some k;
+    k
 
 (* ------------------------------------------------------------------ *)
 (* Compiled evaluation                                                 *)
@@ -303,7 +342,7 @@ let step v id =
   let keep = d.(id) in
   let fresh = !nd land lnot keep in
   if fresh <> 0 then begin
-    vl.(id) <- (vl.(id) land keep) lor (!nv land lnot keep);
+    vl.(id) <- (vl.(id) land keep) lor (!nv land fresh);
     d.(id) <- keep lor !nd
   end;
   fresh
@@ -323,39 +362,41 @@ let reset v =
   Array.fill v.defined 0 n 0;
   Array.fill v.value 0 n 0
 
-let run v =
+(* Step the nodes of [order], a sub-sequence of [v.order]: once each on
+   an acyclic view, in sweeps to the fixpoint on a cyclic one. *)
+let run_order v order =
   Fl_obs.Counter.incr c_evals;
-  match v.topo with
-  | Some order -> Array.iter (fun id -> ignore (step v id)) order
-  | None ->
+  if is_acyclic v then Array.iter (fun id -> ignore (step v id)) order
+  else begin
     (* Monotone fixpoint: definedness only grows, settled lanes are stable,
        so at most n sweeps are needed; in practice a handful. *)
-    let n = Array.length v.order in
+    let n = Array.length order in
     let changed = ref true in
     let sweeps = ref 0 in
     while !changed && !sweeps <= n do
       changed := false;
       incr sweeps;
       for i = 0 to n - 1 do
-        if step v v.order.(i) <> 0 then changed := true
+        if step v order.(i) <> 0 then changed := true
       done
     done;
     Fl_obs.Counter.add c_fixpoint_sweeps !sweeps
+  end
+
+let run v = run_order v v.order
+
+let load_words v ids words =
+  Array.iteri
+    (fun i id ->
+      v.defined.(id) <- all_ones;
+      v.value.(id) <- words.(i))
+    ids
 
 let run_packed v ~inputs ~keys =
   check_widths v.circuit ~inputs:(Array.length inputs) ~keys:(Array.length keys);
   reset v;
-  let c = v.circuit in
-  Array.iteri
-    (fun i id ->
-      v.defined.(id) <- all_ones;
-      v.value.(id) <- inputs.(i))
-    c.Circuit.inputs;
-  Array.iteri
-    (fun i id ->
-      v.defined.(id) <- all_ones;
-      v.value.(id) <- keys.(i))
-    c.Circuit.keys;
+  load_words v v.circuit.Circuit.inputs inputs;
+  load_words v v.circuit.Circuit.keys keys;
   run v
 
 let load_bools v ids bits =
@@ -399,11 +440,41 @@ let eval v ~inputs ~keys =
       else v.value.(id) land 1 = 1)
     v.circuit.Circuit.outputs
 
-let eval_words v ~inputs ~keys =
-  run_packed v ~inputs ~keys;
+let output_words v =
   Array.map
     (fun (_, id) -> { defined = v.defined.(id); value = v.value.(id) })
     v.circuit.Circuit.outputs
+
+let eval_words v ~inputs ~keys =
+  run_packed v ~inputs ~keys;
+  output_words v
+
+(* A node outside the key cone reads no key, so its value under the first
+   key set is its value under every other.  Each further key set clears
+   the cone, loads its keys and runs the cone alone: on a cyclic view the
+   cone's least fixpoint over the fixed rest, which is the whole circuit's
+   least fixpoint, and [step] writes only the lanes it defines, so every
+   word comes out as a whole evaluation leaves it. *)
+let eval_words_per_key v ~inputs ~keys =
+  match keys with
+  | [] -> []
+  | first :: rest ->
+    let words = eval_words v ~inputs ~keys:first in
+    let cone = key_cone v in
+    words
+    :: List.map
+         (fun k ->
+           check_widths v.circuit ~inputs:(Array.length inputs)
+             ~keys:(Array.length k);
+           Array.iter
+             (fun id ->
+               v.defined.(id) <- 0;
+               v.value.(id) <- 0)
+             cone;
+           load_words v v.circuit.Circuit.keys k;
+           run_order v cone;
+           output_words v)
+         rest
 
 let eval_packed v ~inputs ~keys =
   run_packed v ~inputs ~keys;
