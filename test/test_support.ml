@@ -626,4 +626,76 @@ module Reference_tseytin = struct
     in
     ignore (assert_any_differs f pairs);
     f, enc_a, enc_b
+
+  (* The nodes whose transitive fanin holds no key input and no node on
+     a cycle. *)
+  let key_free c =
+    let n = Circuit.num_nodes c in
+    let tfi = Array.init n (Circuit.transitive_fanin c) in
+    let on_cycle id =
+      Array.exists (fun f -> tfi.(f).(id)) (Circuit.node c id).Circuit.fanins
+    in
+    let bad =
+      Array.init n (fun id ->
+          (Circuit.node c id).Circuit.kind = Gate.Key_input || on_cycle id)
+    in
+    Array.init n (fun id ->
+        let free = ref true in
+        Array.iteri (fun j reaches -> if reaches && bad.(j) then free := false) tfi.(id);
+        !free)
+
+  (* [miter] with copy B's key-free node variables mapped onto copy A's:
+     B's clauses the mapping turns into clauses over A's variables alone
+     are dropped, B's other variables keep their order after A's, and
+     an output pair that became one variable leaves the difference (with
+     none left, a fresh variable forced both ways). *)
+  let shared_miter c =
+    let f = Fl_cnf.Formula.create () in
+    let a = encode f c in
+    let na = Fl_cnf.Formula.num_vars f and ca = Fl_cnf.Formula.num_clauses f in
+    let b = encode ~share_inputs:a.input_vars f c in
+    let nb = Fl_cnf.Formula.num_vars f in
+    let sigma = Array.init (nb + 1) Fun.id in
+    Array.iteri
+      (fun id free -> if free then sigma.(b.node_var.(id)) <- a.node_var.(id))
+      (key_free c);
+    let next = ref na in
+    for v = na + 1 to nb do
+      if sigma.(v) > na then begin
+        incr next;
+        sigma.(v) <- !next
+      end
+    done;
+    let map l = if l > 0 then sigma.(l) else -sigma.(-l) in
+    let g = Fl_cnf.Formula.create () in
+    Fl_cnf.Formula.reserve g !next;
+    Array.iteri
+      (fun i clause ->
+        if i < ca then Fl_cnf.Formula.add_clause_a g clause
+        else
+          let image = Array.map map clause in
+          if Array.exists (fun l -> abs l > na) image then
+            Fl_cnf.Formula.add_clause_a g image)
+      (Fl_cnf.Formula.clauses f);
+    let b =
+      {
+        node_var = Array.map map b.node_var;
+        input_vars = b.input_vars;
+        key_vars = Array.map map b.key_vars;
+        output_vars = Array.map map b.output_vars;
+      }
+    in
+    let pairs =
+      List.filter
+        (fun (x, y) -> x <> y)
+        (Array.to_list
+           (Array.map2 (fun x y -> x, y) a.output_vars b.output_vars))
+    in
+    if pairs = [] then begin
+      let v = Fl_cnf.Formula.fresh_var g in
+      assert_lit g v;
+      assert_lit g (-v)
+    end
+    else ignore (assert_any_differs g pairs);
+    g, a, b
 end
