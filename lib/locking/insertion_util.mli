@@ -82,14 +82,19 @@ module Pass : sig
   val builder : t -> Fl_netlist.Circuit.Builder.t
   val bag : t -> Key_bag.t
 
-  (** [redirect_wires p ~limit pairs] applies every [(from_id, to_id)] of
-      [pairs] at once: readers of [from_id] below [limit], and pending
-      output drivers, switch to [to_id].  The result is that of
-      {!redirect_wire} [~limit] applied to the pairs in order; a [from_id]
-      listed twice keeps its first target.  Returns the ids of the nodes
-      it rewired, ascending.
+  (** [redirect_wires ?readers p ~limit pairs] applies every
+      [(from_id, to_id)] of [pairs] at once: readers of [from_id] below
+      [limit], and pending output drivers, switch to [to_id].  The result
+      is that of {!redirect_wire} [~limit] applied to the pairs in order; a
+      [from_id] listed twice keeps its first target.  Returns the ids of
+      the nodes it rewired, ascending.  Without [readers] it scans every
+      node below [limit]; given [readers], which must hold every node below
+      [limit] that reads some [from_id] (in any order, repeats and other
+      nodes allowed), it visits those alone and allocates nothing
+      builder-sized, which pays when [pairs] is short.
       @raise Invalid_argument if a [to_id] is below [limit]. *)
-  val redirect_wires : t -> limit:int -> (int * int) array -> int list
+  val redirect_wires :
+    ?readers:int list -> t -> limit:int -> (int * int) array -> int list
 
   (** [redirect_wire p ~from_id ~to_id] rewires consumers of [from_id] and
       pending output drivers to [to_id].  Only nodes with id < [limit] are
