@@ -4,12 +4,8 @@
    For every (circuit, PLR configuration) cell this measures (a) the
    clause counts of the miter the CycSAT session starts from, without and
    with its one-shot preprocessing ([Session.base_miter]: one circuit copy
-   simplified and renamed into the second), plus the structural yield of
-   the Inprocess engine on the raw miter (notably recovered XOR rows —
-   Full-Lock miters are XOR-saturated, so every cell should recover
-   some), and (b) the CycSAT
-   attack run three times under the same conflict budget — preprocessed +
-   between-iterations inprocessing, preprocessed only, and reference —
+   simplified and renamed into the second), and (b) the CycSAT attack run
+   twice under the same conflict budget — preprocessed and reference —
    recording statuses and wall times.
 
    Preprocessing is an equisatisfiability-preserving rewrite, so the two
@@ -26,7 +22,6 @@
 module Bench_suite = Fl_netlist.Bench_suite
 module Formula = Fl_cnf.Formula
 module Miter = Fl_cnf.Miter
-module Inprocess = Fl_sat.Inprocess
 module Fulllock = Fl_core.Fulllock
 module Cycsat = Fl_attacks.Cycsat
 module Session = Fl_attacks.Session
@@ -38,11 +33,8 @@ type cell = {
   clauses_before : int;
   clauses_after : int;
   reduction_pct : float;
-  xor_rows : int;  (* XOR constraints Inprocess recovers from the miter *)
-  status_inp : string;
   status_pre : string;
   status_ref : string;
-  time_inp : float;
   time_pre : float;
   time_ref : float;
 }
@@ -71,19 +63,6 @@ let cell ~timeout ~max_conflicts ~name ~plr_n ~plr_count ~seed circuit =
     in
     let clauses_before = Formula.num_clauses (base false).Miter.formula in
     let clauses_after = Formula.num_clauses (base true).Miter.formula in
-    (* Structural inprocessing yield on the raw miter (XOR patterns still
-       intact): how many XOR rows the recovery pass finds per cell. *)
-    let xor_rows =
-      let miter = Miter.build circuit in
-      (Inprocess.stats
-         (Inprocess.run ~label:name ~frozen:(Miter.interface_vars miter)
-            miter.Miter.formula))
-        .Inprocess.xor_rows
-    in
-    let r_inp =
-      Cycsat.run ~timeout ~max_conflicts ~preprocess:true ~inprocess:true
-        ~inprocess_every:4 locked
-    in
     let r_pre = Cycsat.run ~timeout ~max_conflicts ~preprocess:true locked in
     let r_ref = Cycsat.run ~timeout ~max_conflicts ~preprocess:false locked in
     Some
@@ -96,11 +75,8 @@ let cell ~timeout ~max_conflicts ~name ~plr_n ~plr_count ~seed circuit =
            else
              100.0
              *. (1.0 -. (float_of_int clauses_after /. float_of_int clauses_before)));
-        xor_rows;
-        status_inp = status r_inp;
         status_pre = status r_pre;
         status_ref = status r_ref;
-        time_inp = r_inp.Sat_attack.wall_time;
         time_pre = r_pre.Sat_attack.wall_time;
         time_ref = r_ref.Sat_attack.wall_time;
       }
@@ -137,16 +113,11 @@ let run ~deep ~pool () =
           c.label;
           Printf.sprintf "%d->%d" c.clauses_before c.clauses_after;
           Printf.sprintf "%.1f%%" c.reduction_pct;
-          string_of_int c.xor_rows;
-          c.status_inp;
           c.status_pre;
           c.status_ref;
-          Tables.seconds c.time_inp;
           Tables.seconds c.time_pre;
           Tables.seconds c.time_ref;
           (if c.time_ref > 0.0 then Printf.sprintf "%.2f" (c.time_pre /. c.time_ref)
-           else "-");
-          (if c.time_ref > 0.0 then Printf.sprintf "%.2f" (c.time_inp /. c.time_ref)
            else "-");
         ])
       cells
@@ -155,11 +126,9 @@ let run ~deep ~pool () =
     ~title:
       (Printf.sprintf
          "CNF simplification on the Table 4 grid (1/%d scale, budget %dk conflicts): \
-          miter clause reduction, recovered XOR rows, and CycSAT time — \
-          inprocessed vs preprocessed vs reference"
+          miter clause reduction and CycSAT time — preprocessed vs reference"
          scale (max_conflicts / 1000))
-    [ "cell"; "clauses"; "red"; "xor"; "inp"; "pre"; "ref"; "t_inp"; "t_pre";
-      "t_ref"; "r_pre"; "r_inp" ]
+    [ "cell"; "clauses"; "red"; "pre"; "ref"; "t_pre"; "t_ref"; "r_pre" ]
     rows;
   (* A budget flip is one path breaking (with a verified key — that is what
      "broken" means) while the other exhausts its conflict budget:
@@ -168,51 +137,30 @@ let run ~deep ~pool () =
   let budget_flip a b =
     match a, b with "broken", "TO" | "TO", "broken" -> true | _ -> false
   in
-  (* Status list per cell, compared pairwise. *)
-  let arms c = [ c.status_pre; c.status_ref; c.status_inp ] in
-  let rec pairs = function
-    | [] -> []
-    | x :: rest -> List.map (fun y -> x, y) rest @ pairs rest
-  in
-  let strict_match =
-    List.for_all (fun c -> List.for_all (fun (a, b) -> a = b) (pairs (arms c))) cells
-  in
+  let strict_match = List.for_all (fun c -> c.status_pre = c.status_ref) cells in
   let statuses_match =
     List.for_all
-      (fun c ->
-        List.for_all (fun (a, b) -> a = b || budget_flip a b) (pairs (arms c)))
+      (fun c -> c.status_pre = c.status_ref || budget_flip c.status_pre c.status_ref)
       cells
   in
   let budget_flips =
-    List.length
-      (List.filter
-         (fun c -> List.exists (fun (a, b) -> a <> b) (pairs (arms c)))
-         cells)
+    List.length (List.filter (fun c -> c.status_pre <> c.status_ref) cells)
   in
   let max_reduction =
     List.fold_left (fun acc c -> max acc c.reduction_pct) 0.0 cells
   in
-  let ratio_stats sel =
-    let ratios =
-      List.filter_map
-        (fun c ->
-          if c.time_ref > 0.0 then Some (sel c /. c.time_ref) else None)
-        cells
-    in
-    let min_ratio = List.fold_left min infinity ratios in
-    let geomean =
-      match ratios with
-      | [] -> 1.0
-      | rs ->
-        exp (List.fold_left (fun a r -> a +. log r) 0.0 rs
-             /. float_of_int (List.length rs))
-    in
-    min_ratio, geomean
+  let ratios =
+    List.filter_map
+      (fun c -> if c.time_ref > 0.0 then Some (c.time_pre /. c.time_ref) else None)
+      cells
   in
-  let min_ratio, geomean = ratio_stats (fun c -> c.time_pre) in
-  let min_ratio_inp, geomean_inp = ratio_stats (fun c -> c.time_inp) in
-  let min_xor_rows =
-    List.fold_left (fun acc c -> min acc c.xor_rows) max_int cells
+  let min_ratio = List.fold_left min infinity ratios in
+  let geomean =
+    match ratios with
+    | [] -> 1.0
+    | rs ->
+      exp (List.fold_left (fun a r -> a +. log r) 0.0 rs
+           /. float_of_int (List.length rs))
   in
   Report.add_bool "statuses_match" statuses_match;
   Report.add_bool "strict_statuses_match" strict_match;
@@ -220,9 +168,6 @@ let run ~deep ~pool () =
   Report.add_float "max_clause_reduction_pct" max_reduction;
   Report.add_float "min_solve_ratio" min_ratio;
   Report.add_float "solve_ratio_geomean" geomean;
-  Report.add_float "min_solve_ratio_inp" min_ratio_inp;
-  Report.add_float "solve_ratio_inp_geomean" geomean_inp;
-  Report.add_int "min_xor_rows" (if cells = [] then 0 else min_xor_rows);
   Report.add_int "cells" (List.length cells);
   Report.add_section "clause_reduction_pct"
     (List.map (fun c -> c.label, Fl_obs.Float c.reduction_pct) cells);
@@ -230,17 +175,6 @@ let run ~deep ~pool () =
     (List.map (fun c -> c.label, Fl_obs.String c.status_pre) cells);
   Report.add_section "status_ref"
     (List.map (fun c -> c.label, Fl_obs.String c.status_ref) cells);
-  Report.add_section "status_inp"
-    (List.map (fun c -> c.label, Fl_obs.String c.status_inp) cells);
-  Report.add_section "xor_rows"
-    (List.map (fun c -> c.label, Fl_obs.Int c.xor_rows) cells);
-  Report.add_section "solve_ratio_inp"
-    (List.map
-       (fun c ->
-         ( c.label,
-           if c.time_ref > 0.0 then Fl_obs.Float (c.time_inp /. c.time_ref)
-           else Fl_obs.String "-" ))
-       cells);
   Report.add_section "solve_ratio"
     (List.map
        (fun c ->
@@ -252,10 +186,8 @@ let run ~deep ~pool () =
   Report.add_parallelism ~jobs:(Fl_par.jobs pool) (Fl_par.last_stats pool);
   Printf.printf
     "statuses %s across %d cells (%d budget-boundary flip%s); best clause \
-     reduction %.1f%%; solve-time ratio min %.2f, geomean %.2f; inprocessed \
-     min %.2f, geomean %.2f, min xor rows %d\n"
+     reduction %.1f%%; solve-time ratio min %.2f, geomean %.2f\n"
     (if statuses_match then "consistent" else "DISAGREE ON CORRECTNESS")
     (List.length cells) budget_flips
     (if budget_flips = 1 then "" else "s")
-    max_reduction min_ratio geomean min_ratio_inp geomean_inp
-    (if cells = [] then 0 else min_xor_rows)
+    max_reduction min_ratio geomean

@@ -1,18 +1,14 @@
 (* flsat — standalone DIMACS front end for the CDCL solver.
 
-     flsat problem.cnf [--budget-seconds S] [--dpll] [--inprocess]
-       [--stats] [--trace FILE]
+     flsat problem.cnf [--budget-seconds S] [--dpll] [--stats]
+       [--trace FILE]
 
    Prints "s SATISFIABLE" with a "v ..." model line, "s UNSATISFIABLE", or
    "s UNKNOWN", following the SAT-competition output conventions.
-   --inprocess runs the Fl_sat.Inprocess engine (probing, equivalent-
-   literal collapsing, XOR/Gauss, subsumption, elimination; nothing
-   frozen) over the input before solving; models are reconstructed to the
-   original variables before printing.  --trace appends structured JSONL
-   events (cdcl.progress every 1024 conflicts, span.begin/end around the
-   solve, the final solve record) to FILE; --stats prints the solver
-   one-liner plus the full metric snapshot (counters and the cdcl.*
-   histograms) on exit. *)
+   --trace appends structured JSONL events (cdcl.progress every 1024
+   conflicts, span.begin/end around the solve, the final solve record) to
+   FILE; --stats prints the solver one-liner plus the full metric snapshot
+   (counters and the cdcl.* histograms) on exit. *)
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
@@ -20,13 +16,12 @@ let () =
   let trace, args = Fl_cli.take_opt "--trace" args in
   let use_dpll, args = Fl_cli.take_flag "--dpll" args in
   let show_stats, args = Fl_cli.take_flag "--stats" args in
-  let inprocess, args = Fl_cli.take_flag "--inprocess" args in
   let path =
     match args with
     | [ p ] when String.length p > 0 && p.[0] <> '-' -> p
     | _ ->
       prerr_endline
-        "usage: flsat problem.cnf [--budget-seconds S] [--dpll] [--inprocess] [--stats] [--trace FILE]";
+        "usage: flsat problem.cnf [--budget-seconds S] [--dpll] [--stats] [--trace FILE]";
       exit 2
   in
   let budget_s =
@@ -57,30 +52,8 @@ let () =
       Printf.eprintf "%s: %s\n" path msg;
       exit 2
   in
-  (* One-shot inprocessing: nothing frozen, so unit/equivalence/
-     elimination reconstruction covers every variable.  An Unsat verdict
-     decides the instance outright. *)
-  let ip =
-    if inprocess then
-      Some (Fl_sat.Inprocess.run ~label:"flsat" ~frozen:[||] formula)
-    else None
-  in
-  (match ip with
-   | Some ip ->
-     if !show_stats then
-       Format.eprintf "c inprocess: %a@." Fl_sat.Inprocess.pp_stats
-         (Fl_sat.Inprocess.stats ip);
-     if Fl_sat.Inprocess.is_unsat ip then begin
-       if !show_stats then Fl_cli.print_stats ();
-       print_endline "s UNSATISFIABLE";
-       exit 20
-     end
-   | None -> ());
-  let solve_formula =
-    match ip with Some ip -> Fl_sat.Inprocess.formula ip | None -> formula
-  in
   if !use_dpll then begin
-    let outcome, stats = Fl_obs.with_span "flsat.solve" (fun () -> Fl_sat.Dpll.solve solve_formula) in
+    let outcome, stats = Fl_obs.with_span "flsat.solve" (fun () -> Fl_sat.Dpll.solve formula) in
     if !show_stats then begin
       Format.eprintf "c %a@." Fl_sat.Dpll.pp_stats stats;
       Fl_cli.print_stats ()
@@ -102,7 +75,7 @@ let () =
       | Some s -> Fl_sat.Cdcl.budget_seconds s
       | None -> Fl_sat.Cdcl.no_budget
     in
-    let s = Fl_sat.Cdcl.of_formula solve_formula in
+    let s = Fl_sat.Cdcl.of_formula formula in
     if Fl_obs.enabled () then
       Fl_sat.Cdcl.set_progress s ~every:1024 (fun delta ->
           Fl_obs.emit "cdcl.progress" ~fields:(Fl_sat.Cdcl.stats_fields delta));
@@ -118,8 +91,8 @@ let () =
                | Fl_sat.Cdcl.Sat -> "sat"
                | Fl_sat.Cdcl.Unsat -> "unsat"
                | Fl_sat.Cdcl.Unknown -> "unknown"))
-           :: ("clauses", Fl_obs.Int (Fl_cnf.Formula.num_clauses solve_formula))
-           :: ("vars", Fl_obs.Int (Fl_cnf.Formula.num_vars solve_formula))
+           :: ("clauses", Fl_obs.Int (Fl_cnf.Formula.num_clauses formula))
+           :: ("vars", Fl_obs.Int (Fl_cnf.Formula.num_vars formula))
            :: ("elapsed_s", Fl_obs.Float (Unix.gettimeofday () -. t0))
            :: Fl_sat.Cdcl.stats_fields stats);
     if !show_stats then begin
@@ -128,12 +101,7 @@ let () =
     end;
     match outcome with
     | Fl_sat.Cdcl.Sat ->
-      let m =
-        let m = Fl_sat.Cdcl.model s in
-        match ip with
-        | Some ip -> Fl_sat.Inprocess.reconstruct ip m
-        | None -> m
-      in
+      let m = Fl_sat.Cdcl.model s in
       print_endline "s SATISFIABLE";
       let buf = Buffer.create 256 in
       Buffer.add_string buf "v";

@@ -229,17 +229,6 @@ let activate_cmd =
     (Cmd.info "activate" ~doc:"Hardwire a key into a locked netlist")
     Term.(const run $ input $ key $ out_arg $ sweep)
 
-let export_cmd =
-  let run input out =
-    let c = read_circuit input in
-    Fl_netlist.Verilog.write_file c out;
-    Printf.printf "wrote %s (structural Verilog)\n" out
-  in
-  let input = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
-  Cmd.v
-    (Cmd.info "export-verilog" ~doc:"Convert a .bench netlist to structural Verilog")
-    Term.(const run $ input $ out_arg)
-
 let equiv_cmd =
   let run a_path b_path keys_a_path =
     let a = read_circuit a_path in
@@ -270,75 +259,6 @@ let equiv_cmd =
     (Cmd.info "equiv" ~doc:"Formally check two netlists for equivalence")
     Term.(const run $ a $ b $ key)
 
-(* ---------- coverage / testgen ---------- *)
-
-let read_optional_key path_opt circuit =
-  match path_opt with
-  | Some p -> read_key_for circuit p
-  | None ->
-    if Circuit.num_keys circuit > 0 then begin
-      Printf.eprintf "circuit has key inputs; pass --key\n";
-      exit 1
-    end;
-    [||]
-
-let coverage_cmd =
-  let run path key_path count seed =
-    if count < 0 then begin
-      Printf.eprintf "--vectors needs a non-negative integer, got %d\n" count;
-      exit 2
-    end;
-    let c = read_circuit path in
-    let keys = read_optional_key key_path c in
-    let cov = Fl_netlist.Faults.random_coverage c ~keys ~count ~seed in
-    Format.printf "%a@." Fl_netlist.Faults.pp_coverage cov
-  in
-  let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
-  let key = Arg.(value & opt (some file) None & info [ "key" ] ~doc:"Activation key file.") in
-  let count = Arg.(value & opt int 128 & info [ "vectors" ] ~doc:"Random test vectors.") in
-  let cov_seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Vector seed.") in
-  Cmd.v
-    (Cmd.info "coverage" ~doc:"Stuck-at fault coverage of random vectors")
-    Term.(const run $ path $ key $ count $ cov_seed)
-
-let testgen_cmd =
-  let run path key_path out budget =
-    if not (budget > 0.0) then begin
-      Printf.eprintf "--budget needs a positive number of seconds, got %g\n" budget;
-      exit 2
-    end;
-    let c = read_circuit path in
-    if not (Circuit.is_acyclic c) then begin
-      Printf.eprintf "ATPG needs an acyclic netlist (activate the key first)\n";
-      exit 1
-    end;
-    let keys = read_optional_key key_path c in
-    let faults =
-      List.map
-        (fun f -> f.Fl_netlist.Faults.node, f.Fl_netlist.Faults.stuck_at)
-        (Fl_netlist.Faults.enumerate c)
-    in
-    let r = Fl_sat.Atpg.cover ~budget_per_fault:budget c ~keys ~faults in
-    Format.printf "%a@." Fl_sat.Atpg.pp_report r;
-    let oc = open_out out in
-    List.iter
-      (fun v ->
-        Array.iter (fun b -> output_char oc (if b then '1' else '0')) v;
-        output_char oc '\n')
-      r.Fl_sat.Atpg.tests;
-    close_out oc;
-    Printf.printf "wrote %s (%d vectors)\n" out (List.length r.Fl_sat.Atpg.tests)
-  in
-  let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
-  let key = Arg.(value & opt (some file) None & info [ "key" ] ~doc:"Activation key file.") in
-  let out = Arg.(value & opt string "tests.txt" & info [ "o"; "out" ] ~doc:"Vector file.") in
-  let budget =
-    Arg.(value & opt float 5.0 & info [ "budget" ] ~doc:"SAT budget per fault (s).")
-  in
-  Cmd.v
-    (Cmd.info "testgen" ~doc:"SAT ATPG: generate stuck-at tests, prove redundancies")
-    Term.(const run $ path $ key $ out $ budget)
-
 (* ---------- verify ---------- *)
 
 let verify_cmd =
@@ -366,7 +286,7 @@ let attack_kinds = [ "sat"; "cycsat"; "appsat"; "removal"; "bruteforce" ]
 
 let attack_cmd =
   let run kind locked_path oracle_path timeout max_conflicts key_out trace stats
-      inprocess =
+      =
     if not (List.mem kind attack_kinds) then begin
       Printf.eprintf "unknown attack %S (%s)\n" kind (String.concat ", " attack_kinds);
       exit 2
@@ -376,11 +296,6 @@ let attack_cmd =
       exit 2
     end;
     let solver_kind = kind = "sat" || kind = "cycsat" in
-    if inprocess && not solver_kind then begin
-      Printf.eprintf "--inprocess applies to --kind sat and cycsat only, not %s\n"
-        kind;
-      exit 2
-    end;
     (match max_conflicts with
      | Some n when n <= 0 ->
        Printf.eprintf "--max-conflicts needs a positive number, got %d\n" n;
@@ -412,8 +327,8 @@ let attack_cmd =
      | "sat" | "cycsat" ->
        let result =
          if kind = "sat" then
-           Fl_attacks.Sat_attack.run ~timeout ?max_conflicts ~progress ~inprocess l
-         else Fl_attacks.Cycsat.run ~timeout ?max_conflicts ~progress ~inprocess l
+           Fl_attacks.Sat_attack.run ~timeout ?max_conflicts ~progress l
+         else Fl_attacks.Cycsat.run ~timeout ?max_conflicts ~progress l
        in
        prerr_newline ();
        Format.printf "%a@." Fl_attacks.Sat_attack.pp_result result;
@@ -470,16 +385,10 @@ let attack_cmd =
            ~doc:"Print the full metric snapshot (counters, gauges, solver \
                  histograms) on exit.")
   in
-  let inprocess =
-    Arg.(value & flag & info [ "inprocess" ]
-           ~doc:"Re-simplify the attack formula (probing, equivalent-literal \
-                 collapsing, XOR/Gauss) every 8 DIP iterations, rebuilding \
-                 the solver (SAT/CycSAT attacks only).")
-  in
   Cmd.v
     (Cmd.info "attack" ~doc:"Attack a locked netlist with oracle access")
     Term.(const run $ kind $ locked $ oracle $ timeout $ max_conflicts $ key_out
-          $ trace $ stats $ inprocess)
+          $ trace $ stats)
 
 let () =
   let doc = "Full-Lock logic locking toolbox (DAC'19 reproduction)" in
@@ -488,5 +397,4 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ generate_cmd; suite_cmd; stats_cmd; lock_cmd; verify_cmd; attack_cmd;
-            optimize_cmd; activate_cmd; export_cmd; equiv_cmd; coverage_cmd;
-            testgen_cmd ]))
+            optimize_cmd; activate_cmd; equiv_cmd ]))

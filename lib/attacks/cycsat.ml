@@ -182,9 +182,7 @@ let no_cycle_condition c =
     Fl_obs.Counter.add c_nc_vars (Formula.num_vars formula - vars0);
     Fl_obs.Counter.add c_nc_clauses (Formula.num_clauses formula - clauses0)
 
-let run ?timeout ?max_conflicts ?progress ?preprocess ?inprocess
-    ?inprocess_every ?inprocess_min_conflicts locked =
+let run ?timeout ?max_conflicts ?progress ?preprocess locked =
   let emitter = no_cycle_condition locked.Fl_locking.Locked.locked in
   Sat_attack.run ?timeout ?max_conflicts ?progress
-    ~extra_key_constraint:emitter ~label:"cycsat" ?preprocess ?inprocess
-    ?inprocess_every ?inprocess_min_conflicts locked
+    ~extra_key_constraint:emitter ~label:"cycsat" ?preprocess locked

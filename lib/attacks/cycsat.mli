@@ -32,16 +32,12 @@ val no_cycle_condition :
     circuits — then {!run} degenerates to the plain SAT attack). *)
 val num_feedback_edges : Fl_netlist.Circuit.t -> int
 
-(** [run ?timeout ?max_conflicts ?progress ?preprocess ?inprocess
-    ?inprocess_every ?inprocess_min_conflicts locked] — CycSAT attack;
-    parameters as in {!Sat_attack.run}. *)
+(** [run ?timeout ?max_conflicts ?progress ?preprocess locked] — CycSAT
+    attack; parameters as in {!Sat_attack.run}. *)
 val run :
   ?timeout:float ->
   ?max_conflicts:int ->
   ?progress:Sat_attack.progress ->
   ?preprocess:bool ->
-  ?inprocess:bool ->
-  ?inprocess_every:int ->
-  ?inprocess_min_conflicts:int ->
   Fl_locking.Locked.t ->
   Sat_attack.result

@@ -21,13 +21,12 @@ type result = {
 type progress = int -> float -> unit
 
 let run ?(timeout = 60.0) ?max_conflicts ?(progress = fun _ _ -> ()) ?extra_key_constraint ?(label = "sat")
-    ?preprocess ?inprocess ?inprocess_every ?inprocess_min_conflicts
-    locked =
+    ?preprocess locked =
   Fl_obs.with_span ("attack." ^ label) @@ fun () ->
   let deadline = Unix.gettimeofday () +. timeout in
   let session =
     Session.create ?extra_key_constraint ~label ?max_conflicts ?preprocess
-      ?inprocess ?inprocess_every ?inprocess_min_conflicts ~deadline locked
+      ~deadline locked
   in
   let finish status dips =
     let key_is_correct =

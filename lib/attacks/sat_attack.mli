@@ -46,11 +46,7 @@ type progress = int -> float -> unit
     emits (see {!Session.find_dip}).  [preprocess] is forwarded to
     {!Session.create}: [true] (the default) runs the one-shot SatELite-style
     simplification of the base miter, [false] is the reference
-    unpreprocessed path.  [inprocess] / [inprocess_every] /
-    [inprocess_min_conflicts] (default off / 8 / 2048) are forwarded
-    too: between-iterations {!Fl_sat.Inprocess} simplification of the
-    growing attack formula with a solver rebuild every N DIP iterations,
-    conflict-gated as described in {!Session.create}. *)
+    unpreprocessed path. *)
 val run :
   ?timeout:float ->
   ?max_conflicts:int ->
@@ -58,9 +54,6 @@ val run :
   ?extra_key_constraint:(Fl_cnf.Formula.t -> int array -> unit) ->
   ?label:string ->
   ?preprocess:bool ->
-  ?inprocess:bool ->
-  ?inprocess_every:int ->
-  ?inprocess_min_conflicts:int ->
   Fl_locking.Locked.t ->
   result
 

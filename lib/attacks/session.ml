@@ -5,7 +5,6 @@ module Tseytin = Fl_cnf.Tseytin
 module Miter = Fl_cnf.Miter
 module Cdcl = Fl_sat.Cdcl
 module Preprocess = Fl_sat.Preprocess
-module Inprocess = Fl_sat.Inprocess
 module Locked = Fl_locking.Locked
 
 (* DIP-source split: how many DIPs came from the word-level screen vs a
@@ -33,31 +32,16 @@ let sync tr =
 
 type t = {
   locked : Locked.t;
-  mutable miter : Miter.t;
-      (* when preprocessing/inprocessing ran, [miter.formula] is the
-         reduced formula (original variable numbering preserved) *)
+  miter : Miter.t;
+      (* when preprocessing ran, [miter.formula] is the reduced formula
+         (original variable numbering preserved) *)
   pre : Preprocess.t option;
-  mutable miter_tracked : tracked;
+  miter_tracked : tracked;
   key_tracked : tracked;
   key_vars : int array;
   mutable pending : Tseytin.observation list;
       (* observations not yet added to the key-recovery formula, newest
          first; [candidate_key] adds them in order before it solves *)
-  (* Between-iterations inprocessing: period in DIP iterations (None =
-     disabled), the iteration count at the last run, the per-run stats log
-     and a reusable probe scratch. *)
-  inprocess_every : int option;
-  mutable inprocess_period : int;
-      (* current adaptive period: starts at [inprocess_every], doubles
-         (capped) after a low-yield run, resets after a productive one *)
-  mutable last_inprocess : int;
-  inprocess_min_conflicts : int;
-      (* conflict-interval gate: a run only fires once the solvers have
-         accrued this many conflicts since the previous run, so easy
-         attacks (few conflicts per DIP) never pay for a rebuild *)
-  mutable last_inprocess_conflicts : int;
-  mutable inprocess_log : Inprocess.stats list;
-  scratch : Inprocess.scratch;
   elim_scratch : Tseytin.scratch;  (* buffers of [Tseytin.eliminate_locals] *)
   deadline : float;
   conflict_budget : int option;
@@ -133,8 +117,7 @@ let base_miter ?extra_key_constraint ?(label = "sat") ~preprocess circuit =
   end
 
 let create ?extra_key_constraint ?(label = "sat") ?max_conflicts
-    ?(preprocess = true) ?(inprocess = false) ?(inprocess_every = 8)
-    ?(inprocess_min_conflicts = 2048) ~deadline locked =
+    ?(preprocess = true) ~deadline locked =
   let circuit = locked.Locked.locked in
   (* The key-recovery formula is not preprocessed: it grows by one folded
      circuit copy per observation, so a one-shot pass would be stale after
@@ -160,14 +143,6 @@ let create ?extra_key_constraint ?(label = "sat") ?max_conflicts
     key_tracked;
     key_vars;
     pending = [];
-    inprocess_every =
-      (if inprocess then Some (max 1 inprocess_every) else None);
-    inprocess_period = max 1 inprocess_every;
-    last_inprocess = 0;
-    inprocess_min_conflicts = max 0 inprocess_min_conflicts;
-    last_inprocess_conflicts = 0;
-    inprocess_log = [];
-    scratch = Inprocess.scratch ();
     elim_scratch = Tseytin.scratch ();
     deadline;
     conflict_budget = max_conflicts;
@@ -344,83 +319,14 @@ let screen_dip s =
     in
     Fl_obs.with_span "session.screen" (fun () -> pass screen_passes_per_call)
 
-(* Between-iterations inprocessing.  Every [inprocess_every] DIP
-   iterations the miter formula — base clauses plus the incremental
-   observation tail — is re-simplified (probing, SCC collapsing,
-   XOR/Gauss, subsumption, bounded elimination) with the interface
-   variables frozen, and the miter solver is rebuilt from the reduced
-   formula.  Learnt clauses of the retired solver are replayed through
-   {!Inprocess.map_clause}: each is implied by the formula it was learnt
-   from, hence sound over the reduced (equisatisfiable, reconstruction
-   only touches removed variables) formula when its image survives the
-   substitution/unit maps.  No model is reconstructed: every run keeps
-   the frozen interface variables, the only ones the session reads from a
-   model.  An Unsat verdict keeps the current solver — the
-   next solve returns Unsat itself, taking the normal `Exhausted exit.
-
-   The period adapts: a run that removes under ~2% of the clauses and
-   derives no units or equivalences was overhead, so the next one waits
-   twice as long (capped at 16x the base period); a productive run
-   resets the period.  On top of the iteration period, a run only fires
-   once the session solvers have accrued [inprocess_min_conflicts]
-   conflicts since the previous run (the schedule conflict-driven
-   solvers use): an attack the solver finds easy — DIPs falling out in
-   a handful of conflicts — never pays for a rebuild it cannot amortise,
-   while a thrashing miter crosses the gate every few iterations and is
-   re-simplified on the dense base schedule.  Both gates are functions
-   of solver state only, so the schedule is machine-independent. *)
-let inprocess_productive (st : Inprocess.stats) =
-  let removed = st.Inprocess.clauses_before - st.Inprocess.clauses_after in
-  removed * 50 >= st.Inprocess.clauses_before
-  || st.Inprocess.units > 0
-  || st.Inprocess.equiv_collapsed > 0
-
-let maybe_inprocess s =
-  match s.inprocess_every with
-  | None -> ()
-  | Some every ->
-    if
-      s.iteration_count - s.last_inprocess >= s.inprocess_period
-      && s.iteration_count > 0
-      && s.stats.Cdcl.conflicts - s.last_inprocess_conflicts
-         >= s.inprocess_min_conflicts
-      && not (out_of_time s)
-    then begin
-      s.last_inprocess <- s.iteration_count;
-      s.last_inprocess_conflicts <- s.stats.Cdcl.conflicts;
-      let ip =
-        Fl_obs.with_span "session.inprocess" (fun () ->
-            Inprocess.run ~label:s.label ~scratch:s.scratch
-              ~frozen:(Miter.interface_vars s.miter) s.miter.Miter.formula)
-      in
-      let st = Inprocess.stats ip in
-      s.inprocess_period <-
-        (if inprocess_productive st then every
-         else min (16 * every) (2 * s.inprocess_period));
-      s.inprocess_log <- st :: s.inprocess_log;
-      if not (Inprocess.is_unsat ip) then begin
-        let reduced = Inprocess.formula ip in
-        let nt = tracked_of reduced in
-        sync nt;
-        Cdcl.iter_learnts s.miter_tracked.solver (fun c ->
-            match Inprocess.map_clause ip c with
-            | Some c' when Array.length c' > 0 -> Cdcl.add_clause_a nt.solver c'
-            | _ -> ());
-        arm_progress s.label "miter" nt;
-        s.miter <- { s.miter with Miter.formula = reduced };
-        s.miter_tracked <- nt
-      end
-    end
-
 (* One miter solve; shared by the screening and reference paths.
    [record_models] feeds the model's two key vectors into the screening
    pool.  The DIP and the keys are read from the solver's values of the
    frozen interface variables: model reconstruction is the identity on
-   them (preprocessing and inprocessing never eliminate, substitute or
-   drop the unit of a frozen variable), so the reduced formula's model
-   already carries the original miter's values there. *)
+   them (preprocessing never eliminates, substitutes or drops the unit
+   of a frozen variable), so the reduced formula's model already carries
+   the original miter's values there. *)
 let solve_dip s ~record_models =
-  maybe_inprocess s;
   sync s.miter_tracked;
   let solver = s.miter_tracked.solver in
   let before = Cdcl.stats solver in
@@ -504,4 +410,3 @@ let iterations s = s.iteration_count
 let solver_stats s = s.stats
 let clause_var_ratio s = Formula.ratio s.miter.Miter.formula
 let preprocess_stats s = Option.map Preprocess.stats s.pre
-let inprocess_stats s = List.rev s.inprocess_log

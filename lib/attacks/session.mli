@@ -6,7 +6,7 @@
 type t
 
 (** [create ?extra_key_constraint ?label ?max_conflicts ?preprocess
-    ?inprocess ?inprocess_every ?inprocess_min_conflicts ~deadline locked]
+    ~deadline locked]
     builds the miter and the key-recovery formula; [extra_key_constraint]
     is asserted over both miter key copies and the recovery keys.
     [deadline] is an absolute Unix time.  [max_conflicts] additionally
@@ -25,34 +25,12 @@ type t
     against the reduced formula.  DIPs and pool keys are read from the
     solver's values of frozen variables, on which model reconstruction is
     the identity.  Pass [~preprocess:false] for the reference
-    unpreprocessed path.
-
-    [inprocess] (default [false]) additionally re-runs the bounded
-    {!Fl_sat.Inprocess} engine (failed-literal probing, equivalent-literal
-    SCC collapsing, XOR recovery + GF(2) elimination, subsumption, bounded
-    elimination) over the miter formula — base clauses plus the
-    accumulated observation tail — every [inprocess_every] DIP iterations
-    (default 8), rebuilding the miter solver from the reduced formula and
-    replaying learnt clauses that survive the substitution/unit maps.
-    The period backs off adaptively: after a run that removes under ~2%
-    of the clauses and derives no units or equivalences the next run
-    waits twice as long (capped at 16x [inprocess_every]); a productive
-    run resets the schedule.  Runs are additionally conflict-gated: one
-    only fires after the session solvers have accrued
-    [inprocess_min_conflicts] conflicts (default 2048) since the
-    previous run, so attacks the solver finds easy never pay for a
-    rebuild they cannot amortise.  Both gates depend on solver state
-    only — the schedule is machine-independent.
-    With [~inprocess:false] the solve path is bit-identical to the
-    non-inprocessed session. *)
+    unpreprocessed path. *)
 val create :
   ?extra_key_constraint:(Fl_cnf.Formula.t -> int array -> unit) ->
   ?label:string ->
   ?max_conflicts:int ->
   ?preprocess:bool ->
-  ?inprocess:bool ->
-  ?inprocess_every:int ->
-  ?inprocess_min_conflicts:int ->
   deadline:float ->
   Fl_locking.Locked.t ->
   t
@@ -164,11 +142,6 @@ val clause_var_ratio : t -> float
     [None] when the session was created with [~preprocess:false] (or the
     defensive unpreprocessed fallback engaged). *)
 val preprocess_stats : t -> Fl_sat.Preprocess.stats option
-
-(** Statistics of the between-iterations inprocessing runs, oldest first;
-    empty unless the session was created with [~inprocess:true] and at
-    least one period elapsed. *)
-val inprocess_stats : t -> Fl_sat.Inprocess.stats list
 
 val elapsed : t -> float
 val out_of_time : t -> bool

@@ -65,7 +65,7 @@ module Baseline = struct
     [ "wall_seconds"; "task_seconds"; "speedup"; "jobs"; "cells" ]
 
   (* Gated metrics, by direction. *)
-  let watch_lower = [ "solve_ratio_geomean"; "solve_ratio_inp_geomean" ]
+  let watch_lower = [ "solve_ratio_geomean" ]
   let watch_higher = [ "max_clause_reduction_pct" ]
 
   let load path =

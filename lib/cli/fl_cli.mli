@@ -46,9 +46,9 @@ module Baseline : sig
   (** [gate ?tolerance ~baseline ~current ()] loads both report files,
       prints a ratio table and a per-section status summary to stdout,
       and returns the list of gate failures (if any).  [tolerance]
-      defaults to 1.25.  The watched lower-is-better metrics are
-      [solve_ratio_geomean] and [solve_ratio_inp_geomean]; the watched
-      higher-is-better one is [max_clause_reduction_pct].
+      defaults to 1.25.  The watched lower-is-better metric is
+      [solve_ratio_geomean]; the watched higher-is-better one is
+      [max_clause_reduction_pct].
       @raise Failure when either file is unreadable or not a JSON
       object. *)
   val gate :

@@ -106,5 +106,5 @@ let resolve v a b =
 
 let max_occ = 40
 
-let bounded ~max_occ np nn =
+let bounded np nn =
   np + nn > 0 && np + nn <= max_occ && np * nn <= max_occ * max_occ

@@ -1,9 +1,9 @@
 (** Canonical clauses and resolution on them: the one implementation
-    behind the CNF simplifiers ({!Fl_sat.Simp_db}) and the elimination
+    behind the CNF preprocessor ({!Fl_sat.Simp_db}) and the elimination
     pass over folded observation templates ({!Tseytin.eliminate_locals}).
 
     A canonical clause is a run of DIMACS literals sorted by variable,
-    each variable at most once.  The simplifiers keep each clause in an
+    each variable at most once.  The preprocessor keeps each clause in an
     array of its own; the template pass keeps its clauses end to end in
     one array, so each operation also comes on a segment [a.(i .. i + n -
     1)]. *)
@@ -48,6 +48,6 @@ val resolve : int -> int array -> int array -> int array
     would give more than its square of candidate resolvents. *)
 val max_occ : int
 
-(** [bounded ~max_occ np nn] is whether a variable with [np] positive and
-    [nn] negative clauses, at least one, is within the bound [max_occ]. *)
-val bounded : max_occ:int -> int -> int -> bool
+(** [bounded np nn] is whether a variable with [np] positive and [nn]
+    negative clauses, at least one, is within the bound {!max_occ}. *)
+val bounded : int -> int -> bool

@@ -108,7 +108,4 @@ let add_io_constraint m c ~inputs ~outputs =
   Tseytin.add_observation m.formula o ~share_keys:m.keys_a;
   Tseytin.add_observation m.formula o ~share_keys:m.keys_b
 
-let interface_vars m =
-  Array.concat [ m.inputs; m.keys_a; m.keys_b; m.outputs_a; m.outputs_b ]
-
 let clause_variable_ratio c = Formula.ratio (build c).formula

@@ -64,14 +64,6 @@ val of_copy : Fl_netlist.Circuit.t -> Formula.t -> Tseytin.encoding -> t
 val add_io_constraint :
   t -> Fl_netlist.Circuit.t -> inputs:bool array -> outputs:bool array -> unit
 
-(** [interface_vars m] is every variable the incremental attack clauses
-    may mention: the inputs, both key copies and both output vectors —
-    the set simplification must freeze.  Observation constraints encode
-    folded circuit copies over fresh variables and the two key copies;
-    key-condition emitters (CycSAT) touch the key copies; the outputs are
-    included so callers may constrain them directly. *)
-val interface_vars : t -> int array
-
 (** [clause_variable_ratio c] is the clauses-to-variables ratio of the
     initial attack formula on [c] — the metric of Fig. 7. *)
 val clause_variable_ratio : Fl_netlist.Circuit.t -> float

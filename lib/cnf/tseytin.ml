@@ -513,7 +513,7 @@ let eliminate_locals sc o =
   for v = keys + 1 to keys + o.locals do
     if not !unsat then begin
       let np = live v pos and nn = live (-v) neg in
-      if Clause.bounded ~max_occ:Clause.max_occ np nn then begin
+      if Clause.bounded np nn then begin
         let budget = np + nn and count = ref 0 and pair = ref 0 in
         while !count <= budget && !pair < np * nn do
           let a = at.data.(pos.(!pair / nn)) and b = at.data.(neg.(!pair mod nn)) in

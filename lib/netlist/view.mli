@@ -13,8 +13,8 @@
     each domain builds and caches its own view of a circuit, because the
     scratch arrays below are single-threaded state.  [Fl_par] sweep tasks
     therefore get an isolated view per worker domain for free.  This is the
-    one circuit evaluator: every oracle query, key check, corruption
-    estimate and fault simulation runs on it.  {!eval_reference} is the
+    one circuit evaluator: every oracle query, key check and corruption
+    estimate runs on it.  {!eval_reference} is the
     uncached baseline it is tested and benchmarked against.
 
     Views are not re-entrant: the scratch value arrays are reused by every

@@ -1219,17 +1219,9 @@ let model s =
   if s.model_n < 0 then invalid_arg "Cdcl.model: no model (last solve was not Sat)";
   Array.init (s.model_n + 1) (fun i -> i > 0 && Bytes.get s.model_buf (i - 1) = '\001')
 
-(* Learnt-clause export (inprocessing replay): every
-   live learnt clause, in DIMACS literals.  The callback must not touch
-   the solver. *)
-let iter_learnts s f =
-  Arena.iter_learnts s.arena (fun ci ->
-      let len = Arena.size s.arena ci in
-      f (Array.init len (fun k -> Lit.to_dimacs (Arena.lit s.arena ci k))))
-
 (* Forced learnt-database reduction at level 0 — the path DB reduction
-   takes during search, exposed so tests and inprocessing hooks can drive
-   arena compaction and the watch-list rebuild directly. *)
+   takes during search, exposed so tests can drive arena compaction and
+   the watch-list rebuild directly. *)
 let reduce_now s =
   cancel_until s 0;
   if s.ok then reduce_db s

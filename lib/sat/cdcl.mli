@@ -116,16 +116,10 @@ val num_learnts : t -> int
     a direct measure of solver-core memory. *)
 val arena_words : t -> int
 
-(** [iter_learnts s f] calls [f] on every live learnt clause, as a fresh
-    array of DIMACS literals — the export hook inprocessing replays
-    learnts through.  [f] must not modify the solver. *)
-val iter_learnts : t -> (int array -> unit) -> unit
-
 (** [reduce_now s] backtracks to level 0 and forces one learnt-database
     reduction (arena compaction + watch-list rebuild) — the same path
     search takes when the database outgrows its budget.  Exposed for
-    tests and inprocessing hooks; a no-op on a permanently-unsat
-    solver. *)
+    tests; a no-op on a permanently-unsat solver. *)
 val reduce_now : t -> unit
 
 val stats : t -> stats

@@ -1,9 +1,8 @@
 (* One-shot SatELite-style CNF simplification: tautology/duplicate removal,
    backward subsumption, self-subsuming resolution and bounded variable
    elimination (NiVER/SatELite).  The clause database, occurrence lists,
-   signatures and the reconstruction stack live in {!Simp_db}, shared with
-   the between-iterations {!Inprocess} engine; this module is the
-   subsumption + BVE fixpoint driver on top. *)
+   signatures and the reconstruction stack live in {!Simp_db}; this module
+   is the subsumption + BVE fixpoint driver on top. *)
 
 module Formula = Fl_cnf.Formula
 

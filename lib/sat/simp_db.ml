@@ -1,17 +1,12 @@
-(* Shared occurrence-list clause database for the CNF simplifiers.
+(* Occurrence-list clause database of {!Preprocess} (the one-shot
+   SatELite pass): packed canonical clauses with per-clause 63-bit
+   variable signatures, literal occurrence lists with lazy staleness
+   compaction, a subsumption work queue, and one elimination stack driving
+   model reconstruction.  {!Preprocess} runs the subsumption/BVE fixpoint
+   over it.
 
-   {!Preprocess} (the one-shot SatELite pass) and {!Inprocess} (the
-   between-iterations engine) both work on the same representation: packed
-   canonical clauses with per-clause 63-bit variable signatures, literal
-   occurrence lists with lazy staleness compaction, a subsumption work
-   queue, and one elimination stack driving model reconstruction.  This
-   module is the single copy of that machinery; the two passes layer their
-   own reasoning (subsumption/BVE fixpoints, probing, SCC collapsing,
-   XOR/Gauss) on top of it.
-
-   The record is exposed directly — the clients live
-   in this library and need structural access to clauses and occurrence
-   lists. *)
+   The record is exposed directly: the tests replay the fixpoint with
+   every variable marked dirty and compare its counters and stack. *)
 
 module Formula = Fl_cnf.Formula
 module Clause = Fl_cnf.Clause
@@ -177,16 +172,6 @@ let compact db l =
   Vec.shrink v !w;
   v
 
-(* Live clause indices currently containing literal [l], compacting the
-   occurrence list in place. *)
-let occurrences db l =
-  let v = compact db l in
-  let out = ref [] in
-  for i = Vec.size v - 1 downto 0 do
-    out := Vec.get v i :: !out
-  done;
-  !out
-
 let occ_count db v = Vec.size db.occ.(lidx v) + Vec.size db.occ.(lidx (-v))
 
 (* Subsume or strengthen, with clause [ci] = [c], every other clause
@@ -264,19 +249,13 @@ let count_resolvents db v ~budget pos neg =
   done;
   !acc
 
-(* Record [v] as eliminated with the clauses removed at its elimination —
-   the snapshots {!reconstruct_stack} replays. *)
-let push_elim db v saved =
-  db.elim_stack <- (v, saved) :: db.elim_stack;
-  Bytes.set db.elim_set (v - 1) '\001'
-
 (* Bounded variable elimination of [v]: worthwhile when the surviving
-   resolvents do not outnumber the removed clauses.  Variables with more
-   than [max_occ] occurrences are skipped (quadratic-resolvent guard).
-   The outcome depends only on the live clauses containing [v] or [-v]
-   and on the frozen/eliminated flags, which is what lets
-   {!elimination_sweep} skip untouched variables. *)
-let try_eliminate db ~max_occ v =
+   resolvents do not outnumber the removed clauses.  Variables outside
+   [Clause.bounded] are skipped (quadratic-resolvent guard).  The outcome
+   depends only on the live clauses containing [v] or [-v] and on the
+   frozen/eliminated flags, which is what lets {!elimination_sweep} skip
+   untouched variables. *)
+let try_eliminate db v =
   if not (frozen db v || eliminated db v || db.unsat) then begin
     db.n_attempts <- db.n_attempts + 1;
     (* Compacted, the two occurrence lists are the live clauses of [v]
@@ -284,7 +263,7 @@ let try_eliminate db ~max_occ v =
        holds neither literal. *)
     let pos = compact db v and neg = compact db (-v) in
     let np = Vec.size pos and nn = Vec.size neg in
-    if Clause.bounded ~max_occ np nn then begin
+    if Clause.bounded np nn then begin
       let budget = np + nn in
       let count = count_resolvents db v ~budget pos neg in
       if count <= budget then begin
@@ -316,7 +295,9 @@ let try_eliminate db ~max_occ v =
           saved := db.cl.(ci) :: !saved;
           kill db ci
         done;
-        push_elim db v !saved;
+        (* The snapshot {!reconstruct_stack} replays. *)
+        db.elim_stack <- (v, !saved) :: db.elim_stack;
+        Bytes.set db.elim_set (v - 1) '\001';
         db.n_elim <- db.n_elim + 1;
         db.n_res <- db.n_res + count;
         for i = 0 to count - 1 do
@@ -345,7 +326,7 @@ let try_eliminate db ~max_occ v =
    drained before the first visit, draining after each attempt leaves
    the same clauses as draining after every variable.  Returns how many
    variables the sweep eliminated. *)
-let elimination_sweep ?(max_occ = Clause.max_occ) db =
+let elimination_sweep db =
   let before = db.n_elim in
   let cand = Array.make db.nvars 0 and key = Array.make db.nvars 0 in
   let m = ref 0 and kmax = ref 0 in
@@ -378,7 +359,7 @@ let elimination_sweep ?(max_occ = Clause.max_occ) db =
     let v = order.(i) in
     if Bytes.get db.dirty (v - 1) = '\001' then begin
       Bytes.set db.dirty (v - 1) '\000';
-      try_eliminate db ~max_occ v;
+      try_eliminate db v;
       drain_subsumption db
     end
   done;
@@ -508,12 +489,7 @@ let extract db =
    and later-eliminated ones — so each clause is decidable.  [v] must be
    true iff some saved clause containing the positive literal is not
    already satisfied by the other literals (resolution completeness
-   guarantees the negative-literal clauses are then satisfied too).
-
-   Equivalence substitutions ([v := l], see {!Inprocess}) use the same
-   entry shape — saved clauses [[v; -l]; [-v; l]] — and the same rule
-   assigns [v] the value of [l], so one replay covers elimination, derived
-   units ([[l]]) and substitution uniformly. *)
+   guarantees the negative-literal clauses are then satisfied too). *)
 let reconstruct_stack stack model =
   let need = ref (Array.length model) in
   List.iter (fun (v, _) -> if v + 1 > !need then need := v + 1) stack;

@@ -1,5 +1,5 @@
 (* Growable int stack: the solver's watch lists, trail and analysis
-   scratch, and the simplifiers' occurrence lists.
+   scratch, and the preprocessor's occurrence lists.
 
    Tables of lists (one per literal) start every slot at the one shared
    [empty] sentinel, so building or growing a table is an [Array.make]

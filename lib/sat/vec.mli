@@ -1,4 +1,4 @@
-(** Growable int stack shared by {!Cdcl} and the simplifiers.
+(** Growable int stack shared by {!Cdcl} and {!Simp_db}.
 
     [data] beyond [size] is garbage; clients may snapshot a prefix of
     [data] directly.  [get] and [set] do not check [i < size]. *)

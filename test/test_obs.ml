@@ -723,8 +723,7 @@ let sum_records events =
       else acc)
     Cdcl.zero_stats events
 
-let attack_deltas_sum_prop ?inprocess ?inprocess_every
-    ?inprocess_min_conflicts seed =
+let attack_deltas_sum_prop seed =
   let c =
     Generator.random ~seed:(200 + seed) ~name:"obs-host"
       { Generator.num_inputs = 5 + (seed mod 4);
@@ -736,8 +735,7 @@ let attack_deltas_sum_prop ?inprocess ?inprocess_every
   let locked = Fl_locking.Rll.lock rng ~key_bits:(4 + (seed mod 5)) c in
   let result, events =
     record (fun () ->
-        Sat_attack.run ?inprocess ?inprocess_every ?inprocess_min_conflicts
-          ~timeout:30.0 locked)
+        Sat_attack.run ~timeout:30.0 locked)
   in
   let iter_records =
     List.filter (fun e -> e.Obs.name = "attack.iteration") events
@@ -838,13 +836,6 @@ let () =
         [
           qcheck_case "per-iteration deltas sum to Session.solver_stats"
             QCheck2.Gen.(int_range 0 1000)
-            (fun seed -> attack_deltas_sum_prop seed);
-          (* Periodic inprocessing rebuilds the miter solver mid-attack;
-             the before/after accumulation must keep the invariant. *)
-          qcheck_case ~count:10
-            "deltas sum across inprocessing solver rebuilds"
-            QCheck2.Gen.(int_range 0 1000)
-            (attack_deltas_sum_prop ~inprocess:true ~inprocess_every:2
-               ~inprocess_min_conflicts:0);
+            attack_deltas_sum_prop;
         ] );
     ]

@@ -4,7 +4,6 @@ module Formula = Fl_cnf.Formula
 module Cdcl = Fl_sat.Cdcl
 module Dpll = Fl_sat.Dpll
 module Preprocess = Fl_sat.Preprocess
-module Inprocess = Fl_sat.Inprocess
 module Simp_db = Fl_sat.Simp_db
 module Random_sat = Fl_sat.Random_sat
 module Arena = Fl_sat.Arena
@@ -197,12 +196,6 @@ let test_cdcl_binary_watch_rebuild () =
     else build (seed + 1)
   in
   let s = build 0 in
-  (* The export hook sees exactly the live learnt clauses. *)
-  let exported = ref 0 in
-  Cdcl.iter_learnts s (fun c ->
-      incr exported;
-      check bool_t "exported non-unit" true (Array.length c >= 1));
-  check int_t "export count" (Cdcl.num_learnts s) !exported;
   Cdcl.reduce_now s;
   (* Propagation through the rebuilt binary watches: assuming the chain
      head must imply every link up to the tail. *)
@@ -658,200 +651,13 @@ let prop_touched_only_elimination_miters =
       in
       touched_only_matches_full_sweep ~frozen m.Fl_cnf.Miter.formula)
 
-(* ------------------------------------------------------------------ *)
-(* Inprocessing                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let test_inp_failed_literal () =
-  (* Probing 1 propagates 2 and 3, falsifying [¬2;¬3] — so ¬1 is a unit.
-     No clause pair here admits self-subsuming resolution, so subsumption
-     alone cannot find it; [¬1;4] makes 1 the highest-occurrence variable,
-     so it is probed (and fails) before the shared-implication path can
-     assign it. *)
-  let f = formula_of 4 [ [ -1; 2 ]; [ -1; 3 ]; [ -1; 4 ]; [ -2; -3 ] ] in
-  let ip = Inprocess.run ~scc:false ~xor:false ~elim:false ~frozen:(all_vars f) f in
-  let st = Inprocess.stats ip in
-  check bool_t "sat" false (Inprocess.is_unsat ip);
-  check bool_t "failed literal found" true (st.Inprocess.failed_literals >= 1);
-  (match Cdcl.solve_formula (Inprocess.formula ip) with
-   | Cdcl.Sat, Some m, _ ->
-     let full = Inprocess.reconstruct ip m in
-     check bool_t "model satisfies original" true (model_satisfies f full);
-     check bool_t "1 forced false" false full.(1)
-   | _ -> Alcotest.fail "reduced formula should be sat")
-
-let test_inp_scc_equivalence () =
-  (* 1 ≡ 2 via the binary implication cycle; 2 is unfrozen, so it collapses
-     into 1 and [2;3] is rewritten to [1;3]. *)
-  let f = formula_of 3 [ [ 1; -2 ]; [ -1; 2 ]; [ 2; 3 ] ] in
-  let ip =
-    Inprocess.run ~probe:false ~xor:false ~elim:false ~frozen:[| 1; 3 |] f
-  in
-  let st = Inprocess.stats ip in
-  check bool_t "sat" false (Inprocess.is_unsat ip);
-  check int_t "collapsed" 1 st.Inprocess.equiv_collapsed;
-  (* map_clause follows the substitution. *)
-  check bool_t "map_clause substitutes" true
-    (Inprocess.map_clause ip [| 2; 3 |] = Some [| 1; 3 |]);
-  check bool_t "map_clause drops tautology" true
-    (Inprocess.map_clause ip [| 2; -1 |] = None);
-  (match Cdcl.solve_formula (Inprocess.formula ip) with
-   | Cdcl.Sat, Some m, _ ->
-     let full = Inprocess.reconstruct ip m in
-     check bool_t "model satisfies original" true (model_satisfies f full);
-     check bool_t "equivalence holds" true (full.(1) = full.(2))
-   | _ -> Alcotest.fail "reduced formula should be sat")
-
-let test_inp_xor_roundtrip () =
-  (* The xor chain encoding (as emitted by encode_xor_chain / xor_out)
-     leaves one 2^(k-1) clause block per stage; recovery must lift both
-     stages to GF(2) rows. *)
-  let f = Formula.create () in
-  let a = Formula.fresh_var f in
-  let b = Formula.fresh_var f in
-  let c = Formula.fresh_var f in
-  let t1 = Fl_cnf.Tseytin.xor_out f a b in
-  let t2 = Fl_cnf.Tseytin.xor_out f t1 c in
-  ignore t2;
-  let ip =
-    Inprocess.run ~probe:false ~scc:false ~elim:false ~frozen:[| a; b; c |] f
-  in
-  let st = Inprocess.stats ip in
-  check bool_t "sat" false (Inprocess.is_unsat ip);
-  check int_t "both stages recovered" 2 st.Inprocess.xor_rows;
-  (* Pin the chain output and both inputs: unit reasoning through the
-     recovered structure must force the remaining input. *)
-  let g = Formula.create () in
-  let a = Formula.fresh_var g in
-  let b = Formula.fresh_var g in
-  let c = Formula.fresh_var g in
-  let t1 = Fl_cnf.Tseytin.xor_out g a b in
-  let t2 = Fl_cnf.Tseytin.xor_out g t1 c in
-  Formula.add_clause g [ t2 ];
-  Formula.add_clause g [ a ];
-  Formula.add_clause g [ -b ];
-  let ip = Inprocess.run ~frozen:[| a; b; c |] g in
-  check bool_t "pinned chain sat" false (Inprocess.is_unsat ip);
-  (match Cdcl.solve_formula (Inprocess.formula ip) with
-   | Cdcl.Sat, Some m, _ ->
-     let full = Inprocess.reconstruct ip m in
-     check bool_t "model satisfies original" true (model_satisfies g full);
-     check bool_t "a" true full.(a);
-     check bool_t "b" false full.(b);
-     (* a ⊕ b ⊕ c = t2 = 1, so c = 0. *)
-     check bool_t "c forced" false full.(c)
-   | _ -> Alcotest.fail "reduced formula should be sat")
-
-let test_inp_gauss_unsat () =
-  (* a⊕b⊕c = 0, c⊕d⊕e = 0, a⊕b⊕d⊕e = 1: each XOR block is stable under
-     subsumption (clauses of one block differ in two literals), and no
-     single block is contradictory — only GF(2) elimination across the
-     three rows (sum = "0 = 1") refutes it. *)
-  let block3 vars rhs =
-    (* clauses over [x;y;z] whose positive count p satisfies p ≡ 2+rhs. *)
-    let x, y, z = (List.nth vars 0, List.nth vars 1, List.nth vars 2) in
-    if rhs = 0 then
-      [ [ -x; -y; -z ]; [ x; y; -z ]; [ x; -y; z ]; [ -x; y; z ] ]
-    else [ [ x; y; z ]; [ x; -y; -z ]; [ -x; y; -z ]; [ -x; -y; z ] ]
-  in
-  let block4 vars =
-    (* w⊕x⊕y⊕z = 1: even positive count. *)
-    let w, x, y, z =
-      (List.nth vars 0, List.nth vars 1, List.nth vars 2, List.nth vars 3)
-    in
-    let clauses = ref [] in
-    for m = 0 to 15 do
-      let p = (m land 1) + (m lsr 1 land 1) + (m lsr 2 land 1) + (m lsr 3 land 1) in
-      if p land 1 = 0 then
-        clauses :=
-          [
-            (if m land 1 = 1 then w else -w);
-            (if m land 2 = 2 then x else -x);
-            (if m land 4 = 4 then y else -y);
-            (if m land 8 = 8 then z else -z);
-          ]
-          :: !clauses
-    done;
-    !clauses
-  in
-  let f =
-    formula_of 5
-      (block3 [ 1; 2; 3 ] 0 @ block3 [ 3; 4; 5 ] 0 @ block4 [ 1; 2; 4; 5 ])
-  in
-  let ip =
-    Inprocess.run ~probe:false ~scc:false ~elim:false ~frozen:(all_vars f) f
-  in
-  check bool_t "unsat" true (Inprocess.is_unsat ip);
-  check int_t "all rows recovered" 3 (Inprocess.stats ip).Inprocess.xor_rows
-
-let prop_inprocess_pass pass_name ~probe ~scc ~xor ~elim =
-  qcheck_case ~count:150
-    (Printf.sprintf "inprocess (%s) preserves satisfiability" pass_name)
-    random_frozen_formula_gen (fun ((num_vars, _, _) as params, frozen_pct) ->
-      let f = make_formula params in
-      let frozen =
-        Array.init (num_vars * frozen_pct / 100) (fun i -> i + 1)
-      in
-      let ip = Inprocess.run ~probe ~scc ~xor ~elim ~frozen f in
-      if Inprocess.is_unsat ip then not (brute_sat f)
-      else
-        match Cdcl.solve_formula (Inprocess.formula ip) with
-        | Cdcl.Sat, Some m, _ ->
-          let full = Inprocess.reconstruct ip m in
-          brute_sat f
-          && model_satisfies f full
-          && Array.for_all (fun v -> full.(v) = m.(v)) frozen
-        | Cdcl.Unsat, None, _ -> not (brute_sat f)
-        | _ -> false)
-
-let prop_inprocess_probe =
-  prop_inprocess_pass "probing" ~probe:true ~scc:false ~xor:false ~elim:false
-
-let prop_inprocess_scc =
-  prop_inprocess_pass "scc" ~probe:false ~scc:true ~xor:false ~elim:false
-
-let prop_inprocess_xor =
-  prop_inprocess_pass "xor/gauss" ~probe:false ~scc:false ~xor:true ~elim:false
-
-let prop_inprocess_all =
-  prop_inprocess_pass "all passes" ~probe:true ~scc:true ~xor:true ~elim:true
-
-let prop_inprocess_map_clause =
-  (* Learnt-replay soundness: any clause implied by the original formula,
-     mapped onto the reduced space, must keep the reduced formula
-     equisatisfiable.  Implied clauses are simulated by extending true
-     clauses of a brute-force model (or skipping unsat instances). *)
-  qcheck_case ~count:100 "inprocess map_clause keeps models"
-    random_frozen_formula_gen (fun ((num_vars, _, _) as params, frozen_pct) ->
-      let f = make_formula params in
-      let frozen =
-        Array.init (num_vars * frozen_pct / 100) (fun i -> i + 1)
-      in
-      let ip = Inprocess.run ~frozen f in
-      if Inprocess.is_unsat ip then not (brute_sat f)
-      else begin
-        let reduced = Inprocess.formula ip in
-        (* Map every original clause (each trivially implied) and add the
-           survivors; satisfiability must not change. *)
-        Formula.iter_clauses f (fun c ->
-            match Inprocess.map_clause ip c with
-            | Some c' when Array.length c' > 0 ->
-              Formula.add_clause reduced (Array.to_list c')
-            | _ -> ());
-        match Cdcl.solve_formula reduced with
-        | Cdcl.Sat, Some m, _ ->
-          brute_sat f && model_satisfies f (Inprocess.reconstruct ip m)
-        | Cdcl.Unsat, None, _ -> not (brute_sat f)
-        | _ -> false
-      end)
-
 let prop_reconstruct_keeps_frozen =
   (* The attack session reads the DIP and the key witnesses straight from
      the solver's values of the frozen interface variables, skipping model
-     reconstruction.  That is sound only if neither reconstruction chain
-     ever rewrites a frozen variable, whatever the assignment it extends:
-     checked on random locked-circuit miters (one observation appended, as
-     inprocessing sees them) and random assignments. *)
+     reconstruction.  That is sound only if reconstruction never rewrites a
+     frozen variable, whatever the assignment it extends: checked on random
+     locked-circuit miters (one observation appended) and random
+     assignments. *)
   qcheck_case ~count:40 "reconstruct keeps frozen values"
     QCheck2.Gen.(pair (int_bound 1_000_000) bool)
     (fun (seed, sarlock) ->
@@ -880,9 +686,7 @@ let prop_reconstruct_keeps_frozen =
       in
       let keeps full = Array.for_all (fun v -> full.(v) = model.(v)) frozen in
       let p = Preprocess.run ~frozen f in
-      let ip = Inprocess.run ~frozen f in
-      (Preprocess.is_unsat p || keeps (Preprocess.reconstruct p model))
-      && (Inprocess.is_unsat ip || keeps (Inprocess.reconstruct ip model)))
+      Preprocess.is_unsat p || keeps (Preprocess.reconstruct p model))
 
 (* ------------------------------------------------------------------ *)
 (* Random k-SAT + cross-checking                                       *)
@@ -1361,18 +1165,6 @@ let () =
           prop_canonical_matches_reference;
           Alcotest.test_case "sweep order" `Quick test_pre_sweep_order;
           Alcotest.test_case "allocation bound" `Quick test_pre_allocation_bound;
-        ] );
-      ( "inprocess",
-        [
-          Alcotest.test_case "failed literal" `Quick test_inp_failed_literal;
-          Alcotest.test_case "scc equivalence" `Quick test_inp_scc_equivalence;
-          Alcotest.test_case "xor round-trip" `Quick test_inp_xor_roundtrip;
-          Alcotest.test_case "gauss unsat" `Quick test_inp_gauss_unsat;
-          prop_inprocess_probe;
-          prop_inprocess_scc;
-          prop_inprocess_xor;
-          prop_inprocess_all;
-          prop_inprocess_map_clause;
           prop_reconstruct_keeps_frozen;
         ] );
       ( "random_sat",
