@@ -17,7 +17,10 @@
    cell sitting right at the budget boundary may land on either side of
    it.  Those flips are legitimate, counted separately as [budget_flips]
    (with [strict_statuses_match] reporting plain equality), while the
-   wall-time ratio shows what the reduction buys. *)
+   wall-time ratio shows what the reduction buys.  The conflict ratio,
+   taken over the cells both arms broke, shows the same without the
+   timing noise: under the conflict budget a broken cell's conflict count
+   is the same on every run. *)
 
 module Bench_suite = Fl_netlist.Bench_suite
 module Formula = Fl_cnf.Formula
@@ -37,6 +40,8 @@ type cell = {
   status_ref : string;
   time_pre : float;
   time_ref : float;
+  conflicts_pre : int;
+  conflicts_ref : int;
 }
 
 let status (r : Sat_attack.result) =
@@ -79,6 +84,8 @@ let cell ~timeout ~max_conflicts ~name ~plr_n ~plr_count ~seed circuit =
         status_ref = status r_ref;
         time_pre = r_pre.Sat_attack.wall_time;
         time_ref = r_ref.Sat_attack.wall_time;
+        conflicts_pre = r_pre.Sat_attack.solver.Fl_sat.Cdcl.conflicts;
+        conflicts_ref = r_ref.Sat_attack.solver.Fl_sat.Cdcl.conflicts;
       }
 
 let run ~deep ~pool () =
@@ -155,19 +162,30 @@ let run ~deep ~pool () =
       cells
   in
   let min_ratio = List.fold_left min infinity ratios in
-  let geomean =
-    match ratios with
+  let geomean_of = function
     | [] -> 1.0
     | rs ->
       exp (List.fold_left (fun a r -> a +. log r) 0.0 rs
            /. float_of_int (List.length rs))
   in
+  (* Cells both arms broke; a cell either arm solved without a conflict
+     has no ratio. *)
+  let conflict_ratio c =
+    if c.status_pre = "broken" && c.status_ref = "broken"
+       && c.conflicts_pre > 0 && c.conflicts_ref > 0
+    then Some (float_of_int c.conflicts_pre /. float_of_int c.conflicts_ref)
+    else None
+  in
+  let conflict_ratios = List.filter_map conflict_ratio cells in
+  let geomean = geomean_of ratios in
+  let conflict_geomean = geomean_of conflict_ratios in
   Report.add_bool "statuses_match" statuses_match;
   Report.add_bool "strict_statuses_match" strict_match;
   Report.add_int "budget_flips" budget_flips;
   Report.add_float "max_clause_reduction_pct" max_reduction;
   Report.add_float "min_solve_ratio" min_ratio;
   Report.add_float "solve_ratio_geomean" geomean;
+  Report.add_float "conflict_ratio_geomean" conflict_geomean;
   Report.add_int "cells" (List.length cells);
   Report.add_section "clause_reduction_pct"
     (List.map (fun c -> c.label, Fl_obs.Float c.reduction_pct) cells);
@@ -182,12 +200,22 @@ let run ~deep ~pool () =
            if c.time_ref > 0.0 then Fl_obs.Float (c.time_pre /. c.time_ref)
            else Fl_obs.String "-" ))
        cells);
+  Report.add_section "conflict_ratio"
+    (List.map
+       (fun c ->
+         ( c.label,
+           match conflict_ratio c with
+           | Some r -> Fl_obs.Float r
+           | None -> Fl_obs.String "-" ))
+       cells);
   Report.add_alloc ();
   Report.add_parallelism ~jobs:(Fl_par.jobs pool) (Fl_par.last_stats pool);
   Printf.printf
     "statuses %s across %d cells (%d budget-boundary flip%s); best clause \
-     reduction %.1f%%; solve-time ratio min %.2f, geomean %.2f\n"
+     reduction %.1f%%; solve-time ratio min %.2f, geomean %.2f; conflict \
+     ratio geomean %.2f over %d cells both arms broke\n"
     (if statuses_match then "consistent" else "DISAGREE ON CORRECTNESS")
     (List.length cells) budget_flips
     (if budget_flips = 1 then "" else "s")
-    max_reduction min_ratio geomean
+    max_reduction min_ratio geomean conflict_geomean
+    (List.length conflict_ratios)

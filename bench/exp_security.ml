@@ -161,7 +161,7 @@ let corruption ~deep ~pool () =
         let rng = Random.State.make [| Hashtbl.hash name; 3 |] in
         let locked = lock rng c in
         let corr =
-          Locked.output_corruption_fast ~trials:32 ~batches:2 locked
+          Locked.output_corruption ~trials:32 ~batches:2 locked
             (Random.State.make [| 4 |])
         in
         (* Exact (BDD model-counted) corruption of one fixed wrong key, when

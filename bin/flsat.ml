@@ -40,11 +40,10 @@ let () =
      show the LBD/conflict-level distributions even without --trace. *)
   if !show_stats then Fl_obs.set_deep true;
   let text =
-    let ic = open_in path in
-    let len = in_channel_length ic in
-    let t = really_input_string ic len in
-    close_in ic;
-    t
+    try In_channel.with_open_bin path In_channel.input_all
+    with Sys_error msg ->
+      prerr_endline (Fl_cli.file_error path msg);
+      exit 2
   in
   let formula =
     try Fl_cnf.Formula.of_dimacs text

@@ -26,7 +26,7 @@ let read_circuit path =
     Printf.eprintf "%s:%d: %s\n" path line msg;
     exit 1
   | Sys_error msg ->
-    Printf.eprintf "%s\n" msg;
+    prerr_endline (Fl_cli.file_error path msg);
     exit 1
 
 let write_circuit c path =

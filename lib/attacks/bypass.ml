@@ -187,12 +187,3 @@ let run ?(max_cubes = 32) ?(timeout = 30.0) ?(seed = 0xb1fa55) locked =
     (match Equiv.check repaired locked.Locked.oracle with
      | Equiv.Equivalent -> Bypassed { wrong_key; cubes; repaired; overhead_gates }
      | Equiv.Different _ | Equiv.Unknown -> Inconclusive)
-
-let pp_result fmt = function
-  | Bypassed { cubes; overhead_gates; _ } ->
-    Format.fprintf fmt
-      "BYPASSED: %d disagreement cube(s), %d bypass gates (oracle-equivalent)"
-      (List.length cubes) overhead_gates
-  | Too_many_cubes { found; _ } ->
-    Format.fprintf fmt "resists: more than %d disagreement cubes" (found - 1)
-  | Inconclusive -> Format.pp_print_string fmt "inconclusive (budget)"

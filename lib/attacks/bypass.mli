@@ -45,4 +45,3 @@ val run :
   Fl_locking.Locked.t ->
   result
 
-val pp_result : Format.formatter -> result -> unit

@@ -25,7 +25,7 @@ type result = {
   clause_var_ratio : float;
       (** of the final attack formula (Fig. 7), as the solver sees it: each
           observation enters as its folded key cone
-          ({!Fl_cnf.Tseytin.encode_observation}), not as a full circuit
+          ({!Fl_cnf.Tseytin.fold_observation}), not as a full circuit
           copy *)
   dips : bool array list;  (** the tested DIPs, most recent first *)
 }

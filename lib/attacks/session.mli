@@ -132,7 +132,7 @@ val solver_stats : t -> Fl_sat.Cdcl.stats
 (** Clauses-to-variables ratio of the session's miter formula (reduced, when
     preprocessing ran, plus all incremental observation constraints).  Each
     observation enters as its folded key cone
-    ({!Fl_cnf.Tseytin.encode_observation}), so this is the ratio of the
+    ({!Fl_cnf.Tseytin.fold_observation}), so this is the ratio of the
     formula the solver actually sees, not of full circuit copies; the
     [clause_var_ratio] of [attack.iteration] records is the same figure. *)
 val clause_var_ratio : t -> float
@@ -144,4 +144,3 @@ val clause_var_ratio : t -> float
 val preprocess_stats : t -> Fl_sat.Preprocess.stats option
 
 val elapsed : t -> float
-val out_of_time : t -> bool

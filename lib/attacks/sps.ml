@@ -80,23 +80,10 @@ let key_tainted c =
   done;
   tainted
 
-let skew_ranking c ~top =
-  let prob = probabilities c in
-  let tainted = key_tainted c in
-  let entries = ref [] in
-  for id = 0 to Circuit.num_nodes c - 1 do
-    let nd = Circuit.node c id in
-    match nd.Circuit.kind with
-    | Gate.Input | Gate.Key_input | Gate.Const _ -> ()
-    | _ ->
-      if tainted.(id) then
-        entries := (id, prob.(id), Float.abs (prob.(id) -. 0.5)) :: !entries
-  done;
-  let sorted =
-    List.sort (fun (_, _, a) (_, _, b) -> compare b a) !entries
-  in
-  List.filteri (fun i _ -> i < top) sorted
-
+(* For each 2-input XOR/XNOR whose one operand is key-dependent and the
+   other key-free (the flip-gate pattern), the skew of the key-dependent
+   operand, most skewed first.  An entry close to 0.5 means SPS pinpoints
+   a removable point-function block. *)
 let flip_wire_skew locked =
   let c = locked.Locked.locked in
   let prob = probabilities c in

@@ -15,16 +15,6 @@ val probabilities : Fl_netlist.Circuit.t -> float array
     input (shared with the removal attack). *)
 val key_tainted : Fl_netlist.Circuit.t -> bool array
 
-(** [skew_ranking c ~top] — the [top] most skewed key-dependent wires as
-    (node id, probability, skew), most skewed first. *)
-val skew_ranking : Fl_netlist.Circuit.t -> top:int -> (int * float * float) list
-
-(** [flip_wire_skew locked] — for each 2-input XOR/XNOR whose one operand is
-    key-dependent and the other key-free (the flip-gate pattern), the skew of
-    the key-dependent operand.  An entry close to 0.5 means SPS pinpoints a
-    removable point-function block. *)
-val flip_wire_skew : Fl_locking.Locked.t -> (int * float) list
-
 (** [identifies_block ?threshold locked] — whether SPS finds a flip wire
     with skew above [threshold] (default 0.45). *)
 val identifies_block : ?threshold:float -> Fl_locking.Locked.t -> bool

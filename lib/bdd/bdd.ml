@@ -38,7 +38,6 @@ let create ?(node_limit = 1_000_000) ~num_vars () =
   m.var_tab.(tru) <- num_vars;
   m
 
-let num_vars m = m.nvars
 let level m n = m.var_tab.(n)
 
 let mk m v lo hi =
@@ -112,8 +111,6 @@ let size m n =
   walk n;
   Hashtbl.length seen
 
-let total_nodes m = m.count
-
 let sat_count m n =
   (* S(n): satisfying assignments over variables [level n .. nvars-1]. *)
   let memo = Hashtbl.create 64 in
@@ -164,7 +161,11 @@ let any_sat m n =
   end
 
 let of_circuit m c ~keys =
-  if not (Circuit.is_acyclic c) then invalid_arg "Bdd.of_circuit: cyclic circuit";
+  let order =
+    match Circuit.topological_order c with
+    | Some order -> order
+    | None -> invalid_arg "Bdd.of_circuit: cyclic circuit"
+  in
   if Circuit.num_inputs c <> m.nvars then
     invalid_arg "Bdd.of_circuit: manager variable count must equal input count";
   if Array.length keys <> Circuit.num_keys c then
@@ -175,7 +176,6 @@ let of_circuit m c ~keys =
   Array.iteri
     (fun i id -> node_bdd.(id) <- (if keys.(i) then tru else fls))
     c.Circuit.keys;
-  let order = Option.get (Circuit.topological_order c) in
   let fold_binary op neutral fanins =
     Array.fold_left (fun acc f -> op acc node_bdd.(f)) neutral fanins
   in

@@ -20,7 +20,6 @@ exception Too_large
     ordered by index.  [node_limit] defaults to 1_000_000. *)
 val create : ?node_limit:int -> num_vars:int -> unit -> manager
 
-val num_vars : manager -> int
 val fls : node
 val tru : node
 
@@ -41,9 +40,6 @@ val equal : node -> node -> bool
 (** Number of internal nodes reachable from [n] (constants excluded). *)
 val size : manager -> node -> int
 
-(** Total live nodes in the manager. *)
-val total_nodes : manager -> int
-
 (** Exact number of satisfying assignments over all [num_vars] variables. *)
 val sat_count : manager -> node -> float
 
@@ -62,8 +58,9 @@ val any_sat : manager -> node -> bool array option
 val of_circuit : manager -> Fl_netlist.Circuit.t -> keys:bool array -> node array
 
 (** [exact_corruption locked ~key] — the exact fraction of (input, output)
-    pairs on which the locked circuit under [key] differs from the oracle:
-    the number the sampled {!Fl_locking.Locked.output_corruption} estimates.
+    pairs on which the locked circuit under [key] differs from the oracle;
+    {!Fl_locking.Locked.output_corruption} samples its mean over random
+    wrong keys.
     @raise Too_large / Invalid_argument as {!of_circuit}. *)
 val exact_corruption :
   ?node_limit:int -> Fl_locking.Locked.t -> key:bool array -> float

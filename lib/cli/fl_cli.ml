@@ -28,6 +28,10 @@ let take_flag flag args =
   let present = List.mem flag args in
   present, List.filter (fun a -> a <> flag) args
 
+let file_error path msg =
+  let prefix = path ^ ": " in
+  if String.starts_with ~prefix msg then msg else prefix ^ msg
+
 let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
 
 let parse_jobs s =
@@ -65,15 +69,13 @@ module Baseline = struct
     [ "wall_seconds"; "task_seconds"; "speedup"; "jobs"; "cells" ]
 
   (* Gated metrics, by direction. *)
-  let watch_lower = [ "solve_ratio_geomean" ]
+  let watch_lower = [ "solve_ratio_geomean"; "conflict_ratio_geomean" ]
   let watch_higher = [ "max_clause_reduction_pct" ]
 
   let load path =
-    let ic = open_in path in
     let text =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
+      try In_channel.with_open_bin path In_channel.input_all
+      with Sys_error msg -> failwith (file_error path msg)
     in
     match J.parse text with
     | J.Jobj members -> members

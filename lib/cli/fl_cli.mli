@@ -14,6 +14,11 @@ val take_opt : string -> string list -> string option * string list
     it. *)
 val take_flag : string -> string list -> bool * string list
 
+(** [file_error path msg] is the [Sys_error] message [msg] of reading
+    [path] in the form ["PATH: reason"]: a failed open names the path
+    already, a failed read (of a directory, say) does not. *)
+val file_error : string -> string -> string
+
 (** Pool width default: [recommended_domain_count () - 1], at least 1. *)
 val default_jobs : unit -> int
 
@@ -46,9 +51,9 @@ module Baseline : sig
   (** [gate ?tolerance ~baseline ~current ()] loads both report files,
       prints a ratio table and a per-section status summary to stdout,
       and returns the list of gate failures (if any).  [tolerance]
-      defaults to 1.25.  The watched lower-is-better metric is
-      [solve_ratio_geomean]; the watched higher-is-better one is
-      [max_clause_reduction_pct].
+      defaults to 1.25.  The watched lower-is-better metrics are
+      [solve_ratio_geomean] and [conflict_ratio_geomean]; the watched
+      higher-is-better one is [max_clause_reduction_pct].
       @raise Failure when either file is unreadable or not a JSON
       object. *)
   val gate :

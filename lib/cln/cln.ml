@@ -194,6 +194,8 @@ let random_routable_key spec rng =
 
 let key_for_identity spec = Array.make (num_key_bits spec) false
 
+(* The key positions that control inverters, in traversal order.  With
+   [Per_stage] placement they are interleaved with the switch-box bits. *)
 let inverter_bit_indices spec =
   let acc = ref [] in
   let dummy = Array.make spec.n () in

@@ -70,12 +70,6 @@ val key_for_identity : spec -> bool array
     pattern. *)
 val set_inversions : spec -> bool array -> inverted:bool array -> unit
 
-(** [inverter_bit_indices spec] is the positions within the key vector that
-    control inverters (in traversal order).  With [Per_stage] placement these
-    are interleaved with the switch-box bits, so callers that adjust
-    inversions must use this list rather than assume a contiguous suffix. *)
-val inverter_bit_indices : spec -> int list
-
 (** [key_of_swaps spec swaps] is the key whose switch-box [i] (in traversal
     order: layer by layer, box by box) passes or exchanges according to
     [swaps.(i)], with every inverter off.

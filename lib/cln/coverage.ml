@@ -44,13 +44,6 @@ let measure ?(max_keys = 1 lsl 20) spec =
 let coverage_fraction r =
   float_of_int r.distinct_permutations /. float_of_int r.total_permutations
 
-let pp_report fmt r =
-  Format.fprintf fmt "%a: %d/%d permutations (%.1f%%)%s" Cln.pp_spec r.spec
-    r.distinct_permutations r.total_permutations
-    (100.0 *. coverage_fraction r)
-    (if r.exhaustive then ""
-     else Printf.sprintf " [sampled %d keys]" r.keys_examined)
-
 (* Backtracking router with reachability pruning.  Works on the swap-only
    configuration space (box = pass | exchange), which is what lock
    generation uses.  On success the per-box swap choices are recorded in
@@ -152,29 +145,3 @@ let route spec ?inverted perm =
      | Some pattern -> Cln.set_inversions spec key ~inverted:pattern);
     Some key
   end
-
-let route_verified ?(probes = 4) spec ?inverted perm =
-  match route spec ?inverted perm with
-  | None -> None
-  | Some key ->
-    let module View = Fl_netlist.View in
-    let view = View.of_circuit (Cln.standalone spec) in
-    let n = spec.Cln.n in
-    let packed_key = View.broadcast key in
-    let inv_word j =
-      match inverted with
-      | Some pattern when pattern.(j) -> -1
-      | _ -> 0
-    in
-    let rng = Random.State.make [| 0xc14; n |] in
-    for _ = 1 to probes do
-      let inputs = View.random_words rng ~width:n in
-      let out = View.eval_packed view ~inputs ~keys:packed_key in
-      Array.iteri
-        (fun j w ->
-          if w <> inputs.(perm.(j)) lxor inv_word j then
-            failwith "Coverage.route_verified: routed key failed simulation \
-                      cross-check")
-        out
-    done;
-    Some key

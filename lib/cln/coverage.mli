@@ -21,7 +21,6 @@ type report = {
 val measure : ?max_keys:int -> Cln.spec -> report
 
 val coverage_fraction : report -> float
-val pp_report : Format.formatter -> report -> unit
 
 (** [routes_permutation spec perm] — whether some routable key realises
     [perm] (backtracking search over switch-box configurations).
@@ -36,17 +35,3 @@ val routes_permutation : Cln.spec -> int array -> bool
     @raise Invalid_argument on a malformed permutation or when [inverted]
     needs inverters the spec does not have. *)
 val route : Cln.spec -> ?inverted:bool array -> int array -> bool array option
-
-(** [route_verified spec ?inverted perm] is {!route} with a simulation
-    cross-check: the routed key is replayed on the compiled standalone
-    netlist through the shared circuit view ({!Fl_netlist.View}),
-    word-batched random probes confirming every output [j] carries
-    input [perm.(j)] (xor its inversion bit).
-    @raise Failure when the routed key fails the cross-check (a router or
-    netlist-compiler bug, not an unroutable permutation). *)
-val route_verified :
-  ?probes:int ->
-  Cln.spec ->
-  ?inverted:bool array ->
-  int array ->
-  bool array option

@@ -4,7 +4,6 @@ module Circuit = Fl_netlist.Circuit
 type style = Independent | Swap
 
 let key_bits = function Independent -> 2 | Swap -> 1
-let mux_count = function Independent | Swap -> 2
 
 let decode style bits (a, b) =
   match style, bits with

@@ -12,9 +12,6 @@ type style = Independent | Swap
 (** Key bits consumed by one box. *)
 val key_bits : style -> int
 
-(** MUX2 gate count of one box (for PPA accounting). *)
-val mux_count : style -> int
-
 (** [decode style bits (a, b)] is the pair of outputs as selections of the
     inputs, given the box's key bits ([bits] has length [key_bits style]).
     Convention: all-zero keys pass straight through. *)

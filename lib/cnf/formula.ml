@@ -1,8 +1,5 @@
 type lit = int
 
-let neg l = -l
-let var_of_lit l = abs l
-let is_pos l = l > 0
 
 type t = {
   mutable vars : int;
@@ -76,11 +73,6 @@ let to_dimacs f =
       Buffer.add_string buf "0\n");
   Buffer.contents buf
 
-let write_dimacs f path =
-  let oc = open_out path in
-  output_string oc (to_dimacs f);
-  close_out oc
-
 exception Dimacs_error of string
 
 let of_dimacs text =
@@ -137,7 +129,3 @@ let of_dimacs text =
          else List.iter (handle_token lineno) (words line));
   if !current <> [] then fail !last_line "trailing clause without terminating 0";
   f
-
-let pp_stats fmt f =
-  Format.fprintf fmt "%d vars, %d clauses, %d literals, ratio %.2f" f.vars
-    f.clause_count f.literal_count (ratio f)

@@ -7,9 +7,6 @@
 
 type lit = int
 
-val neg : lit -> lit
-val var_of_lit : lit -> int
-val is_pos : lit -> bool
 
 type t
 
@@ -56,7 +53,6 @@ val copy : t -> t
 (** {1 DIMACS} *)
 
 val to_dimacs : t -> string
-val write_dimacs : t -> string -> unit
 
 exception Dimacs_error of string
 
@@ -66,5 +62,3 @@ exception Dimacs_error of string
     is not checked).  @raise Dimacs_error with a message starting
     ["line N: "] on malformed input. *)
 val of_dimacs : string -> t
-
-val pp_stats : Format.formatter -> t -> unit

@@ -99,13 +99,4 @@ let build c =
   let f = Formula.create () in
   of_copy c f (Tseytin.encode f c)
 
-let add_io_constraint m c ~inputs ~outputs =
-  let values = View.eval_under_inputs (View.of_circuit c) ~inputs in
-  let o =
-    Tseytin.eliminate_locals (Tseytin.scratch ())
-      (Tseytin.fold_observation c ~values ~outputs)
-  in
-  Tseytin.add_observation m.formula o ~share_keys:m.keys_a;
-  Tseytin.add_observation m.formula o ~share_keys:m.keys_b
-
 let clause_variable_ratio c = Formula.ratio (build c).formula

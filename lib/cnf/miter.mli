@@ -55,15 +55,6 @@ val copy_interface : Tseytin.encoding -> int array
     @raise Invalid_argument when [enc] has no keys. *)
 val of_copy : Fl_netlist.Circuit.t -> Formula.t -> Tseytin.encoding -> t
 
-(** [add_io_constraint m c ~inputs ~outputs] encodes one oracle
-    observation: both key copies must reproduce output [outputs] on input
-    [inputs].  The observation is folded once to [c]'s key cone under
-    [inputs] ({!Tseytin.fold_observation}), its local variables are
-    eliminated once ({!Tseytin.eliminate_locals}), and the result is added
-    for each key copy with fresh variables inside [m.formula]. *)
-val add_io_constraint :
-  t -> Fl_netlist.Circuit.t -> inputs:bool array -> outputs:bool array -> unit
-
 (** [clause_variable_ratio c] is the clauses-to-variables ratio of the
     initial attack formula on [c] — the metric of Fig. 7. *)
 val clause_variable_ratio : Fl_netlist.Circuit.t -> float

@@ -198,10 +198,6 @@ let encode ?share_inputs ?share_keys f c =
     output_vars = Array.map (fun (_, id) -> node_var.(id)) c.Circuit.outputs;
   }
 
-let assert_equal f a b =
-  Formula.add_clause f [ -a; b ];
-  Formula.add_clause f [ a; -b ]
-
 let xor_out f a b =
   let x = Formula.fresh_var f in
   encode_xor2 (formula_sink f) ~out:x a b;
@@ -584,8 +580,3 @@ let eliminate_locals sc o =
     done;
     { keys; locals = !locals; clauses }
   end
-
-let encode_observation f c ~values ~share_keys ~outputs =
-  if Array.length share_keys <> Circuit.num_keys c then
-    invalid_arg "Tseytin.encode_observation: shared keys length mismatch";
-  add_observation f (fold_observation c ~values ~outputs) ~share_keys

@@ -30,9 +30,6 @@ val encode_gate :
 val encode :
   ?share_inputs:int array -> ?share_keys:int array -> Formula.t -> Fl_netlist.Circuit.t -> encoding
 
-(** [assert_equal f a b] adds [a <-> b]. *)
-val assert_equal : Formula.t -> int -> int -> unit
-
 (** [xor_out f a b] allocates and returns [x = a XOR b]. *)
 val xor_out : Formula.t -> int -> int -> int
 
@@ -105,16 +102,3 @@ val scratch : unit -> scratch
     refute becomes one local forced both ways, as a contradicting
     settled output folds. *)
 val eliminate_locals : scratch -> observation -> observation
-
-(** [encode_observation f c ~values ~share_keys ~outputs] is
-    {!fold_observation} followed by {!add_observation}: it constrains the
-    key variables [share_keys] to keys under which [c] maps one input
-    vector to [outputs].
-    @raise Invalid_argument on a length mismatch. *)
-val encode_observation :
-  Formula.t ->
-  Fl_netlist.Circuit.t ->
-  values:Fl_netlist.View.tristate array ->
-  share_keys:int array ->
-  outputs:bool array ->
-  unit

@@ -149,8 +149,3 @@ let parse_plr_sizes text =
              List.init count (fun _ -> size)
            | [ size ] -> [ int_of_string (String.trim size) ]
            | _ -> invalid_arg "Fulllock.parse_plr_sizes")
-
-let pp_config fmt config =
-  Format.fprintf fmt "PLR{%a%s%s}" Cln.pp_spec config.cln
-    (if config.lut_layer then ", LUT layer" else "")
-    (if config.negate_leading then ", twisted" else "")

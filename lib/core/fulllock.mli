@@ -68,5 +68,3 @@ val standalone_cln_lock : Fl_cln.Cln.spec -> Random.State.t -> Fl_locking.Locked
     reproducing Table 5 rows ("2×16×16 + 1×8×8" means two PLRs with 16-wire
     CLNs plus one with an 8-wire CLN). *)
 val parse_plr_sizes : string -> int list
-
-val pp_config : Format.formatter -> config -> unit

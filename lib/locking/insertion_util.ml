@@ -13,7 +13,6 @@ module Key_bag = struct
 
   let fresh_vector bag values = Array.map (fun v -> fresh bag v) values
   let correct_key bag = Array.of_list (List.rev bag.values)
-  let count bag = List.length bag.values
 end
 
 module Reach = struct

@@ -7,17 +7,12 @@ module Key_bag : sig
       the only creator of key inputs. *)
   type t
 
-  val create : Fl_netlist.Circuit.Builder.t -> t
-
   (** [fresh bag correct_value] adds one key input and records its correct
       value; returns the node id. *)
   val fresh : t -> bool -> int
 
   (** [fresh_vector bag values] adds one key input per entry. *)
   val fresh_vector : t -> bool array -> int array
-
-  val correct_key : t -> bool array
-  val count : t -> int
 end
 
 (** Reach marks over a fixed graph, extended one start node at a time. *)

@@ -24,32 +24,7 @@ let key_matches ?exhaustive_limit ?vectors ?seed t ~key =
 let verify ?exhaustive_limit ?vectors ?seed t =
   key_matches ?exhaustive_limit ?vectors ?seed t ~key:t.correct_key
 
-let output_corruption ?(trials = 16) ?(vectors = 64) t rng =
-  let n = Circuit.num_inputs t.oracle in
-  let nk = Array.length t.correct_key in
-  let total = ref 0.0 in
-  let samples = ref 0 in
-  for _ = 1 to trials do
-    let key = Array.init nk (fun _ -> Random.State.bool rng) in
-    if key <> t.correct_key then
-      for _ = 1 to vectors do
-        let inputs = View.random_vector rng n in
-        let reference = query_oracle t inputs in
-        let fraction =
-          match eval_locked t ~key ~inputs with
-          | outputs ->
-            let diff = ref 0 in
-            Array.iteri (fun i v -> if v <> reference.(i) then incr diff) outputs;
-            float_of_int !diff /. float_of_int (Array.length reference)
-          | exception View.Unresolved _ -> 1.0
-        in
-        total := !total +. fraction;
-        incr samples
-      done
-  done;
-  if !samples = 0 then 0.0 else !total /. float_of_int !samples
-
-let output_corruption_fast ?(trials = 16) ?(batches = 2) t rng =
+let output_corruption ?(trials = 16) ?(batches = 2) t rng =
   let n = Circuit.num_inputs t.oracle in
   let nk = Array.length t.correct_key in
   let corrupted = ref 0 and total = ref 0 in

@@ -28,17 +28,13 @@ val verify : ?exhaustive_limit:int -> ?vectors:int -> ?seed:int -> t -> bool
 val key_matches :
   ?exhaustive_limit:int -> ?vectors:int -> ?seed:int -> t -> key:bool array -> bool
 
-(** [output_corruption t ~trials ~vectors rng] is the average fraction of
-    output bits that differ from the oracle under uniformly random wrong
-    keys — the paper's output-corruption argument against SARLock-style
-    schemes (§2).  Unsettled cyclic evaluations count as fully corrupted. *)
+(** [output_corruption ?trials ?batches t rng] is the average fraction of
+    output bits that differ from the oracle under [trials] uniformly random
+    wrong keys (default 16) — the paper's output-corruption argument
+    against SARLock-style schemes (§2).  Each key runs [batches] packed
+    batches of {!Fl_netlist.View.lanes} random vectors (default 2) on the
+    word evaluator; a lane left unsettled by a cycle counts as corrupted. *)
 val output_corruption :
-  ?trials:int -> ?vectors:int -> t -> Random.State.t -> float
-
-(** [output_corruption_fast t rng] — like {!output_corruption} but using
-    the 63-lane word evaluator ({!Fl_netlist.View.eval_words}); [batches]
-    packed batches of 63 vectors per wrong key (default 2). *)
-val output_corruption_fast :
   ?trials:int -> ?batches:int -> t -> Random.State.t -> float
 
 val num_key_bits : t -> int

@@ -293,10 +293,7 @@ let parse_string ?(name = "bench") text =
   Circuit.of_builder b
 
 let parse_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
+  let text = In_channel.with_open_bin path In_channel.input_all in
   parse_string ~name:(Filename.remove_extension (Filename.basename path)) text
 
 let gate_call node =

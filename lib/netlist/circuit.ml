@@ -380,7 +380,7 @@ let fanouts c =
     c.nodes;
   result
 
-let compute_topological_order c =
+let topological_order c =
   (* Kahn's algorithm; duplicate fanin edges are counted on both sides, which
      keeps the decrements symmetric. *)
   let n = Array.length c.nodes in
@@ -404,30 +404,6 @@ let compute_topological_order c =
       fan_out.(id)
   done;
   if !filled = n then Some order else None
-
-(* Memoized per circuit physical identity (circuits are immutable).  The
-   ephemeron keys let cached orders die with their circuits.  Consumers must
-   treat the returned array as read-only — it is shared.  The table itself
-   is domain-local (Fl_par workers each memoize their own orders), so no
-   lock sits on this hot lookup. *)
-module Topo_cache = Ephemeron.K1.Make (struct
-  type nonrec t = t
-
-  let equal = ( == )
-  let hash c = Hashtbl.hash (Array.length c.nodes, c.name)
-end)
-
-let topo_cache_key : int array option Topo_cache.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Topo_cache.create 64)
-
-let topological_order c =
-  let topo_cache = Domain.DLS.get topo_cache_key in
-  match Topo_cache.find_opt topo_cache c with
-  | Some r -> r
-  | None ->
-    let r = compute_topological_order c in
-    Topo_cache.replace topo_cache c r;
-    r
 
 let is_acyclic c = topological_order c <> None
 

@@ -36,7 +36,7 @@ module Builder : sig
 
   (** [declare b kind] appends a node whose fanins will be supplied later via
       {!set_fanins}; this is how forward references and combinational cycles
-      are built.  {!freeze} raises if a declared node was never wired. *)
+      are built.  {!of_builder} raises if a declared node was never wired. *)
   val declare : ?name:string -> t -> Gate.t -> int
 
   (** [declare_distinct ~name b kind] is [declare ~name b kind] for a
@@ -88,14 +88,11 @@ module Builder : sig
 
   (** [unique_name b base] is [base] when free, otherwise a fresh variant. *)
   val unique_name : t -> string -> string
-
-  (** Freeze into an immutable circuit.
-      @raise Invalid_argument if no output was declared, or naming the
-      lowest-numbered declared node that was never wired. *)
-  val freeze : t -> circuit
 end
 
-(** [of_builder b] is [Builder.freeze b]. *)
+(** [of_builder b] freezes [b] into an immutable circuit.
+    @raise Invalid_argument if no output was declared, or naming the
+    lowest-numbered declared node that was never wired. *)
 val of_builder : Builder.t -> t
 
 (** [copy_into b c] replays every node of [c] into builder [b] and returns
@@ -131,14 +128,9 @@ val fanouts : t -> int array array
 (** {1 Structure} *)
 
 (** [topological_order c] is [Some order] (fanins before fanouts) when the
-    circuit is acyclic, [None] otherwise.  Memoized per circuit physical
-    identity; do not mutate the returned array. *)
+    circuit is acyclic, [None] otherwise.  A fresh O(N) sort per call;
+    {!View.topo_order} is the cached one. *)
 val topological_order : t -> int array option
-
-(** [compute_topological_order c] is {!topological_order} without the memo
-    table — a fresh O(N) sort per call.  Exists as the honest uncached
-    reference path for benchmarks and differential tests. *)
-val compute_topological_order : t -> int array option
 
 val is_acyclic : t -> bool
 

@@ -148,4 +148,3 @@ let of_string s =
   | "mux" -> Some Mux
   | _ -> None
 
-let pp fmt kind = Format.pp_print_string fmt (to_string kind)

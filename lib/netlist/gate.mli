@@ -56,5 +56,3 @@ val to_string : t -> string
 
 (** Inverse of {!to_string} for the fixed-name kinds (not [Lut]/[Const]). *)
 val of_string : string -> t option
-
-val pp : Format.formatter -> t -> unit

@@ -11,8 +11,6 @@ let c_evals = Fl_obs.Counter.make "view.evals"
 let c_fixpoint_sweeps = Fl_obs.Counter.make "view.fixpoint_sweeps"
 let c_fanouts_hit = Fl_obs.Counter.make "view.memo.fanouts.hit"
 let c_fanouts_miss = Fl_obs.Counter.make "view.memo.fanouts.miss"
-let c_levels_hit = Fl_obs.Counter.make "view.memo.levels.hit"
-let c_levels_miss = Fl_obs.Counter.make "view.memo.levels.miss"
 let c_scc_hit = Fl_obs.Counter.make "view.memo.scc.hit"
 let c_scc_miss = Fl_obs.Counter.make "view.memo.scc.miss"
 let c_key_cone_hit = Fl_obs.Counter.make "view.memo.key_cone.hit"
@@ -54,7 +52,6 @@ type t = {
   defined : int array;
   value : int array;
   mutable fanouts_memo : int array array option;
-  mutable levels_memo : int array option option;
   mutable scc_memo : int array option;
   mutable key_cone_memo : int array option;
 }
@@ -118,7 +115,6 @@ let build c =
     defined = Array.make n 0;
     value = Array.make n 0;
     fanouts_memo = None;
-    levels_memo = None;
     scc_memo = None;
     key_cone_memo = None;
   }
@@ -177,34 +173,6 @@ let scc v =
     let s = Circuit.strongly_connected_components v.circuit in
     v.scc_memo <- Some s;
     s
-
-let levels v =
-  match v.levels_memo with
-  | Some r ->
-    Fl_obs.Counter.incr c_levels_hit;
-    r
-  | None ->
-    Fl_obs.Counter.incr c_levels_miss;
-    let r =
-      match v.topo with
-      | None -> None
-      | Some order ->
-        let c = v.circuit in
-        let lv = Array.make (Circuit.num_nodes c) 0 in
-        Array.iter
-          (fun id ->
-            let fanins = (Circuit.node c id).Circuit.fanins in
-            if Array.length fanins > 0 then begin
-              let m = Array.fold_left (fun acc f -> max acc lv.(f)) 0 fanins in
-              lv.(id) <- m + 1
-            end)
-          order;
-        Some lv
-    in
-    v.levels_memo <- Some r;
-    r
-
-let depth v = Option.map (Array.fold_left max 0) (levels v)
 
 let key_cone v =
   match v.key_cone_memo with
@@ -630,7 +598,7 @@ let node_values c ~inputs ~keys =
     | Gate.Const b -> tri_of_bool b
     | kind -> eval_gate_tri kind (Array.map (fun f -> values.(f)) nd.Circuit.fanins)
   in
-  (match Circuit.compute_topological_order c with
+  (match Circuit.topological_order c with
    | Some order -> Array.iter (fun id -> values.(id) <- eval_node id) order
    | None ->
      (* Values move monotonically from X to 0/1, so at most [n] sweeps

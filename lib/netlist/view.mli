@@ -2,8 +2,7 @@
 
     A view is a lazily-computed, cached bundle of everything the layers
     above repeatedly ask of one circuit: topological order, acyclicity,
-    logic levels, fanout lists, key cone, strongly connected
-    components — plus a {e compiled evaluator}: a flat instruction array
+    fanout lists, key cone, strongly connected components — plus a {e compiled evaluator}: a flat instruction array
     built once per circuit that evaluates three-valued scalar and 64-wide
     bitsliced word values with zero per-node allocation on the hot path.
 
@@ -45,9 +44,9 @@ val of_circuit : Circuit.t -> t
 (** {1 Cached structural analyses}
 
     Hit/miss rates of the memoized analyses are reported on the
-    [view.memo.fanouts.*], [view.memo.levels.*], [view.memo.scc.*] and
-    [view.memo.key_cone.*] {!Fl_obs} counters, and the evaluator's work on
-    [view.builds], [view.cache.hit], [view.evals] (a key-cone run of
+    [view.memo.fanouts.*], [view.memo.scc.*] and [view.memo.key_cone.*]
+    {!Fl_obs} counters, and the evaluator's work on [view.builds],
+    [view.cache.hit], [view.evals] (a key-cone run of
     {!eval_words_per_key} counts as one) and [view.fixpoint_sweeps]. *)
 
 (** Cached {!Circuit.topological_order}.  Do not mutate the returned
@@ -55,13 +54,6 @@ val of_circuit : Circuit.t -> t
 val topo_order : t -> int array option
 
 val is_acyclic : t -> bool
-
-(** Logic level of every node (longest distance from any source), or [None]
-    when cyclic.  Shared array — do not mutate. *)
-val levels : t -> int array option
-
-(** Levelised logic depth, as {!Circuit.depth}. *)
-val depth : t -> int option
 
 (** Cached {!Circuit.fanouts}.  Shared — do not mutate. *)
 val fanouts : t -> int array array

@@ -34,13 +34,6 @@ let generic_32nm =
 
 let zero = { area_um2 = 0.0; power_nw = 0.0; delay_ns = 0.0 }
 
-let add a b =
-  {
-    area_um2 = a.area_um2 +. b.area_um2;
-    power_nw = a.power_nw +. b.power_nw;
-    delay_ns = a.delay_ns +. b.delay_ns;
-  }
-
 let cell_of lib kind ~fanin =
   ignore fanin;
   match kind with

@@ -28,4 +28,3 @@ val cell_of : t -> Fl_netlist.Gate.t -> fanin:int -> cell
 val scale : t -> area:float -> power:float -> delay:float -> t
 
 val zero : cell
-val add : cell -> cell -> cell

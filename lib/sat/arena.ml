@@ -88,7 +88,6 @@ let kill a c =
 
 let num_clauses a = a.clauses
 let num_learnts a = a.learnts
-let words a = a.size
 let wasted a = a.wasted
 
 let iter a f =

@@ -40,7 +40,6 @@ val header_words : int
 val data : t -> int array
 
 val learnt : t -> Cref.t -> bool
-val is_dead : t -> Cref.t -> bool
 
 (** [lit a c i] is the [i]-th literal (packed, {!Lit.t} encoding). *)
 val lit : t -> Cref.t -> int -> int
@@ -59,9 +58,6 @@ val kill : t -> Cref.t -> unit
 
 val num_clauses : t -> int
 val num_learnts : t -> int
-
-(** Words allocated (live + dead). *)
-val words : t -> int
 
 (** Words held by dead clauses. *)
 val wasted : t -> int

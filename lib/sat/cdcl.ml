@@ -313,10 +313,7 @@ let create () =
     progress_cb = ignore;
   }
 
-let num_vars s = s.nvars
-let num_clauses s = Arena.num_clauses s.arena
 let num_learnts s = Arena.num_learnts s.arena
-let arena_words s = Arena.words s.arena
 
 let ensure_vars s n =
   if n > s.nvars then begin
@@ -1232,11 +1229,6 @@ let set_progress s ~every cb =
   s.progress_next <- s.n_conflicts + every;
   s.progress_mark <- stats s;
   s.progress_cb <- cb
-
-let clear_progress s =
-  s.progress_every <- 0;
-  s.progress_next <- max_int;
-  s.progress_cb <- ignore
 
 let stats_fields (d : stats) =
   [

@@ -103,18 +103,9 @@ val value : t -> int -> bool
 (** [model s] is the full model as (variable -> value), index 0 unused. *)
 val model : t -> bool array
 
-val num_vars : t -> int
-
-(** Current clause count in the arena (problem + live learnt clauses). *)
-val num_clauses : t -> int
-
 (** Live learnt clauses (shrinks when the database is reduced, unlike the
     monotone [stats.learned_clauses]). *)
 val num_learnts : t -> int
-
-(** Words currently allocated in the clause arena (live + dead clauses);
-    a direct measure of solver-core memory. *)
-val arena_words : t -> int
 
 (** [reduce_now s] backtracks to level 0 and forces one learnt-database
     reduction (arena compaction + watch-list rebuild) — the same path
@@ -134,12 +125,10 @@ val pp_stats : Format.formatter -> stats -> unit
 (** [set_progress s ~every cb] arms a periodic progress hook: during search,
     after every [every] conflicts, [cb] is called with the stat deltas
     accumulated since the previous firing (first firing: since arming).
-    One hook per solver; re-arming replaces it, {!clear_progress} disarms.
-    When disarmed the search loop pays one integer compare per conflict.
+    One hook per solver; re-arming replaces it.  When unarmed the search
+    loop pays one integer compare per conflict.
     @raise Invalid_argument when [every <= 0]. *)
 val set_progress : t -> every:int -> (stats -> unit) -> unit
-
-val clear_progress : t -> unit
 
 (** [solve_formula ?budget f] is a convenience one-shot solve; returns the
     outcome, the model when Sat, and the stats. *)

@@ -12,7 +12,8 @@ let check ?(budget = Cdcl.no_budget) ?(keys_a = [||]) ?(keys_b = [||]) a b =
     invalid_arg "Equiv.check: input counts differ";
   if Circuit.num_outputs a <> Circuit.num_outputs b then
     invalid_arg "Equiv.check: output counts differ";
-  if not (Circuit.is_acyclic a && Circuit.is_acyclic b) then
+  let acyclic c = Fl_netlist.View.is_acyclic (Fl_netlist.View.of_circuit c) in
+  if not (acyclic a && acyclic b) then
     invalid_arg "Equiv.check: cyclic circuit (CNF equivalence would be unsound)";
   if Array.length keys_a <> Circuit.num_keys a then
     invalid_arg "Equiv.check: key length mismatch for first circuit";
@@ -43,12 +44,3 @@ let check ?(budget = Cdcl.no_budget) ?(keys_a = [||]) ?(keys_b = [||]) a b =
 
 let check_key ?budget ~locked ~oracle key =
   check ?budget ~keys_a:key ~keys_b:[||] locked oracle
-
-let pp_verdict fmt = function
-  | Equivalent -> Format.pp_print_string fmt "equivalent (proved)"
-  | Unknown -> Format.pp_print_string fmt "unknown (budget exhausted)"
-  | Different { inputs; _ } ->
-    Format.fprintf fmt "different (counterexample input:%a)"
-      (fun f arr ->
-        Array.iter (fun b -> Format.pp_print_char f (if b then '1' else '0')) arr)
-      inputs

@@ -34,5 +34,3 @@ val check_key :
   oracle:Fl_netlist.Circuit.t ->
   bool array ->
   verdict
-
-val pp_verdict : Format.formatter -> verdict -> unit

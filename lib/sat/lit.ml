@@ -17,35 +17,13 @@
 
 type t = int
 
-external of_int : int -> t = "%identity"
-external to_int : t -> int = "%identity"
-
-let make v sign = (2 * v) lor (if sign then 1 else 0)
-let var l = l lsr 1
-let sign l = l land 1 = 1
-let neg l = l lxor 1
-let undef = -1
-
-(* DIMACS literal [l] (non-zero, 1-based variable) <-> packed form. *)
+(* DIMACS literal [l] (non-zero, 1-based variable) -> packed form. *)
 let of_dimacs l = (2 * (abs l - 1)) lor (if l < 0 then 1 else 0)
-let to_dimacs l = if l land 1 = 0 then (l lsr 1) + 1 else -((l lsr 1) + 1)
-
-let pp fmt l = Format.pp_print_int fmt (to_dimacs l)
 
 module Lbool = struct
   type t = int
 
-  let false_ = 0
-  let true_ = 1
-  let undef = 2
-
-  (* Negation by bit-twiddle (SNIPPETS.md): flips false<->true, fixes
-     undef.  [(v lxor 1) land lnot (v asr 1)] = 1,0,2 for v = 0,1,2. *)
-  let neg v = v lxor 1 land lnot (v asr 1)
-  let of_bool b = if b then true_ else false_
-  let is_true v = v = true_
-  let is_false v = v = false_
-  let is_undef v = v >= undef
+  let is_undef v = v >= 2
 end
 
 (* Assignment array primitives.  The array is indexed by 0-based variable;

@@ -110,11 +110,3 @@ let is_unsat (t : t) = t.unsat
 let stats t = t.st
 let elim_stack t = t.stack
 let reconstruct t model = Simp_db.reconstruct_stack t.stack model
-
-let pp_stats fmt st =
-  Format.fprintf fmt
-    "%d->%d vars, %d->%d clauses, %d->%d literals (%d eliminated, %d subsumed, %d strengthened, %d resolvents, %d taut, %d dup; %d sweeps, %d elimination attempts) in %.3fs"
-    st.vars_before st.vars_after st.clauses_before st.clauses_after
-    st.literals_before st.literals_after st.eliminated st.subsumed
-    st.strengthened st.resolvents st.tautologies st.duplicates st.sweeps
-    st.elim_attempts st.wall_s

@@ -72,5 +72,3 @@ val elim_stack : t -> (int * int array list) list
     fresh array; values of non-eliminated (in particular frozen) variables
     are unchanged. *)
 val reconstruct : t -> bool array -> bool array
-
-val pp_stats : Format.formatter -> stats -> unit

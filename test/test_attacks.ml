@@ -485,8 +485,8 @@ let prop_one_copy_preprocessing_sound =
             if Random.State.bool rng then Locked.query_oracle l inputs
             else bits (Circuit.num_outputs circuit)
           in
-          Fl_cnf.Miter.add_io_constraint m_pre circuit ~inputs ~outputs;
-          Fl_cnf.Miter.add_io_constraint m_ref circuit ~inputs ~outputs
+          Test_support.add_io_constraint m_pre circuit ~inputs ~outputs;
+          Test_support.add_io_constraint m_ref circuit ~inputs ~outputs
         done;
         let s_pre = Fl_sat.Cdcl.of_formula m_pre.Fl_cnf.Miter.formula
         and s_ref = Fl_sat.Cdcl.of_formula m_ref.Fl_cnf.Miter.formula in

@@ -261,7 +261,7 @@ let test_miter_io_constraint_rules_out_keys () =
   let c = xor_locked () in
   let m = Miter.build c in
   (* Oracle with k* = 1: input x=0 -> y=1. *)
-  Miter.add_io_constraint m c ~inputs:[| false |] ~outputs:[| true |];
+  Test_support.add_io_constraint m c ~inputs:[| false |] ~outputs:[| true |];
   (* Now both key copies must be 1, so no further DIP exists. *)
   let outcome, _, _ = Fl_sat.Cdcl.solve_formula m.Miter.formula in
   check bool_t "no dip left" true (outcome = Fl_sat.Cdcl.Unsat)
@@ -332,7 +332,9 @@ let observation_agrees locked ~inputs ~key ~outputs =
           Fl_netlist.View.eval_under_inputs
             (Fl_netlist.View.of_circuit locked) ~inputs
         in
-        Tseytin.encode_observation f locked ~values ~share_keys:keys ~outputs)
+        Tseytin.add_observation f
+          (Tseytin.fold_observation locked ~values ~outputs)
+          ~share_keys:keys)
   in
   full_sat = folded_sat && folded_clauses <= full_clauses, full_clauses,
   folded_clauses
@@ -495,7 +497,9 @@ let test_cyclic_observation_aliases () =
       values;
     let f = Formula.create () in
     let keys = Formula.fresh_vars f nk in
-    Tseytin.encode_observation f locked ~values ~share_keys:keys ~outputs;
+    Tseytin.add_observation f
+      (Tseytin.fold_observation locked ~values ~outputs)
+      ~share_keys:keys;
     if Formula.num_vars f - nk < !unsettled then incr fewer_vars;
     let ok, full, folded = observation_agrees locked ~inputs ~key ~outputs in
     check bool_t "folded = full" true ok;
@@ -607,7 +611,9 @@ let test_fold_contradiction () =
   let f = Formula.create () in
   let keys = Formula.fresh_vars f 1 in
   let values = View.eval_under_inputs (View.of_circuit c) ~inputs:[| false |] in
-  Tseytin.encode_observation f c ~values ~share_keys:keys ~outputs:[| true |];
+  Tseytin.add_observation f
+    (Tseytin.fold_observation c ~values ~outputs:[| true |])
+    ~share_keys:keys;
   check int_t "two units over one fresh variable" 2 (Formula.num_clauses f);
   let outcome, _, _ = Fl_sat.Cdcl.solve_formula f in
   check bool_t "unsat" true (outcome = Fl_sat.Cdcl.Unsat)

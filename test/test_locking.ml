@@ -241,18 +241,6 @@ let test_fulllock_wrong_key () =
   (* bit 0 is a CLN switch bit: the route breaks *)
   check bool_t "flipped switch bit wrong" false (Locked.key_matches l ~key:wrong)
 
-let test_corruption_estimators_agree () =
-  (* Scalar and word-parallel corruption estimates must roughly agree. *)
-  let c = host ~gates:80 ~inputs:8 () in
-  let rng = Random.State.make [| 55 |] in
-  let l = Fulllock.lock_one rng ~n:4 c in
-  let slow = Locked.output_corruption ~trials:12 ~vectors:63 l (Random.State.make [| 6 |]) in
-  let fast = Locked.output_corruption_fast ~trials:12 ~batches:1 l (Random.State.make [| 6 |]) in
-  check bool_t
-    (Printf.sprintf "slow %.3f ~ fast %.3f" slow fast)
-    true
-    (Float.abs (slow -. fast) < 0.15)
-
 let test_fulllock_high_corruption () =
   let c = host ~gates:80 ~inputs:8 () in
   let rng = Random.State.make [| 25 |] in
@@ -530,7 +518,6 @@ let () =
           Alcotest.test_case "acyclic stays acyclic" `Quick test_fulllock_acyclic_never_cycles;
           Alcotest.test_case "wrong key" `Quick test_fulllock_wrong_key;
           Alcotest.test_case "high corruption" `Quick test_fulllock_high_corruption;
-          Alcotest.test_case "corruption estimators agree" `Quick test_corruption_estimators_agree;
           Alcotest.test_case "no luts/twist" `Quick test_fulllock_without_luts_or_twist;
           Alcotest.test_case "negate needs inverters" `Quick test_fulllock_negate_requires_inverters;
           Alcotest.test_case "blocking variant" `Quick test_fulllock_blocking_variant;

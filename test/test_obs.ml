@@ -612,15 +612,16 @@ let write_tmp_json contents =
   close_out oc;
   path
 
-let base_report ?(geomean = 0.85) ?(reduction = 43.0) ?(statuses = true)
-    ?(status_a = "broken") ?(wall = 10.0) () =
+let base_report ?(geomean = 0.85) ?(conflicts = 0.7) ?(reduction = 43.0)
+    ?(statuses = true) ?(status_a = "broken") ?(wall = 10.0) () =
   Printf.sprintf
     {|{"experiment": "cnf", "wall_seconds": %g, "statuses_match": %b,
-       "solve_ratio_geomean": %g, "max_clause_reduction_pct": %g,
+       "solve_ratio_geomean": %g, "conflict_ratio_geomean": %g,
+       "max_clause_reduction_pct": %g,
        "status_pre": {"a": %S, "b": "timeout"},
        "solve_ratio": {"a": 1.0, "b": 0.9},
        "counters": {"cdcl.conflicts": 123}}|}
-    wall statuses geomean reduction status_a
+    wall statuses geomean conflicts reduction status_a
 
 let run_gate baseline current =
   let b = write_tmp_json baseline and c = write_tmp_json current in
@@ -637,7 +638,7 @@ let test_gate_pass () =
   (* Informational drift (wall time) and tolerated watched drift pass. *)
   match
     run_gate (base_report ())
-      (base_report ~wall:99.0 ~geomean:0.9 ~reduction:40.0 ())
+      (base_report ~wall:99.0 ~geomean:0.9 ~conflicts:0.8 ~reduction:40.0 ())
   with
   | Ok () -> ()
   | Error fails ->
@@ -666,6 +667,9 @@ let test_gate_failures () =
   expect_failure "watched lower regressed"
     (run_gate (base_report ()) (base_report ~geomean:1.2 ()))
     "solve_ratio_geomean";
+  expect_failure "conflict ratio regressed"
+    (run_gate (base_report ()) (base_report ~conflicts:0.9 ()))
+    "conflict_ratio_geomean";
   expect_failure "watched higher regressed"
     (run_gate (base_report ()) (base_report ~reduction:20.0 ()))
     "max_clause_reduction_pct"

@@ -674,7 +674,7 @@ let prop_reconstruct_keeps_frozen =
       let locked = l.Fl_locking.Locked.locked in
       let m = Fl_cnf.Miter.build locked in
       let inputs = Array.init 5 (fun _ -> Random.State.bool rng) in
-      Fl_cnf.Miter.add_io_constraint m locked ~inputs
+      Test_support.add_io_constraint m locked ~inputs
         ~outputs:(Fl_locking.Locked.query_oracle l inputs);
       let f = m.Fl_cnf.Miter.formula in
       let frozen =

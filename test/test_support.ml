@@ -44,6 +44,19 @@ let equivalent ?(keys = [||]) a b =
   View.agree_on_probes ~exhaustive_limit:20 (View.of_circuit a) ~keys_a:keys
     (View.of_circuit b) ~keys_b:keys
 
+(* One oracle observation on a miter: both key copies must reproduce
+   [outputs] on [inputs].  The fold and the elimination run once and
+   serve both copies, as in a session. *)
+let add_io_constraint (m : Fl_cnf.Miter.t) c ~inputs ~outputs =
+  let module Tseytin = Fl_cnf.Tseytin in
+  let values = View.eval_under_inputs (View.of_circuit c) ~inputs in
+  let o =
+    Tseytin.eliminate_locals (Tseytin.scratch ())
+      (Tseytin.fold_observation c ~values ~outputs)
+  in
+  Tseytin.add_observation m.formula o ~share_keys:m.keys_a;
+  Tseytin.add_observation m.formula o ~share_keys:m.keys_b
+
 (* ---- Reference implementations for differential tests ---------------- *)
 
 module Circuit = Fl_netlist.Circuit

@@ -237,13 +237,12 @@ let test_view_is_memoized () =
 
 let test_topological_order_is_memoized () =
   let c = Bench_suite.c17 () in
-  (match Circuit.topological_order c, Circuit.topological_order c with
+  (* The view's order is shared by every consumer of the view. *)
+  (match View.topo_order (View.of_circuit c), View.topo_order (View.of_circuit c) with
    | Some a, Some b -> check bool_t "same array" true (a == b)
    | _ -> Alcotest.fail "c17 must be acyclic");
-  (* The uncached path allocates fresh results. *)
-  match
-    Circuit.compute_topological_order c, Circuit.compute_topological_order c
-  with
+  (* The circuit's own sort allocates a fresh result per call. *)
+  match Circuit.topological_order c, Circuit.topological_order c with
   | Some a, Some b ->
     check bool_t "fresh arrays" true (a != b);
     check bool_t "same order" true (a = b)
@@ -273,7 +272,6 @@ let test_cached_analyses_agree () =
   let c = Bench_suite.load_scaled "c432" ~scale:4 in
   let v = View.of_circuit c in
   check bool_t "acyclic agrees" true (View.is_acyclic v = Circuit.is_acyclic c);
-  check bool_t "depth agrees" true (View.depth v = Circuit.depth c);
   check bool_t "fanouts agree" true (View.fanouts v = Circuit.fanouts c);
   check bool_t "scc agrees" true
     (View.scc v = Circuit.strongly_connected_components c)
@@ -411,9 +409,9 @@ let test_agree_on_probes_counts_unresolved () =
 
 let prop_topo_and_levels =
   (* On an acyclic circuit the cached order is a permutation of the node
-     ids with every fanin placed before its node, and each level is one
-     more than the deepest fanin (sources sit at 0).  A cyclic circuit has
-     neither order nor levels nor depth. *)
+     ids with every fanin placed before its node, and levelling along it
+     (sources at 0, each node one more than its deepest fanin) gives
+     {!Circuit.depth}.  A cyclic circuit has neither order nor depth. *)
   let gen = QCheck2.Gen.int_bound 10_000 in
   qcheck_case "levels follow topo order" gen (fun seed ->
       let c =
@@ -421,31 +419,27 @@ let prop_topo_and_levels =
       in
       let v = View.of_circuit c in
       let n = Circuit.num_nodes c in
-      match View.topo_order v, View.levels v with
-      | None, None ->
-        (not (View.is_acyclic v)) && View.depth v = None
-        && Circuit.depth c = None
-      | Some order, Some lv ->
+      match View.topo_order v with
+      | None -> (not (View.is_acyclic v)) && Circuit.depth c = None
+      | Some order ->
         let pos = Array.make n (-1) in
         Array.iteri (fun i id -> pos.(id) <- i) order;
         let ordered = ref (Array.length order = n) in
-        let levelled = ref true in
         for id = 0 to n - 1 do
           let fanins = (Circuit.node c id).Circuit.fanins in
           if pos.(id) < 0 then ordered := false;
-          Array.iter (fun f -> if pos.(f) >= pos.(id) then ordered := false) fanins;
-          let expected =
-            if Array.length fanins = 0 then 0
-            else 1 + Array.fold_left (fun acc f -> max acc lv.(f)) 0 fanins
-          in
-          if lv.(id) <> expected then levelled := false
+          Array.iter (fun f -> if pos.(f) >= pos.(id) then ordered := false) fanins
         done;
         if not !ordered then
           QCheck2.Test.fail_reportf "fanin after its node (seed %d)" seed;
-        if not !levelled then
-          QCheck2.Test.fail_reportf "level not 1 + max fanin (seed %d)" seed;
-        View.is_acyclic v && View.depth v = Circuit.depth c
-      | _ -> QCheck2.Test.fail_reportf "order and levels disagree (seed %d)" seed)
+        let lv = Array.make n 0 in
+        Array.iter
+          (fun id ->
+            let fanins = (Circuit.node c id).Circuit.fanins in
+            if Array.length fanins > 0 then
+              lv.(id) <- 1 + Array.fold_left (fun acc f -> max acc lv.(f)) 0 fanins)
+          order;
+        View.is_acyclic v && Circuit.depth c = Some (Array.fold_left max 0 lv))
 
 let () =
   Alcotest.run "view"
