@@ -46,8 +46,11 @@ type cell = {
 
 let status (r : Sat_attack.result) =
   match r.Sat_attack.status with
-  | Sat_attack.Broken _ when r.Sat_attack.key_is_correct -> "broken"
-  | Sat_attack.Broken _ -> "broken-wrong"
+  | Sat_attack.Broken _ -> (
+    match r.Sat_attack.key_check with
+    | Sat_attack.Key_correct -> "broken"
+    | Sat_attack.Key_wrong -> "broken-wrong"
+    | Sat_attack.Key_unchecked -> "broken-unchecked")
   | Sat_attack.Timeout -> "TO"
   | Sat_attack.No_key_found -> "no-key"
 

@@ -21,14 +21,15 @@ let attack_row ~timeout spec seed =
         (r.Sat_attack.wall_time /. float_of_int r.Sat_attack.iterations)
   in
   match r.Sat_attack.status with
-  | Sat_attack.Broken _ when r.Sat_attack.key_is_correct ->
-    ( string_of_int r.Sat_attack.iterations,
-      Tables.seconds r.Sat_attack.wall_time,
-      per_iter )
   | Sat_attack.Broken _ ->
-    ( Printf.sprintf "%d (wrong key)" r.Sat_attack.iterations,
-      Tables.seconds r.Sat_attack.wall_time,
-      per_iter )
+    let iters =
+      match r.Sat_attack.key_check with
+      | Sat_attack.Key_correct -> string_of_int r.Sat_attack.iterations
+      | Sat_attack.Key_wrong -> Printf.sprintf "%d (wrong key)" r.Sat_attack.iterations
+      | Sat_attack.Key_unchecked ->
+        Printf.sprintf "%d (key unchecked)" r.Sat_attack.iterations
+    in
+    iters, Tables.seconds r.Sat_attack.wall_time, per_iter
   | Sat_attack.Timeout -> Printf.sprintf "%d*" r.Sat_attack.iterations, "TO", per_iter
   | Sat_attack.No_key_found -> "-", "-", per_iter
 

@@ -33,10 +33,12 @@ let attack_cell ~timeout ~max_conflicts circuit ~plr_n ~plr_count ~seed =
   | locked ->
     let r = Cycsat.run ~timeout ~max_conflicts locked in
     (match r.Sat_attack.status with
-     | Sat_attack.Broken _ when r.Sat_attack.key_is_correct ->
-       Tables.seconds r.Sat_attack.wall_time, "broken"
-     | Sat_attack.Broken _ ->
-       Tables.seconds r.Sat_attack.wall_time ^ " (wrong)", "broken-wrong"
+     | Sat_attack.Broken _ -> (
+       let time = Tables.seconds r.Sat_attack.wall_time in
+       match r.Sat_attack.key_check with
+       | Sat_attack.Key_correct -> time, "broken"
+       | Sat_attack.Key_wrong -> time ^ " (wrong)", "broken-wrong"
+       | Sat_attack.Key_unchecked -> time ^ " (unchecked)", "broken-unchecked")
      | Sat_attack.Timeout -> "TO", "TO"
      | Sat_attack.No_key_found -> "no-key", "no-key")
 

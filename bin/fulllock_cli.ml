@@ -20,17 +20,22 @@ module Ppa = Fl_ppa.Ppa
 
 (* ---------- shared helpers ---------- *)
 
-let read_circuit path =
-  try Bench_io.parse_file path with
-  | Bench_io.Parse_error (line, msg) ->
-    Printf.eprintf "%s:%d: %s\n" path line msg;
-    exit 1
-  | Sys_error msg ->
+(* [with_file path f] is [f ()], or exits 1 with one line naming [path]
+   when [f] cannot read or write it. *)
+let with_file path f =
+  try f ()
+  with Sys_error msg ->
     prerr_endline (Fl_cli.file_error path msg);
     exit 1
 
+let read_circuit path =
+  try with_file path (fun () -> Bench_io.parse_file path)
+  with Bench_io.Parse_error (line, msg) ->
+    Printf.eprintf "%s:%d: %s\n" path line msg;
+    exit 1
+
 let write_circuit c path =
-  Bench_io.write_file c path;
+  with_file path (fun () -> Bench_io.write_file c path);
   Printf.printf "wrote %s (%d gates, %d inputs, %d keys, %d outputs)\n" path
     (Circuit.num_gates c) (Circuit.num_inputs c) (Circuit.num_keys c)
     (Circuit.num_outputs c)
@@ -47,17 +52,16 @@ let key_of_string text =
       | c -> Printf.eprintf "bad key character %C\n" c; exit 1)
 
 let write_key key path =
-  let oc = open_out path in
-  output_string oc (key_to_string key);
-  output_char oc '\n';
-  close_out oc;
+  with_file path (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (key_to_string key);
+          output_char oc '\n'));
   Printf.printf "wrote %s (%d key bits)\n" path (Array.length key)
 
 let read_key path =
-  let ic = open_in path in
-  let line = try input_line ic with End_of_file -> "" in
-  close_in ic;
-  key_of_string line
+  with_file path (fun () ->
+      In_channel.with_open_bin path (fun ic ->
+          key_of_string (Option.value ~default:"" (In_channel.input_line ic))))
 
 (* A key file whose width must match [circuit]'s key inputs. *)
 let read_key_for circuit path =
@@ -266,10 +270,34 @@ let verify_cmd =
     let locked = read_circuit locked_path in
     let oracle = read_circuit oracle_path in
     let key = read_key_for locked key_path in
-    let l = { Locked.locked; oracle; correct_key = key; scheme = "cli" } in
-    if Locked.verify l then print_endline "key is functionally correct"
+    if Circuit.num_inputs locked <> Circuit.num_inputs oracle
+       || Circuit.num_outputs locked <> Circuit.num_outputs oracle
+    then begin
+      prerr_endline "the netlists' input or output counts differ";
+      exit 1
+    end;
+    (* A proof on acyclic netlists; simulation on cyclic ones, where the
+       CNF would admit spurious stabilisations. *)
+    let correct, method_ =
+      if Circuit.is_acyclic locked && Circuit.is_acyclic oracle then
+        match Fl_sat.Equiv.check_key ~locked ~oracle key with
+        | Fl_sat.Equiv.Equivalent -> true, "SAT-proved"
+        | Fl_sat.Equiv.Different _ -> false, "SAT-proved"
+        | Fl_sat.Equiv.Unknown ->
+          prerr_endline "key check: the solver gave up";
+          exit 1
+      else
+        let l = { Locked.locked; oracle; correct_key = key; scheme = "cli" } in
+        let exhaustive_limit = 10 and vectors = 256 in
+        let n = Circuit.num_inputs locked in
+        ( Locked.verify ~exhaustive_limit ~vectors l,
+          if n <= exhaustive_limit then
+            Printf.sprintf "simulated, all %d vectors" (1 lsl n)
+          else Printf.sprintf "simulated, %d vectors" vectors )
+    in
+    if correct then Printf.printf "key is functionally correct (%s)\n" method_
     else begin
-      print_endline "key is WRONG";
+      Printf.printf "key is WRONG (%s)\n" method_;
       exit 1
     end
   in

@@ -37,10 +37,13 @@ let sat_cell locked =
      the right tool for every scheme here. *)
   let r = Cycsat.run ~timeout locked in
   match r.Sat_attack.status with
-  | Sat_attack.Broken _ when r.Sat_attack.key_is_correct ->
-    Printf.sprintf "broken (%d DIPs, %.1fs)" r.Sat_attack.iterations
-      r.Sat_attack.wall_time
-  | Sat_attack.Broken _ -> "wrong key"
+  | Sat_attack.Broken _ -> (
+    match r.Sat_attack.key_check with
+    | Sat_attack.Key_correct ->
+      Printf.sprintf "broken (%d DIPs, %.1fs)" r.Sat_attack.iterations
+        r.Sat_attack.wall_time
+    | Sat_attack.Key_wrong -> "wrong key"
+    | Sat_attack.Key_unchecked -> "key unchecked")
   | Sat_attack.Timeout -> "RESISTS"
   | Sat_attack.No_key_found -> "inconclusive"
 

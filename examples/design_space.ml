@@ -66,9 +66,12 @@ let () =
           match r.Sat_attack.status with
           | Sat_attack.Timeout ->
             Printf.sprintf "RESISTS (%d DIPs in budget)" r.Sat_attack.iterations
-          | Sat_attack.Broken _ when r.Sat_attack.key_is_correct ->
-            Printf.sprintf "broken in %.1fs" r.Sat_attack.wall_time
-          | Sat_attack.Broken _ -> "broken (wrong key)"
+          | Sat_attack.Broken _ -> (
+            match r.Sat_attack.key_check with
+            | Sat_attack.Key_correct ->
+              Printf.sprintf "broken in %.1fs" r.Sat_attack.wall_time
+            | Sat_attack.Key_wrong -> "broken (wrong key)"
+            | Sat_attack.Key_unchecked -> "broken (key unchecked)")
           | Sat_attack.No_key_found -> "inconclusive"
         in
         Printf.printf "%-22s | %8d | %8.2fx | %8.2fx | %8.2fx | %s\n%!" point.label

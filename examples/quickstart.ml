@@ -43,7 +43,7 @@ let () =
   (match result.Sat_attack.status with
    | Sat_attack.Timeout ->
      print_endline "the attack ran out of budget - scale n up for real designs"
-   | Sat_attack.Broken _ when result.Sat_attack.key_is_correct ->
+   | Sat_attack.Broken _ when result.Sat_attack.key_check = Sat_attack.Key_correct ->
      print_endline
        "broken at this toy size - the paper uses 16..32-wire PLRs, where each\n\
         SAT iteration alone takes hours"

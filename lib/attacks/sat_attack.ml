@@ -8,11 +8,16 @@ type status =
   | Timeout
   | No_key_found
 
+type key_check =
+  | Key_correct
+  | Key_wrong
+  | Key_unchecked
+
 type result = {
   status : status;
   iterations : int;
   wall_time : float;
-  key_is_correct : bool;
+  key_check : key_check;
   solver : Cdcl.stats;
   clause_var_ratio : float;
   dips : bool array list;
@@ -29,7 +34,7 @@ let run ?(timeout = 60.0) ?max_conflicts ?(progress = fun _ _ -> ()) ?extra_key_
       ~deadline locked
   in
   let finish status dips =
-    let key_is_correct =
+    let key_check =
       match status with
       | Broken key ->
         (* Formal check when the locked netlist is acyclic; random-vector
@@ -44,17 +49,22 @@ let run ?(timeout = 60.0) ?max_conflicts ?(progress = fun _ _ -> ()) ?extra_key_
             | Some m -> Cdcl.budget_conflicts (max 10_000 m)
             | None -> Cdcl.budget_seconds (max 5.0 timeout)
           in
-          Equiv.check_key ~budget ~locked:locked.Locked.locked
-            ~oracle:locked.Locked.oracle key
-          = Equiv.Equivalent
-        else Locked.key_matches locked ~key
-      | Timeout | No_key_found -> false
+          match
+            Equiv.check_key ~budget ~locked:locked.Locked.locked
+              ~oracle:locked.Locked.oracle key
+          with
+          | Equiv.Equivalent -> Key_correct
+          | Equiv.Different _ -> Key_wrong
+          | Equiv.Unknown -> Key_unchecked
+        else if Locked.key_matches locked ~key then Key_correct
+        else Key_wrong
+      | Timeout | No_key_found -> Key_unchecked
     in
     {
       status;
       iterations = Session.iterations session;
       wall_time = Session.elapsed session;
-      key_is_correct;
+      key_check;
       solver = Session.solver_stats session;
       clause_var_ratio = Session.clause_var_ratio session;
       dips;
@@ -78,7 +88,11 @@ let run ?(timeout = 60.0) ?max_conflicts ?(progress = fun _ _ -> ()) ?extra_key_
 let pp_result fmt r =
   let status =
     match r.status with
-    | Broken _ -> if r.key_is_correct then "broken (key correct)" else "broken (KEY WRONG)"
+    | Broken _ -> (
+      match r.key_check with
+      | Key_correct -> "broken (key correct)"
+      | Key_wrong -> "broken (KEY WRONG)"
+      | Key_unchecked -> "broken (key unchecked)")
     | Timeout -> "timeout"
     | No_key_found -> "no consistent key"
   in

@@ -9,18 +9,26 @@
     On cyclic locked circuits the plain attack is unsound — the CNF admits
     spurious stabilisations, so the recovered key may be wrong or the loop
     may not converge; that failure mode is the paper's motivation for
-    CycSAT, and {!result.key_is_correct} reports it honestly. *)
+    CycSAT, and {!result.key_check} reports it honestly. *)
 
 type status =
   | Broken of bool array  (** recovered key *)
   | Timeout  (** budget exhausted — wall clock or conflict cap *)
   | No_key_found  (** miter UNSAT but no consistent key (cyclic pathology) *)
 
+(** The functional check of a recovered key.  On an acyclic locked
+    netlist it is {!Fl_sat.Equiv.check_key}; on a cyclic one, simulation
+    ({!Fl_locking.Locked.key_matches}). *)
+type key_check =
+  | Key_correct  (** proved equivalent to the oracle, or matched it on every simulated vector *)
+  | Key_wrong  (** the oracle and the key disagree on some input *)
+  | Key_unchecked  (** no key, or the proof ran out of budget *)
+
 type result = {
   status : status;
   iterations : int;
   wall_time : float;
-  key_is_correct : bool;  (** functional check of the recovered key *)
+  key_check : key_check;  (** of the recovered key *)
   solver : Fl_sat.Cdcl.stats;  (** accumulated over all iterations *)
   clause_var_ratio : float;
       (** of the final attack formula (Fig. 7), as the solver sees it: each

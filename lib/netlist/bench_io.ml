@@ -268,12 +268,13 @@ let parse_string ?(name = "bench") text =
   (* Pass 2: wire fanins and outputs in file order, so an undefined wire
      or a wrong fanin count is reported at its line.  Declarations took
      ids in file order, so [next] is the id of the next gate. *)
-  let next = ref 0 in
+  let next = ref 0 and outputs = ref false in
   List.iter
     (fun (lineno, decl) ->
       match decl with
       | L_input _ | L_key_input _ -> incr next
       | L_output (wa, wb) ->
+        outputs := true;
         let id = lookup lineno wa wb in
         Circuit.Builder.output b (String.sub text wa (wb - wa)) id
       | L_gate (_, _, kind, args) ->
@@ -290,6 +291,9 @@ let parse_string ?(name = "bench") text =
         Circuit.Builder.set_fanins b !next fanins;
         incr next)
     decls;
+  (* A netlist without outputs computes nothing: reported at the last
+     line, after every fault a line of its own shows. *)
+  if not !outputs then fail (!lineno - 1) "no OUTPUT declared";
   Circuit.of_builder b
 
 let parse_file path =

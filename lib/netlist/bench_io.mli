@@ -19,7 +19,9 @@
     entries 0-3; a set bit past the [2^arity] entries is a parse error. *)
 
 exception Parse_error of int * string
-(** [(line, message)] *)
+(** [(line, message)]: a malformed line, a wire used but never defined, a
+    wrong fanin count, or a file without an [OUTPUT] line (reported at
+    its last line). *)
 
 val parse_string : ?name:string -> string -> Circuit.t
 val parse_file : string -> Circuit.t

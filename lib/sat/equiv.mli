@@ -5,12 +5,20 @@
     UNSAT proves equivalence, SAT yields a distinguishing counterexample.
     Key inputs, when present, are pinned to caller-supplied values — this is
     how a recovered attack key is checked {e formally} rather than by
-    sampling. *)
+    sampling.
+
+    Both netlists go through one encoder (DESIGN.md §4k).  Pinned keys and
+    constants fold through every gate, and a gate with the same canonical
+    shape as an earlier one (kind and fanin literals) takes its variable,
+    so the second netlist reuses the first's variables wherever the two
+    compute the same gates.  Output pairs that end on one literal drop
+    out; when none is left the verdict is [Equivalent] without a solve. *)
 
 type verdict =
   | Equivalent
   | Different of { inputs : bool array; outputs_a : bool array; outputs_b : bool array }
-      (** concrete counterexample *)
+      (** concrete counterexample: [inputs] from the solver's model, the
+          outputs simulated on them *)
   | Unknown  (** solver budget exhausted *)
 
 (** [check ?budget ?keys_a ?keys_b a b] compares circuit [a] under key

@@ -28,7 +28,7 @@ let host ?(seed = 201) ?(gates = 60) ?(inputs = 8) ?(outputs = 4) () =
 
 let broken_correct r =
   match r.Sat_attack.status with
-  | Sat_attack.Broken _ -> r.Sat_attack.key_is_correct
+  | Sat_attack.Broken _ -> r.Sat_attack.key_check = Sat_attack.Key_correct
   | _ -> false
 
 (* ------------------------------------------------------------------ *)

@@ -340,6 +340,8 @@ module Reference_bench = struct
             (Array.length fanins);
           Circuit.Builder.set_fanins b (lookup lineno wire) fanins)
       decls;
+    if not (List.exists (function _, L_output _ -> true | _ -> false) decls) then
+      fail (List.length (String.split_on_char '\n' text)) "no OUTPUT declared";
     Circuit.of_builder b
 end
 
@@ -711,4 +713,38 @@ module Reference_tseytin = struct
     end
     else ignore (assert_any_differs g pairs);
     g, a, b
+end
+
+(* The equivalence check as it was before both circuits went through one
+   folding, sharing encoder: two unrelated Tseytin copies with common
+   inputs, the keys pinned by unit clauses, every output pair XORed into
+   the miter.  Verdicts of [Fl_sat.Equiv.check] must agree with it. *)
+module Reference_equiv = struct
+  module Equiv = Fl_sat.Equiv
+  module Cdcl = Fl_sat.Cdcl
+  module Tseytin = Fl_cnf.Tseytin
+
+  let check ?(budget = Cdcl.no_budget) ?(keys_a = [||]) ?(keys_b = [||]) a b =
+    let f = Fl_cnf.Formula.create () in
+    let enc_a = Tseytin.encode f a in
+    let enc_b = Tseytin.encode ~share_inputs:enc_a.Tseytin.input_vars f b in
+    Tseytin.assert_vector f enc_a.Tseytin.key_vars keys_a;
+    Tseytin.assert_vector f enc_b.Tseytin.key_vars keys_b;
+    let pairs =
+      Array.to_list
+        (Array.map2 (fun x y -> x, y) enc_a.Tseytin.output_vars enc_b.Tseytin.output_vars)
+    in
+    ignore (Tseytin.assert_any_differs f pairs);
+    let solver = Cdcl.of_formula f in
+    match Cdcl.solve ~budget solver with
+    | Cdcl.Unsat -> Equiv.Equivalent
+    | Cdcl.Unknown -> Equiv.Unknown
+    | Cdcl.Sat ->
+      let value v = Cdcl.value solver v in
+      Equiv.Different
+        {
+          inputs = Array.map value enc_a.Tseytin.input_vars;
+          outputs_a = Array.map value enc_a.Tseytin.output_vars;
+          outputs_b = Array.map value enc_b.Tseytin.output_vars;
+        }
 end

@@ -206,6 +206,202 @@ let test_equiv_rejects_cyclic () =
        Alcotest.fail "expected Invalid_argument for cyclic circuit"
      with Invalid_argument _ -> ())
 
+let qcheck_case ?(count = 40) name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+
+(* A netlist from a flat spec: nodes [0, inputs) are primary inputs,
+   [inputs, inputs + keys) key inputs, and gate [g] of [gates] is node
+   [inputs + keys + g], whose fanins name earlier nodes.  [outs] names the
+   node of each output. *)
+let of_spec ~inputs ~keys gates outs =
+  let b = Circuit.Builder.create ~name:"spec" () in
+  let ids = Array.make (inputs + keys + Array.length gates) 0 in
+  for i = 0 to inputs - 1 do
+    ids.(i) <- Circuit.Builder.input b
+  done;
+  for i = 0 to keys - 1 do
+    ids.(inputs + i) <- Circuit.Builder.key_input b
+  done;
+  Array.iteri
+    (fun g (kind, fanins) ->
+      ids.(inputs + keys + g) <- Circuit.Builder.add b kind (Array.map (fun x -> ids.(x)) fanins))
+    gates;
+  Array.iteri (fun i o -> Circuit.Builder.output b (Printf.sprintf "y%d" i) ids.(o)) outs;
+  Circuit.of_builder b
+
+let verdict_kind = function
+  | Equiv.Equivalent -> "equivalent"
+  | Equiv.Different _ -> "different"
+  | Equiv.Unknown -> "unknown"
+
+(* The folded check agrees with the two-copy reference, and a
+   counterexample re-simulates to differing outputs. *)
+let agrees_with_reference ?(keys_a = [||]) ?(keys_b = [||]) a b =
+  let got = Equiv.check ~keys_a ~keys_b a b in
+  verdict_kind got = verdict_kind (Test_support.Reference_equiv.check ~keys_a ~keys_b a b)
+  &&
+  match got with
+  | Equiv.Different { inputs; outputs_a; outputs_b } ->
+    outputs_a = View.eval (View.of_circuit a) ~inputs ~keys:keys_a
+    && outputs_b = View.eval (View.of_circuit b) ~inputs ~keys:keys_b
+    && outputs_a <> outputs_b
+  | Equiv.Equivalent | Equiv.Unknown -> true
+
+let test_equiv_folding_rules () =
+  (* Inputs a, b, c are nodes 0-2; key k is node 3 where a case has one. *)
+  let lut tt = Gate.Lut (Array.map (fun x -> x = 1) tt) in
+  let maj = lut [| 0; 0; 0; 1; 0; 1; 1; 1 |] and sel = lut [| 0; 1; 0; 1; 0; 0; 1; 1 |] in
+  let cases =
+    [
+      (* MUX data are not commutative. *)
+      ( "mux data order", 0, [| Gate.Mux, [| 0; 1; 2 |] |], [||],
+        [| Gate.Mux, [| 0; 2; 1 |] |], [||], false );
+      ( "mux negated select swaps data", 0,
+        [| Gate.Not, [| 0 |]; Gate.Mux, [| 3; 1; 2 |] |], [||],
+        [| Gate.Mux, [| 0; 2; 1 |] |], [||], true );
+      ( "xnor is not xor", 0, [| Gate.Xnor, [| 0; 1 |] |], [||],
+        [| Gate.Xor, [| 0; 1 |] |], [||], false );
+      ( "xnor is a negated xor", 0, [| Gate.Xnor, [| 0; 1; 2 |] |], [||],
+        [| Gate.Xor, [| 2; 1; 0 |]; Gate.Not, [| 3 |] |], [||], true );
+      ( "lut tables are compared", 0, [| maj, [| 0; 1; 2 |] |], [||],
+        [| sel, [| 0; 1; 2 |] |], [||], false );
+      ( "lut and gate", 0, [| lut [| 1; 1; 1; 0 |], [| 1; 0 |] |], [||],
+        [| Gate.Nand, [| 0; 1 |] |], [||], true );
+      ( "nor is an and of negations", 0, [| Gate.Nor, [| 0; 1 |] |], [||],
+        [| Gate.Not, [| 0 |]; Gate.Not, [| 1 |]; Gate.And, [| 4; 3 |] |], [||], true );
+      (* Pinned keys fold: MUX select, XOR operand, AND operand, LUT fanin. *)
+      ( "key select 0 takes a", 1, [| Gate.Mux, [| 3; 0; 1 |] |], [| false |],
+        [| Gate.Buf, [| 0 |] |], [||], true );
+      ( "key select 1 takes b", 1, [| Gate.Mux, [| 3; 0; 1 |] |], [| true |],
+        [| Gate.Buf, [| 1 |] |], [||], true );
+      ( "key select 1 is not a", 1, [| Gate.Mux, [| 3; 0; 1 |] |], [| true |],
+        [| Gate.Buf, [| 0 |] |], [||], false );
+      ( "xor with key 1 inverts", 1, [| Gate.Xor, [| 0; 3 |] |], [| true |],
+        [| Gate.Not, [| 0 |] |], [||], true );
+      ( "xnor with key 1 buffers", 1, [| Gate.Xnor, [| 0; 3 |] |], [| true |],
+        [| Gate.Buf, [| 0 |] |], [||], true );
+      ( "and with key 0 is 0", 1, [| Gate.And, [| 0; 3 |] |], [| false |],
+        [| Gate.Const false, [||] |], [||], true );
+      ( "lut cofactored on a key", 1, [| maj, [| 0; 3; 1 |] |], [| true |],
+        [| Gate.Or, [| 1; 0 |] |], [||], true );
+      ( "keyed lut as a mux tree", 1,
+        [| Gate.Mux, [| 0; 3; 3 |]; Gate.Mux, [| 0; 3; 2 |]; Gate.Mux, [| 1; 4; 5 |] |],
+        [| false |], [| Gate.And, [| 0; 1; 2 |] |], [||], true );
+      ( "and with its own negation is 0", 0,
+        [| Gate.And, [| 0; 1 |]; Gate.Not, [| 3 |]; Gate.And, [| 3; 4 |] |], [||],
+        [| Gate.Const false, [||] |], [||], true );
+      (* A constant difference needs no variable. *)
+      ( "constant outputs differ", 0, [| Gate.Const true, [||] |], [||],
+        [| Gate.Const false, [||] |], [||], false );
+    ]
+  in
+  List.iter
+    (fun (name, keys, ga, ka, gb, kb, equivalent) ->
+      let circuit keys g = of_spec ~inputs:3 ~keys g [| 3 + keys + Array.length g - 1 |] in
+      let a = circuit keys ga and b = circuit (Array.length kb) gb in
+      let got = Equiv.check ~keys_a:ka ~keys_b:kb a b in
+      check Alcotest.string name
+        (if equivalent then "equivalent" else "different")
+        (verdict_kind got);
+      check bool_t (name ^ ": agrees with the reference") true
+        (agrees_with_reference ~keys_a:ka ~keys_b:kb a b))
+    cases
+
+(* A random gate over nodes [0, j): every kind, fanins repeating freely. *)
+let random_gate rng j =
+  let fan n = Array.init n (fun _ -> Random.State.int rng j) in
+  let nary () = 2 + Random.State.int rng 2 in
+  match Random.State.int rng 12 with
+  | 0 -> Gate.Const (Random.State.bool rng), [||]
+  | 1 -> Gate.Buf, fan 1
+  | 2 -> Gate.Not, fan 1
+  | 3 -> Gate.And, fan (nary ())
+  | 4 -> Gate.Nand, fan (nary ())
+  | 5 -> Gate.Or, fan (nary ())
+  | 6 -> Gate.Nor, fan (nary ())
+  | 7 -> Gate.Xor, fan (nary ())
+  | 8 -> Gate.Xnor, fan (nary ())
+  | 9 | 10 -> Gate.Mux, fan 3
+  | _ ->
+    let n = 1 + Random.State.int rng 3 in
+    Gate.Lut (Array.init (1 lsl n) (fun _ -> Random.State.bool rng)), fan n
+
+let prop_equiv_random_pairs =
+  (* Two netlists over every gate kind with keys on both sides: the second
+     is the first, the first with one gate redrawn, or the first with one
+     gate's fanins reversed.  Most logic is shared, and the keys decide
+     many MUX selects. *)
+  let gen = QCheck2.Gen.int_bound 1_000_000 in
+  qcheck_case ~count:400 "folded check = two-copy reference (random netlists)" gen
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let inputs = 1 + Random.State.int rng 5 and keys = Random.State.int rng 4 in
+      let base = inputs + keys in
+      let ga = Array.init (4 + Random.State.int rng 24) (fun g -> random_gate rng (base + g)) in
+      let gb = Array.copy ga in
+      let g = Random.State.int rng (Array.length gb) in
+      (match Random.State.int rng 3 with
+       | 0 -> ()
+       | 1 -> gb.(g) <- random_gate rng (base + g)
+       | _ ->
+         let kind, fanins = gb.(g) in
+         gb.(g) <- (kind, Array.of_list (List.rev (Array.to_list fanins))));
+      let outs =
+        Array.init (1 + Random.State.int rng 3) (fun _ ->
+            Random.State.int rng (base + Array.length ga))
+      in
+      let random_key () = Array.init keys (fun _ -> Random.State.bool rng) in
+      let keys_a = random_key () in
+      let keys_b = if Random.State.bool rng then keys_a else random_key () in
+      agrees_with_reference ~keys_a ~keys_b (of_spec ~inputs ~keys ga outs)
+        (of_spec ~inputs ~keys gb outs))
+
+let prop_equiv_locked_keys =
+  (* RLL, SARLock, Anti-SAT and acyclic Full-Lock on random hosts, each
+     checked under its correct key, that key with one bit flipped, and a
+     random key. *)
+  let gen = QCheck2.Gen.(triple (int_bound 5000) (int_bound 3) (int_bound 2)) in
+  qcheck_case ~count:120 "folded check = two-copy reference (locked hosts)" gen
+    (fun (seed, scheme, key_kind) ->
+      let c = host ~seed ~gates:(40 + (seed mod 60)) () in
+      let rng = Random.State.make [| seed |] in
+      let l =
+        match scheme with
+        | 0 -> Fl_locking.Rll.lock rng ~key_bits:6 c
+        | 1 -> Fl_locking.Sarlock.lock rng ~key_bits:6 c
+        | 2 -> Fl_locking.Antisat.lock rng ~key_bits:8 c
+        | _ -> Fulllock.lock_one rng ~n:4 c
+      in
+      let key = Array.copy l.Locked.correct_key in
+      (match key_kind with
+       | 0 -> ()
+       | 1 ->
+         let i = Random.State.int rng (Array.length key) in
+         key.(i) <- not key.(i)
+       | _ -> Array.iteri (fun i _ -> key.(i) <- Random.State.bool rng) key);
+      agrees_with_reference ~keys_a:key l.Locked.locked l.Locked.oracle)
+
+let test_equiv_full_size () =
+  (* A 32x32 PLR on the c7552-shaped suite host.  With the key pinned and
+     folded, the locked netlist shares the oracle's logic, and the proof
+     takes no conflict at all: every output pair ends on one literal.  The
+     two-copy reference is still searching after 1,000 conflicts (and
+     after 1,000,000). *)
+  let c = Bench_suite.load "c7552" in
+  let l = Fulllock.lock (Random.State.make [| 1 |]) ~configs:[ Fulllock.default_config ~n:32 ] c in
+  let budget = Fl_sat.Cdcl.budget_conflicts 1_000 in
+  let proved key =
+    verdict_kind (Equiv.check_key ~budget ~locked:l.Locked.locked ~oracle:c key)
+  in
+  check Alcotest.string "correct key" "equivalent" (proved l.Locked.correct_key);
+  let flipped = Array.copy l.Locked.correct_key in
+  flipped.(0) <- not flipped.(0);
+  check Alcotest.string "first bit flipped" "different" (proved flipped);
+  check Alcotest.string "reference under the same budget" "unknown"
+    (verdict_kind
+       (Test_support.Reference_equiv.check ~budget ~keys_a:l.Locked.correct_key
+          l.Locked.locked c))
+
 (* ------------------------------------------------------------------ *)
 (* Word-parallel evaluation                                           *)
 (* ------------------------------------------------------------------ *)
@@ -276,9 +472,6 @@ let test_word_count_diff () =
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let qcheck_case ?(count = 40) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
-
 let prop_opt_equivalent =
   let gen = QCheck2.Gen.int_bound 5000 in
   qcheck_case "opt preserves function" gen (fun seed ->
@@ -330,6 +523,8 @@ let () =
           Alcotest.test_case "agrees with opt" `Quick test_equiv_agrees_with_opt;
           Alcotest.test_case "check key" `Quick test_equiv_check_key;
           Alcotest.test_case "rejects cyclic" `Quick test_equiv_rejects_cyclic;
+          Alcotest.test_case "folding and sharing rules" `Quick test_equiv_folding_rules;
+          Alcotest.test_case "32x32 PLR key proved on c7552" `Quick test_equiv_full_size;
         ] );
       ( "sim_word",
         [
@@ -343,5 +538,7 @@ let () =
           prop_opt_equivalent;
           prop_word_sim_matches;
           prop_hardwire_correct_key;
+          prop_equiv_random_pairs;
+          prop_equiv_locked_keys;
         ] );
     ]
